@@ -89,9 +89,9 @@ def gen_rooted(spec: ClassSpec, degree: int, rng: random.Random,
         lead = -lead
     if degree == 0:
         poly = Polynomial.constant(lead)
-        fixture = RootedFixture(poly, (), as_fraction(lead))
-        assert class_membership(poly, spec)
-        return fixture
+        if not class_membership(poly, spec):
+            raise AssertionError(f"degree-0 fixture outside {spec.label}")
+        return RootedFixture(poly, (), as_fraction(lead))
     root_range = as_fraction(root_range)
     base_gap = spec.mesh_bound if spec.mesh_bound is not None else Fraction(0)
     lo = Fraction(0) if spec.require_nonneg_roots else -root_range
@@ -101,7 +101,8 @@ def gen_rooted(spec: ClassSpec, degree: int, rng: random.Random,
         r = r + base_gap + rand_fraction(rng, 0, jitter)
         roots.append(r)
     poly = Polynomial.from_roots(roots, lead=lead)
-    assert class_membership(poly, spec), (roots, spec)
+    if not class_membership(poly, spec):
+        raise AssertionError(f"fixture with roots {roots} outside {spec.label}")
     return RootedFixture(poly, tuple(roots), as_fraction(lead))
 
 

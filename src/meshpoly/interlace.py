@@ -6,6 +6,13 @@ non-negative on the whole real line.  The zero polynomial is in proper
 position to every hyperbolic polynomial on both sides.  Interlacing is
 decided exactly: roots are compared through isolating intervals, with
 shared roots certified by gcd root counting, never by numeric closeness.
+
+proper_position is the paper's characterization of the mesh classes: a
+hyperbolic p has mesh >= alpha exactly when p << p(x - alpha).  It is
+public, and the tests use it as an oracle, but class membership does not
+go through it: class_membership decides the mesh bound one adjacent
+root gap at a time (roots._gaps_at_least), which needs no Wronskian and
+no merge of two root lists.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from typing import Optional
 
 from . import intpoly
 from .poly import Polynomial, as_fraction
-from .roots import RootNode, RootProfile, _separate, root_profile
+from .roots import RootNode, _common_root, _gaps_at_least, _precedes, root_profile
 
 __all__ = [
     "ProperPositionVerdict",
@@ -130,57 +137,6 @@ def negativity_point(w: Polynomial) -> Optional[Fraction]:
     raise AssertionError("negative value exists but was not located")
 
 
-def _common_root(a: RootNode, b: RootNode, gcd_cache: dict) -> bool:
-    """Certify whether two nodes hold the same real number.
-
-    Afterwards, unequal nodes are fully separated so that endpoint
-    comparison decides their order.
-    """
-    while True:
-        ea, eb = a.exact, b.exact
-        if ea is not None and eb is not None:
-            return ea == eb
-        if ea is not None:
-            if not (b.lo < ea < b.hi):
-                return False
-            if intpoly.sign_at(b.iso.poly, ea) == 0:
-                # ea is the unique root of b's factor inside b's interval
-                b.iso.lo = b.iso.hi = ea
-                b.iso.slo = 0
-                return True
-            b.iso.exclude(ea)
-            return False
-        if eb is not None:
-            if not (a.lo < eb < a.hi):
-                return False
-            if intpoly.sign_at(a.iso.poly, eb) == 0:
-                a.iso.lo = a.iso.hi = eb
-                a.iso.slo = 0
-                return True
-            a.iso.exclude(eb)
-            return False
-        lo = max(a.lo, b.lo)
-        hi = min(a.hi, b.hi)
-        if lo >= hi:
-            return False
-        key = (id(a.iso.poly), id(b.iso.poly))
-        if key not in gcd_cache:
-            gcd_cache[key] = intpoly.gcd(a.iso.poly, b.iso.poly)
-        g = gcd_cache[key]
-        if len(g) <= 1:
-            _separate(a.iso, b.iso)
-            return False
-        gchain_key = ("chain", key)
-        if gchain_key not in gcd_cache:
-            gcd_cache[gchain_key] = intpoly.sturm_chain(g)
-        # interval endpoints are never roots of the factors, hence not of g
-        if intpoly.count_distinct_in(gcd_cache[gchain_key], lo, hi) == 1:
-            return True
-        # no shared root inside the overlap: the roots differ
-        _separate(a.iso, b.iso)
-        return False
-
-
 def _merge_order(nodes_p: list, nodes_q: list):
     """Global rank for every node; equal roots across the two lists share a rank."""
     gcd_cache: dict = {}
@@ -194,19 +150,8 @@ def _merge_order(nodes_p: list, nodes_q: list):
     def cmp(x: RootNode, y: RootNode) -> int:
         if x is y or partner.get(id(x)) is y:
             return 0
-        xe, ye = x.exact, y.exact
-        if xe is not None and ye is not None:
-            return -1 if xe < ye else (1 if xe > ye else 0)
         # distinct roots with disjoint structures: endpoints decide
-        if x.hi <= y.lo:
-            return -1
-        if y.hi <= x.lo:
-            return 1
-        if xe is not None:
-            return -1 if xe <= y.lo else 1
-        if ye is not None:
-            return 1 if ye <= x.lo else -1
-        raise AssertionError("nodes not separated")
+        return -1 if _precedes(x, y) else 1
 
     merged = sorted(nodes_p + nodes_q, key=cmp_to_key(cmp))
     ranks: dict = {}
@@ -245,14 +190,13 @@ def _interlaces(gamma: list, delta: list) -> bool:
 def _approx_roots(nodes: list) -> list:
     out = []
     for n in nodes:
+        n.iso.try_rational()
         n.refine_below(Fraction(1, 10**6))
         out.append(float(n.midpoint()))
     return out
 
 
-def proper_position(p: Polynomial, q: Polynomial,
-                    _profile_p: Optional[RootProfile] = None,
-                    _profile_q: Optional[RootProfile] = None) -> ProperPositionVerdict:
+def proper_position(p: Polynomial, q: Polynomial) -> ProperPositionVerdict:
     """Exact verdict on p << q, with a witness describing any failure."""
     if p.is_zero and q.is_zero:
         return ProperPositionVerdict(True, True, True)
@@ -265,11 +209,11 @@ def proper_position(p: Polynomial, q: Polynomial,
             False, True, True,
             {"condition": "non-hyperbolic-operand",
              "operand": "q" if p.is_zero else "p"})
-    prof_p = _profile_p if _profile_p is not None else root_profile(p)
+    prof_p = root_profile(p)
     if not prof_p.is_hyperbolic:
         return ProperPositionVerdict(
             False, False, False, {"condition": "non-hyperbolic-operand", "operand": "p"})
-    prof_q = _profile_q if _profile_q is not None else root_profile(q)
+    prof_q = root_profile(q)
     if not prof_q.is_hyperbolic:
         return ProperPositionVerdict(
             False, False, False, {"condition": "non-hyperbolic-operand", "operand": "q"})
@@ -301,52 +245,20 @@ def proper_position(p: Polynomial, q: Polynomial,
 def class_membership(p: Polynomial, spec: ClassSpec) -> bool:
     """Exact membership of p in a hyperbolicity class with optional bounds.
 
-    The zero polynomial is rejected outright (ValueError): it belongs to
-    no class here, and callers that can produce it must handle it first.
+    One root profile settles everything: real-rootedness by root count,
+    the sign bound by placing 0 against the roots, and the mesh bound one
+    adjacent gap at a time (roots._gaps_at_least).  The zero polynomial
+    is rejected outright (ValueError): it belongs to no class here, and
+    callers that can produce it must handle it first.
     """
     if p.is_zero:
         raise ValueError("zero polynomial has no class membership")
-    if p.degree <= 1:
-        prof = root_profile(p)
-        return prof.all_roots_nonnegative if spec.require_nonneg_roots else True
     prof = root_profile(p)
     if not prof.is_hyperbolic:
         return False
     if spec.require_nonneg_roots and not prof.all_roots_nonnegative:
         return False
-    if spec.mesh_bound is not None and spec.mesh_bound > 0:
-        shifted = p.shift(spec.mesh_bound)
-        prof_q = _translate_profile(prof, spec.mesh_bound)
-        if not proper_position(p, shifted, _profile_p=prof,
-                               _profile_q=prof_q).holds:
-            return False
-    return True
-
-
-def _translate_profile(prof: RootProfile, alpha: Fraction) -> RootProfile:
-    """Root profile of p(x - alpha) derived from the profile of p."""
-    nodes = []
-    shifted_factors: dict = {}
-    for n in prof.nodes:
-        fid = id(n.iso.poly)
-        if fid not in shifted_factors:
-            fr = [Fraction(c) for c in n.iso.poly]
-            shifted = Polynomial(fr).shift(alpha)
-            shifted_factors[fid] = intpoly.from_fractions(shifted.coeffs)
-        iso = intpoly.IsolatedRoot.__new__(intpoly.IsolatedRoot)
-        iso.poly = shifted_factors[fid]
-        iso.lo = n.lo + alpha
-        iso.hi = n.hi + alpha
-        iso.slo = n.iso.slo
-        nodes.append(RootNode(iso, n.multiplicity))
-    return RootProfile(
-        is_hyperbolic=prof.is_hyperbolic,
-        all_roots_nonnegative=False,  # not meaningful for the shifted copy
-        distinct_real_roots=prof.distinct_real_roots,
-        has_multiple_root=prof.has_multiple_root,
-        multiplicities=tuple(((n.lo, n.hi), n.multiplicity) for n in nodes),
-        nodes=nodes,
-    )
+    return spec.mesh_bound is None or _gaps_at_least(prof, spec.mesh_bound)
 
 
 def quadratic_hp1plus(A, B, C) -> bool:

@@ -267,6 +267,7 @@ def sequence_from_poly(phi: Polynomial, length: int) -> DiagonalSequence:
             raise ValueError("phi must be hyperbolic")
         bad = [n for n in prof.nodes if not _node_nonpositive(n)]
         if bad:
+            bad[0].iso.try_rational()
             bad[0].refine_below(Fraction(1, 10**6))
             raise ValueError(
                 f"phi has a root near {float(bad[0].midpoint())} > 0; "

@@ -4,7 +4,10 @@ The mesh of a polynomial with only real roots is the smallest distance
 between two of its roots, counted with multiplicity: a repeated root
 forces mesh 0, and polynomials of degree <= 1 get mesh +infinity.  All
 verdicts here are exact; interval refinement and the tolerance parameter
-only affect displayed approximations, never a yes/no answer.
+only affect displayed approximations, never a yes/no answer.  Roots are
+isolated without rational probing; only the code that reads exact root
+values (mesh_numeric, root_approximations) asks root_data to probe
+for exact rational roots.
 """
 
 from __future__ import annotations
@@ -96,14 +99,19 @@ def _node_sort_key(n: RootNode):
     return (n.lo, n.hi)
 
 
-def root_data(p: Polynomial) -> list[RootNode]:
-    """Sorted pairwise-disjoint nodes for the distinct real roots of p."""
+def root_data(p: Polynomial, probe_rationals: bool = False) -> list[RootNode]:
+    """Sorted pairwise-disjoint nodes for the distinct real roots of p.
+
+    No yes/no answer needs exact root values, so by default roots are
+    only isolated.  probe_rationals=True also looks for exact rational
+    roots (IsolatedRoot.try_rational), for callers that read .exact.
+    """
     if p.is_zero:
         raise ValueError("zero polynomial has no root data")
     f = intpoly.from_fractions(p.monomial_coeffs())
     nodes: list[RootNode] = []
     for factor, mult in intpoly.yun(f):
-        for iso in intpoly.isolate(factor):
+        for iso in intpoly.isolate(factor, probe_rationals=probe_rationals):
             nodes.append(RootNode(iso, mult))
     # roots of distinct Yun factors are distinct; make their intervals disjoint
     for i in range(len(nodes)):
@@ -111,6 +119,94 @@ def root_data(p: Polynomial) -> list[RootNode]:
             _separate(nodes[i].iso, nodes[j].iso)
     nodes.sort(key=_node_sort_key)
     return nodes
+
+
+def _precedes(x: RootNode, y: RootNode) -> bool:
+    """Whether x's root lies left of y's; the roots are distinct and the
+    nodes separated, as _separate and _common_root leave them."""
+    xe, ye = x.exact, y.exact
+    if xe is not None and ye is not None:
+        return xe < ye
+    if x.hi <= y.lo:
+        return True
+    if y.hi <= x.lo:
+        return False
+    if xe is not None:
+        return xe <= y.lo
+    if ye is not None:
+        return ye >= x.hi
+    raise AssertionError("nodes not separated")
+
+
+def _common_root(a: RootNode, b: RootNode, gcd_cache: dict) -> bool:
+    """Certify whether two nodes hold the same real number.
+
+    Afterwards, unequal nodes are fully separated so that endpoint
+    comparison (_precedes) decides their order.
+    """
+    while True:
+        ea, eb = a.exact, b.exact
+        if ea is not None and eb is not None:
+            return ea == eb
+        if ea is not None:
+            if not (b.lo < ea < b.hi):
+                return False
+            if intpoly.sign_at(b.iso.poly, ea) == 0:
+                # ea is the unique root of b's factor inside b's interval
+                b.iso.lo = b.iso.hi = ea
+                b.iso.slo = 0
+                return True
+            b.iso.exclude(ea)
+            return False
+        if eb is not None:
+            if not (a.lo < eb < a.hi):
+                return False
+            if intpoly.sign_at(a.iso.poly, eb) == 0:
+                a.iso.lo = a.iso.hi = eb
+                a.iso.slo = 0
+                return True
+            a.iso.exclude(eb)
+            return False
+        lo = max(a.lo, b.lo)
+        hi = min(a.hi, b.hi)
+        if lo >= hi:
+            return False
+        key = (id(a.iso.poly), id(b.iso.poly))
+        if key not in gcd_cache:
+            gcd_cache[key] = intpoly.gcd(a.iso.poly, b.iso.poly)
+        g = gcd_cache[key]
+        if len(g) <= 1:
+            _separate(a.iso, b.iso)
+            return False
+        gchain_key = ("chain", key)
+        if gchain_key not in gcd_cache:
+            gcd_cache[gchain_key] = intpoly.sturm_chain(g)
+        # interval endpoints are never roots of the factors, hence not of g
+        if intpoly.count_distinct_in(gcd_cache[gchain_key], lo, hi) == 1:
+            return True
+        # no shared root inside the overlap: the roots differ
+        _separate(a.iso, b.iso)
+        return False
+
+
+def _translate_nodes(nodes: Sequence[RootNode], alpha: Fraction) -> list[RootNode]:
+    """Nodes for the roots r + alpha, that is for p(x - alpha), built from
+    p's nodes: each factor is shifted once, intervals move by alpha."""
+    out = []
+    shifted_factors: dict = {}
+    for n in nodes:
+        fid = id(n.iso.poly)
+        if fid not in shifted_factors:
+            fr = [Fraction(c) for c in n.iso.poly]
+            shifted = Polynomial(fr).shift(alpha)
+            shifted_factors[fid] = intpoly.from_fractions(shifted.coeffs)
+        iso = intpoly.IsolatedRoot.__new__(intpoly.IsolatedRoot)
+        iso.poly = shifted_factors[fid]
+        iso.lo = n.lo + alpha
+        iso.hi = n.hi + alpha
+        iso.slo = n.iso.slo
+        out.append(RootNode(iso, n.multiplicity))
+    return out
 
 
 @dataclass
@@ -164,11 +260,14 @@ def _nonneg_from_nodes(nodes: Sequence[RootNode]) -> bool:
     return True
 
 
-def root_profile(p: Polynomial) -> RootProfile:
-    """Exact hyperbolicity / sign / multiplicity report for nonzero p."""
+def root_profile(p: Polynomial, probe_rationals: bool = False) -> RootProfile:
+    """Exact hyperbolicity / sign / multiplicity report for nonzero p.
+
+    probe_rationals is passed to root_data.
+    """
     if p.is_zero:
         raise ValueError("zero polynomial has no root profile")
-    nodes = root_data(p) if p.degree >= 1 else []
+    nodes = root_data(p, probe_rationals) if p.degree >= 1 else []
     real_with_mult = sum(n.multiplicity for n in nodes)
     deg = int(p.degree) if not p.is_zero else 0
     is_hyp = real_with_mult == max(deg, 0)
@@ -187,7 +286,7 @@ def isolate_and_refine(p: Polynomial, tol: Fraction = DEFAULT_TOL) -> RootProfil
     tol = as_fraction(tol)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    prof = root_profile(p)
+    prof = root_profile(p, probe_rationals=True)
     for n in prof.nodes:
         n.refine_below(tol)
     prof.multiplicities = tuple(((n.lo, n.hi), n.multiplicity) for n in prof.nodes)
@@ -217,15 +316,17 @@ def squarefree(p: Polynomial):
 def count_real_roots(p: Polynomial, lo=None, hi=None) -> int:
     """Distinct real roots of p in the half-open interval (lo, hi].
 
-    None endpoints mean -infinity / +infinity.  The intended contract is
-    squarefree input; the count is of distinct roots regardless.
+    None endpoints mean -infinity / +infinity.  A repeated root counts
+    once.  The Sturm chain is taken of the squarefree part: the chain of
+    p itself vanishes entirely at a repeated root, which miscounts any
+    interval that has one as an endpoint.
     """
     if p.is_zero:
         raise ValueError("zero polynomial root count is undefined")
     f = intpoly.from_fractions(p.monomial_coeffs())
     if len(f) <= 1:
         return 0
-    chain = intpoly.sturm_chain(f)
+    chain = intpoly.sturm_chain(intpoly.squarefree_part(f))
     lo = as_fraction(lo) if lo is not None else None
     hi = as_fraction(hi) if hi is not None else None
     return intpoly.count_distinct_in(chain, lo, hi)
@@ -261,7 +362,7 @@ def mesh_numeric(p: Polynomial, tol: Fraction = DEFAULT_TOL) -> MeshReport:
         raise ValueError("zero polynomial has no mesh")
     if p.degree <= 1:
         return MeshReport(INF, INF, INF)
-    nodes = root_data(p)
+    nodes = root_data(p, probe_rationals=True)
     if sum(n.multiplicity for n in nodes) != int(p.degree):
         raise NonHyperbolicInput("mesh is defined for real-rooted polynomials only")
     if any(n.multiplicity > 1 for n in nodes):
@@ -292,9 +393,10 @@ def mesh_numeric(p: Polynomial, tol: Fraction = DEFAULT_TOL) -> MeshReport:
 def mesh_at_least(p: Polynomial, alpha) -> bool:
     """Exact decision of mesh(p) >= alpha for hyperbolic p (boundary included).
 
-    Decided through the proper-position characterization: a hyperbolic p
-    has mesh >= alpha exactly when p(x) and p(x - alpha) are in proper
-    position.  Degree <= 1 passes every bound; a non-hyperbolic p raises.
+    Decided gap by gap (_gaps_at_least): each root is placed against the
+    translate by alpha of the root before it, equality certified by a gcd
+    root count, never by numeric closeness.  Degree <= 1 passes every
+    bound; a non-hyperbolic p raises.
     """
     alpha = as_fraction(alpha)
     if alpha < 0:
@@ -303,14 +405,30 @@ def mesh_at_least(p: Polynomial, alpha) -> bool:
         raise ValueError("zero polynomial has no mesh")
     if p.degree <= 1:
         return True
-    from . import interlace
-
     prof = root_profile(p)
     if not prof.is_hyperbolic:
         raise NonHyperbolicInput("mesh is defined for real-rooted polynomials only")
-    prof_q = interlace._translate_profile(prof, alpha)
-    return interlace.proper_position(p, p.shift(alpha), _profile_p=prof,
-                                     _profile_q=prof_q).holds
+    return _gaps_at_least(prof, alpha)
+
+
+def _gaps_at_least(prof: RootProfile, alpha: Fraction) -> bool:
+    """Whether every adjacent root gap of a hyperbolic profile is >= alpha.
+
+    Every gap is >= 0, and a repeated root is a gap of 0.  Otherwise
+    r_{i+1} - r_i >= alpha exactly when r_{i+1} equals r_i + alpha (gcd
+    certificate) or lies right of it (endpoints, once the two nodes are
+    separated).
+    """
+    if alpha <= 0:
+        return True
+    if prof.has_multiple_root:
+        return False
+    nodes = prof.nodes
+    gcd_cache: dict = {}
+    for shifted, nxt in zip(_translate_nodes(nodes[:-1], alpha), nodes[1:]):
+        if not _common_root(nxt, shifted, gcd_cache) and _precedes(nxt, shifted):
+            return False
+    return True
 
 
 def root_approximations(p: Polynomial, tol: Fraction = DEFAULT_TOL) -> list[float]:

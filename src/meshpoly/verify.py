@@ -282,7 +282,8 @@ def monotonicity_witness(alpha_m, alpha_m1, alpha_m2, m: int = 0) -> Verdict:
     a = Fraction(1) if D + E < 0 else -E / (2 * D)
     fixture = Polynomial.falling_factorial(m) * Polynomial.from_roots(
         [m + a, m + 1 + a])
-    assert class_membership(fixture, ClassSpec.hp_plus_ge(1))
+    if not class_membership(fixture, ClassSpec.hp_plus_ge(1)):
+        raise AssertionError("decreasing-pair fixture outside HP+>=1")
     A = DiagonalSequence.from_values([Fraction(0)] * m + [am, am1, am2])
     image = diagonal_apply(A, fixture)
     details = {"a": a}
@@ -372,7 +373,8 @@ def dms_test(A: DiagonalSequence, trials: int = 500, max_degree: int = 6,
         i, j, kind = obstruction
         fixture = (_mixed_sign_fixture(values, i, j) if kind == "mixed"
                    else _separated_fixture(i, j))
-        assert class_membership(fixture, spec)
+        if not class_membership(fixture, spec):
+            raise AssertionError(f"{kind}-sign fixture outside {spec.label}")
         image = diagonal_apply(A, fixture)
         if image.is_zero or class_membership(image, spec):
             raise AssertionError(f"{kind}-sign fixture failed to certify")

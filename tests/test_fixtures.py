@@ -1,4 +1,10 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
+
+import meshpoly
 
 from meshpoly import INF, ClassSpec, class_membership, mesh_numeric
 from meshpoly.fixtures import derive_rng, gen_fixture, gen_rooted, rand_fraction
@@ -56,3 +62,27 @@ def test_degree_zero_fixture():
     assert fx.roots == ()
     assert fx.exact_mesh == INF
     assert gen_rooted(ClassSpec.hp_ge(1), 1, derive_rng(0, "one")).exact_mesh == INF
+
+
+SELF_CHECK_UNDER_O = """
+import meshpoly.fixtures as fx
+from meshpoly import ClassSpec
+fx.class_membership = lambda p, spec: False
+print(__debug__)
+for degree in (0, 3):
+    try:
+        fx.gen_rooted(ClassSpec.hp_ge(1), degree, fx.derive_rng(0, "O", degree))
+    except AssertionError:
+        print("raised")
+"""
+
+
+def test_fixture_self_check_survives_python_O():
+    # python -O strips assert statements; the class self-check must stay
+    src = str(Path(meshpoly.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    r = subprocess.run([sys.executable, "-O", "-c", SELF_CHECK_UNDER_O],
+                       env=env, capture_output=True, text=True, timeout=60)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == ["False", "raised", "raised"]

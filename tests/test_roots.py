@@ -71,6 +71,14 @@ def test_count_real_roots_half_open():
     assert count_real_roots(q, 2, 3) == 0
 
 
+def test_count_real_roots_repeated_root_at_endpoint():
+    # the Sturm chain of p itself vanishes at the double root 1
+    p = Polynomial.from_roots([1, 1, 2])
+    assert count_real_roots(p, 0, 1) == 1
+    assert count_real_roots(p, 1, 3) == 1
+    assert count_real_roots(p) == 2
+
+
 def test_root_approximations():
     approx = root_approximations(Polynomial.from_roots([F(1, 2), 3]), F(1, 10**6))
     assert len(approx) == 2

@@ -6,6 +6,7 @@ Exit codes, shared by every subcommand:
     1   a failure or counterexample certificate was produced
     2   usage or input errors
     3   inconclusive: searched without an answer either way
+    4   internal error: a bug in meshpoly, not an answer about the input
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import csv
 import io
 import json
 import sys
+import traceback
 from fractions import Fraction
 
 from . import serialize, suite, verify
@@ -34,6 +36,7 @@ EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
+EXIT_INTERNAL = 4
 
 
 def _read_text(path: str) -> str:
@@ -384,6 +387,13 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as e:
+        # an AssertionError or ArithmeticError here is a bug, which must not
+        # read as exit 1 (a counterexample); SystemExit and
+        # KeyboardInterrupt are not Exceptions and pass through
+        traceback.print_exc()
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -91,6 +91,25 @@ def from_fractions(coeffs: Sequence[Fraction]) -> ZPoly:
     return primitive([int(c * den) for c in cs])
 
 
+def translate(f: ZPoly, a: Fraction) -> ZPoly:
+    """primitive(q**d * f(x - p/q)) for a = p/q and d = deg f: the integer
+    representative whose roots are those of f moved right by a."""
+    p, q = a.numerator, a.denominator
+    out: ZPoly = []
+    qk = 1
+    for c in reversed(f):
+        # Horner in (q x - p): after the step for c_i, out = sum_{j >= i}
+        # c_j (q x - p)**(j - i) q**(d - j)
+        nxt = [0] * (len(out) + 1)
+        nxt[0] = c * qk
+        for j, v in enumerate(out):
+            nxt[j] -= p * v
+            nxt[j + 1] += q * v
+        out = nxt
+        qk *= q
+    return primitive(out)
+
+
 def eval_at(f: ZPoly, x: Fraction) -> Fraction:
     acc = Fraction(0)
     for c in reversed(f):
@@ -177,11 +196,31 @@ def _variations(signs) -> int:
     return v
 
 
+def _chain_at(chain: list[ZPoly], num: int, den: int) -> tuple[int, int]:
+    """(sign of chain[0], sign variation count of the chain) at num/den.
+
+    den must be positive.  An element g of degree k is evaluated as
+    den**k * g(num/den) by homogeneous integer Horner, which has the sign
+    of g(num/den), so the pair need not be reduced.
+    """
+    dp = [1]
+    for _ in range(len(chain[0]) - 1):
+        dp.append(dp[-1] * den)
+    signs = []
+    for g in chain:
+        k = len(g) - 1
+        acc = g[k]
+        for i in range(k - 1, -1, -1):
+            acc = acc * num + g[i] * dp[k - i]
+        signs.append((acc > 0) - (acc < 0))
+    return signs[0], _variations(signs)
+
+
 def variations_at(chain: list[ZPoly], x: Optional[Fraction], direction: int = 0) -> int:
     """Sign variation count at rational x, or at +/-infinity when x is None."""
     if x is None:
         return _variations(sign_at_inf(f, direction) for f in chain)
-    return _variations(sign_at(f, x) for f in chain)
+    return _chain_at(chain, x.numerator, x.denominator)[1]
 
 
 def count_distinct_in(chain: list[ZPoly],
@@ -387,37 +426,51 @@ class IsolatedRoot:
 
 
 def isolate(f: ZPoly, probe_rationals: bool = True) -> list[IsolatedRoot]:
-    """Isolating structures for every real root of squarefree f, sorted."""
+    """Isolating structures for every real root of squarefree f, sorted.
+
+    Sturm bisection of (-B, B], B = cauchy_bound(f): an interval holding
+    more than one root is split at its midpoint, or, when that is a root,
+    at the midpoint of the midpoint and the right end, and so on.  Every
+    interval end is therefore a non-root, and a leaf holds one root in
+    its open interval.  Points are integer numerators over the shared
+    positive denominator of their interval, which doubles with each
+    halving; each point's chain signs are evaluated once, and the
+    variation count and sign of f at an interval's ends are carried to
+    its halves.  Fractions are built only for the leaves.
+    """
     f = primitive(list(f))
     if len(f) <= 1:
         return []
     chain = sturm_chain(f)
     bound = cauchy_bound(f)
-    total = count_distinct_in(chain, -bound, bound)
+    # no root lies outside (-B, B) and the variation count changes only
+    # at roots, so the values at -B and B are those at -inf and +inf
+    vlo = variations_at(chain, None, -1)
+    vhi = variations_at(chain, None, +1)
     out: list[IsolatedRoot] = []
-
-    def split(lo: Fraction, hi: Fraction, n: int) -> None:
-        if n == 0:
-            return
+    # (lo, hi, den, roots in (lo/den, hi/den], vlo, vhi, sign of f at lo/den);
+    # the right half is pushed first so that leaves come out sorted
+    stack = []
+    if vlo > vhi:
+        stack.append((-bound.numerator, bound.numerator, bound.denominator,
+                      vlo - vhi, vlo, vhi, sign_at_inf(f, -1)))
+    while stack:
+        lo, hi, den, n, vlo, vhi, slo = stack.pop()
         if n == 1:
-            # endpoint signs: lo is never a root here (roots live in (lo, hi])
-            slo = sign_at(f, lo)
-            shi = sign_at(f, hi)
-            if shi == 0:
-                out.append(IsolatedRoot(f, hi, hi))
-            else:
-                out.append(IsolatedRoot(f, lo, hi, slo))
-            return
-        mid = (lo + hi) / 2
-        while sign_at(f, mid) == 0:
-            # exact roots are captured once an interval isolates them;
-            # just avoid splitting at one
-            mid = (mid + hi) / 2
-        nl = count_distinct_in(chain, lo, mid)
-        split(lo, mid, nl)
-        split(mid, hi, n - nl)
-
-    split(-bound, bound, total)
+            out.append(IsolatedRoot(f, Fraction(lo, den), Fraction(hi, den), slo))
+            continue
+        lo, hi, den = 2 * lo, 2 * hi, 2 * den
+        mid = (lo + hi) // 2
+        smid, vmid = _chain_at(chain, mid, den)
+        while smid == 0:
+            # never split at a root: move towards hi
+            lo, hi, mid, den = 2 * lo, 2 * hi, mid + hi, 2 * den
+            smid, vmid = _chain_at(chain, mid, den)
+        nl = vlo - vmid
+        if n - nl:
+            stack.append((mid, hi, den, n - nl, vmid, vhi, smid))
+        if nl:
+            stack.append((lo, mid, den, nl, vlo, vmid, slo))
     if probe_rationals:
         for node in out:
             node.try_rational()

@@ -109,14 +109,17 @@ def root_data(p: Polynomial, probe_rationals: bool = False) -> list[RootNode]:
     if p.is_zero:
         raise ValueError("zero polynomial has no root data")
     f = intpoly.from_fractions(p.monomial_coeffs())
-    nodes: list[RootNode] = []
-    for factor, mult in intpoly.yun(f):
-        for iso in intpoly.isolate(factor, probe_rationals=probe_rationals):
-            nodes.append(RootNode(iso, mult))
-    # roots of distinct Yun factors are distinct; make their intervals disjoint
-    for i in range(len(nodes)):
-        for j in range(i + 1, len(nodes)):
-            _separate(nodes[i].iso, nodes[j].iso)
+    groups = [[RootNode(iso, mult)
+               for iso in intpoly.isolate(factor, probe_rationals=probe_rationals)]
+              for factor, mult in intpoly.yun(f)]
+    # roots of distinct Yun factors are distinct; make their intervals
+    # disjoint (isolate already leaves one factor's intervals disjoint)
+    for k, group in enumerate(groups):
+        later = [b for other in groups[k + 1:] for b in other]
+        for a in group:
+            for b in later:
+                _separate(a.iso, b.iso)
+    nodes = [n for group in groups for n in group]
     nodes.sort(key=_node_sort_key)
     return nodes
 
@@ -197,9 +200,7 @@ def _translate_nodes(nodes: Sequence[RootNode], alpha: Fraction) -> list[RootNod
     for n in nodes:
         fid = id(n.iso.poly)
         if fid not in shifted_factors:
-            fr = [Fraction(c) for c in n.iso.poly]
-            shifted = Polynomial(fr).shift(alpha)
-            shifted_factors[fid] = intpoly.from_fractions(shifted.coeffs)
+            shifted_factors[fid] = intpoly.translate(n.iso.poly, alpha)
         iso = intpoly.IsolatedRoot.__new__(intpoly.IsolatedRoot)
         iso.poly = shifted_factors[fid]
         iso.lo = n.lo + alpha
@@ -217,7 +218,6 @@ class RootProfile:
     all_roots_nonnegative: bool
     distinct_real_roots: int
     has_multiple_root: bool
-    multiplicities: tuple  # ((lo, hi), multiplicity) per distinct real root
     nodes: list = None  # live RootNode list, refinable
 
     def approximations(self, tol: Fraction = DEFAULT_TOL) -> list[float]:
@@ -276,7 +276,6 @@ def root_profile(p: Polynomial, probe_rationals: bool = False) -> RootProfile:
         all_roots_nonnegative=is_hyp and _nonneg_from_nodes(nodes),
         distinct_real_roots=len(nodes),
         has_multiple_root=any(n.multiplicity > 1 for n in nodes),
-        multiplicities=tuple(((n.lo, n.hi), n.multiplicity) for n in nodes),
         nodes=nodes,
     )
 
@@ -289,28 +288,7 @@ def isolate_and_refine(p: Polynomial, tol: Fraction = DEFAULT_TOL) -> RootProfil
     prof = root_profile(p, probe_rationals=True)
     for n in prof.nodes:
         n.refine_below(tol)
-    prof.multiplicities = tuple(((n.lo, n.hi), n.multiplicity) for n in prof.nodes)
     return prof
-
-
-def squarefree(p: Polynomial):
-    """(squarefree part, ((factor, multiplicity), ...)) with primitive factors.
-
-    Factors are normalized integer-primitive with positive leading
-    coefficient, so the original leading coefficient is not recoverable
-    from the output; root locations are what matters downstream.
-    """
-    if p.is_zero:
-        raise ValueError("zero polynomial has no squarefree decomposition")
-    f = intpoly.from_fractions(p.monomial_coeffs())
-    structure = intpoly.yun(f)
-    part = Polynomial((1,))
-    out = []
-    for factor, mult in structure:
-        q = Polynomial(factor)
-        out.append((q, mult))
-        part = part * q
-    return part, tuple(out)
 
 
 def count_real_roots(p: Polynomial, lo=None, hi=None) -> int:

@@ -28,7 +28,7 @@ from .operators import (
 from .poly import Polynomial
 from .roots import is_hyperbolic, mesh_at_least, mesh_numeric, root_approximations
 
-__all__ = ["CriterionResult", "run_suite", "CRITERIA"]
+__all__ = ["CriterionResult", "run_criterion", "run_suite", "CRITERIA"]
 
 
 @dataclass
@@ -354,13 +354,19 @@ CRITERIA = (criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
             criterion_11, criterion_12)
 
 
+def run_criterion(number: int, seed: int = 7, scale: float = 1.0) -> CriterionResult:
+    """Run criterion `number` (1-based) and record its wall time."""
+    start = time.monotonic()
+    res = CRITERIA[number - 1](seed=seed, scale=scale)
+    res.elapsed = time.monotonic() - start
+    return res
+
+
 def run_suite(seed: int = 7, scale: float = 1.0, emit=None) -> list:
     """Run all criteria; emit(line) is called with one line per result."""
     results = []
-    for fn in CRITERIA:
-        start = time.monotonic()
-        res = fn(seed=seed, scale=scale)
-        res.elapsed = time.monotonic() - start
+    for number in range(1, len(CRITERIA) + 1):
+        res = run_criterion(number, seed, scale)
         results.append(res)
         if emit is not None:
             emit(res.line)

@@ -2,35 +2,36 @@
 
 Run with -s to watch the lines as they complete; the same lines are
 printed in the summary either way.  The whole suite is deterministic at
-seed 7 and finishes in about a minute.
+seed 7 and finishes in about a minute.  Each test_criterion[n] runs its
+own criterion, so `pytest --durations` charges each its own time.
 """
 
 import sys
 
 import pytest
 
-from meshpoly.suite import CRITERIA, run_suite
+from meshpoly.suite import CRITERIA, run_criterion
 
-_RESULTS = None
+_RESULTS: dict = {}
 
 
-def _results():
-    global _RESULTS
-    if _RESULTS is None:
-        _RESULTS = run_suite(seed=7, scale=1.0,
-                             emit=lambda line: print(line, file=sys.stderr))
-    return _RESULTS
+def _result(number):
+    if number not in _RESULTS:
+        res = run_criterion(number, seed=7, scale=1.0)
+        print(res.line, file=sys.stderr)
+        _RESULTS[number] = res
+    return _RESULTS[number]
 
 
 @pytest.mark.parametrize("number", range(1, len(CRITERIA) + 1))
 def test_criterion(number):
-    res = _results()[number - 1]
+    res = _result(number)
     print(res.line)
     assert res.passed, res.line
 
 
 def test_every_criterion_reported():
-    results = _results()
+    results = [_result(n) for n in range(1, len(CRITERIA) + 1)]
     assert [r.number for r in results] == list(range(1, 13))
     for r in results:
         assert r.line.startswith(f"criterion {r.number:2d}: ")

@@ -1,11 +1,15 @@
 """Command line behaviour: wire shapes, exit codes, file handling."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import meshpoly
+from meshpoly import cli
 from meshpoly.cli import main
 
 POLY_024 = '{"basis": "monomial", "coeffs": ["0/1", "8/1", "-6/1", "1/1"]}'
@@ -143,6 +147,33 @@ def test_missing_file_is_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("error", [AssertionError("invariant broken"),
+                                   ZeroDivisionError("division by zero")])
+def test_internal_error_is_exit_4(tmp_path, capsys, monkeypatch, error):
+    # a bug inside a subcommand must not read as exit 1 (counterexample)
+    def broken(args):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_mesh", broken)
+    f = tmp_path / "p.json"
+    f.write_text(POLY_024)
+    code, out, err = run_cli(capsys, "mesh", str(f))
+    assert code == cli.EXIT_INTERNAL == 4
+    assert out == ""
+    assert f"internal error: {type(error).__name__}: {error}" in err
+
+
+def test_keyboard_interrupt_is_not_an_internal_error(tmp_path, monkeypatch):
+    def interrupted(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "cmd_mesh", interrupted)
+    f = tmp_path / "p.json"
+    f.write_text(POLY_024)
+    with pytest.raises(KeyboardInterrupt):
+        main(["mesh", str(f)])
+
+
 def test_search_writes_records_and_certificates(tmp_path, capsys):
     out_path = tmp_path / "run.jsonl"
     code, _, err = run_cli(capsys, "search", "remark2", "--rho", "1/2",
@@ -199,14 +230,21 @@ def test_theorem_suite_smoke(capsys):
     assert all("PASS" in ln for ln in lines)
 
 
+def _run_module(*argv):
+    # the child imports meshpoly from the same tree as this process
+    src = str(Path(meshpoly.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    return subprocess.run([sys.executable, "-m", "meshpoly", *argv],
+                          env=env, capture_output=True, text=True, timeout=60)
+
+
 def test_console_entry_point():
-    r = subprocess.run([sys.executable, "-m", "meshpoly", "verify", "herpou",
-                        "--coeffs", "1,-1"], capture_output=True, text=True)
+    r = _run_module("verify", "herpou", "--coeffs", "1,-1")
     assert r.returncode == 0
     assert json.loads(r.stdout)["status"] == "holds"
 
 
 def test_usage_error_without_args():
-    r = subprocess.run([sys.executable, "-m", "meshpoly"],
-                       capture_output=True, text=True)
+    r = _run_module()
     assert r.returncode == 2

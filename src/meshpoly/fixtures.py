@@ -74,7 +74,7 @@ class RootedFixture:
 
 
 def gen_rooted(spec: ClassSpec, degree: int, rng: random.Random,
-               root_range=12, jitter=2, lead_positive: bool = True) -> RootedFixture:
+               root_range=12, jitter=2) -> RootedFixture:
     """Fixture provably inside spec, with its exact roots attached.
 
     First root uniform in the admissible range, each later root one class
@@ -85,8 +85,6 @@ def gen_rooted(spec: ClassSpec, degree: int, rng: random.Random,
     if degree < 0:
         raise ValueError("degree must be >= 0")
     lead = rng.choice(_LEADS)
-    if not lead_positive and rng.random() < 0.5:
-        lead = -lead
     if degree == 0:
         poly = Polynomial.constant(lead)
         if not class_membership(poly, spec):

@@ -88,7 +88,7 @@ def from_fractions(coeffs: Sequence[Fraction]) -> ZPoly:
     den = 1
     for c in cs:
         den = den * c.denominator // math.gcd(den, c.denominator)
-    return primitive([int(c * den) for c in cs])
+    return primitive([c.numerator * (den // c.denominator) for c in cs])
 
 
 def translate(f: ZPoly, a: Fraction) -> ZPoly:
@@ -110,18 +110,12 @@ def translate(f: ZPoly, a: Fraction) -> ZPoly:
     return primitive(out)
 
 
-def eval_at(f: ZPoly, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(f):
-        acc = acc * x + c
-    return acc
-
-
-def sign_at(f: ZPoly, x: Fraction) -> int:
-    """Sign of f at a rational point, via homogeneous integer Horner."""
+def _sign_at(f: ZPoly, num: int, den: int) -> int:
+    """Sign of f at num/den for den > 0, via homogeneous integer Horner:
+    den**k * f(num/den), k = deg f, has the sign of f(num/den), so the
+    pair need not be reduced."""
     if not f:
         return 0
-    num, den = x.numerator, x.denominator
     acc = f[-1]
     if den == 1:
         for i in range(len(f) - 2, -1, -1):
@@ -132,6 +126,11 @@ def sign_at(f: ZPoly, x: Fraction) -> int:
             dp *= den
             acc = acc * num + f[i] * dp
     return (acc > 0) - (acc < 0)
+
+
+def sign_at(f: ZPoly, x: Fraction) -> int:
+    """Sign of f at a rational point."""
+    return _sign_at(f, x.numerator, x.denominator)
 
 
 def sign_at_inf(f: ZPoly, direction: int) -> int:
@@ -346,54 +345,96 @@ class IsolatedRoot:
     (lo, hi) with sign(f(lo)) * sign(f(hi)) < 0 containing exactly one
     root.  refine() narrows the interval in place; all narrowing keeps
     the invariant, so consumers may refine freely.
+
+    The ends are integer numerators a <= b over one positive integer
+    den: lo = a/den, hi = b/den, and a == b means exact.  Narrowing
+    works on these integers; lo, hi, exact and width are Fractions for
+    callers that read values.  A point is passed as a (num, den) pair
+    with den > 0, and need not be reduced.
     """
 
-    __slots__ = ("poly", "lo", "hi", "slo")
+    __slots__ = ("poly", "a", "b", "den", "slo")
 
     def __init__(self, poly: ZPoly, lo: Fraction, hi: Fraction, slo: int = 0):
+        den = lo.denominator * hi.denominator // math.gcd(lo.denominator,
+                                                          hi.denominator)
         self.poly = poly
-        self.lo = lo
-        self.hi = hi
+        self.a = lo.numerator * (den // lo.denominator)
+        self.b = hi.numerator * (den // hi.denominator)
+        self.den = den
         self.slo = slo or (sign_at(poly, lo) if lo != hi else 0)
+
+    @classmethod
+    def from_ints(cls, poly: ZPoly, a: int, b: int, den: int,
+                  slo: int) -> "IsolatedRoot":
+        """The node (a/den, b/den) with f's sign slo at a/den, unchecked."""
+        node = cls.__new__(cls)
+        node.poly, node.a, node.b, node.den, node.slo = poly, a, b, den, slo
+        return node
+
+    @property
+    def lo(self) -> Fraction:
+        return Fraction(self.a, self.den)
+
+    @property
+    def hi(self) -> Fraction:
+        return Fraction(self.b, self.den)
 
     @property
     def exact(self) -> Optional[Fraction]:
-        return self.lo if self.lo == self.hi else None
+        return Fraction(self.a, self.den) if self.a == self.b else None
 
     @property
     def width(self) -> Fraction:
-        return self.hi - self.lo
+        return Fraction(self.b - self.a, self.den)
 
-    def _take(self, point: Fraction) -> bool:
-        """Split at an interior non-endpoint; returns True if root found exactly."""
-        s = sign_at(self.poly, point)
+    def _set_exact(self, num: int) -> None:
+        """The root is num/den (over the node's own den)."""
+        self.a = self.b = num
+        self.slo = 0
+
+    def _take(self, num: int, den: int) -> bool:
+        """Split at num/den, strictly inside the open interval; returns
+        True if it is the root.  The ends are brought to a common
+        denominator with the point first."""
+        s = _sign_at(self.poly, num, den)
+        own = self.den
+        if den != own:
+            g = math.gcd(own, den)
+            self.a *= den // g
+            self.b *= den // g
+            num *= own // g
+            self.den = own // g * den
         if s == 0:
-            self.lo = self.hi = point
-            self.slo = 0
+            self._set_exact(num)
             return True
         if s == self.slo:
-            self.lo = point
+            self.a = num
         else:
-            self.hi = point
+            self.b = num
         return False
 
     def refine(self) -> None:
-        if self.lo != self.hi:
-            self._take((self.lo + self.hi) / 2)
+        a, b = self.a, self.b
+        if a != b:
+            self.a, self.b, self.den = 2 * a, 2 * b, 2 * self.den
+            self._take(a + b, self.den)
 
-    def refine_below(self, width: Fraction) -> None:
-        while self.lo != self.hi and self.hi - self.lo > width:
+    def refine_below(self, num: int, den: int) -> None:
+        """Refine until the width is at most num/den."""
+        while self.a != self.b and (self.b - self.a) * den > num * self.den:
             self.refine()
 
-    def exclude(self, point: Fraction) -> None:
-        """Decide the root's position relative to a rational point.
+    def exclude(self, num: int, den: int) -> None:
+        """Decide the root's position relative to the point num/den.
 
-        Afterwards either the node is exactly point, or point lies outside
-        the open interval (lo, hi), so the ordering root-vs-point is known
-        (the root is always strictly interior).
+        Afterwards either the node is exactly the point, or the point lies
+        outside the open interval (lo, hi), so the ordering root-vs-point
+        is known (the root is always strictly interior).
         """
-        if self.lo != self.hi and self.lo < point < self.hi:
-            self._take(point)
+        own = self.den
+        if self.a != self.b and self.a * den < num * own < self.b * den:
+            self._take(num, den)
 
     def try_rational(self, max_probes: int = 24,
                      den_cap: int = 1 << 16) -> Optional[Fraction]:
@@ -406,21 +447,21 @@ class IsolatedRoot:
         can be present and probing stops.  Misses are harmless: the root is
         then treated as irrational and only interval bounds are used.
         """
-        if self.lo == self.hi:
+        if self.a == self.b:
             return self.lo
         cap = min(abs(self.poly[-1]), den_cap)
         for k in range(max_probes):
-            if self.lo == self.hi:
+            if self.a == self.b:
                 return self.lo
-            if k % 2:
-                c = (self.lo + self.hi) / 2
-            else:
-                c = simplest_in(self.lo, self.hi)
+            num, den = self.a + self.b, 2 * self.den
+            if not k % 2:
+                lo, hi = self.lo, self.hi
+                c = simplest_in(lo, hi)
                 if c.denominator > cap:
                     return None
-                if c == self.lo or c == self.hi:
-                    c = (self.lo + self.hi) / 2
-            if self._take(c):
+                if c != lo and c != hi:
+                    num, den = c.numerator, c.denominator
+            if self._take(num, den):
                 return self.lo
         return None
 
@@ -436,7 +477,7 @@ def isolate(f: ZPoly, probe_rationals: bool = True) -> list[IsolatedRoot]:
     positive denominator of their interval, which doubles with each
     halving; each point's chain signs are evaluated once, and the
     variation count and sign of f at an interval's ends are carried to
-    its halves.  Fractions are built only for the leaves.
+    its halves.  Each leaf keeps its integer ends.
     """
     f = primitive(list(f))
     if len(f) <= 1:
@@ -457,7 +498,7 @@ def isolate(f: ZPoly, probe_rationals: bool = True) -> list[IsolatedRoot]:
     while stack:
         lo, hi, den, n, vlo, vhi, slo = stack.pop()
         if n == 1:
-            out.append(IsolatedRoot(f, Fraction(lo, den), Fraction(hi, den), slo))
+            out.append(IsolatedRoot.from_ints(f, lo, hi, den, slo))
             continue
         lo, hi, den = 2 * lo, 2 * hi, 2 * den
         mid = (lo + hi) // 2

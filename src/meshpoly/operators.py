@@ -58,10 +58,6 @@ class FiniteDifferenceOperator:
         return FiniteDifferenceOperator(
             (j, _as_poly(c)) for j, c in enumerate(coeffs))
 
-    @staticmethod
-    def identity() -> "FiniteDifferenceOperator":
-        return FiniteDifferenceOperator([(0, Polynomial.constant(1))])
-
     @property
     def order(self):
         """Largest shift with nonzero coefficient (an int when integral)."""
@@ -100,15 +96,6 @@ class FiniteDifferenceOperator:
         for s, q in self.terms:
             acc = acc + q * p.shift(s)
         return acc
-
-    def compose(self, other: "FiniteDifferenceOperator") -> "FiniteDifferenceOperator":
-        """Operator for p -> self(other(p))."""
-        terms = []
-        for s1, q1 in self.terms:
-            for s2, q2 in other.terms:
-                # (other p)(x - s1) picks up q2(x - s1) p(x - s1 - s2)
-                terms.append((s1 + s2, q1 * q2.shift(s1)))
-        return FiniteDifferenceOperator(terms)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FiniteDifferenceOperator):
@@ -283,7 +270,7 @@ def _node_nonpositive(node) -> bool:
         return True
     if node.lo >= 0:
         return False
-    node.iso.exclude(Fraction(0))
+    node.iso.exclude(0, 1)
     e = node.exact
     return e <= 0 if e is not None else node.hi <= 0
 

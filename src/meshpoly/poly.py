@@ -303,54 +303,6 @@ class Polynomial:
         return " ".join(parts)
 
 
-# -- functional facade over the class methods ------------------------
-
-
-def combine(p: Polynomial, q: Polynomial | None, kind: str,
-            scalar: RatLike | None = None) -> Polynomial:
-    """add, subtract, multiply two polynomials, or scale one by a rational."""
-    if kind == "add":
-        return p + q
-    if kind == "subtract":
-        return p - q
-    if kind == "multiply":
-        return p * q
-    if kind == "scale":
-        if scalar is None:
-            raise ValueError("scale needs a scalar")
-        return p * as_fraction(scalar)
-    raise ValueError(f"unknown combine kind: {kind!r}")
-
-
-def evaluate(p: Polynomial, x0: RatLike) -> Fraction:
-    return p.evaluate(x0)
-
-
-def differentiate(p: Polynomial) -> Polynomial:
-    return p.derivative()
-
-
-def shift(p: Polynomial, a: RatLike) -> Polynomial:
-    return p.shift(a)
-
-
-def difference(p: Polynomial, direction: str = "backward") -> Polynomial:
-    """Finite difference of p: 'backward' is p(x)-p(x-1), 'forward' is p(x+1)-p(x)."""
-    if direction == "backward":
-        return p.delta()
-    if direction == "forward":
-        return p.nabla()
-    raise ValueError(f"unknown difference direction: {direction!r}")
-
-
-def from_roots(roots: Sequence[RatLike], lead: RatLike = 1) -> Polynomial:
-    return Polynomial.from_roots(roots, lead)
-
-
-def convert_basis(p: Polynomial, target: str) -> Polynomial:
-    return p.to_basis(target)
-
-
 def falling_factorial_eval(x0: RatLike, i: int) -> Fraction:
     """(x0)_i as an exact rational."""
     x0 = as_fraction(x0)

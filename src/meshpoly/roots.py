@@ -51,7 +51,7 @@ class RootNode:
         return self.iso.exact
 
     def refine_below(self, width: Fraction) -> None:
-        self.iso.refine_below(width)
+        self.iso.refine_below(width.numerator, width.denominator)
 
     def midpoint(self) -> Fraction:
         return (self.lo + self.hi) / 2
@@ -64,35 +64,32 @@ class RootNode:
         return f"RootNode({where}, mult={self.multiplicity})"
 
 
-def _separate(a: intpoly.IsolatedRoot, b: intpoly.IsolatedRoot) -> None:
+def _separate(x: intpoly.IsolatedRoot, y: intpoly.IsolatedRoot) -> None:
     """Narrow two isolating structures with distinct roots until disjoint.
 
     Disjoint means the open intervals do not overlap and neither exact
     value lies inside the other's open interval, so the root order is
-    decided by endpoint comparison.
+    decided by endpoint comparison.  Ends are compared by integer cross
+    products over the positive denominators.
     """
     while True:
-        if a.exact is not None and b.exact is not None:
-            if a.exact == b.exact:
+        xa, xb, xd = x.a, x.b, x.den
+        ya, yb, yd = y.a, y.b, y.den
+        if xa == xb:
+            if ya == yb and xa * yd == ya * xd:
                 raise AssertionError("distinct roots expected")
+            y.exclude(xa, xd)
             return
-        if a.exact is not None:
-            b.exclude(a.exact)
-            if not (b.lo < a.exact < b.hi):
-                return
-            continue
-        if b.exact is not None:
-            a.exclude(b.exact)
-            if not (a.lo < b.exact < a.hi):
-                return
-            continue
-        if a.hi <= b.lo or b.hi <= a.lo:
+        if ya == yb:
+            x.exclude(ya, yd)
+            return
+        if xb * yd <= ya * xd or yb * xd <= xa * yd:
             return
         # overlapping genuine intervals: shrink the wider
-        if a.width >= b.width:
-            a.refine()
+        if (xb - xa) * yd >= (yb - ya) * xd:
+            x.refine()
         else:
-            b.refine()
+            y.refine()
 
 
 def _node_sort_key(n: RootNode):
@@ -119,6 +116,8 @@ def root_data(p: Polynomial, probe_rationals: bool = False) -> list[RootNode]:
         for a in group:
             for b in later:
                 _separate(a.iso, b.iso)
+    if len(groups) == 1:
+        return groups[0]  # isolate returns one factor's roots sorted
     nodes = [n for group in groups for n in group]
     nodes.sort(key=_node_sort_key)
     return nodes
@@ -127,17 +126,19 @@ def root_data(p: Polynomial, probe_rationals: bool = False) -> list[RootNode]:
 def _precedes(x: RootNode, y: RootNode) -> bool:
     """Whether x's root lies left of y's; the roots are distinct and the
     nodes separated, as _separate and _common_root leave them."""
-    xe, ye = x.exact, y.exact
-    if xe is not None and ye is not None:
-        return xe < ye
-    if x.hi <= y.lo:
+    x, y = x.iso, y.iso
+    xa, xb, xd = x.a, x.b, x.den
+    ya, yb, yd = y.a, y.b, y.den
+    if xa == xb and ya == yb:
+        return xa * yd < ya * xd
+    if xb * yd <= ya * xd:
         return True
-    if y.hi <= x.lo:
+    if yb * xd <= xa * yd:
         return False
-    if xe is not None:
-        return xe <= y.lo
-    if ye is not None:
-        return ye >= x.hi
+    if xa == xb:
+        return xa * yd <= ya * xd
+    if ya == yb:
+        return ya * xd >= xb * yd
     raise AssertionError("nodes not separated")
 
 
@@ -147,66 +148,59 @@ def _common_root(a: RootNode, b: RootNode, gcd_cache: dict) -> bool:
     Afterwards, unequal nodes are fully separated so that endpoint
     comparison (_precedes) decides their order.
     """
-    while True:
-        ea, eb = a.exact, b.exact
-        if ea is not None and eb is not None:
-            return ea == eb
-        if ea is not None:
-            if not (b.lo < ea < b.hi):
-                return False
-            if intpoly.sign_at(b.iso.poly, ea) == 0:
-                # ea is the unique root of b's factor inside b's interval
-                b.iso.lo = b.iso.hi = ea
-                b.iso.slo = 0
-                return True
-            b.iso.exclude(ea)
-            return False
-        if eb is not None:
-            if not (a.lo < eb < a.hi):
-                return False
-            if intpoly.sign_at(a.iso.poly, eb) == 0:
-                a.iso.lo = a.iso.hi = eb
-                a.iso.slo = 0
-                return True
-            a.iso.exclude(eb)
-            return False
-        lo = max(a.lo, b.lo)
-        hi = min(a.hi, b.hi)
-        if lo >= hi:
-            return False
-        key = (id(a.iso.poly), id(b.iso.poly))
-        if key not in gcd_cache:
-            gcd_cache[key] = intpoly.gcd(a.iso.poly, b.iso.poly)
-        g = gcd_cache[key]
-        if len(g) <= 1:
-            _separate(a.iso, b.iso)
-            return False
-        gchain_key = ("chain", key)
-        if gchain_key not in gcd_cache:
-            gcd_cache[gchain_key] = intpoly.sturm_chain(g)
-        # interval endpoints are never roots of the factors, hence not of g
-        if intpoly.count_distinct_in(gcd_cache[gchain_key], lo, hi) == 1:
-            return True
-        # no shared root inside the overlap: the roots differ
-        _separate(a.iso, b.iso)
+    x, y = a.iso, b.iso
+    xa, xb, xd = x.a, x.b, x.den
+    ya, yb, yd = y.a, y.b, y.den
+    if xa == xb:
+        if ya == yb:
+            return xa * yd == ya * xd
+        # an exact value inside y's open interval is y's root or splits it
+        y.exclude(xa, xd)
+        return y.a == y.b
+    if ya == yb:
+        x.exclude(ya, yd)
+        return x.a == x.b
+    # the overlap (lo, hi) of the two open intervals, as (num, den) pairs
+    lo = (xa, xd) if xa * yd >= ya * xd else (ya, yd)
+    hi = (xb, xd) if xb * yd <= yb * xd else (yb, yd)
+    if lo[0] * hi[1] >= hi[0] * lo[1]:
         return False
+    key = (id(x.poly), id(y.poly))
+    if key not in gcd_cache:
+        gcd_cache[key] = intpoly.gcd(x.poly, y.poly)
+    g = gcd_cache[key]
+    if len(g) <= 1:
+        _separate(x, y)
+        return False
+    gchain_key = ("chain", key)
+    if gchain_key not in gcd_cache:
+        gcd_cache[gchain_key] = intpoly.sturm_chain(g)
+    chain = gcd_cache[gchain_key]
+    # interval endpoints are never roots of the factors, hence not of g,
+    # so the variation difference counts g's roots in the open overlap
+    if intpoly._chain_at(chain, *lo)[1] - intpoly._chain_at(chain, *hi)[1] == 1:
+        return True
+    # no shared root inside the overlap: the roots differ
+    _separate(x, y)
+    return False
 
 
 def _translate_nodes(nodes: Sequence[RootNode], alpha: Fraction) -> list[RootNode]:
     """Nodes for the roots r + alpha, that is for p(x - alpha), built from
-    p's nodes: each factor is shifted once, intervals move by alpha."""
+    p's nodes: each factor is shifted once, and for alpha = p/q the ends
+    a/den, b/den move to (a q + p den)/(den q), (b q + p den)/(den q)."""
+    p, q = alpha.numerator, alpha.denominator
     out = []
     shifted_factors: dict = {}
     for n in nodes:
-        fid = id(n.iso.poly)
+        iso = n.iso
+        fid = id(iso.poly)
         if fid not in shifted_factors:
-            shifted_factors[fid] = intpoly.translate(n.iso.poly, alpha)
-        iso = intpoly.IsolatedRoot.__new__(intpoly.IsolatedRoot)
-        iso.poly = shifted_factors[fid]
-        iso.lo = n.lo + alpha
-        iso.hi = n.hi + alpha
-        iso.slo = n.iso.slo
-        out.append(RootNode(iso, n.multiplicity))
+            shifted_factors[fid] = intpoly.translate(iso.poly, alpha)
+        move = p * iso.den
+        out.append(RootNode(intpoly.IsolatedRoot.from_ints(
+            shifted_factors[fid], iso.a * q + move, iso.b * q + move,
+            iso.den * q, iso.slo), n.multiplicity))
     return out
 
 
@@ -247,15 +241,14 @@ class MeshReport:
 
 def _nonneg_from_nodes(nodes: Sequence[RootNode]) -> bool:
     for n in nodes:
-        if n.exact is not None:
-            if n.exact < 0:
+        iso = n.iso
+        if iso.a == iso.b:
+            if iso.a < 0:
                 return False
             continue
-        n.iso.exclude(Fraction(0))
-        if n.exact is not None:
-            if n.exact < 0:
-                return False
-        elif n.hi <= 0:
+        iso.exclude(0, 1)
+        # exact now only when the root is 0; otherwise 0 is outside (lo, hi)
+        if iso.a != iso.b and iso.b <= 0:
             return False
     return True
 
@@ -307,6 +300,8 @@ def count_real_roots(p: Polynomial, lo=None, hi=None) -> int:
     chain = intpoly.sturm_chain(intpoly.squarefree_part(f))
     lo = as_fraction(lo) if lo is not None else None
     hi = as_fraction(hi) if hi is not None else None
+    if lo is not None and hi is not None and lo >= hi:
+        return 0
     return intpoly.count_distinct_in(chain, lo, hi)
 
 

@@ -1,0 +1,389 @@
+"""Differential tests of the root-node layer against Fraction endpoints.
+
+IsolatedRoot keeps its ends as integer numerators over one denominator,
+and the node helpers in roots compare them by integer cross products.
+The reference below is the earlier form of the same algorithms, with
+Fraction ends and Fraction comparisons.  Both must leave every node with
+the same (lo, hi, slo) after every step, and give the same verdicts.
+"""
+
+from fractions import Fraction as F
+
+import pytest
+
+from meshpoly import intpoly as ip
+from meshpoly import roots
+from meshpoly.fixtures import derive_rng
+from meshpoly.poly import Polynomial
+
+ALPHAS = (F(1, 2), F(1), F(3, 2), F(2))
+
+
+# -- the Fraction reference ---------------------------------------------
+
+class RefRoot:
+    """IsolatedRoot with Fraction ends."""
+
+    def __init__(self, poly, lo, hi, slo):
+        self.poly, self.lo, self.hi, self.slo = poly, lo, hi, slo
+        self.multiplicity = 1
+
+    @property
+    def exact(self):
+        return self.lo if self.lo == self.hi else None
+
+    @property
+    def width(self):
+        return self.hi - self.lo
+
+    def _take(self, point):
+        s = ip.sign_at(self.poly, point)
+        if s == 0:
+            self.lo = self.hi = point
+            self.slo = 0
+            return True
+        if s == self.slo:
+            self.lo = point
+        else:
+            self.hi = point
+        return False
+
+    def refine(self):
+        if self.lo != self.hi:
+            self._take((self.lo + self.hi) / 2)
+
+    def refine_below(self, width):
+        while self.lo != self.hi and self.hi - self.lo > width:
+            self.refine()
+
+    def exclude(self, point):
+        if self.lo != self.hi and self.lo < point < self.hi:
+            self._take(point)
+
+    def try_rational(self, max_probes=24, den_cap=1 << 16):
+        if self.lo == self.hi:
+            return self.lo
+        cap = min(abs(self.poly[-1]), den_cap)
+        for k in range(max_probes):
+            if self.lo == self.hi:
+                return self.lo
+            if k % 2:
+                c = (self.lo + self.hi) / 2
+            else:
+                c = ip.simplest_in(self.lo, self.hi)
+                if c.denominator > cap:
+                    return None
+                if c == self.lo or c == self.hi:
+                    c = (self.lo + self.hi) / 2
+            if self._take(c):
+                return self.lo
+        return None
+
+
+def ref_separate(a, b):
+    while True:
+        if a.exact is not None and b.exact is not None:
+            if a.exact == b.exact:
+                raise AssertionError("distinct roots expected")
+            return
+        if a.exact is not None:
+            b.exclude(a.exact)
+            if not (b.lo < a.exact < b.hi):
+                return
+            continue
+        if b.exact is not None:
+            a.exclude(b.exact)
+            if not (a.lo < b.exact < a.hi):
+                return
+            continue
+        if a.hi <= b.lo or b.hi <= a.lo:
+            return
+        if a.width >= b.width:
+            a.refine()
+        else:
+            b.refine()
+
+
+def ref_precedes(x, y):
+    xe, ye = x.exact, y.exact
+    if xe is not None and ye is not None:
+        return xe < ye
+    if x.hi <= y.lo:
+        return True
+    if y.hi <= x.lo:
+        return False
+    if xe is not None:
+        return xe <= y.lo
+    if ye is not None:
+        return ye >= x.hi
+    raise AssertionError("nodes not separated")
+
+
+def ref_common_root(a, b, gcd_cache):
+    while True:
+        ea, eb = a.exact, b.exact
+        if ea is not None and eb is not None:
+            return ea == eb
+        if ea is not None:
+            if not (b.lo < ea < b.hi):
+                return False
+            if ip.sign_at(b.poly, ea) == 0:
+                b.lo = b.hi = ea
+                b.slo = 0
+                return True
+            b.exclude(ea)
+            return False
+        if eb is not None:
+            if not (a.lo < eb < a.hi):
+                return False
+            if ip.sign_at(a.poly, eb) == 0:
+                a.lo = a.hi = eb
+                a.slo = 0
+                return True
+            a.exclude(eb)
+            return False
+        lo = max(a.lo, b.lo)
+        hi = min(a.hi, b.hi)
+        if lo >= hi:
+            return False
+        key = (id(a.poly), id(b.poly))
+        if key not in gcd_cache:
+            gcd_cache[key] = ip.gcd(a.poly, b.poly)
+        g = gcd_cache[key]
+        if len(g) <= 1:
+            ref_separate(a, b)
+            return False
+        gchain_key = ("chain", key)
+        if gchain_key not in gcd_cache:
+            gcd_cache[gchain_key] = ip.sturm_chain(g)
+        if ip.count_distinct_in(gcd_cache[gchain_key], lo, hi) == 1:
+            return True
+        ref_separate(a, b)
+        return False
+
+
+def ref_nonneg(nodes):
+    for n in nodes:
+        if n.exact is not None:
+            if n.exact < 0:
+                return False
+            continue
+        n.exclude(F(0))
+        if n.exact is not None:
+            if n.exact < 0:
+                return False
+        elif n.hi <= 0:
+            return False
+    return True
+
+
+def ref_translate(nodes, alpha):
+    out = []
+    shifted = {}
+    for n in nodes:
+        if id(n.poly) not in shifted:
+            shifted[id(n.poly)] = ip.translate(n.poly, alpha)
+        m = RefRoot(shifted[id(n.poly)], n.lo + alpha, n.hi + alpha, n.slo)
+        m.multiplicity = n.multiplicity
+        out.append(m)
+    return out
+
+
+def ref_root_data(f, probe):
+    """root_data with Fraction nodes: unprobed isolation, then the
+    reference probing, separation across Yun factors, and the sort."""
+    groups = []
+    for factor, mult in ip.yun(f):
+        group = []
+        for iso in ip.isolate(factor, probe_rationals=False):
+            node = RefRoot(iso.poly, iso.lo, iso.hi, iso.slo)
+            node.multiplicity = mult
+            if probe:
+                node.try_rational()
+            group.append(node)
+        groups.append(group)
+    for k, group in enumerate(groups):
+        later = [b for other in groups[k + 1:] for b in other]
+        for a in group:
+            for b in later:
+                ref_separate(a, b)
+    nodes = [n for group in groups for n in group]
+    nodes.sort(key=lambda n: (n.lo, n.hi))
+    return nodes
+
+
+# -- corpus and comparison ----------------------------------------------
+
+def _linear(r):
+    return [-r.numerator, r.denominator]
+
+
+def _node_corpus():
+    """Integer polynomials: rational roots with repeats and roots at 0,
+    sqrt(2) and sqrt(3) pairs (also repeated), gaps equal to each alpha,
+    and coefficients up to 10**40."""
+    out = [
+        ip.mul([0, 1], [-2, 0, 1]),                        # 0, +-sqrt 2
+        ip.mul(ip.mul([0, 1], [0, 1]), [-1, 1]),           # 0, 0, 1
+        ip.mul([-2, 0, 1], [-3, 0, 1]),                    # +-sqrt 2, +-sqrt 3
+        ip.mul([-2, 0, 1], [-2, 0, 1]),                    # repeated pair
+        ip.mul([-2, 0, 1], ip.translate([-2, 0, 1], F(1))),  # gap 1 exactly
+        ip.mul([-(10**20 + 1), 10**20], [-(10**20 - 1), 10**20]),
+        ip.mul([10**40 - 7, -(10**13), 3 * 10**26], [-5, 2]),
+    ]
+    for t in range(120):
+        rng = derive_rng(7, "nodes", t)
+        f = [rng.choice((1, 2, 3))]
+        roots_ = [F(rng.randint(-12, 12), rng.choice((1, 2, 3, 4, 6)))
+                  for _ in range(rng.randint(1, 5))]
+        if t % 3 == 0:
+            roots_.append(F(0))
+        if t % 4 == 0:
+            # a gap equal to one of the alphas
+            roots_.append(roots_[0] + ALPHAS[t // 4 % 4])
+        for r in roots_:
+            f = ip.mul(f, _linear(r))
+            if rng.random() < 0.25:
+                f = ip.mul(f, _linear(r))          # repeated Yun factor
+        for _ in range(rng.randint(0, 2)):
+            c = F(rng.randint(-4, 4), rng.choice((1, 2)))
+            k = rng.choice((2, 3))
+            quad = ip.from_fractions([c * c - k, -2 * c, F(1)])
+            f = ip.mul(f, quad)
+            if rng.random() < 0.2:
+                f = ip.mul(f, quad)
+        if t % 10 == 9:
+            big = 10 ** rng.choice((20, 30, 40))
+            f = ip.mul(f, [rng.randint(-big, big), rng.randint(1, big)])
+        out.append(f)
+    return out
+
+
+def _state(nodes):
+    """(lo, hi, slo, multiplicity) of RootNodes or RefRoots."""
+    return [(n.lo, n.hi, getattr(n, "iso", n).slo, n.multiplicity)
+            for n in nodes]
+
+
+@pytest.mark.parametrize("probe", [False, True])
+def test_root_data_and_gap_pass_match_reference(probe):
+    """root_data, then the adjacent-gap pass of _gaps_at_least (run over
+    every pair, without stopping at the first failure), for each alpha."""
+    seen = {"exact_next": 0, "exact_moved": 0, "equal": 0,
+            "shared_factor": 0, "big": 0}
+    for f in _node_corpus():
+        new = roots.root_data(Polynomial(f), probe_rationals=probe)
+        ref = ref_root_data(ip.primitive(f), probe)
+        assert _state(new) == _state(ref), f
+        seen["big"] += max(map(abs, f)) > 10**35
+        for alpha in ALPHAS:
+            new_moved = roots._translate_nodes(new[:-1], alpha)
+            ref_moved = ref_translate(ref[:-1], alpha)
+            assert _state(new_moved) == _state(ref_moved)
+            new_cache: dict = {}
+            ref_cache: dict = {}
+            for (nm, nn), (rm, rn) in zip(zip(new_moved, new[1:]),
+                                          zip(ref_moved, ref[1:])):
+                seen["exact_next"] += nn.exact is not None
+                seen["exact_moved"] += nm.exact is not None
+                same = roots._common_root(nn, nm, new_cache)
+                assert same == ref_common_root(rn, rm, ref_cache)
+                assert _state([nn, nm]) == _state([rn, rm])
+                if same:
+                    seen["equal"] += 1
+                else:
+                    assert roots._precedes(nn, nm) == ref_precedes(rn, rm)
+                    assert roots._precedes(nm, nn) == ref_precedes(rm, rn)
+            seen["shared_factor"] += any(len(g) > 1 for k, g in
+                                         new_cache.items() if k[0] != "chain")
+        assert _state(new) == _state(ref)
+    assert all(seen.values()), seen
+
+
+def test_nonneg_from_nodes_matches_reference():
+    hits_at_zero = 0
+    for f in _node_corpus():
+        for shift in (F(0), F(-1, 2), F(1)):
+            g = ip.translate(f, shift)
+            for probe in (False, True):
+                new = roots.root_data(Polynomial(g), probe_rationals=probe)
+                ref = ref_root_data(ip.primitive(g), probe)
+                assert roots._nonneg_from_nodes(new) == ref_nonneg(ref)
+                assert _state(new) == _state(ref)
+                hits_at_zero += any(n.exact == 0 for n in new)
+    assert hits_at_zero > 0
+
+
+def test_refine_exclude_and_refine_below_match_reference():
+    """Random sequences of the narrowing operations on single nodes,
+    including exclusion at the node's own rational root and at points
+    outside the interval."""
+    rounds = 0
+    for t, f in enumerate(_node_corpus()):
+        rng = derive_rng(7, "node-ops", t)
+        for factor, _ in ip.yun(f):
+            for iso in ip.isolate(factor, probe_rationals=False):
+                ref = RefRoot(iso.poly, iso.lo, iso.hi, iso.slo)
+                for _ in range(12):
+                    op = rng.randrange(4)
+                    if op == 0:
+                        iso.refine()
+                        ref.refine()
+                    elif op == 1:
+                        w = F(rng.randint(1, 9), 2 ** rng.randint(0, 12))
+                        iso.refine_below(w.numerator, w.denominator)
+                        ref.refine_below(w)
+                    else:
+                        # a point inside, at a simple rational near the
+                        # root (often the root itself), or just outside
+                        lo, hi = ref.lo, ref.hi
+                        if op == 2:
+                            x = ip.simplest_in(lo, hi)
+                        else:
+                            x = lo + (hi - lo) * F(rng.randint(-2, 12), 10)
+                        num, den = x.numerator, x.denominator
+                        if rng.random() < 0.5:
+                            num, den = 3 * num, 3 * den  # unreduced pair
+                        iso.exclude(num, den)
+                        ref.exclude(x)
+                    assert (iso.lo, iso.hi, iso.slo) == \
+                        (ref.lo, ref.hi, ref.slo), (f, t)
+                    assert iso.exact == ref.exact
+                    assert iso.width == ref.width
+                    rounds += 1
+    assert rounds > 1000
+
+
+def test_separate_matches_reference_on_translates():
+    """_separate on nodes of unrelated polynomials, exact or not, placed
+    against translates of each other."""
+    corpus = _node_corpus()
+    pairs = 0
+    for t in range(0, len(corpus) - 1, 2):
+        for alpha in ALPHAS:
+            left = roots.root_data(Polynomial(corpus[t]), t % 4 == 0)
+            right = roots._translate_nodes(
+                roots.root_data(Polynomial(corpus[t + 1]), t % 3 == 0), alpha)
+            ref_left = ref_root_data(ip.primitive(corpus[t]), t % 4 == 0)
+            ref_right = ref_translate(
+                ref_root_data(ip.primitive(corpus[t + 1]), t % 3 == 0), alpha)
+            for a, ra in zip(left, ref_left):
+                for b, rb in zip(right, ref_right):
+                    if a.exact is not None and a.exact == b.exact:
+                        continue
+                    if ip.gcd(a.iso.poly, b.iso.poly) != [1]:
+                        continue  # the roots might be equal
+                    roots._separate(a.iso, b.iso)
+                    ref_separate(ra, rb)
+                    assert _state([a, b]) == _state([ra, rb])
+                    assert roots._precedes(a, b) == ref_precedes(ra, rb)
+                    pairs += 1
+    assert pairs > 500
+
+
+def test_isolated_root_constructor_keeps_values():
+    node = ip.IsolatedRoot([-2, 0, 1], F(5, 4), F(3, 2))
+    assert (node.lo, node.hi, node.slo) == (F(5, 4), F(3, 2), -1)
+    assert node.den == 4 and (node.a, node.b) == (5, 6)
+    exact = ip.IsolatedRoot([-1, 2], F(1, 2), F(1, 2))
+    assert exact.exact == F(1, 2) and exact.slo == 0

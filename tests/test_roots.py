@@ -79,6 +79,14 @@ def test_count_real_roots_repeated_root_at_endpoint():
     assert count_real_roots(p) == 2
 
 
+def test_count_real_roots_empty_interval():
+    # (lo, hi] is empty when lo >= hi
+    q = Polynomial.from_roots([0, 1, 2])
+    assert count_real_roots(q, 3, -1) == 0
+    assert count_real_roots(q, 1, 1) == 0
+    assert count_real_roots(q, 2, 0) == 0
+
+
 def test_root_approximations():
     approx = root_approximations(Polynomial.from_roots([F(1, 2), 3]), F(1, 10**6))
     assert len(approx) == 2

@@ -8,10 +8,18 @@ only affect displayed approximations, never a yes/no answer.  Roots are
 isolated without rational probing; only the code that reads exact root
 values (mesh_numeric, root_approximations) asks root_data to probe
 for exact rational roots.
+
+The unprobed isolation of each distinct polynomial is computed once: it
+is keyed by the primitive integer representative of the polynomial (so
+positive rational multiples and either basis share an entry) and kept
+as integers in a bounded LRU cache (ISOLATION_CACHE_SIZE entries).
+Every call builds fresh nodes from those integers, so a caller that
+refines its nodes in place cannot reach another call's nodes.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,6 +31,10 @@ from .poly import Polynomial, as_fraction
 INF = math.inf
 
 DEFAULT_TOL = Fraction(1, 10**9)
+
+# distinct polynomials whose unprobed isolation is kept; membership
+# decisions reuse one polynomial's isolation across classes and images
+ISOLATION_CACHE_SIZE = 2048
 
 
 class NonHyperbolicInput(ValueError):
@@ -96,16 +108,9 @@ def _node_sort_key(n: RootNode):
     return (n.lo, n.hi)
 
 
-def root_data(p: Polynomial, probe_rationals: bool = False) -> list[RootNode]:
-    """Sorted pairwise-disjoint nodes for the distinct real roots of p.
-
-    No yes/no answer needs exact root values, so by default roots are
-    only isolated.  probe_rationals=True also looks for exact rational
-    roots (IsolatedRoot.try_rational), for callers that read .exact.
-    """
-    if p.is_zero:
-        raise ValueError("zero polynomial has no root data")
-    f = intpoly.from_fractions(p.monomial_coeffs())
+def _isolated_nodes(f: Sequence[int], probe_rationals: bool) -> list[RootNode]:
+    """Sorted pairwise-disjoint nodes for the distinct real roots of the
+    nonzero integer polynomial f."""
     groups = [[RootNode(iso, mult)
                for iso in intpoly.isolate(factor, probe_rationals=probe_rationals)]
               for factor, mult in intpoly.yun(f)]
@@ -121,6 +126,44 @@ def root_data(p: Polynomial, probe_rationals: bool = False) -> list[RootNode]:
     nodes = [n for group in groups for n in group]
     nodes.sort(key=_node_sort_key)
     return nodes
+
+
+@functools.lru_cache(maxsize=ISOLATION_CACHE_SIZE)
+def _isolation(f: tuple) -> tuple:
+    """_isolated_nodes(f, False) frozen as one flat tuple, six fields per
+    node: factor, a, b, den, slo, multiplicity (one tuple per node would
+    cost about 200 bytes more per entry).  Nodes of one factor share one
+    factor tuple, which is f itself when f is its own only Yun factor."""
+    factors: dict = {}
+    out = []
+    for n in _isolated_nodes(f, probe_rationals=False):
+        iso = n.iso
+        factor = factors.get(id(iso.poly))
+        if factor is None:
+            factor = tuple(iso.poly)
+            factors[id(iso.poly)] = factor = f if factor == f else factor
+        out += (factor, iso.a, iso.b, iso.den, iso.slo, n.multiplicity)
+    return tuple(out)
+
+
+def root_data(p: Polynomial, probe_rationals: bool = False) -> list[RootNode]:
+    """Sorted pairwise-disjoint nodes for the distinct real roots of p.
+
+    No yes/no answer needs exact root values, so by default roots are
+    only isolated, and the isolation comes from the cache (_isolation) as
+    fresh nodes.  probe_rationals=True also looks for exact rational
+    roots (IsolatedRoot.try_rational), for callers that read .exact; that
+    path is computed afresh on every call.
+    """
+    if p.is_zero:
+        raise ValueError("zero polynomial has no root data")
+    f = intpoly.from_fractions(p.monomial_coeffs())
+    if probe_rationals:
+        return _isolated_nodes(f, probe_rationals=True)
+    from_ints = intpoly.IsolatedRoot.from_ints
+    fields = iter(_isolation(tuple(f)))
+    return [RootNode(from_ints(factor, a, b, den, slo), mult)
+            for factor, a, b, den, slo, mult in zip(*[fields] * 6)]
 
 
 def _precedes(x: RootNode, y: RootNode) -> bool:
@@ -210,7 +253,6 @@ class RootProfile:
 
     is_hyperbolic: bool
     all_roots_nonnegative: bool
-    distinct_real_roots: int
     has_multiple_root: bool
     nodes: list = None  # live RootNode list, refinable
 
@@ -262,26 +304,13 @@ def root_profile(p: Polynomial, probe_rationals: bool = False) -> RootProfile:
         raise ValueError("zero polynomial has no root profile")
     nodes = root_data(p, probe_rationals) if p.degree >= 1 else []
     real_with_mult = sum(n.multiplicity for n in nodes)
-    deg = int(p.degree) if not p.is_zero else 0
-    is_hyp = real_with_mult == max(deg, 0)
+    is_hyp = real_with_mult == int(p.degree)
     return RootProfile(
         is_hyperbolic=is_hyp,
         all_roots_nonnegative=is_hyp and _nonneg_from_nodes(nodes),
-        distinct_real_roots=len(nodes),
         has_multiple_root=any(n.multiplicity > 1 for n in nodes),
         nodes=nodes,
     )
-
-
-def isolate_and_refine(p: Polynomial, tol: Fraction = DEFAULT_TOL) -> RootProfile:
-    """root_profile with every isolating interval narrowed below tol."""
-    tol = as_fraction(tol)
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    prof = root_profile(p, probe_rationals=True)
-    for n in prof.nodes:
-        n.refine_below(tol)
-    return prof
 
 
 def count_real_roots(p: Polynomial, lo=None, hi=None) -> int:
@@ -294,14 +323,14 @@ def count_real_roots(p: Polynomial, lo=None, hi=None) -> int:
     """
     if p.is_zero:
         raise ValueError("zero polynomial root count is undefined")
-    f = intpoly.from_fractions(p.monomial_coeffs())
-    if len(f) <= 1:
-        return 0
-    chain = intpoly.sturm_chain(intpoly.squarefree_part(f))
     lo = as_fraction(lo) if lo is not None else None
     hi = as_fraction(hi) if hi is not None else None
     if lo is not None and hi is not None and lo >= hi:
         return 0
+    f = intpoly.from_fractions(p.monomial_coeffs())
+    if len(f) <= 1:
+        return 0
+    chain = intpoly.sturm_chain(intpoly.squarefree_part(f))
     return intpoly.count_distinct_in(chain, lo, hi)
 
 
@@ -406,4 +435,7 @@ def _gaps_at_least(prof: RootProfile, alpha: Fraction) -> bool:
 
 def root_approximations(p: Polynomial, tol: Fraction = DEFAULT_TOL) -> list[float]:
     """Float approximations of the distinct real roots, for display only."""
-    return isolate_and_refine(p, tol).approximations(tol)
+    tol = as_fraction(tol)
+    if tol <= 0:
+        raise ValueError("tolerance must be positive")
+    return root_profile(p, probe_rationals=True).approximations(tol)

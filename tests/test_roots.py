@@ -14,6 +14,7 @@ from meshpoly import (
     mesh_numeric,
     root_approximations,
 )
+from meshpoly import intpoly
 
 
 def test_is_hyperbolic():
@@ -85,6 +86,14 @@ def test_count_real_roots_empty_interval():
     assert count_real_roots(q, 3, -1) == 0
     assert count_real_roots(q, 1, 1) == 0
     assert count_real_roots(q, 2, 0) == 0
+
+
+def test_count_real_roots_empty_interval_builds_no_chain(monkeypatch):
+    def no_chain(f):
+        raise AssertionError("Sturm chain built for an empty interval")
+
+    monkeypatch.setattr(intpoly, "sturm_chain", no_chain)
+    assert count_real_roots(Polynomial.from_roots([0, 1, 2]), 3, -1) == 0
 
 
 def test_root_approximations():

@@ -41,7 +41,6 @@ from .poly import (
     POCHHAMMER,
     Polynomial,
     as_fraction,
-    sequence_convert,
     stirling_first,
     stirling_second,
 )
@@ -75,7 +74,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     "MONOMIAL", "POCHHAMMER", "Polynomial", "as_fraction",
-    "sequence_convert", "stirling_first", "stirling_second",
+    "stirling_first", "stirling_second",
     "INF", "MeshReport", "NonHyperbolicInput", "RootProfile",
     "count_real_roots", "is_hyperbolic", "mesh_at_least", "mesh_numeric",
     "root_approximations", "root_profile",

@@ -5,8 +5,9 @@ Every random object in a campaign is a pure function of
 stream, so trials can run in any order or in parallel and still
 reproduce bit-for-bit.  Fixtures are built from explicit rational roots
 (first root uniform in a range, then gaps of at least the class bound),
-so their exact mesh is known by construction, and each one is verified
-against its class before being handed out.
+so their exact mesh is known by construction.  Before a fixture is
+handed out, its construction data prove it in its class, in integers
+(RootedFixture.proves); no root of the polynomial is decided again.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .interlace import ClassSpec, class_membership
+from .interlace import ClassSpec
 from .poly import Polynomial, as_fraction
 from .roots import INF
 
@@ -72,36 +73,79 @@ class RootedFixture:
     def min_root(self) -> Optional[Fraction]:
         return self.roots[0] if self.roots else None
 
+    def proves(self, spec: ClassSpec) -> bool:
+        """Integer proof from the attached roots and lead that poly is in spec.
+
+        Holds when the roots are nondecreasing with every adjacent gap at
+        least a positive mesh bound, the first root is >= 0 if spec asks
+        for it, and poly == lead * prod (x - p_i/q_i), compared as
+        lead.numerator * prod (q_i x - p_i) == poly * lead.denominator *
+        prod q_i.  Then poly has exactly these roots, so its mesh is the
+        least gap and its least root the first.
+        """
+        alpha = _least_gap(spec)
+        for a, b in zip(self.roots, self.roots[1:]):
+            # b - a >= alpha, times a.den * b.den * alpha.den; as alpha >= 0,
+            # this also puts the roots in nondecreasing order
+            ad, bd = a.denominator, b.denominator
+            if (b.numerator * ad - a.numerator * bd) * alpha.denominator \
+                    < alpha.numerator * ad * bd:
+                return False
+        if spec.require_nonneg_roots and self.roots \
+                and self.roots[0].numerator < 0:
+            return False
+        product = [self.lead.numerator]
+        scale = self.lead.denominator
+        for r in self.roots:
+            p, q = r.numerator, r.denominator
+            product = [qc - p * c for qc, c in
+                       zip([0] + [q * c for c in product], product + [0])]
+            scale *= q
+        coeffs = self.poly.monomial_coeffs()
+        return len(coeffs) == len(product) and all(
+            c.numerator * scale == m * c.denominator
+            for c, m in zip(coeffs, product))
+
+
+def _least_gap(spec: ClassSpec) -> Fraction:
+    """The adjacent root gap spec asks for: its mesh bound if positive,
+    else 0 (every mesh is >= 0, so a bound <= 0 asks for nothing)."""
+    bound = spec.mesh_bound
+    return bound if bound is not None and bound > 0 else Fraction(0)
+
 
 def gen_rooted(spec: ClassSpec, degree: int, rng: random.Random,
                root_range=12, jitter=2) -> RootedFixture:
     """Fixture provably inside spec, with its exact roots attached.
 
     First root uniform in the admissible range, each later root one class
-    gap (mesh bound, or 0) plus a non-negative rational jitter further on.
-    Membership is re-verified through the public predicate before the
-    fixture is released; a failure here is a generator bug.
+    gap (a positive mesh bound, or 0) plus a non-negative rational jitter
+    further on.  Before the fixture is released, its roots and lead prove
+    its membership in integers (RootedFixture.proves), independently of
+    the Fraction product that built the polynomial; a failure here is a
+    generator bug, raised even under python -O.
     """
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    lead = rng.choice(_LEADS)
+    lead = as_fraction(rng.choice(_LEADS))
     if degree == 0:
-        poly = Polynomial.constant(lead)
-        if not class_membership(poly, spec):
+        fx = RootedFixture(Polynomial.constant(lead), (), lead)
+        if not fx.proves(spec):
             raise AssertionError(f"degree-0 fixture outside {spec.label}")
-        return RootedFixture(poly, (), as_fraction(lead))
+        return fx
     root_range = as_fraction(root_range)
-    base_gap = spec.mesh_bound if spec.mesh_bound is not None else Fraction(0)
+    base_gap = _least_gap(spec)
     lo = Fraction(0) if spec.require_nonneg_roots else -root_range
     r = rand_fraction(rng, lo, root_range)
     roots = [r]
     for _ in range(degree - 1):
         r = r + base_gap + rand_fraction(rng, 0, jitter)
         roots.append(r)
-    poly = Polynomial.from_roots(roots, lead=lead)
-    if not class_membership(poly, spec):
+    fx = RootedFixture(Polynomial.from_roots(roots, lead=lead), tuple(roots),
+                       lead)
+    if not fx.proves(spec):
         raise AssertionError(f"fixture with roots {roots} outside {spec.label}")
-    return RootedFixture(poly, tuple(roots), as_fraction(lead))
+    return fx
 
 
 def gen_fixture(spec: ClassSpec, degree: int, rng: random.Random,

@@ -301,45 +301,3 @@ class Polynomial:
             else:
                 parts.append(f"+ {term}" if c > 0 else f"- {term}")
         return " ".join(parts)
-
-
-def falling_factorial_eval(x0: RatLike, i: int) -> Fraction:
-    """(x0)_i as an exact rational."""
-    x0 = as_fraction(x0)
-    acc = Fraction(1)
-    for j in range(i):
-        acc *= x0 - j
-    return acc
-
-
-def sequence_convert(values: Sequence[RatLike], direction: str) -> tuple[Fraction, ...]:
-    """Convert between the two codings of a diagonal operator.
-
-    A diagonal operator is determined either by its eigenvalue table
-    alpha_j on (x)_j or by the coefficients a_i of its expansion in
-    (x)_i Delta^i.  The two are linked by the unitriangular system
-
-        alpha_j = sum_i a_i * (j)_i
-
-    so finite prefixes convert exactly in both directions.
-    direction is 'a_to_alpha' or 'alpha_to_a'; the output has the same
-    length as the input.
-    """
-    vals = [as_fraction(v) for v in values]
-    n = len(vals)
-    if direction == "a_to_alpha":
-        return tuple(
-            sum((vals[i] * falling_factorial_eval(j, i) for i in range(min(j, n - 1) + 1)),
-                Fraction(0))
-            for j in range(n)
-        )
-    if direction == "alpha_to_a":
-        out: list[Fraction] = []
-        for j in range(n):
-            acc = vals[j]
-            for i in range(j):
-                acc -= out[i] * falling_factorial_eval(j, i)
-            fact = falling_factorial_eval(j, j)  # = j!
-            out.append(acc / fact)
-        return tuple(out)
-    raise ValueError(f"unknown sequence_convert direction: {direction!r}")

@@ -64,10 +64,29 @@ def test_degree_zero_fixture():
     assert gen_rooted(ClassSpec.hp_ge(1), 1, derive_rng(0, "one")).exact_mesh == INF
 
 
+def test_negative_mesh_bound_keeps_roots_sorted():
+    # a bound <= 0 asks for no gap, so each root still steps right
+    fx = gen_rooted(ClassSpec.hp_ge(-1), 4, derive_rng(1, "neg", 0))
+    ordered = sorted(fx.roots)
+    assert list(fx.roots) == ordered
+    assert fx.exact_mesh == min(b - a for a, b in zip(ordered, ordered[1:]))
+    assert fx.min_root == ordered[0]
+
+
 SELF_CHECK_UNDER_O = """
 import meshpoly.fixtures as fx
-from meshpoly import ClassSpec
-fx.class_membership = lambda p, spec: False
+from meshpoly import ClassSpec, Polynomial
+
+class OffByOne:
+    # the constructors as fixtures sees them, each off by 1 in the
+    # constant term, so only the product comparison sees the fault
+    constant = staticmethod(
+        lambda c: Polynomial.constant(c) + Polynomial.constant(1))
+    from_roots = staticmethod(
+        lambda roots, lead=1:
+        Polynomial.from_roots(roots, lead) + Polynomial.constant(1))
+
+fx.Polynomial = OffByOne
 print(__debug__)
 for degree in (0, 3):
     try:

@@ -12,7 +12,8 @@ from pathlib import Path
 import meshpoly
 
 SRC = Path(meshpoly.__file__).resolve().parent
-MODULES = ("intpoly.py", "roots.py", "interlace.py", "operators.py")
+MODULES = ("intpoly.py", "roots.py", "interlace.py", "operators.py",
+           "fixtures.py")
 ALLOWED = {
     ("roots.py", "RootProfile.approximations"),
     ("interlace.py", "_approx_roots"),

@@ -14,7 +14,6 @@ from meshpoly import (
     from_symbol,
     make_standard,
     pochhammer_cofactor,
-    sequence_convert,
     sequence_from_poly,
     stirling_first,
     stirling_second,
@@ -101,14 +100,6 @@ def test_diagonal_apply():
 def test_sequence_from_poly():
     A = sequence_from_poly(Polynomial([1, 1]), 5)
     assert A.values == (F(1), F(2), F(3), F(4), F(5))
-
-
-def test_sequence_convert_round_trip():
-    alpha = sequence_convert([1, 1, 1], "a_to_alpha")
-    assert alpha == (F(1), F(2), F(5))
-    assert sequence_convert(alpha, "alpha_to_a") == (F(1), F(1), F(1))
-    with pytest.raises(ValueError):
-        sequence_convert([1], "sideways")
 
 
 def test_brenti_map():

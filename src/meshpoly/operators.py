@@ -6,14 +6,36 @@ rational shifts are allowed so that the two-term family p - lambda*p(x-alpha)
 is expressible for non-integer alpha.  Constant-coefficient operators with
 integer shifts carry a symbol polynomial Q(t) = a_0 + a_1 t + ... + a_k t^k,
 and composition of such operators multiplies symbols.
+
+Every such operator is a Polya-Schur operator sum_k M_k(x) D^k / k! with
+moments M_k = sum_s q_s(x) (-s)^k (Borcea-Branden 2009): by Taylor's
+formula p(x - s) = sum_k (-s)^k p^(k)(x) / k!.  apply uses this form, so
+one Taylor table tau_k = p^(k) / k! of p serves every term.  It runs on
+integer numerators: with p = P/d, the shifts s = S/V and the q_s = Q_s/e
+over common denominators,
+
+    T(p) = sum_k V^(n-1-k) (sum_s Q_s(x) (-S)^k) tau_k(P) / (d e V^(n-1)),
+
+where n = deg p + 1 and tau_k(P)[j] = C(j+k, k) P[j+k].
+
+The bullet product works in the falling-factorial basis.  There
+forward^k (x)_i = i!/(i-k)! (x)_(i-k), so with p = sum a_i (x)_i and
+q = sum b_i (x)_i, (forward^k p)(0) = k! a_k and the product is
+sum_j r_j (x)_j with r_j = sum_k k! a_k b_(j+d-k) (j+d-k)!/j!.
+
+All results are returned in the monomial basis; the integer forms change
+how they are computed, not what they are.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from functools import reduce
+from typing import Iterable, Optional, Sequence
 
-from .poly import Polynomial, as_fraction
+from .poly import (MONOMIAL, POCHHAMMER, Polynomial, _restate, as_fraction,
+                   int_form)
 from . import roots as _roots
 
 __all__ = [
@@ -29,10 +51,7 @@ __all__ = [
     "pochhammer_cofactor",
 ]
 
-Coeffish = Union[Polynomial, Fraction, int, str]
-
-
-def _as_poly(c: Coeffish) -> Polynomial:
+def _as_poly(c: Polynomial | Fraction | int | str) -> Polynomial:
     if isinstance(c, Polynomial):
         return c
     return Polynomial.constant(as_fraction(c))
@@ -53,7 +72,8 @@ class FiniteDifferenceOperator:
         self.terms = tuple(cleaned)
 
     @staticmethod
-    def from_coeffs(coeffs: Sequence[Coeffish]) -> "FiniteDifferenceOperator":
+    def from_coeffs(coeffs: Sequence[Polynomial | Fraction | int | str]
+                    ) -> "FiniteDifferenceOperator":
         """Build from (q_0, q_1, ..., q_k) at integer shifts 0..k."""
         return FiniteDifferenceOperator(
             (j, _as_poly(c)) for j, c in enumerate(coeffs))
@@ -92,10 +112,34 @@ class FiniteDifferenceOperator:
         return len(self.terms)
 
     def apply(self, p: Polynomial) -> Polynomial:
-        acc = Polynomial.zero()
-        for s, q in self.terms:
-            acc = acc + q * p.shift(s)
-        return acc
+        """T(p) in the moment form of the module docstring."""
+        P, d = int_form(p.monomial_coeffs())
+        n = len(P)
+        if not n or not self.terms:
+            return Polynomial.zero()
+        neg_shifts, V = int_form([-s for s, _ in self.terms])
+        qs = [int_form(q.monomial_coeffs()) for _, q in self.terms]
+        e = reduce(math.lcm, (den for _, den in qs), 1)
+        Qs = [[c * (e // den) for c in nums] for nums, den in qs]
+        width = max(map(len, Qs))
+        powers = [1] * len(Qs)  # (-S)^k per term, -S = -s V
+        out = [0] * (n + width - 1)
+        for k in range(n):
+            moment = [0] * width
+            for t, Q in enumerate(Qs):
+                w = powers[t]
+                if w:
+                    for i, c in enumerate(Q):
+                        moment[i] += c * w
+                    powers[t] = w * neg_shifts[t]
+            scale = V ** (n - 1 - k)
+            tau = [math.comb(j + k, k) * P[j + k] for j in range(n - k)]
+            for i, m in enumerate(moment):
+                if m:
+                    m *= scale
+                    for j, c in enumerate(tau):
+                        out[i + j] += m * c
+        return Polynomial._from_ints(out, d * e * V ** (n - 1))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FiniteDifferenceOperator):
@@ -200,6 +244,12 @@ class DiagonalSequence:
         return f"DiagonalSequence(values={[str(v) for v in self.values]})"
 
 
+def _pochhammer_ints(p: Polynomial) -> tuple[list[int], int]:
+    """int_form of p's falling-factorial coefficients."""
+    nums, den = int_form(p.coeffs)
+    return (nums if p.basis == POCHHAMMER else _restate(nums, POCHHAMMER)), den
+
+
 def diagonal_apply(A: DiagonalSequence, p: Polynomial) -> Polynomial:
     """Multiply the i-th Pochhammer coefficient of p by alpha_i."""
     if p.is_zero:
@@ -207,37 +257,37 @@ def diagonal_apply(A: DiagonalSequence, p: Polynomial) -> Polynomial:
     n = int(p.degree)
     if not A.defined_up_to(n):
         raise IndexError(f"sequence too short for degree {n}")
-    from .poly import POCHHAMMER
-    ph = p.to_basis(POCHHAMMER)
-    scaled = [A.alpha(i) * c for i, c in enumerate(ph.coeffs)]
-    return Polynomial(scaled, basis=POCHHAMMER).to_basis("monomial")
+    P, d = _pochhammer_ints(p)
+    alphas, e = int_form(A.prefix(n + 1))
+    scaled = [a * c for a, c in zip(alphas, P)]
+    return Polynomial._from_ints(_restate(scaled, MONOMIAL), d * e)
 
 
 def brenti_map(p: Polynomial) -> Polynomial:
     """The linear map x^i -> (x)_i applied coefficient-wise."""
-    from .poly import POCHHAMMER
     coeffs = list(p.monomial_coeffs())
-    return Polynomial(coeffs, basis=POCHHAMMER).to_basis("monomial")
+    return Polynomial(coeffs, basis=POCHHAMMER).to_basis(MONOMIAL)
 
 
 def bullet_product(p: Polynomial, q: Polynomial, d: int) -> Polynomial:
     """(p . q)(x) = sum_{k=0}^{d} (forward^k p)(0) * (forward^{d-k} q)(x).
 
-    Both inputs must have degree <= d; the product depends on d.
+    Both inputs must have degree <= d; the product depends on d.  It is
+    computed from the falling-factorial coefficients, as in the module
+    docstring.
     """
     if p.degree > d or q.degree > d:
         raise ValueError(f"degree bound {d} violated")
-    diffs_q = [q]
-    for _ in range(d):
-        diffs_q.append(diffs_q[-1].nabla())
-    acc = Polynomial.zero()
-    fp = p
-    for k in range(d + 1):
-        c = fp.evaluate(Fraction(0))
-        if c != 0:
-            acc = acc + diffs_q[d - k] * c
-        fp = fp.nabla()
-    return acc
+    A, da = _pochhammer_ints(p)
+    B, db = _pochhammer_ints(q)
+    r = [0] * max(len(A) + len(B) - 1 - d, 0)
+    for k, a in enumerate(A):
+        if a:
+            m = d - k  # forward^m (x)_i = perm(i, m) (x)_(i-m)
+            a *= math.factorial(k)
+            for i in range(m, len(B)):
+                r[i - m] += a * B[i] * math.perm(i, m)
+    return Polynomial._from_ints(_restate(r, MONOMIAL), da * db)
 
 
 def sequence_from_poly(phi: Polynomial, length: int) -> DiagonalSequence:
@@ -287,7 +337,7 @@ def pochhammer_cofactor(T: FiniteDifferenceOperator, i: int) -> Polynomial:
     k = int(T.order)
     if i < k:
         raise ValueError(f"index {i} below operator order {k}")
-    image = T.apply(Polynomial.falling_factorial(i)).to_basis("monomial")
+    image = T.apply(Polynomial.falling_factorial(i))
     coeffs = list(image.monomial_coeffs())
     for j in range(k, i):
         coeffs, rem = _divide_linear(coeffs, Fraction(j))

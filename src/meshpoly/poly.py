@@ -2,14 +2,17 @@
 
 Polynomials carry their coefficient basis: either ordinary powers of x
 (monomial) or the falling factorials (x)_i = x(x-1)...(x-i+1)
-(pochhammer).  Coefficients are fractions.Fraction throughout; floating
-point never enters any computation in this module.
+(pochhammer).  Coefficients are stored as fractions.Fraction; basis
+conversion runs on integer numerators over one common denominator
+(int_form, Polynomial._from_ints).  Floating point never enters any
+computation in this module.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Iterable, Sequence, Union
 
 MONOMIAL = "monomial"
@@ -61,6 +64,29 @@ def _stirling2_row(n: int) -> tuple[int, ...]:
         row[k + 1] += c
         row[k] += k * c
     return tuple(row)
+
+
+def _restate(nums: Sequence[int], basis: str) -> list[int]:
+    """Integer coefficients in the other basis restated in basis.
+
+    Into the monomial basis each (x)_i expands by the Stirling row s(i, .);
+    into the pochhammer basis each x^i by the row S(i, .).  The length is
+    kept: (x)_i and x^i both lead with 1.
+    """
+    row = _stirling1_row if basis == MONOMIAL else _stirling2_row
+    out = [0] * len(nums)
+    for i, c in enumerate(nums):
+        if c:
+            for k, s in enumerate(row(i)):
+                out[k] += c * s
+    return out
+
+
+def int_form(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """(nums, den) with coeffs[i] == nums[i] / den and den > 0 the least
+    common denominator."""
+    den = reduce(math.lcm, (c.denominator for c in coeffs), 1)
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
 def stirling_first(n: int, k: int) -> int:
@@ -137,6 +163,18 @@ class Polynomial:
             raise ValueError("falling factorial index must be non-negative")
         return Polynomial([0] * n + [1], POCHHAMMER)
 
+    @staticmethod
+    def _from_ints(nums: Sequence[int], den: int,
+                   basis: str = MONOMIAL) -> "Polynomial":
+        """The polynomial with coefficients nums[i] / den (den > 0) in basis."""
+        n = len(nums)
+        while n and not nums[n - 1]:
+            n -= 1
+        p = object.__new__(Polynomial)
+        p.coeffs = tuple(Fraction(c, den) for c in nums[:n])
+        p.basis = basis
+        return p
+
     # -- basic queries -----------------------------------------------
 
     @property
@@ -161,15 +199,8 @@ class Polynomial:
             raise ValueError(f"unknown basis: {basis!r}")
         if basis == self.basis:
             return self
-        n = len(self.coeffs)
-        out = [Fraction(0)] * n
-        rows = _stirling1_row if basis == MONOMIAL else _stirling2_row
-        for i, c in enumerate(self.coeffs):
-            if c:
-                for k, s in enumerate(rows(i)):
-                    if s:
-                        out[k] += c * s
-        return Polynomial(out, basis)
+        nums, den = int_form(self.coeffs)
+        return Polynomial._from_ints(_restate(nums, basis), den, basis)
 
     def _mono(self) -> "Polynomial":
         return self if self.basis == MONOMIAL else self.to_basis(MONOMIAL)
@@ -264,14 +295,6 @@ class Polynomial:
             for j in range(n - 2, i - 1, -1):
                 cs[j] += c * cs[j + 1]
         return Polynomial(cs)
-
-    def delta(self) -> "Polynomial":
-        """Backward difference p(x) - p(x-1)."""
-        return self - self.shift(1)
-
-    def nabla(self) -> "Polynomial":
-        """Forward difference p(x+1) - p(x)."""
-        return self.shift(-1) - self
 
     # -- display -------------------------------------------------------
 

@@ -13,8 +13,9 @@ import meshpoly
 
 SRC = Path(meshpoly.__file__).resolve().parent
 MODULES = ("intpoly.py", "roots.py", "interlace.py", "operators.py",
-           "fixtures.py")
+           "fixtures.py", "poly.py")
 ALLOWED = {
+    ("poly.py", ""),  # NEG_INF, the degree of the zero polynomial
     ("roots.py", "RootProfile.approximations"),
     ("interlace.py", "_approx_roots"),
     ("operators.py", "sequence_from_poly"),  # the error message

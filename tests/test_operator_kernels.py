@@ -1,0 +1,229 @@
+"""Differential tests of the integer operator kernels against Fraction ones.
+
+apply, bullet_product, diagonal_apply and Polynomial.to_basis compute on
+integer numerators over one denominator (the moment form of apply, the
+falling-factorial form of the bullet product, integer Stirling rows).
+The reference below is the earlier form of the same maps, in Fractions:
+one Taylor shift of p per term, repeated forward differences, and
+Stirling conversion coefficient by coefficient.  Both must give the same
+coeffs in the same basis on a seeded corpus.
+"""
+
+from fractions import Fraction as F
+
+import pytest
+
+from meshpoly import (
+    MONOMIAL,
+    POCHHAMMER,
+    DiagonalSequence,
+    FiniteDifferenceOperator,
+    Polynomial,
+    bullet_product,
+    diagonal_apply,
+    from_symbol,
+    make_standard,
+    stirling_first,
+    stirling_second,
+)
+from meshpoly.fixtures import derive_rng
+from meshpoly.poly import int_form
+
+BIG = 10 ** 40
+
+
+# -- the Fraction reference ---------------------------------------------
+
+def ref_to_basis(p, basis):
+    if basis == p.basis:
+        return p
+    stirling = stirling_first if basis == MONOMIAL else stirling_second
+    out = [F(0)] * len(p.coeffs)
+    for i, c in enumerate(p.coeffs):
+        for k in range(i + 1):
+            out[k] += c * stirling(i, k)
+    return Polynomial(out, basis)
+
+
+def ref_apply(T, p):
+    p = ref_to_basis(p, MONOMIAL)
+    acc = Polynomial.zero()
+    for s, q in T.terms:
+        acc = acc + q * p.shift(s)
+    return acc
+
+
+def ref_nabla(p):
+    return p.shift(-1) - p
+
+
+def ref_bullet_product(p, q, d):
+    if p.degree > d or q.degree > d:
+        raise ValueError(f"degree bound {d} violated")
+    p, q = ref_to_basis(p, MONOMIAL), ref_to_basis(q, MONOMIAL)
+    diffs_q = [q]
+    for _ in range(d):
+        diffs_q.append(ref_nabla(diffs_q[-1]))
+    acc = Polynomial.zero()
+    fp = p
+    for k in range(d + 1):
+        c = fp.evaluate(F(0))
+        if c != 0:
+            acc = acc + diffs_q[d - k] * c
+        fp = ref_nabla(fp)
+    return acc
+
+
+def ref_diagonal_apply(A, p):
+    if p.is_zero:
+        return Polynomial.zero()
+    n = int(p.degree)
+    if not A.defined_up_to(n):
+        raise IndexError(f"sequence too short for degree {n}")
+    ph = ref_to_basis(p, POCHHAMMER)
+    scaled = [A.alpha(i) * c for i, c in enumerate(ph.coeffs)]
+    return ref_to_basis(Polynomial(scaled, POCHHAMMER), MONOMIAL)
+
+
+# -- the seeded corpus ---------------------------------------------------
+
+def rand_rational(rng, big=False):
+    if big and rng.random() < 0.5:
+        return F(rng.randint(-BIG, BIG), rng.randint(1, BIG))
+    if rng.random() < 0.25:
+        return F(0)
+    return F(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 4, 7)))
+
+
+def rand_poly(rng, degree, basis=MONOMIAL, big=False):
+    """A polynomial of exactly this degree (zero for degree < 0)."""
+    if degree < 0:
+        return Polynomial((), basis)
+    cs = [rand_rational(rng, big) for _ in range(degree)]
+    lead = F(0)
+    while lead == 0:
+        lead = rand_rational(rng, big)
+    return Polynomial(cs + [lead], basis)
+
+
+def rand_operator(rng):
+    """Rational and negative shifts, polynomial coefficients."""
+    terms = []
+    for _ in range(rng.randint(1, 4)):
+        shift = F(rng.randint(-6, 6), rng.choice((1, 1, 2, 3, 5)))
+        coeff = rand_poly(rng, rng.randint(0, 2), rng.choice((MONOMIAL, POCHHAMMER)),
+                          big=rng.random() < 0.2)
+        terms.append((shift, coeff))
+    return FiniteDifferenceOperator(terms)
+
+
+def operators_corpus():
+    rng = derive_rng(7, "operator-kernels", "ops")
+    ops = [
+        make_standard("delta"),
+        make_standard("nabla_conjugate"),
+        make_standard("riesz", lam=F(1, 3), alpha=2),
+        make_standard("riesz", lam=F(-7, 2), alpha=F(5, 2)),
+        make_standard("riesz", lam=BIG + 1, alpha=F(1, 7)),
+        make_standard("w_lambda", lam=F(1, 4)),
+        make_standard("w_lambda", lam=-3),
+        make_standard("euler_xdelta"),
+        FiniteDifferenceOperator([]),
+        FiniteDifferenceOperator([(F(-3, 2), 1), (F(-1, 3), F(2, 5))]),
+        FiniteDifferenceOperator([(0, Polynomial([F(1, 2), 0, F(-3, 4)]))]),
+    ]
+    for _ in range(6):
+        Q = rand_poly(rng, rng.randint(0, 4), big=rng.random() < 0.3)
+        ops.append(from_symbol(Q))
+    ops += [rand_operator(rng) for _ in range(20)]
+    return ops
+
+
+def inputs_corpus(stream, count):
+    rng = derive_rng(7, "operator-kernels", stream)
+    polys = [Polynomial(), Polynomial((), POCHHAMMER), Polynomial([F(-5, 3)]),
+             Polynomial([BIG], POCHHAMMER), Polynomial.falling_factorial(4)]
+    for _ in range(count):
+        polys.append(rand_poly(rng, rng.randint(0, 8),
+                               rng.choice((MONOMIAL, POCHHAMMER)),
+                               big=rng.random() < 0.2))
+    return polys
+
+
+def same(got, want):
+    assert (got.coeffs, got.basis) == (want.coeffs, want.basis)
+
+
+# -- the differential tests ---------------------------------------------
+
+def test_corpus_covers_rational_negative_and_polynomial_terms():
+    ops = operators_corpus()
+    shifts = [s for T in ops for s, _ in T.terms]
+    assert any(s.denominator > 1 for s in shifts)
+    assert any(s < 0 for s in shifts)
+    assert any(q.degree >= 1 for T in ops for _, q in T.terms)
+    assert any(not T.terms for T in ops)
+    polys = inputs_corpus("apply", 40)
+    assert {p.basis for p in polys} == {MONOMIAL, POCHHAMMER}
+    assert any(abs(c) >= 10 ** 30 for p in polys for c in p.coeffs)
+
+
+def test_apply_matches_shift_per_term():
+    polys = inputs_corpus("apply", 40)
+    for T in operators_corpus():
+        for p in polys:
+            same(T.apply(p), ref_apply(T, p))
+
+
+def test_to_basis_matches_fraction_stirling():
+    for p in inputs_corpus("basis", 200):
+        for basis in (MONOMIAL, POCHHAMMER):
+            same(p.to_basis(basis), ref_to_basis(p, basis))
+
+
+def test_bullet_product_matches_repeated_differences():
+    rng = derive_rng(7, "operator-kernels", "bullet")
+    pairs = [(Polynomial(), Polynomial([1, 2]), 2),
+             (Polynomial([F(3, 2)]), Polynomial(), 0),
+             (Polynomial([F(3, 2)]), Polynomial([F(-1, 5)]), 0),
+             (Polynomial.falling_factorial(2), Polynomial.falling_factorial(2), 2)]
+    for _ in range(150):
+        dp, dq = rng.randint(-1, 6), rng.randint(-1, 6)
+        d = max(dp, dq, 0) + rng.choice((0, 0, 1, 3))
+        pairs.append((rand_poly(rng, dp, rng.choice((MONOMIAL, POCHHAMMER)),
+                                big=rng.random() < 0.2),
+                      rand_poly(rng, dq, rng.choice((MONOMIAL, POCHHAMMER)),
+                                big=rng.random() < 0.2),
+                      d))
+    assert any(d > max(p.degree, q.degree) for p, q, d in pairs)
+    for p, q, d in pairs:
+        same(bullet_product(p, q, d), ref_bullet_product(p, q, d))
+    with pytest.raises(ValueError):
+        bullet_product(Polynomial([0, 0, 1]), Polynomial([1]), 1)
+
+
+def test_diagonal_apply_matches_fraction_conversion():
+    rng = derive_rng(7, "operator-kernels", "diagonal")
+    seqs = [DiagonalSequence.from_values([1, 2, 4, 8, 16, 32, 64, 128, 256]),
+            DiagonalSequence.from_values([0] * 9),
+            DiagonalSequence.from_rule(Polynomial([1, 1])),
+            DiagonalSequence.from_rule(Polynomial([F(1, 3), 0, F(-2, 7)]))]
+    for _ in range(10):
+        seqs.append(DiagonalSequence.from_values(
+            rand_rational(rng, big=rng.random() < 0.3) for _ in range(9)))
+        seqs.append(DiagonalSequence.from_rule(
+            rand_poly(rng, rng.randint(0, 3), big=rng.random() < 0.3)))
+    for A in seqs:
+        for p in inputs_corpus("diagonal", 15):
+            same(diagonal_apply(A, p), ref_diagonal_apply(A, p))
+    with pytest.raises(IndexError):
+        diagonal_apply(DiagonalSequence.from_values([1, 2]), Polynomial([0, 0, 1]))
+
+
+def test_int_form_and_from_ints():
+    assert int_form(()) == ([], 1)
+    assert int_form((F(1, 2), F(-2, 3), F(5))) == ([3, -4, 30], 6)
+    p = Polynomial._from_ints([2, -6, 4, 0, 0], 4, POCHHAMMER)
+    assert (p.coeffs, p.basis) == ((F(1, 2), F(-3, 2), F(1)), POCHHAMMER)
+    assert p == Polynomial([F(1, 2), F(-3, 2), 1], POCHHAMMER)
+    assert Polynomial._from_ints([0, 0], 3).is_zero

@@ -1,8 +1,14 @@
 """Finite difference operators, symbols, and diagonal sequences."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+
+import meshpoly
 
 from meshpoly import (
     DiagonalSequence,
@@ -118,3 +124,24 @@ def test_stirling_numbers():
     assert stirling_second(4, 2) == 7
     assert stirling_first(3, 3) == stirling_second(3, 3) == 1
     assert stirling_second(5, 1) == 1
+
+
+def test_fresh_import_releases_the_previous_polynomial_class():
+    # a module-level typing alias naming Polynomial lands in typing's
+    # global cache and keeps every imported copy of the class alive
+    script = (
+        "import gc, importlib, sys, weakref\n"
+        "def fresh():\n"
+        "    for n in [n for n in sys.modules\n"
+        "              if n == 'meshpoly' or n.startswith('meshpoly.')]:\n"
+        "        del sys.modules[n]\n"
+        "    return importlib.import_module('meshpoly')\n"
+        "first = weakref.ref(fresh().Polynomial)\n"
+        "fresh()\n"
+        "gc.collect()\n"
+        "print('dead' if first() is None else 'alive')\n")
+    src = str(Path(meshpoly.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "dead"

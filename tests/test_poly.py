@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from meshpoly import MONOMIAL, POCHHAMMER, Polynomial
+from meshpoly import MONOMIAL, POCHHAMMER, Polynomial, make_standard
 
 
 def test_construct_and_props():
@@ -66,13 +66,16 @@ def test_basis_conversion_rejects_unknown():
 
 
 def test_delta_and_nabla():
+    delta = make_standard("delta")
+    nabla = make_standard("nabla_conjugate")
     x3 = Polynomial([0, 0, 0, 1])
     # delta p = p(x) - p(x - 1): x^3 - (x-1)^3 = 3x^2 - 3x + 1
-    assert x3.delta().monomial_coeffs() == (F(1), F(-3), F(3))
-    assert x3.nabla().monomial_coeffs() == (F(1), F(3), F(3))
+    assert delta.apply(x3).monomial_coeffs() == (F(1), F(-3), F(3))
+    # nabla p = p(x + 1) - p(x): (x+1)^3 - x^3 = 3x^2 + 3x + 1
+    assert nabla.apply(x3).monomial_coeffs() == (F(1), F(3), F(3))
     # delta lowers degree by exactly one
-    assert x3.delta().degree == 2
-    assert Polynomial.constant(7).delta().is_zero
+    assert delta.apply(x3).degree == 2
+    assert delta.apply(Polynomial.constant(7)).is_zero
 
 
 def test_equality_is_basis_free():

@@ -27,7 +27,7 @@ from .harness import (
     replay_certificate,
     run_search,
 )
-from .operators import DiagonalSequence, make_standard
+from .operators import DiagonalSequence, diagonal_apply, make_standard
 from .poly import MONOMIAL, POCHHAMMER, Polynomial, as_fraction
 from .roots import DEFAULT_TOL, mesh_numeric, root_approximations
 from .verify import FAILS, HOLDS, INCONCLUSIVE
@@ -159,7 +159,6 @@ def cmd_apply(args) -> int:
     T = _load_operator(args.op)
     p = _load_poly(args.poly)
     if isinstance(T, DiagonalSequence):
-        from .operators import diagonal_apply
         image = diagonal_apply(T, p)
     else:
         image = T.apply(p)

@@ -78,9 +78,9 @@ class RootedFixture:
 
         Holds when the roots are nondecreasing with every adjacent gap at
         least a positive mesh bound, the first root is >= 0 if spec asks
-        for it, and poly == lead * prod (x - p_i/q_i), compared as
-        lead.numerator * prod (q_i x - p_i) == poly * lead.denominator *
-        prod q_i.  Then poly has exactly these roots, so its mesh is the
+        for it, and poly == lead * prod (x - p_i/q_i), compared on poly's
+        stored numerators over den as lead.numerator * prod (q_i x - p_i)
+        * den == nums * lead.denominator * prod q_i.  Then poly has exactly these roots, so its mesh is the
         least gap and its least root the first.
         """
         alpha = _least_gap(spec)
@@ -101,10 +101,9 @@ class RootedFixture:
             product = [qc - p * c for qc, c in
                        zip([0] + [q * c for c in product], product + [0])]
             scale *= q
-        coeffs = self.poly.monomial_coeffs()
-        return len(coeffs) == len(product) and all(
-            c.numerator * scale == m * c.denominator
-            for c, m in zip(coeffs, product))
+        nums, den = self.poly.nums, self.poly.den
+        return len(nums) == len(product) and all(
+            c * scale == m * den for c, m in zip(nums, product))
 
 
 def _least_gap(spec: ClassSpec) -> Fraction:
@@ -122,7 +121,7 @@ def gen_rooted(spec: ClassSpec, degree: int, rng: random.Random,
     gap (a positive mesh bound, or 0) plus a non-negative rational jitter
     further on.  Before the fixture is released, its roots and lead prove
     its membership in integers (RootedFixture.proves), independently of
-    the Fraction product that built the polynomial; a failure here is a
+    the product in Polynomial.from_roots that built the polynomial; a failure here is a
     generator bug, raised even under python -O.
     """
     if degree < 0:

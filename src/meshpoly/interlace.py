@@ -103,7 +103,7 @@ def nonneg_on_reals(w: Polynomial) -> bool:
         return False
     if w.degree == 0:
         return True
-    f = intpoly.from_fractions(w.monomial_coeffs())
+    f = intpoly.primitive(w.nums)
     chain = intpoly.sturm_chain(f)
     distinct = intpoly.count_distinct_in(chain, None, None)
     if distinct == 0:
@@ -122,7 +122,7 @@ def negativity_point(w: Polynomial) -> Optional[Fraction]:
     """A rational point where w is negative, or None when w >= 0 everywhere."""
     if nonneg_on_reals(w):
         return None
-    f = intpoly.from_fractions(w.monomial_coeffs())
+    f = intpoly.primitive(w.nums)
     bound = intpoly.cauchy_bound(f)
     # one probe inside every sign region: beyond the extreme roots, and
     # strictly between each pair of adjacent distinct roots

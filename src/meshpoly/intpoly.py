@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 ZPoly = list  # list[int]
 
@@ -76,19 +76,6 @@ def primitive(f: ZPoly) -> ZPoly:
     if g > 1:
         f = [c // g for c in f]
     return f
-
-
-def from_fractions(coeffs: Sequence[Fraction]) -> ZPoly:
-    """Primitive integer representative of a rational-coefficient polynomial."""
-    cs = list(coeffs)
-    while cs and cs[-1] == 0:
-        cs.pop()
-    if not cs:
-        return []
-    den = 1
-    for c in cs:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    return primitive([c.numerator * (den // c.denominator) for c in cs])
 
 
 def translate(f: ZPoly, a: Fraction) -> ZPoly:

@@ -23,8 +23,8 @@ forward^k (x)_i = i!/(i-k)! (x)_(i-k), so with p = sum a_i (x)_i and
 q = sum b_i (x)_i, (forward^k p)(0) = k! a_k and the product is
 sum_j r_j (x)_j with r_j = sum_k k! a_k b_(j+d-k) (j+d-k)!/j!.
 
-All results are returned in the monomial basis; the integer forms change
-how they are computed, not what they are.
+These kernels read a polynomial's stored numerators and denominator
+(see poly) directly; all results are tagged with the monomial basis.
 """
 
 from __future__ import annotations
@@ -113,14 +113,13 @@ class FiniteDifferenceOperator:
 
     def apply(self, p: Polynomial) -> Polynomial:
         """T(p) in the moment form of the module docstring."""
-        P, d = int_form(p.monomial_coeffs())
+        P, d = p.nums, p.den
         n = len(P)
         if not n or not self.terms:
             return Polynomial.zero()
         neg_shifts, V = int_form([-s for s, _ in self.terms])
-        qs = [int_form(q.monomial_coeffs()) for _, q in self.terms]
-        e = reduce(math.lcm, (den for _, den in qs), 1)
-        Qs = [[c * (e // den) for c in nums] for nums, den in qs]
+        e = reduce(math.lcm, (q.den for _, q in self.terms), 1)
+        Qs = [[c * (e // q.den) for c in q.nums] for _, q in self.terms]
         width = max(map(len, Qs))
         powers = [1] * len(Qs)  # (-S)^k per term, -S = -s V
         out = [0] * (n + width - 1)
@@ -244,12 +243,6 @@ class DiagonalSequence:
         return f"DiagonalSequence(values={[str(v) for v in self.values]})"
 
 
-def _pochhammer_ints(p: Polynomial) -> tuple[list[int], int]:
-    """int_form of p's falling-factorial coefficients."""
-    nums, den = int_form(p.coeffs)
-    return (nums if p.basis == POCHHAMMER else _restate(nums, POCHHAMMER)), den
-
-
 def diagonal_apply(A: DiagonalSequence, p: Polynomial) -> Polynomial:
     """Multiply the i-th Pochhammer coefficient of p by alpha_i."""
     if p.is_zero:
@@ -257,16 +250,14 @@ def diagonal_apply(A: DiagonalSequence, p: Polynomial) -> Polynomial:
     n = int(p.degree)
     if not A.defined_up_to(n):
         raise IndexError(f"sequence too short for degree {n}")
-    P, d = _pochhammer_ints(p)
     alphas, e = int_form(A.prefix(n + 1))
-    scaled = [a * c for a, c in zip(alphas, P)]
-    return Polynomial._from_ints(_restate(scaled, MONOMIAL), d * e)
+    scaled = [a * c for a, c in zip(alphas, _restate(p.nums, POCHHAMMER))]
+    return Polynomial._from_ints(_restate(scaled, MONOMIAL), p.den * e)
 
 
 def brenti_map(p: Polynomial) -> Polynomial:
     """The linear map x^i -> (x)_i applied coefficient-wise."""
-    coeffs = list(p.monomial_coeffs())
-    return Polynomial(coeffs, basis=POCHHAMMER).to_basis(MONOMIAL)
+    return Polynomial._from_ints(_restate(p.nums, MONOMIAL), p.den)
 
 
 def bullet_product(p: Polynomial, q: Polynomial, d: int) -> Polynomial:
@@ -278,8 +269,8 @@ def bullet_product(p: Polynomial, q: Polynomial, d: int) -> Polynomial:
     """
     if p.degree > d or q.degree > d:
         raise ValueError(f"degree bound {d} violated")
-    A, da = _pochhammer_ints(p)
-    B, db = _pochhammer_ints(q)
+    A = _restate(p.nums, POCHHAMMER)
+    B = _restate(q.nums, POCHHAMMER)
     r = [0] * max(len(A) + len(B) - 1 - d, 0)
     for k, a in enumerate(A):
         if a:
@@ -287,7 +278,7 @@ def bullet_product(p: Polynomial, q: Polynomial, d: int) -> Polynomial:
             a *= math.factorial(k)
             for i in range(m, len(B)):
                 r[i - m] += a * B[i] * math.perm(i, m)
-    return Polynomial._from_ints(_restate(r, MONOMIAL), da * db)
+    return Polynomial._from_ints(_restate(r, MONOMIAL), p.den * q.den)
 
 
 def sequence_from_poly(phi: Polynomial, length: int) -> DiagonalSequence:
@@ -338,22 +329,12 @@ def pochhammer_cofactor(T: FiniteDifferenceOperator, i: int) -> Polynomial:
     if i < k:
         raise ValueError(f"index {i} below operator order {k}")
     image = T.apply(Polynomial.falling_factorial(i))
-    coeffs = list(image.monomial_coeffs())
+    nums = list(image.nums)
     for j in range(k, i):
-        coeffs, rem = _divide_linear(coeffs, Fraction(j))
-        if rem != 0:
+        # synthetic division by (x - j) in place: nums[0] becomes the
+        # remainder, nums[1:] the quotient
+        for t in range(len(nums) - 2, -1, -1):
+            nums[t] += j * nums[t + 1]
+        if nums and nums.pop(0):
             raise AssertionError(f"nonzero remainder dividing by (x - {j})")
-    return Polynomial(coeffs)
-
-
-def _divide_linear(coeffs: list, r: Fraction):
-    """Divide sum c_i x^i by (x - r): quotient coefficients and remainder."""
-    if not coeffs:
-        return [], Fraction(0)
-    out = [Fraction(0)] * (len(coeffs) - 1)
-    carry = Fraction(0)
-    for t in range(len(coeffs) - 1, 0, -1):
-        carry = coeffs[t] + r * carry
-        out[t - 1] = carry
-    rem = coeffs[0] + r * carry
-    return out, rem
+    return Polynomial._from_ints(nums, image.den)

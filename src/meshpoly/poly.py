@@ -1,11 +1,14 @@
 """Exact univariate polynomial arithmetic over the rationals.
 
-Polynomials carry their coefficient basis: either ordinary powers of x
+A Polynomial stores one canonical form: nums, the integer numerators of
+its ascending monomial coefficients, over one denominator den, with
+den > 0, gcd(den, *nums) == 1 and trailing zeros trimmed, so equal
+polynomials store equal (nums, den).  Arithmetic runs on these integers
+through the intpoly kernels.  The basis tag only names the basis that
+coeffs reads in and the wire format writes in: ordinary powers of x
 (monomial) or the falling factorials (x)_i = x(x-1)...(x-i+1)
-(pochhammer).  Coefficients are stored as fractions.Fraction; basis
-conversion runs on integer numerators over one common denominator
-(int_form, Polynomial._from_ints).  Floating point never enters any
-computation in this module.
+(pochhammer), restated from nums by integer Stirling rows at read time.
+Floating point never enters any computation in this module.
 """
 
 from __future__ import annotations
@@ -14,6 +17,8 @@ import math
 from fractions import Fraction
 from functools import lru_cache, reduce
 from typing import Iterable, Sequence, Union
+
+from . import intpoly
 
 MONOMIAL = "monomial"
 POCHHAMMER = "pochhammer"
@@ -89,6 +94,26 @@ def int_form(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
     return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
+def _canonical(nums: Sequence[int], den: int) -> tuple[tuple[int, ...], int]:
+    """nums / den (den != 0) with trailing zeros trimmed, den > 0 and
+    gcd(den, *nums) == 1."""
+    n = len(nums)
+    while n and not nums[n - 1]:
+        n -= 1
+    if not n:
+        return (), 1
+    g = abs(den)
+    for c in nums:
+        if g == 1:
+            break
+        g = math.gcd(g, c)
+    if den < 0:
+        g = -g
+    if g == 1:
+        return tuple(nums[:n]), den
+    return tuple(c // g for c in nums[:n]), den // g
+
+
 def stirling_first(n: int, k: int) -> int:
     """Signed Stirling number of the first kind s(n, k)."""
     if n < 0 or k < 0:
@@ -106,22 +131,24 @@ def stirling_second(n: int, k: int) -> int:
 
 
 class Polynomial:
-    """Immutable exact polynomial tagged with its coefficient basis.
+    """Immutable exact polynomial tagged with the basis its coefficients
+    read in.
 
-    coeffs are stored ascending by index with trailing zeros trimmed, so
-    the zero polynomial has an empty coefficient tuple and degree NEG_INF
-    in every basis.
+    coeffs reads ascending by index with trailing zeros trimmed, so the
+    zero polynomial has an empty coefficient tuple and degree NEG_INF in
+    every basis.  Equality and hashing see only the stored (nums, den),
+    so they agree across bases.
     """
 
-    __slots__ = ("basis", "coeffs")
+    __slots__ = ("nums", "den", "basis")
 
     def __init__(self, coeffs: Iterable[RatLike] = (), basis: str = MONOMIAL):
         if basis not in (MONOMIAL, POCHHAMMER):
             raise ValueError(f"unknown basis: {basis!r}")
-        cs = [as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        nums, den = int_form([as_fraction(c) for c in coeffs])
+        if basis == POCHHAMMER:
+            nums = _restate(nums, MONOMIAL)
+        self.nums, self.den = _canonical(nums, den)
         self.basis = basis
 
     # -- constructors ------------------------------------------------
@@ -147,50 +174,53 @@ class Polynomial:
         lead = as_fraction(lead)
         if lead == 0:
             raise ValueError("leading coefficient must be non-zero")
-        cs = [lead]
+        nums, den = [lead.numerator], lead.denominator
         for r in roots:
             r = as_fraction(r)
-            cs.append(cs[-1])
-            for j in range(len(cs) - 2, 0, -1):
-                cs[j] = cs[j - 1] - r * cs[j]
-            cs[0] = -r * cs[0]
-        return Polynomial(cs)
+            # x - p/q = (q x - p) / q
+            nums = intpoly.mul(nums, [-r.numerator, r.denominator])
+            den *= r.denominator
+        return Polynomial._from_ints(nums, den)
 
     @staticmethod
     def falling_factorial(n: int) -> "Polynomial":
         """(x)_n = x(x-1)...(x-n+1), expressed in the pochhammer basis."""
         if n < 0:
             raise ValueError("falling factorial index must be non-negative")
-        return Polynomial([0] * n + [1], POCHHAMMER)
+        return Polynomial._from_ints(_stirling1_row(n), 1, POCHHAMMER)
 
     @staticmethod
     def _from_ints(nums: Sequence[int], den: int,
                    basis: str = MONOMIAL) -> "Polynomial":
-        """The polynomial with coefficients nums[i] / den (den > 0) in basis."""
-        n = len(nums)
-        while n and not nums[n - 1]:
-            n -= 1
+        """The polynomial sum_i nums[i] x^i / den (den != 0), read in basis."""
         p = object.__new__(Polynomial)
-        p.coeffs = tuple(Fraction(c, den) for c in nums[:n])
+        p.nums, p.den = _canonical(nums, den)
         p.basis = basis
         return p
 
     # -- basic queries -----------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients in self.basis, ascending by index."""
+        nums = self.nums if self.basis == MONOMIAL else _restate(self.nums, POCHHAMMER)
+        return tuple(Fraction(c, self.den) for c in nums)
+
+    @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     @property
     def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+        return len(self.nums) - 1 if self.nums else NEG_INF
 
     @property
     def leading_coefficient(self) -> Fraction:
-        return self.coeffs[-1] if self.coeffs else Fraction(0)
+        return Fraction(self.nums[-1], self.den) if self.nums else Fraction(0)
 
     def coefficient(self, i: int) -> Fraction:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
+        coeffs = self.coeffs
+        return coeffs[i] if 0 <= i < len(coeffs) else Fraction(0)
 
     # -- basis handling ----------------------------------------------
 
@@ -199,50 +229,38 @@ class Polynomial:
             raise ValueError(f"unknown basis: {basis!r}")
         if basis == self.basis:
             return self
-        nums, den = int_form(self.coeffs)
-        return Polynomial._from_ints(_restate(nums, basis), den, basis)
-
-    def _mono(self) -> "Polynomial":
-        return self if self.basis == MONOMIAL else self.to_basis(MONOMIAL)
+        return Polynomial._from_ints(self.nums, self.den, basis)
 
     def monomial_coeffs(self) -> tuple[Fraction, ...]:
-        return self._mono().coeffs
+        return tuple(Fraction(c, self.den) for c in self.nums)
 
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
             return NotImplemented
-        if self.basis == other.basis:
-            a, b = self.coeffs, other.coeffs
-            if len(a) < len(b):
-                a, b = b, a
-            cs = list(a)
-            for i, c in enumerate(b):
-                cs[i] += c
-            return Polynomial(cs, self.basis)
-        return self._mono() + other._mono()
+        g = math.gcd(self.den, other.den)
+        sa, sb = other.den // g, self.den // g
+        out = [c * sa for c in self.nums]
+        out += [0] * (len(other.nums) - len(out))
+        for i, c in enumerate(other.nums):
+            out[i] += c * sb
+        basis = self.basis if self.basis == other.basis else MONOMIAL
+        return Polynomial._from_ints(out, self.den * sa, basis)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial([-c for c in self.coeffs], self.basis)
+        return Polynomial._from_ints([-c for c in self.nums], self.den, self.basis)
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
-            a = self._mono().coeffs
-            b = other._mono().coeffs
-            if not a or not b:
-                return Polynomial.zero()
-            cs = [Fraction(0)] * (len(a) + len(b) - 1)
-            for i, ca in enumerate(a):
-                if ca:
-                    for j, cb in enumerate(b):
-                        if cb:
-                            cs[i + j] += ca * cb
-            return Polynomial(cs)
-        return Polynomial([as_fraction(other) * c for c in self.coeffs], self.basis)
+            return Polynomial._from_ints(intpoly.mul(self.nums, other.nums),
+                                         self.den * other.den)
+        c = as_fraction(other)
+        return Polynomial._from_ints([c.numerator * n for n in self.nums],
+                                     c.denominator * self.den, self.basis)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -250,12 +268,10 @@ class Polynomial:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        if self.basis == other.basis:
-            return self.coeffs == other.coeffs
-        return self._mono().coeffs == other._mono().coeffs
+        return self.nums == other.nums and self.den == other.den
 
     def __hash__(self):
-        return hash(self.monomial_coeffs())
+        return hash((self.nums, self.den))
 
     def __bool__(self) -> bool:
         return not self.is_zero
@@ -264,37 +280,33 @@ class Polynomial:
 
     def evaluate(self, x0: RatLike) -> Fraction:
         x0 = as_fraction(x0)
-        if self.basis == MONOMIAL:
-            acc = Fraction(0)
-            for c in reversed(self.coeffs):
-                acc = acc * x0 + c
-            return acc
-        acc = Fraction(0)
-        fact = Fraction(1)  # (x0)_i, updated incrementally
-        for i, c in enumerate(self.coeffs):
-            if i > 0:
-                fact *= x0 - (i - 1)
-            acc += c * fact
-        return acc
+        if not self.nums:
+            return Fraction(0)
+        # homogeneous Horner: acc = m^d * sum_i nums[i] (n/m)^i, d = degree
+        n, m = x0.numerator, x0.denominator
+        nums = self.nums
+        acc, mk = nums[-1], 1
+        for i in range(len(nums) - 2, -1, -1):
+            mk *= m
+            acc = acc * n + nums[i] * mk
+        return Fraction(acc, self.den * mk)
 
     __call__ = evaluate
 
     def derivative(self) -> "Polynomial":
-        cs = self._mono().coeffs
-        return Polynomial([i * cs[i] for i in range(1, len(cs))])
+        return Polynomial._from_ints(intpoly.deriv(self.nums), self.den)
 
     def shift(self, a: RatLike) -> "Polynomial":
         """Return p(x - a): the graph slides right by a for a > 0."""
         a = as_fraction(a)
-        cs = list(self._mono().coeffs)
-        n = len(cs)
-        if a == 0 or n == 0:
-            return Polynomial(cs)
-        c = -a
-        for i in range(n):
-            for j in range(n - 2, i - 1, -1):
-                cs[j] += c * cs[j + 1]
-        return Polynomial(cs)
+        nums = self.nums
+        if not nums:
+            return Polynomial.zero()
+        # translate gives the primitive part of p(x - a); p's leading
+        # coefficient, which a shift keeps, fixes the scale
+        f = intpoly.translate(nums, a)
+        return Polynomial._from_ints([c * nums[-1] for c in f],
+                                     f[-1] * self.den)
 
     # -- display -------------------------------------------------------
 
@@ -302,12 +314,12 @@ class Polynomial:
         return f"Polynomial({[str(c) for c in self.coeffs]}, basis={self.basis!r})"
 
     def __str__(self) -> str:
-        if self.is_zero:
+        coeffs = self.coeffs
+        if not coeffs:
             return "0"
-        var = "x" if self.basis == MONOMIAL else "(x)"
         parts = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
+        for i in range(len(coeffs) - 1, -1, -1):
+            c = coeffs[i]
             if c == 0:
                 continue
             if i == 0:

@@ -157,7 +157,7 @@ def root_data(p: Polynomial, probe_rationals: bool = False) -> list[RootNode]:
     """
     if p.is_zero:
         raise ValueError("zero polynomial has no root data")
-    f = intpoly.from_fractions(p.monomial_coeffs())
+    f = intpoly.primitive(p.nums)
     if probe_rationals:
         return _isolated_nodes(f, probe_rationals=True)
     from_ints = intpoly.IsolatedRoot.from_ints
@@ -327,7 +327,7 @@ def count_real_roots(p: Polynomial, lo=None, hi=None) -> int:
     hi = as_fraction(hi) if hi is not None else None
     if lo is not None and hi is not None and lo >= hi:
         return 0
-    f = intpoly.from_fractions(p.monomial_coeffs())
+    f = intpoly.primitive(p.nums)
     if len(f) <= 1:
         return 0
     chain = intpoly.sturm_chain(intpoly.squarefree_part(f))
@@ -344,7 +344,7 @@ def is_hyperbolic(p: Polynomial) -> bool:
         raise ValueError("zero polynomial hyperbolicity is undefined")
     if p.degree <= 0:
         return True
-    f = intpoly.from_fractions(p.monomial_coeffs())
+    f = intpoly.primitive(p.nums)
     sq = intpoly.squarefree_part(f)
     chain = intpoly.sturm_chain(sq)
     return intpoly.count_distinct_in(chain, None, None) == len(sq) - 1

@@ -58,6 +58,9 @@ def rational_to_str(x) -> str:
 
 
 def rational_from_str(s) -> Fraction:
+    # JSON true/false parse to bool, which is an int subclass
+    if isinstance(s, bool):
+        raise ParseError(f"expected a rational, got {str(s).lower()}")
     if isinstance(s, (int, Fraction)):
         return Fraction(s)
     if not isinstance(s, str):

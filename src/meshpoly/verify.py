@@ -32,7 +32,7 @@ from .operators import (
     from_symbol,
     pochhammer_cofactor,
 )
-from .poly import MONOMIAL, POCHHAMMER, Polynomial, as_fraction
+from .poly import POCHHAMMER, Polynomial, as_fraction
 from .roots import DEFAULT_TOL, count_real_roots, is_hyperbolic, mesh_at_least, mesh_numeric, root_profile
 
 __all__ = [
@@ -186,7 +186,6 @@ def symbol_preserver_verdict(Q: Polynomial, i_max: int = 64, trials: int = 0,
     claim = "symbol-preserves-mesh-one-class"
     if Q.is_zero:
         raise ValueError("zero symbol defines the zero operator")
-    Q = Q.to_basis(MONOMIAL)
     prof = root_profile(Q)
     if Q.degree == 0 or (prof.is_hyperbolic and prof.all_roots_nonnegative):
         details = {"symbol_roots": "real-nonnegative", "scope": "characterized"}

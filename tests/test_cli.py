@@ -142,6 +142,20 @@ def test_bad_json_is_exit_2(tmp_path, capsys):
     assert "line" in err
 
 
+@pytest.mark.parametrize("payload, argv", [
+    ({"coeffs": [True, False, True]}, ["convert", "BAD", "--to", "pochhammer"]),
+    ({"op": {"shifts": [True], "coeffs": [{"coeffs": ["1"]}]}},
+     ["apply", "P", "--op", "BAD"]),
+])
+def test_json_booleans_are_exit_2(tmp_path, capsys, payload, argv):
+    files = {"BAD": tmp_path / "bad.json", "P": tmp_path / "p.json"}
+    files["BAD"].write_text(json.dumps(payload))
+    files["P"].write_text(POLY_024)
+    code, out, err = run_cli(capsys, *(str(files.get(a, a)) for a in argv))
+    assert code == 2 and not out
+    assert "expected a rational" in err
+
+
 def test_missing_file_is_exit_2(capsys):
     code, _, err = run_cli(capsys, "mesh", "/nonexistent/p.json")
     assert code == 2

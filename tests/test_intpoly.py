@@ -7,12 +7,14 @@ import pytest
 from meshpoly import intpoly as ip
 from meshpoly.fixtures import derive_rng
 from meshpoly.poly import Polynomial
+from test_poly_kernels import ref_shift
 
 
-def test_from_fractions_clears_denominators():
-    assert ip.from_fractions([F(-2), F(0), F(1)]) == [-2, 0, 1]
+def test_primitive_of_numerators_clears_denominators():
+    assert ip.primitive(Polynomial([F(-2), F(0), F(1)]).nums) == [-2, 0, 1]
     # primitive part only: x + 1/2 scales to 2x + 1
-    assert ip.from_fractions([F(1, 2), F(1)]) == [1, 2]
+    assert ip.primitive(Polynomial([F(1, 2), F(1)]).nums) == [1, 2]
+    assert ip.primitive(Polynomial([F(-4, 3), F(2, 3)]).nums) == [-2, 1]
 
 
 def test_eval_and_degree():
@@ -209,9 +211,10 @@ def test_variations_at_matches_signs():
 @pytest.mark.parametrize("alpha", [F(0), F(1), F(-3), F(1, 2), F(-7, 3),
                                    F(22, 7)])
 def test_translate_matches_polynomial_shift(alpha):
+    # against the Fraction Taylor shift: Polynomial.shift runs on translate
     for t in range(40):
         rng = derive_rng(7, "translate", t)
         big = 10 ** rng.choice((1, 4, 20))
         f = ip.trim([rng.randint(-big, big) for _ in range(rng.randint(1, 9))])
-        expected = ip.from_fractions(Polynomial(f).shift(alpha).coeffs)
+        expected = ip.primitive(ref_shift(Polynomial(f), alpha).nums)
         assert ip.translate(f, alpha) == expected, (f, alpha)

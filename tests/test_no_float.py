@@ -1,9 +1,11 @@
-"""No float enters a decision: a source check of the exact layers.
+"""No float enters a decision or a record: a source check of the exact
+layers.
 
 The modules that decide root positions, mesh bounds and class
-membership may not call float() or write a float literal, except at the
-display sites listed in ALLOWED, which turn finished exact results into
-approximations for people to read.
+membership, and those that build verdicts, search records and
+certificates, may not call float() or write a float literal, except at
+the display sites listed in ALLOWED, which turn finished exact results
+into approximations for people to read.
 """
 
 import ast
@@ -13,7 +15,7 @@ import meshpoly
 
 SRC = Path(meshpoly.__file__).resolve().parent
 MODULES = ("intpoly.py", "roots.py", "interlace.py", "operators.py",
-           "fixtures.py", "poly.py")
+           "fixtures.py", "poly.py", "verify.py", "harness.py", "serialize.py")
 ALLOWED = {
     ("poly.py", ""),  # NEG_INF, the degree of the zero polynomial
     ("roots.py", "RootProfile.approximations"),

@@ -248,7 +248,7 @@ def _node_corpus():
         for _ in range(rng.randint(0, 2)):
             c = F(rng.randint(-4, 4), rng.choice((1, 2)))
             k = rng.choice((2, 3))
-            quad = ip.from_fractions([c * c - k, -2 * c, F(1)])
+            quad = ip.primitive(Polynomial([c * c - k, -2 * c, F(1)]).nums)
             f = ip.mul(f, quad)
             if rng.random() < 0.2:
                 f = ip.mul(f, quad)

@@ -1,12 +1,13 @@
 """Differential tests of the integer operator kernels against Fraction ones.
 
-apply, bullet_product, diagonal_apply and Polynomial.to_basis compute on
-integer numerators over one denominator (the moment form of apply, the
-falling-factorial form of the bullet product, integer Stirling rows).
-The reference below is the earlier form of the same maps, in Fractions:
-one Taylor shift of p per term, repeated forward differences, and
-Stirling conversion coefficient by coefficient.  Both must give the same
-coeffs in the same basis on a seeded corpus.
+apply, bullet_product, diagonal_apply and the reading of a polynomial in
+another basis (to_basis, then coeffs) compute on integer numerators over
+one denominator (the moment form of apply, the falling-factorial form of
+the bullet product, integer Stirling rows).  The reference below is the
+earlier form of the same maps, in Fractions: one Taylor shift of p per
+term, repeated forward differences, and Stirling conversion coefficient
+by coefficient, on the Fraction arithmetic of test_poly_kernels.  Both
+must give the same coeffs in the same basis on a seeded corpus.
 """
 
 from fractions import Fraction as F
@@ -28,6 +29,8 @@ from meshpoly import (
 )
 from meshpoly.fixtures import derive_rng
 from meshpoly.poly import int_form
+from test_poly_kernels import (ref_add, ref_evaluate, ref_mul, ref_scale,
+                               ref_shift)
 
 BIG = 10 ** 40
 
@@ -49,12 +52,12 @@ def ref_apply(T, p):
     p = ref_to_basis(p, MONOMIAL)
     acc = Polynomial.zero()
     for s, q in T.terms:
-        acc = acc + q * p.shift(s)
+        acc = ref_add(acc, ref_mul(q, ref_shift(p, s)))
     return acc
 
 
 def ref_nabla(p):
-    return p.shift(-1) - p
+    return ref_add(ref_shift(p, -1), ref_scale(p, -1))
 
 
 def ref_bullet_product(p, q, d):
@@ -67,9 +70,9 @@ def ref_bullet_product(p, q, d):
     acc = Polynomial.zero()
     fp = p
     for k in range(d + 1):
-        c = fp.evaluate(F(0))
+        c = ref_evaluate(fp, F(0))
         if c != 0:
-            acc = acc + diffs_q[d - k] * c
+            acc = ref_add(acc, ref_scale(diffs_q[d - k], c))
         fp = ref_nabla(fp)
     return acc
 
@@ -223,7 +226,16 @@ def test_diagonal_apply_matches_fraction_conversion():
 def test_int_form_and_from_ints():
     assert int_form(()) == ([], 1)
     assert int_form((F(1, 2), F(-2, 3), F(5))) == ([3, -4, 30], 6)
+    # _from_ints takes monomial numerators; the basis only tags the reading
     p = Polynomial._from_ints([2, -6, 4, 0, 0], 4, POCHHAMMER)
-    assert (p.coeffs, p.basis) == ((F(1, 2), F(-3, 2), F(1)), POCHHAMMER)
-    assert p == Polynomial([F(1, 2), F(-3, 2), 1], POCHHAMMER)
+    assert (p.nums, p.den) == ((1, -3, 2), 2)
+    assert p.monomial_coeffs() == (F(1, 2), F(-3, 2), F(1))
+    # x^2 = (x)_2 + (x)_1, so 1/2 - 3/2 x + x^2 = 1/2 - 1/2 (x)_1 + (x)_2
+    assert (p.coeffs, p.basis) == ((F(1, 2), F(-1, 2), F(1)), POCHHAMMER)
+    assert p == Polynomial([F(1, 2), F(-3, 2), 1])
+    assert p == Polynomial([F(1, 2), F(-1, 2), 1], POCHHAMMER)
+    q = Polynomial._from_ints([2, -4], -6)
+    assert (q.nums, q.den) == ((-1, 2), 3)
     assert Polynomial._from_ints([0, 0], 3).is_zero
+    assert (Polynomial._from_ints([0, 0], 3).nums,
+            Polynomial._from_ints([0, 0], 3).den) == ((), 1)

@@ -1,5 +1,6 @@
 """Wire format: rational strings only, no floats anywhere."""
 
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -27,6 +28,17 @@ def test_rational_strings():
         sz.rational_from_str("1/0")
     with pytest.raises(sz.ParseError):
         sz.rational_from_str([1])
+
+
+def test_json_booleans_are_not_rationals():
+    # bool is an int subclass, so JSON true/false once read as 1 and 0
+    with pytest.raises(sz.ParseError):
+        sz.rational_from_str(True)
+    for obj in ({"coeffs": [True, False, True]},
+                {"op": {"shifts": [True], "coeffs": [{"coeffs": ["1"]}]}},
+                {"sequence": {"values": ["1", False]}}):
+        with pytest.raises(sz.ParseError):
+            sz.loads_value(json.dumps(obj))
 
 
 def test_poly_round_trip():

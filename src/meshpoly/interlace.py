@@ -6,6 +6,9 @@ non-negative on the whole real line.  The zero polynomial is in proper
 position to every hyperbolic polynomial on both sides.  Interlacing is
 decided exactly: roots are compared through isolating intervals, with
 shared roots certified by gcd root counting, never by numeric closeness.
+Both root lists are the unprobed intpoly.IsolatedRoot nodes of
+roots.root_profile; only a witness's displayed approximations
+(roots.approximations) probe them for exact rational roots.
 
 proper_position is the paper's characterization of the mesh classes: a
 hyperbolic p has mesh >= alpha exactly when p << p(x - alpha).  It is
@@ -24,7 +27,8 @@ from typing import Optional
 
 from . import intpoly
 from .poly import Polynomial, as_fraction
-from .roots import RootNode, _common_root, _gaps_at_least, _precedes, root_profile
+from .roots import (_common_root, _gaps_at_least, _precedes, approximations,
+                    root_profile)
 
 __all__ = [
     "ProperPositionVerdict",
@@ -127,6 +131,8 @@ def negativity_point(w: Polynomial) -> Optional[Fraction]:
     # one probe inside every sign region: beyond the extreme roots, and
     # strictly between each pair of adjacent distinct roots
     isos = intpoly.isolate(intpoly.squarefree_part(f))
+    for n in isos:
+        n.try_rational()
     probes = [-bound]
     for left, right in zip(isos, isos[1:]):
         probes.append((left.hi + right.lo) / 2)
@@ -147,7 +153,7 @@ def _merge_order(nodes_p: list, nodes_q: list):
                 partner[id(a)] = b
                 partner[id(b)] = a
 
-    def cmp(x: RootNode, y: RootNode) -> int:
+    def cmp(x: intpoly.IsolatedRoot, y: intpoly.IsolatedRoot) -> int:
         if x is y or partner.get(id(x)) is y:
             return 0
         # distinct roots with disjoint structures: endpoints decide
@@ -187,15 +193,6 @@ def _interlaces(gamma: list, delta: list) -> bool:
     return _pattern(gamma, delta) or _pattern(delta, gamma)
 
 
-def _approx_roots(nodes: list) -> list:
-    out = []
-    for n in nodes:
-        n.iso.try_rational()
-        n.refine_below(Fraction(1, 10**6))
-        out.append(float(n.midpoint()))
-    return out
-
-
 def proper_position(p: Polynomial, q: Polynomial) -> ProperPositionVerdict:
     """Exact verdict on p << q, with a witness describing any failure."""
     if p.is_zero and q.is_zero:
@@ -229,8 +226,8 @@ def proper_position(p: Polynomial, q: Polynomial) -> ProperPositionVerdict:
     if not interlaces:
         witness = {
             "condition": "interlacing-failed",
-            "p_roots_approx": _approx_roots(prof_p.nodes),
-            "q_roots_approx": _approx_roots(prof_q.nodes),
+            "p_roots_approx": approximations(prof_p.nodes, Fraction(1, 10**6)),
+            "q_roots_approx": approximations(prof_q.nodes, Fraction(1, 10**6)),
         }
     elif not w_ok:
         x0 = negativity_point(w)

@@ -23,11 +23,6 @@ def trim(f: ZPoly) -> ZPoly:
     return f
 
 
-def degree(f: ZPoly) -> int:
-    # only meaningful for non-zero f
-    return len(f) - 1
-
-
 def neg(f: ZPoly) -> ZPoly:
     return [-c for c in f]
 
@@ -326,7 +321,9 @@ def simplest_in(lo: Fraction, hi: Fraction) -> Fraction:
 
 
 class IsolatedRoot:
-    """One real root of a squarefree integer polynomial.
+    """One real root of a squarefree integer polynomial (poly), with its
+    multiplicity in the polynomial it was isolated for (poly is then one
+    of that polynomial's Yun factors).
 
     Either an exact rational (lo == hi == value) or an open interval
     (lo, hi) with sign(f(lo)) * sign(f(hi)) < 0 containing exactly one
@@ -335,28 +332,20 @@ class IsolatedRoot:
 
     The ends are integer numerators a <= b over one positive integer
     den: lo = a/den, hi = b/den, and a == b means exact.  Narrowing
-    works on these integers; lo, hi, exact and width are Fractions for
+    works on these integers; lo, hi and exact are Fractions for
     callers that read values.  A point is passed as a (num, den) pair
     with den > 0, and need not be reduced.
     """
 
-    __slots__ = ("poly", "a", "b", "den", "slo")
-
-    def __init__(self, poly: ZPoly, lo: Fraction, hi: Fraction, slo: int = 0):
-        den = lo.denominator * hi.denominator // math.gcd(lo.denominator,
-                                                          hi.denominator)
-        self.poly = poly
-        self.a = lo.numerator * (den // lo.denominator)
-        self.b = hi.numerator * (den // hi.denominator)
-        self.den = den
-        self.slo = slo or (sign_at(poly, lo) if lo != hi else 0)
+    __slots__ = ("poly", "a", "b", "den", "slo", "multiplicity")
 
     @classmethod
-    def from_ints(cls, poly: ZPoly, a: int, b: int, den: int,
-                  slo: int) -> "IsolatedRoot":
+    def from_ints(cls, poly: ZPoly, a: int, b: int, den: int, slo: int,
+                  multiplicity: int = 1) -> "IsolatedRoot":
         """The node (a/den, b/den) with f's sign slo at a/den, unchecked."""
         node = cls.__new__(cls)
         node.poly, node.a, node.b, node.den, node.slo = poly, a, b, den, slo
+        node.multiplicity = multiplicity
         return node
 
     @property
@@ -370,10 +359,6 @@ class IsolatedRoot:
     @property
     def exact(self) -> Optional[Fraction]:
         return Fraction(self.a, self.den) if self.a == self.b else None
-
-    @property
-    def width(self) -> Fraction:
-        return Fraction(self.b - self.a, self.den)
 
     def _set_exact(self, num: int) -> None:
         """The root is num/den (over the node's own den)."""
@@ -423,6 +408,15 @@ class IsolatedRoot:
         if self.a != self.b and self.a * den < num * own < self.b * den:
             self._take(num, den)
 
+    def side(self, num: int, den: int) -> int:
+        """Sign of root - num/den, narrowing as exclude does."""
+        self.exclude(num, den)
+        d = self.a * den - num * self.den
+        if self.a == self.b:
+            return (d > 0) - (d < 0)
+        # the point is outside (lo, hi), and the root strictly inside
+        return 1 if d >= 0 else -1
+
     def try_rational(self, max_probes: int = 24,
                      den_cap: int = 1 << 16) -> Optional[Fraction]:
         """Probe for an exact rational root by simplest-rational search.
@@ -453,8 +447,10 @@ class IsolatedRoot:
         return None
 
 
-def isolate(f: ZPoly, probe_rationals: bool = True) -> list[IsolatedRoot]:
-    """Isolating structures for every real root of squarefree f, sorted.
+def isolate(f: ZPoly) -> list[IsolatedRoot]:
+    """Isolating structures for every real root of squarefree f, sorted,
+    each of multiplicity 1.  No rational root is probed for: every node
+    is an open interval until a caller narrows it (try_rational).
 
     Sturm bisection of (-B, B], B = cauchy_bound(f): an interval holding
     more than one root is split at its midpoint, or, when that is a root,
@@ -499,7 +495,4 @@ def isolate(f: ZPoly, probe_rationals: bool = True) -> list[IsolatedRoot]:
             stack.append((mid, hi, den, n - nl, vmid, vhi, smid))
         if nl:
             stack.append((lo, mid, den, nl, vlo, vmid, slo))
-    if probe_rationals:
-        for node in out:
-            node.try_rational()
     return out

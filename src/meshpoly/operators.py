@@ -293,27 +293,13 @@ def sequence_from_poly(phi: Polynomial, length: int) -> DiagonalSequence:
         prof = _roots.root_profile(phi)
         if not prof.is_hyperbolic:
             raise ValueError("phi must be hyperbolic")
-        bad = [n for n in prof.nodes if not _node_nonpositive(n)]
+        bad = [n for n in prof.nodes if n.side(0, 1) > 0]
         if bad:
-            bad[0].iso.try_rational()
-            bad[0].refine_below(Fraction(1, 10**6))
+            near = _roots.approximations(bad[:1], Fraction(1, 10**6))[0]
             raise ValueError(
-                f"phi has a root near {float(bad[0].midpoint())} > 0; "
-                "all roots must be <= 0")
+                f"phi has a root near {near} > 0; all roots must be <= 0")
     return DiagonalSequence.from_values(
         phi.evaluate(Fraction(i)) for i in range(length))
-
-
-def _node_nonpositive(node) -> bool:
-    if node.exact is not None:
-        return node.exact <= 0
-    if node.hi <= 0:
-        return True
-    if node.lo >= 0:
-        return False
-    node.iso.exclude(0, 1)
-    e = node.exact
-    return e <= 0 if e is not None else node.hi <= 0
 
 
 def pochhammer_cofactor(T: FiniteDifferenceOperator, i: int) -> Polynomial:

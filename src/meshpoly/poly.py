@@ -32,11 +32,12 @@ RatLike = Union[Fraction, int, str]
 def as_fraction(value: RatLike) -> Fraction:
     """Coerce ints, 'num/den' strings and Fractions to Fraction.
 
-    Floats are rejected on purpose: the library is exact.
+    Floats are rejected on purpose: the library is exact.  So are bools,
+    although bool is an int subclass: True is not the rational 1.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         return Fraction(value)

@@ -4,17 +4,21 @@ The mesh of a polynomial with only real roots is the smallest distance
 between two of its roots, counted with multiplicity: a repeated root
 forces mesh 0, and polynomials of degree <= 1 get mesh +infinity.  All
 verdicts here are exact; interval refinement and the tolerance parameter
-only affect displayed approximations, never a yes/no answer.  Roots are
-isolated without rational probing; only the code that reads exact root
-values (mesh_numeric, root_approximations) asks root_data to probe
-for exact rational roots.
+only affect displayed approximations, never a yes/no answer.
 
-The unprobed isolation of each distinct polynomial is computed once: it
-is keyed by the primitive integer representative of the polynomial (so
-positive rational multiples and either basis share an entry) and kept
-as integers in a bounded LRU cache (ISOLATION_CACHE_SIZE entries).
-Every call builds fresh nodes from those integers, so a caller that
-refines its nodes in place cannot reach another call's nodes.
+A root is an intpoly.IsolatedRoot node: an isolating interval on one of
+the polynomial's Yun factors, with the root's multiplicity.  root_data
+is the only way to get the nodes of a polynomial.  Roots are isolated
+without rational probing; the code that reads exact root values
+(mesh_numeric, and approximations for display) probes the nodes it gets
+(IsolatedRoot.try_rational).
+
+The isolation of each distinct polynomial is computed once: it is keyed
+by the primitive integer representative of the polynomial (so positive
+rational multiples and either basis share an entry) and kept as integers
+in a bounded LRU cache (ISOLATION_CACHE_SIZE entries).  Every call
+builds fresh nodes from those integers, so a caller that refines its
+nodes in place cannot reach another call's nodes.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from . import intpoly
 from .poly import Polynomial, as_fraction
@@ -32,48 +36,13 @@ INF = math.inf
 
 DEFAULT_TOL = Fraction(1, 10**9)
 
-# distinct polynomials whose unprobed isolation is kept; membership
+# distinct polynomials whose isolation is kept; membership
 # decisions reuse one polynomial's isolation across classes and images
 ISOLATION_CACHE_SIZE = 2048
 
 
 class NonHyperbolicInput(ValueError):
     """Raised when an operation needs a polynomial with only real roots."""
-
-
-class RootNode:
-    """A real root: an isolating structure plus its multiplicity."""
-
-    __slots__ = ("iso", "multiplicity")
-
-    def __init__(self, iso: intpoly.IsolatedRoot, multiplicity: int):
-        self.iso = iso
-        self.multiplicity = multiplicity
-
-    @property
-    def lo(self) -> Fraction:
-        return self.iso.lo
-
-    @property
-    def hi(self) -> Fraction:
-        return self.iso.hi
-
-    @property
-    def exact(self) -> Optional[Fraction]:
-        return self.iso.exact
-
-    def refine_below(self, width: Fraction) -> None:
-        self.iso.refine_below(width.numerator, width.denominator)
-
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
-    def __repr__(self):
-        if self.exact is not None:
-            where = str(self.exact)
-        else:
-            where = f"({self.lo}, {self.hi})"
-        return f"RootNode({where}, mult={self.multiplicity})"
 
 
 def _separate(x: intpoly.IsolatedRoot, y: intpoly.IsolatedRoot) -> None:
@@ -104,72 +73,58 @@ def _separate(x: intpoly.IsolatedRoot, y: intpoly.IsolatedRoot) -> None:
             y.refine()
 
 
-def _node_sort_key(n: RootNode):
-    return (n.lo, n.hi)
-
-
-def _isolated_nodes(f: Sequence[int], probe_rationals: bool) -> list[RootNode]:
+@functools.lru_cache(maxsize=ISOLATION_CACHE_SIZE)
+def _isolation(f: tuple) -> tuple:
     """Sorted pairwise-disjoint nodes for the distinct real roots of the
-    nonzero integer polynomial f."""
-    groups = [[RootNode(iso, mult)
-               for iso in intpoly.isolate(factor, probe_rationals=probe_rationals)]
-              for factor, mult in intpoly.yun(f)]
+    nonzero integer polynomial f, frozen as one flat tuple, six fields
+    per node: factor, a, b, den, slo, multiplicity (one tuple per node
+    would cost about 200 bytes more per entry).  Nodes of one factor
+    share one factor tuple, which is f itself when f is its own only Yun
+    factor."""
+    groups = []
+    for factor, mult in intpoly.yun(f):
+        group = intpoly.isolate(factor)
+        for n in group:
+            n.multiplicity = mult
+        groups.append(group)
     # roots of distinct Yun factors are distinct; make their intervals
-    # disjoint (isolate already leaves one factor's intervals disjoint)
+    # disjoint (isolate already leaves one factor's intervals disjoint,
+    # and sorted)
     for k, group in enumerate(groups):
         later = [b for other in groups[k + 1:] for b in other]
         for a in group:
             for b in later:
-                _separate(a.iso, b.iso)
-    if len(groups) == 1:
-        return groups[0]  # isolate returns one factor's roots sorted
+                _separate(a, b)
     nodes = [n for group in groups for n in group]
-    nodes.sort(key=_node_sort_key)
-    return nodes
-
-
-@functools.lru_cache(maxsize=ISOLATION_CACHE_SIZE)
-def _isolation(f: tuple) -> tuple:
-    """_isolated_nodes(f, False) frozen as one flat tuple, six fields per
-    node: factor, a, b, den, slo, multiplicity (one tuple per node would
-    cost about 200 bytes more per entry).  Nodes of one factor share one
-    factor tuple, which is f itself when f is its own only Yun factor."""
+    if len(groups) > 1:
+        nodes.sort(key=lambda n: (n.lo, n.hi))
     factors: dict = {}
     out = []
-    for n in _isolated_nodes(f, probe_rationals=False):
-        iso = n.iso
-        factor = factors.get(id(iso.poly))
+    for n in nodes:
+        factor = factors.get(id(n.poly))
         if factor is None:
-            factor = tuple(iso.poly)
-            factors[id(iso.poly)] = factor = f if factor == f else factor
-        out += (factor, iso.a, iso.b, iso.den, iso.slo, n.multiplicity)
+            factor = tuple(n.poly)
+            factors[id(n.poly)] = factor = f if factor == f else factor
+        out += (factor, n.a, n.b, n.den, n.slo, n.multiplicity)
     return tuple(out)
 
 
-def root_data(p: Polynomial, probe_rationals: bool = False) -> list[RootNode]:
+def root_data(p: Polynomial) -> list[intpoly.IsolatedRoot]:
     """Sorted pairwise-disjoint nodes for the distinct real roots of p.
 
-    No yes/no answer needs exact root values, so by default roots are
-    only isolated, and the isolation comes from the cache (_isolation) as
-    fresh nodes.  probe_rationals=True also looks for exact rational
-    roots (IsolatedRoot.try_rational), for callers that read .exact; that
-    path is computed afresh on every call.
+    The isolation comes from the cache (_isolation) as fresh nodes, none
+    of them probed for an exact rational root.
     """
     if p.is_zero:
         raise ValueError("zero polynomial has no root data")
-    f = intpoly.primitive(p.nums)
-    if probe_rationals:
-        return _isolated_nodes(f, probe_rationals=True)
-    from_ints = intpoly.IsolatedRoot.from_ints
-    fields = iter(_isolation(tuple(f)))
-    return [RootNode(from_ints(factor, a, b, den, slo), mult)
-            for factor, a, b, den, slo, mult in zip(*[fields] * 6)]
+    fields = iter(_isolation(tuple(intpoly.primitive(p.nums))))
+    return [intpoly.IsolatedRoot.from_ints(*node)
+            for node in zip(*[fields] * 6)]
 
 
-def _precedes(x: RootNode, y: RootNode) -> bool:
+def _precedes(x: intpoly.IsolatedRoot, y: intpoly.IsolatedRoot) -> bool:
     """Whether x's root lies left of y's; the roots are distinct and the
     nodes separated, as _separate and _common_root leave them."""
-    x, y = x.iso, y.iso
     xa, xb, xd = x.a, x.b, x.den
     ya, yb, yd = y.a, y.b, y.den
     if xa == xb and ya == yb:
@@ -185,13 +140,13 @@ def _precedes(x: RootNode, y: RootNode) -> bool:
     raise AssertionError("nodes not separated")
 
 
-def _common_root(a: RootNode, b: RootNode, gcd_cache: dict) -> bool:
+def _common_root(x: intpoly.IsolatedRoot, y: intpoly.IsolatedRoot,
+                 gcd_cache: dict) -> bool:
     """Certify whether two nodes hold the same real number.
 
     Afterwards, unequal nodes are fully separated so that endpoint
     comparison (_precedes) decides their order.
     """
-    x, y = a.iso, b.iso
     xa, xb, xd = x.a, x.b, x.den
     ya, yb, yd = y.a, y.b, y.den
     if xa == xb:
@@ -228,7 +183,8 @@ def _common_root(a: RootNode, b: RootNode, gcd_cache: dict) -> bool:
     return False
 
 
-def _translate_nodes(nodes: Sequence[RootNode], alpha: Fraction) -> list[RootNode]:
+def _translate_nodes(nodes: Sequence[intpoly.IsolatedRoot],
+                     alpha: Fraction) -> list[intpoly.IsolatedRoot]:
     """Nodes for the roots r + alpha, that is for p(x - alpha), built from
     p's nodes: each factor is shifted once, and for alpha = p/q the ends
     a/den, b/den move to (a q + p den)/(den q), (b q + p den)/(den q)."""
@@ -236,14 +192,13 @@ def _translate_nodes(nodes: Sequence[RootNode], alpha: Fraction) -> list[RootNod
     out = []
     shifted_factors: dict = {}
     for n in nodes:
-        iso = n.iso
-        fid = id(iso.poly)
+        fid = id(n.poly)
         if fid not in shifted_factors:
-            shifted_factors[fid] = intpoly.translate(iso.poly, alpha)
-        move = p * iso.den
-        out.append(RootNode(intpoly.IsolatedRoot.from_ints(
-            shifted_factors[fid], iso.a * q + move, iso.b * q + move,
-            iso.den * q, iso.slo), n.multiplicity))
+            shifted_factors[fid] = intpoly.translate(n.poly, alpha)
+        move = p * n.den
+        out.append(intpoly.IsolatedRoot.from_ints(
+            shifted_factors[fid], n.a * q + move, n.b * q + move,
+            n.den * q, n.slo, n.multiplicity))
     return out
 
 
@@ -254,14 +209,7 @@ class RootProfile:
     is_hyperbolic: bool
     all_roots_nonnegative: bool
     has_multiple_root: bool
-    nodes: list = None  # live RootNode list, refinable
-
-    def approximations(self, tol: Fraction = DEFAULT_TOL) -> list[float]:
-        out = []
-        for n in self.nodes:
-            n.refine_below(tol)
-            out.append(float(n.midpoint()))
-        return out
+    nodes: list = None  # live IsolatedRoot list, refinable
 
 
 @dataclass
@@ -281,33 +229,16 @@ class MeshReport:
         return self.mesh_lower == INF
 
 
-def _nonneg_from_nodes(nodes: Sequence[RootNode]) -> bool:
-    for n in nodes:
-        iso = n.iso
-        if iso.a == iso.b:
-            if iso.a < 0:
-                return False
-            continue
-        iso.exclude(0, 1)
-        # exact now only when the root is 0; otherwise 0 is outside (lo, hi)
-        if iso.a != iso.b and iso.b <= 0:
-            return False
-    return True
-
-
-def root_profile(p: Polynomial, probe_rationals: bool = False) -> RootProfile:
-    """Exact hyperbolicity / sign / multiplicity report for nonzero p.
-
-    probe_rationals is passed to root_data.
-    """
+def root_profile(p: Polynomial) -> RootProfile:
+    """Exact hyperbolicity / sign / multiplicity report for nonzero p."""
     if p.is_zero:
         raise ValueError("zero polynomial has no root profile")
-    nodes = root_data(p, probe_rationals) if p.degree >= 1 else []
+    nodes = root_data(p) if p.degree >= 1 else []
     real_with_mult = sum(n.multiplicity for n in nodes)
     is_hyp = real_with_mult == int(p.degree)
     return RootProfile(
         is_hyperbolic=is_hyp,
-        all_roots_nonnegative=is_hyp and _nonneg_from_nodes(nodes),
+        all_roots_nonnegative=is_hyp and all(n.side(0, 1) >= 0 for n in nodes),
         has_multiple_root=any(n.multiplicity > 1 for n in nodes),
         nodes=nodes,
     )
@@ -364,13 +295,15 @@ def mesh_numeric(p: Polynomial, tol: Fraction = DEFAULT_TOL) -> MeshReport:
         raise ValueError("zero polynomial has no mesh")
     if p.degree <= 1:
         return MeshReport(INF, INF, INF)
-    nodes = root_data(p, probe_rationals=True)
+    nodes = root_data(p)
     if sum(n.multiplicity for n in nodes) != int(p.degree):
         raise NonHyperbolicInput("mesh is defined for real-rooted polynomials only")
     if any(n.multiplicity > 1 for n in nodes):
         return MeshReport(Fraction(0), Fraction(0), Fraction(0))
     if len(nodes) == 1:
         return MeshReport(INF, INF, INF)
+    for n in nodes:
+        n.try_rational()
     if all(n.exact is not None for n in nodes):
         vals = sorted(n.exact for n in nodes)
         m = min(b - a for a, b in zip(vals, vals[1:]))
@@ -389,7 +322,8 @@ def mesh_numeric(p: Polynomial, tol: Fraction = DEFAULT_TOL) -> MeshReport:
             return MeshReport(lo_gap, hi_gap, None)
         for n in nodes:
             if n.exact is None:
-                n.refine_below(max(tol / 4, (n.hi - n.lo) / 2))
+                w = max(tol / 4, (n.hi - n.lo) / 2)
+                n.refine_below(w.numerator, w.denominator)
 
 
 def mesh_at_least(p: Polynomial, alpha) -> bool:
@@ -433,9 +367,21 @@ def _gaps_at_least(prof: RootProfile, alpha: Fraction) -> bool:
     return True
 
 
+def approximations(nodes: Sequence[intpoly.IsolatedRoot],
+                   tol: Fraction) -> list[float]:
+    """Float midpoints of the nodes, for display only: each node is
+    probed for an exact rational root, then refined to width <= tol."""
+    out = []
+    for n in nodes:
+        n.try_rational()
+        n.refine_below(tol.numerator, tol.denominator)
+        out.append(float(Fraction(n.a + n.b, 2 * n.den)))
+    return out
+
+
 def root_approximations(p: Polynomial, tol: Fraction = DEFAULT_TOL) -> list[float]:
     """Float approximations of the distinct real roots, for display only."""
     tol = as_fraction(tol)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    return root_profile(p, probe_rationals=True).approximations(tol)
+    return approximations(root_data(p), tol)

@@ -1,5 +1,6 @@
 """Integer-coefficient kernel: Sturm chains, isolation, interval helpers."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -19,7 +20,7 @@ def test_primitive_of_numerators_clears_denominators():
 
 def test_eval_and_degree():
     f = [-2, 0, 1]  # x^2 - 2, ascending
-    assert ip.degree(f) == 2
+    assert len(ip.trim(f + [0, 0])) - 1 == 2  # trimmed, so len - 1
     assert ip.sign_at(f, F(3, 2)) == 1
     assert ip.sign_at(f, F(7, 5)) == -1
     assert ip.sign_at_inf(f, -1) == 1
@@ -57,7 +58,8 @@ def test_isolate_irrational_pair():
     rts = ip.isolate([-2, 0, 1])
     assert len(rts) == 2
     lo_root, hi_root = rts
-    assert lo_root.hi < hi_root.lo  # disjoint, ordered
+    # disjoint open intervals, ordered; unprobed, the two share the end 0
+    assert lo_root.hi <= hi_root.lo
     width = hi_root.hi - hi_root.lo
     hi_root.refine()
     hi_root.refine()
@@ -71,6 +73,8 @@ def test_isolate_hits_rational_roots_exactly():
     rts = ip.isolate([-1, 0, 0, 1])  # x^3 - 1
     assert len(rts) == 1
     r = rts[0]
+    assert r.exact is None  # isolation alone does not probe
+    assert r.try_rational() == 1
     assert r.lo == r.hi == 1
     assert r.exact
 
@@ -96,6 +100,22 @@ def _reference_variations(chain, x):
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
+def _node(f, lo, hi, slo):
+    """The IsolatedRoot (lo, hi) of f, ends over their common denominator."""
+    den = lo.denominator * hi.denominator // math.gcd(lo.denominator,
+                                                      hi.denominator)
+    return ip.IsolatedRoot.from_ints(f, lo.numerator * (den // lo.denominator),
+                                     hi.numerator * (den // hi.denominator),
+                                     den, slo)
+
+
+def _probed(nodes, probe):
+    if probe:
+        for node in nodes:
+            node.try_rational()
+    return nodes
+
+
 def _reference_isolate(f, probe_rationals, stats=None):
     """Plain Sturm bisection in Fractions: the whole chain is evaluated at
     both ends of every split, and each leaf evaluates f at its ends.
@@ -113,9 +133,9 @@ def _reference_isolate(f, probe_rationals, stats=None):
         if n == 1:
             slo = ip.sign_at(f, lo)
             if ip.sign_at(f, hi) == 0:
-                out.append(ip.IsolatedRoot(f, hi, hi))
+                out.append(_node(f, hi, hi, 0))
             else:
-                out.append(ip.IsolatedRoot(f, lo, hi, slo))
+                out.append(_node(f, lo, hi, slo))
             return
         mid = (lo + hi) / 2
         while ip.sign_at(f, mid) == 0:
@@ -128,10 +148,7 @@ def _reference_isolate(f, probe_rationals, stats=None):
 
     split(-bound, bound, _reference_variations(chain, -bound)
           - _reference_variations(chain, bound))
-    if probe_rationals:
-        for node in out:
-            node.try_rational()
-    return out
+    return _probed(out, probe_rationals)
 
 
 def _key(nodes):
@@ -179,7 +196,7 @@ def test_isolate_matches_reference_bisection(probe):
     stats: dict = {}
     corpus = _isolation_corpus()
     for f in corpus:
-        assert _key(ip.isolate(f, probe)) == \
+        assert _key(_probed(ip.isolate(f), probe)) == \
             _key(_reference_isolate(f, probe, stats)), f
     # the corpus reaches the zero-avoiding step at 0 and at later split points
     assert {F(0), F(1), F(-3, 2), F(2), F(3)} <= set(stats["moved"])
@@ -192,12 +209,12 @@ def test_isolate_interval_ends_are_never_roots():
     # at a root, and no root reaches the Cauchy bound
     exact_after_probe = 0
     for f in _isolation_corpus():
-        for node in ip.isolate(f, probe_rationals=False):
+        for node in ip.isolate(f):
             assert node.lo < node.hi
             assert ip.sign_at(f, node.lo) == node.slo != 0
             assert ip.sign_at(f, node.hi) == -node.slo
-        exact_after_probe += sum(n.exact is not None
-                                 for n in ip.isolate(f, probe_rationals=True))
+        exact_after_probe += sum(n.try_rational() is not None
+                                 for n in ip.isolate(f))
     assert exact_after_probe > 0
 
 

@@ -13,10 +13,12 @@ import pytest
 
 from meshpoly import intpoly as ip
 from meshpoly import roots
-from meshpoly.fixtures import derive_rng
+from meshpoly.fixtures import derive_rng, gen_rooted
+from meshpoly.interlace import ClassSpec
 from meshpoly.poly import Polynomial
 
 ALPHAS = (F(1, 2), F(1), F(3, 2), F(2))
+INF = roots.INF
 
 
 # -- the Fraction reference ---------------------------------------------
@@ -177,6 +179,34 @@ def ref_nonneg(nodes):
     return True
 
 
+def ref_mesh_numeric(f, tol):
+    """mesh_numeric of primitive f on Fraction nodes probed before the
+    separation across Yun factors, as (lower, upper, exact), or None
+    when f is not real-rooted."""
+    deg = len(f) - 1
+    if deg <= 1:
+        return (INF, INF, INF)
+    nodes = ref_root_data(f, False, probe_first=True)
+    if sum(n.multiplicity for n in nodes) != deg:
+        return None
+    if any(n.multiplicity > 1 for n in nodes):
+        return (F(0), F(0), F(0))
+    if len(nodes) == 1:
+        return (INF, INF, INF)
+    if all(n.exact is not None for n in nodes):
+        vals = sorted(n.exact for n in nodes)
+        m = min(b - a for a, b in zip(vals, vals[1:]))
+        return (m, m, m)
+    while True:
+        lo_gap = min(max(F(0), b.lo - a.hi) for a, b in zip(nodes, nodes[1:]))
+        hi_gap = min(b.hi - a.lo for a, b in zip(nodes, nodes[1:]))
+        if hi_gap - lo_gap <= tol:
+            return (lo_gap, hi_gap, None)
+        for n in nodes:
+            if n.exact is None:
+                n.refine_below(max(tol / 4, (n.hi - n.lo) / 2))
+
+
 def ref_translate(nodes, alpha):
     out = []
     shifted = {}
@@ -189,16 +219,19 @@ def ref_translate(nodes, alpha):
     return out
 
 
-def ref_root_data(f, probe):
-    """root_data with Fraction nodes: unprobed isolation, then the
-    reference probing, separation across Yun factors, and the sort."""
+def ref_root_data(f, probe, probe_first=False):
+    """root_data with Fraction nodes: isolation, separation across Yun
+    factors and the sort, then, with probe, the reference probing of
+    every node, as a caller that reads exact values does.  probe_first
+    probes each node right after isolation instead, before separation:
+    the order of the uncached probing path that root_data once had."""
     groups = []
     for factor, mult in ip.yun(f):
         group = []
-        for iso in ip.isolate(factor, probe_rationals=False):
+        for iso in ip.isolate(factor):
             node = RefRoot(iso.poly, iso.lo, iso.hi, iso.slo)
             node.multiplicity = mult
-            if probe:
+            if probe_first:
                 node.try_rational()
             group.append(node)
         groups.append(group)
@@ -209,6 +242,14 @@ def ref_root_data(f, probe):
                 ref_separate(a, b)
     nodes = [n for group in groups for n in group]
     nodes.sort(key=lambda n: (n.lo, n.hi))
+    return probed(nodes, probe)
+
+
+def probed(nodes, probe):
+    """The nodes, each probed for an exact rational root when probe."""
+    if probe:
+        for n in nodes:
+            n.try_rational()
     return nodes
 
 
@@ -260,9 +301,8 @@ def _node_corpus():
 
 
 def _state(nodes):
-    """(lo, hi, slo, multiplicity) of RootNodes or RefRoots."""
-    return [(n.lo, n.hi, getattr(n, "iso", n).slo, n.multiplicity)
-            for n in nodes]
+    """(lo, hi, slo, multiplicity) of IsolatedRoots or RefRoots."""
+    return [(n.lo, n.hi, n.slo, n.multiplicity) for n in nodes]
 
 
 @pytest.mark.parametrize("probe", [False, True])
@@ -272,7 +312,7 @@ def test_root_data_and_gap_pass_match_reference(probe):
     seen = {"exact_next": 0, "exact_moved": 0, "equal": 0,
             "shared_factor": 0, "big": 0}
     for f in _node_corpus():
-        new = roots.root_data(Polynomial(f), probe_rationals=probe)
+        new = probed(roots.root_data(Polynomial(f)), probe)
         ref = ref_root_data(ip.primitive(f), probe)
         assert _state(new) == _state(ref), f
         seen["big"] += max(map(abs, f)) > 10**35
@@ -306,23 +346,33 @@ def test_nonneg_from_nodes_matches_reference():
         for shift in (F(0), F(-1, 2), F(1)):
             g = ip.translate(f, shift)
             for probe in (False, True):
-                new = roots.root_data(Polynomial(g), probe_rationals=probe)
+                new = probed(roots.root_data(Polynomial(g)), probe)
                 ref = ref_root_data(ip.primitive(g), probe)
-                assert roots._nonneg_from_nodes(new) == ref_nonneg(ref)
+                assert all(n.side(0, 1) >= 0 for n in new) == ref_nonneg(ref)
                 assert _state(new) == _state(ref)
                 hits_at_zero += any(n.exact == 0 for n in new)
     assert hits_at_zero > 0
 
 
+def ref_side(node, x):
+    """Sign of root - x, after the reference exclude(x)."""
+    node.exclude(x)
+    if node.exact is not None:
+        return (node.exact > x) - (node.exact < x)
+    assert x <= node.lo or x >= node.hi
+    return 1 if x <= node.lo else -1
+
+
 def test_refine_exclude_and_refine_below_match_reference():
     """Random sequences of the narrowing operations on single nodes,
-    including exclusion at the node's own rational root and at points
+    including exclusion (exclude, or side, which also reports the root's
+    side of the point) at the node's own rational root and at points
     outside the interval."""
     rounds = 0
     for t, f in enumerate(_node_corpus()):
         rng = derive_rng(7, "node-ops", t)
         for factor, _ in ip.yun(f):
-            for iso in ip.isolate(factor, probe_rationals=False):
+            for iso in ip.isolate(factor):
                 ref = RefRoot(iso.poly, iso.lo, iso.hi, iso.slo)
                 for _ in range(12):
                     op = rng.randrange(4)
@@ -344,12 +394,14 @@ def test_refine_exclude_and_refine_below_match_reference():
                         num, den = x.numerator, x.denominator
                         if rng.random() < 0.5:
                             num, den = 3 * num, 3 * den  # unreduced pair
-                        iso.exclude(num, den)
-                        ref.exclude(x)
+                        if op == 2:
+                            assert iso.side(num, den) == ref_side(ref, x)
+                        else:
+                            iso.exclude(num, den)
+                            ref.exclude(x)
                     assert (iso.lo, iso.hi, iso.slo) == \
                         (ref.lo, ref.hi, ref.slo), (f, t)
                     assert iso.exact == ref.exact
-                    assert iso.width == ref.width
                     rounds += 1
     assert rounds > 1000
 
@@ -361,9 +413,9 @@ def test_separate_matches_reference_on_translates():
     pairs = 0
     for t in range(0, len(corpus) - 1, 2):
         for alpha in ALPHAS:
-            left = roots.root_data(Polynomial(corpus[t]), t % 4 == 0)
-            right = roots._translate_nodes(
-                roots.root_data(Polynomial(corpus[t + 1]), t % 3 == 0), alpha)
+            left = probed(roots.root_data(Polynomial(corpus[t])), t % 4 == 0)
+            right = roots._translate_nodes(probed(
+                roots.root_data(Polynomial(corpus[t + 1])), t % 3 == 0), alpha)
             ref_left = ref_root_data(ip.primitive(corpus[t]), t % 4 == 0)
             ref_right = ref_translate(
                 ref_root_data(ip.primitive(corpus[t + 1]), t % 3 == 0), alpha)
@@ -371,9 +423,9 @@ def test_separate_matches_reference_on_translates():
                 for b, rb in zip(right, ref_right):
                     if a.exact is not None and a.exact == b.exact:
                         continue
-                    if ip.gcd(a.iso.poly, b.iso.poly) != [1]:
+                    if ip.gcd(a.poly, b.poly) != [1]:
                         continue  # the roots might be equal
-                    roots._separate(a.iso, b.iso)
+                    roots._separate(a, b)
                     ref_separate(ra, rb)
                     assert _state([a, b]) == _state([ra, rb])
                     assert roots._precedes(a, b) == ref_precedes(ra, rb)
@@ -382,8 +434,64 @@ def test_separate_matches_reference_on_translates():
 
 
 def test_isolated_root_constructor_keeps_values():
-    node = ip.IsolatedRoot([-2, 0, 1], F(5, 4), F(3, 2))
+    node = ip.IsolatedRoot.from_ints([-2, 0, 1], 5, 6, 4, -1)
     assert (node.lo, node.hi, node.slo) == (F(5, 4), F(3, 2), -1)
-    assert node.den == 4 and (node.a, node.b) == (5, 6)
-    exact = ip.IsolatedRoot([-1, 2], F(1, 2), F(1, 2))
-    assert exact.exact == F(1, 2) and exact.slo == 0
+    assert node.multiplicity == 1 and node.exact is None
+    exact = ip.IsolatedRoot.from_ints([-1, 2], 2, 2, 4, 0, 3)
+    assert exact.exact == F(1, 2) and exact.multiplicity == 3
+
+
+def test_mesh_numeric_matches_probing_before_separation():
+    """mesh_numeric probes the nodes it gets from the cached isolation,
+    so after any separation across Yun factors.  It reads intervals only
+    when every root is simple, that is for one Yun factor, where nothing
+    is separated, so its reports are those of the old order: probe each
+    factor's nodes, then separate."""
+    corpus = [ip.primitive(f) for f in _node_corpus()]
+    specs = (ClassSpec.hyperbolic(), ClassSpec.hp_ge(1),
+             ClassSpec.hp_plus_ge(F(1, 2)))
+    for t in range(150):
+        rng = derive_rng(7, "mesh-order", t)
+        fx = gen_rooted(specs[t % 3], rng.randint(2, 8), rng)
+        corpus.append(ip.primitive(fx.poly.nums))
+    kinds = set()
+    for f in corpus:
+        for tol in (roots.DEFAULT_TOL, F(1, 10**3)):
+            want = ref_mesh_numeric(f, tol)
+            try:
+                rep = roots.mesh_numeric(Polynomial(f), tol)
+            except roots.NonHyperbolicInput:
+                assert want is None, f
+                continue
+            got = (rep.mesh_lower, rep.mesh_upper, rep.exact_value)
+            assert got == want, (f, tol)
+            kinds.add("enclosed" if got[2] is None else
+                      "repeated" if got[2] == 0 else
+                      "infinite" if got[2] == INF else "exact")
+    assert kinds == {"enclosed", "repeated", "infinite", "exact"}
+
+
+def test_root_approximations_match_probing_before_separation():
+    """root_approximations probes after the separation across Yun
+    factors, where the uncached path once probed before it (and then
+    placed 0 against the roots of a real-rooted input).  With one Yun
+    factor of multiplicity 1 nothing is separated, and probing leaves 0
+    outside every open interval, so the floats are the same; otherwise
+    each moves by at most tol."""
+    tol = roots.DEFAULT_TOL
+    moved = 0
+    for f in map(ip.primitive, _node_corpus()):
+        ref = ref_root_data(f, False, probe_first=True)
+        if sum(n.multiplicity for n in ref) == len(f) - 1:
+            ref_nonneg(ref)
+        want = []
+        for n in ref:
+            n.refine_below(tol)
+            want.append(float((n.lo + n.hi) / 2))
+        got = roots.root_approximations(Polynomial(f), tol)
+        if [m for _, m in ip.yun(f)] == [1]:
+            assert got == want, f
+        else:
+            assert all(abs(g - w) <= tol for g, w in zip(got, want)), f
+            moved += got != want
+    assert 0 < moved

@@ -1,7 +1,6 @@
-"""The cache of unprobed root isolations behind roots.root_data.
+"""The cache of root isolations behind roots.root_data.
 
-root_data without probing reads each polynomial's isolation from a
-bounded LRU cache (roots._isolation), keyed by the primitive integer
+root_data reads each polynomial's isolation from a bounded LRU cache (roots._isolation), keyed by the primitive integer
 representative of the polynomial, and builds fresh nodes from it.  A
 warm read must give exactly what a cold computation gives, and no
 caller's in-place narrowing may reach the nodes of a later call.
@@ -11,7 +10,6 @@ from fractions import Fraction as F
 
 from meshpoly import intpoly as ip
 from meshpoly import roots
-from meshpoly.interlace import _approx_roots
 from meshpoly.poly import POCHHAMMER, Polynomial
 from test_nodes import ALPHAS, _node_corpus, _state
 
@@ -49,14 +47,16 @@ def test_warm_reads_match_cold():
 
 
 def test_narrowing_one_calls_nodes_leaves_the_next_call_cold():
-    """Refine, exclude, separate and translate the nodes of one call, as
-    the membership decision and the display code do, then call again."""
+    """Refine, exclude, probe, separate and translate the nodes of one
+    call, as the membership decision, mesh_numeric and the display code
+    do, then call again."""
     narrowed = 0
     for f in _node_corpus():
         p = Polynomial(f)
         cold = _cold(f)[0]
         nodes = roots.root_data(p)
-        roots._nonneg_from_nodes(nodes)
+        for n in nodes:
+            n.side(0, 1)
         for alpha in ALPHAS:
             moved = roots._translate_nodes(nodes[:-1], alpha)
             gcd_cache: dict = {}
@@ -64,8 +64,9 @@ def test_narrowing_one_calls_nodes_leaves_the_next_call_cold():
                 if not roots._common_root(nxt, shifted, gcd_cache):
                     roots._precedes(nxt, shifted)
         for n in nodes:
-            n.iso.refine()
-        _approx_roots(nodes)
+            n.refine()
+            n.try_rational()
+        roots.approximations(nodes, F(1, 10**6))
         narrowed += _state(nodes) != cold
         assert _state(roots.root_data(p)) == cold, f
     assert narrowed > 100
@@ -80,7 +81,7 @@ def test_equal_polynomials_share_one_entry():
     info = roots._isolation.cache_info()
     assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
     assert _state(first) == _state(scaled) == _state(other_basis)
-    assert first[0].iso is not scaled[0].iso
+    assert first[0] is not scaled[0]
 
 
 def test_cache_is_bounded():

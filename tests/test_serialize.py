@@ -13,6 +13,7 @@ from meshpoly import (
     make_standard,
 )
 from meshpoly import serialize as sz
+from meshpoly.poly import as_fraction
 
 
 def test_rational_strings():
@@ -39,6 +40,16 @@ def test_json_booleans_are_not_rationals():
                 {"sequence": {"values": ["1", False]}}):
         with pytest.raises(sz.ParseError):
             sz.loads_value(json.dumps(obj))
+
+
+def test_api_booleans_are_not_rationals():
+    # the in-process twin: True is not the rational 1 in the Python API
+    for make in (lambda: as_fraction(True),
+                 lambda: Polynomial([True, False, True]),
+                 lambda: Polynomial([1, 2]) * False,
+                 lambda: make_standard("riesz", lam=True, alpha=True)):
+        with pytest.raises(TypeError):
+            make()
 
 
 def test_poly_round_trip():

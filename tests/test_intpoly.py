@@ -8,6 +8,7 @@ import pytest
 from meshpoly import intpoly as ip
 from meshpoly.fixtures import derive_rng
 from meshpoly.poly import Polynomial
+from test_nodes import probed
 from test_poly_kernels import ref_shift
 
 
@@ -109,14 +110,7 @@ def _node(f, lo, hi, slo):
                                      den, slo)
 
 
-def _probed(nodes, probe):
-    if probe:
-        for node in nodes:
-            node.try_rational()
-    return nodes
-
-
-def _reference_isolate(f, probe_rationals, stats=None):
+def _reference_isolate(f, probe, stats=None):
     """Plain Sturm bisection in Fractions: the whole chain is evaluated at
     both ends of every split, and each leaf evaluates f at its ends.
     stats["moved"] collects the midpoints that were roots."""
@@ -148,7 +142,7 @@ def _reference_isolate(f, probe_rationals, stats=None):
 
     split(-bound, bound, _reference_variations(chain, -bound)
           - _reference_variations(chain, bound))
-    return _probed(out, probe_rationals)
+    return probed(out, probe)
 
 
 def _key(nodes):
@@ -196,7 +190,7 @@ def test_isolate_matches_reference_bisection(probe):
     stats: dict = {}
     corpus = _isolation_corpus()
     for f in corpus:
-        assert _key(_probed(ip.isolate(f), probe)) == \
+        assert _key(probed(ip.isolate(f), probe)) == \
             _key(_reference_isolate(f, probe, stats)), f
     # the corpus reaches the zero-avoiding step at 0 and at later split points
     assert {F(0), F(1), F(-3, 2), F(2), F(3)} <= set(stats["moved"])

@@ -290,16 +290,19 @@ def cmd_replay(args) -> int:
     return EXIT_OK if result["reproduced"] else EXIT_COUNTEREXAMPLE
 
 
-def _add_common(sp, trials: int = 500) -> None:
-    sp.add_argument("--seed", type=int, default=7)
-    sp.add_argument("--trials", type=int, default=trials)
-    sp.add_argument("--max-degree", type=int, default=6)
-    sp.add_argument("--i-max", type=int, default=64)
-    sp.add_argument("--tol", default=str(DEFAULT_TOL))
-    _add_output(sp)
+_SHARED_FLAGS = {
+    "--seed": {"type": int, "default": 7},
+    "--trials": {"type": int, "default": 500},
+    "--max-degree": {"type": int, "default": 6},
+    "--i-max": {"type": int, "default": 64},
+    "--tol": {"default": str(DEFAULT_TOL)},
+}
 
 
-def _add_output(sp) -> None:
+def _add_flags(sp, *flags) -> None:
+    """The shared flags a subcommand reads, then --format and --out."""
+    for flag in flags:
+        sp.add_argument(flag, **_SHARED_FLAGS[flag])
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     sp.add_argument("--out", default=None)
 
@@ -313,27 +316,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("mesh", help="smallest gap between adjacent roots")
     sp.add_argument("poly", help="polynomial JSON file, or - for stdin")
-    sp.add_argument("--tol", default=str(DEFAULT_TOL))
-    _add_output(sp)
+    _add_flags(sp, "--tol")
     sp.set_defaults(func=cmd_mesh)
 
     sp = sub.add_parser("apply", help="apply an operator or sequence to a polynomial")
     sp.add_argument("poly")
     sp.add_argument("--op", required=True, help="operator/sequence JSON file")
-    _add_output(sp)
+    _add_flags(sp)
     sp.set_defaults(func=cmd_apply)
 
     sp = sub.add_parser("convert", help="switch coefficient basis")
     sp.add_argument("poly")
     sp.add_argument("--to", choices=(MONOMIAL, POCHHAMMER), required=True)
-    _add_output(sp)
+    _add_flags(sp)
     sp.set_defaults(func=cmd_convert)
 
     ver = sub.add_parser("verify", help="check the library's claims")
     vsub = ver.add_subparsers(dest="check", required=True)
 
     sp = vsub.add_parser("theorem-suite", help="run all acceptance criteria")
-    _add_common(sp)
+    _add_flags(sp, "--seed", "--trials")
     sp.set_defaults(func=cmd_verify_suite)
 
     sp = vsub.add_parser("herpou",
@@ -341,15 +343,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--symbol", default=None, help="polynomial JSON file")
     sp.add_argument("--coeffs", default=None,
                     help="inline symbol coefficients, e.g. '1,-3/2,1'")
-    _add_common(sp, trials=0)
-    sp.set_defaults(func=cmd_verify_herpou)
+    _add_flags(sp, "--seed", "--trials", "--max-degree", "--i-max")
+    sp.set_defaults(func=cmd_verify_herpou, trials=0)
 
     sp = vsub.add_parser("dms", help="test a diagonal sequence as a preserver")
     sp.add_argument("--sequence", default=None, help="sequence JSON file")
     sp.add_argument("--values", default=None, help="inline values, e.g. '1,1,2'")
     sp.add_argument("--phi-coeffs", default=None,
                     help="inline rule polynomial coefficients")
-    _add_common(sp)
+    _add_flags(sp, "--seed", "--trials", "--max-degree")
     sp.set_defaults(func=cmd_verify_dms)
 
     sp = vsub.add_parser("riesz", help="mesh monotonicity of a two-term map")
@@ -358,18 +360,18 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--alpha", default=None)
     sp.add_argument("--derivative", action="store_true",
                     help="use p - lam p' instead of p - lam p(x-alpha)")
-    _add_common(sp)
+    _add_flags(sp, "--tol")
     sp.set_defaults(func=cmd_verify_riesz)
 
     sp = sub.add_parser("search", help="randomized counterexample campaigns")
     sp.add_argument("kind", choices=SEARCH_KINDS)
     sp.add_argument("--rho", default="1/2", help="decay rate for remark2")
-    _add_common(sp)
+    _add_flags(sp, "--seed", "--trials", "--max-degree", "--i-max")
     sp.set_defaults(func=cmd_search)
 
     sp = sub.add_parser("replay", help="recompute a counterexample certificate")
     sp.add_argument("certificate", help="certificate JSON file, or - for stdin")
-    _add_output(sp)
+    _add_flags(sp)
     sp.set_defaults(func=cmd_replay)
 
     return parser

@@ -267,12 +267,10 @@ def _search_remark2(cfg: SearchConfig, report: SearchReport) -> None:
              "image": v.witness["image"]}, cfg.echo()))
 
 
-def _search_lemma1(cfg: SearchConfig, report: SearchReport,
-                   operators=None) -> None:
-    if operators is None:
-        operators = [("delta", make_standard("delta")),
-                     ("two-point-sum", FiniteDifferenceOperator.from_coeffs(
-                         [Polynomial([1]), Polynomial([1])]))]
+def _search_lemma1(cfg: SearchConfig, report: SearchReport) -> None:
+    operators = [("delta", make_standard("delta")),
+                 ("two-point-sum", FiniteDifferenceOperator.from_coeffs(
+                     [Polynomial([1]), Polynomial([1])]))]
     for idx, (name, T) in enumerate(operators):
         v = verify.hyperbolicity_violation(T, max_degree=min(4, cfg.max_degree),
                                            trials=cfg.trials, seed=cfg.seed)

@@ -8,7 +8,10 @@ decided exactly: roots are compared through isolating intervals, with
 shared roots certified by gcd root counting, never by numeric closeness.
 Both root lists are the unprobed intpoly.IsolatedRoot nodes of
 roots.root_profile; only a witness's displayed approximations
-(roots.approximations) probe them for exact rational roots.
+(roots.approximations) probe them for exact rational roots.  The
+Wronskian's sign is read from the same cached isolation (roots.root_data):
+nonneg_on_reals checks that every real root has even multiplicity, and
+negativity_point probes between adjacent roots.
 
 proper_position is the paper's characterization of the mesh classes: a
 hyperbolic p has mesh >= alpha exactly when p << p(x - alpha).  It is
@@ -28,7 +31,7 @@ from typing import Optional
 from . import intpoly
 from .poly import Polynomial, as_fraction
 from .roots import (_common_root, _gaps_at_least, _precedes, approximations,
-                    root_profile)
+                    root_data, root_profile)
 
 __all__ = [
     "ProperPositionVerdict",
@@ -85,14 +88,6 @@ def wronskian(p: Polynomial, q: Polynomial) -> Polynomial:
     return p * q.derivative() - p.derivative() * q
 
 
-def _odd_multiplicity_part(f: list) -> list:
-    parts = [fac for fac, mult in intpoly.yun(f) if mult % 2 == 1]
-    out = [1]
-    for fac in parts:
-        out = intpoly.mul(out, fac)
-    return out
-
-
 def nonneg_on_reals(w: Polynomial) -> bool:
     """Exact check that w(x) >= 0 for every real x.
 
@@ -105,21 +100,7 @@ def nonneg_on_reals(w: Polynomial) -> bool:
         return False
     if int(w.degree) % 2 == 1:
         return False
-    if w.degree == 0:
-        return True
-    f = intpoly.primitive(w.nums)
-    chain = intpoly.sturm_chain(f)
-    distinct = intpoly.count_distinct_in(chain, None, None)
-    if distinct == 0:
-        return True
-    if len(chain[-1]) == 1:
-        # squarefree: every real root is simple, hence of odd multiplicity
-        return False
-    odd = _odd_multiplicity_part(f)
-    if len(odd) <= 1:
-        return True
-    oc = intpoly.sturm_chain(odd)
-    return intpoly.count_distinct_in(oc, None, None) == 0
+    return all(n.multiplicity % 2 == 0 for n in root_data(w))
 
 
 def negativity_point(w: Polynomial) -> Optional[Fraction]:
@@ -130,11 +111,15 @@ def negativity_point(w: Polynomial) -> Optional[Fraction]:
     bound = intpoly.cauchy_bound(f)
     # one probe inside every sign region: beyond the extreme roots, and
     # strictly between each pair of adjacent distinct roots
-    isos = intpoly.isolate(intpoly.squarefree_part(f))
-    for n in isos:
+    nodes = root_data(w)
+    for n in nodes:
         n.try_rational()
     probes = [-bound]
-    for left, right in zip(isos, isos[1:]):
+    for left, right in zip(nodes, nodes[1:]):
+        # an exact root of one Yun factor can end its neighbour's
+        # interval: narrow the neighbour off it
+        while left.hi == right.lo and (left.a == left.b or right.a == right.b):
+            (left if right.a == right.b else right).refine()
         probes.append((left.hi + right.lo) / 2)
     probes.append(bound)
     for x in probes:

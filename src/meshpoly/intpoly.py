@@ -197,21 +197,6 @@ def _chain_at(chain: list[ZPoly], num: int, den: int) -> tuple[int, int]:
     return signs[0], _variations(signs)
 
 
-def variations_at(chain: list[ZPoly], x: Optional[Fraction], direction: int = 0) -> int:
-    """Sign variation count at rational x, or at +/-infinity when x is None."""
-    if x is None:
-        return _variations(sign_at_inf(f, direction) for f in chain)
-    return _chain_at(chain, x.numerator, x.denominator)[1]
-
-
-def count_distinct_in(chain: list[ZPoly],
-                      lo: Optional[Fraction], hi: Optional[Fraction]) -> int:
-    """Distinct real roots in the half-open interval (lo, hi]; None means infinity."""
-    vlo = variations_at(chain, lo, -1)
-    vhi = variations_at(chain, hi, +1)
-    return vlo - vhi
-
-
 def gcd(a: ZPoly, b: ZPoly) -> ZPoly:
     """Primitive gcd with positive leading coefficient."""
     a = primitive(list(a))
@@ -253,16 +238,6 @@ def divexact(a: ZPoly, b: ZPoly) -> ZPoly:
     if any(r):
         raise ArithmeticError("inexact polynomial division")
     return trim(q)
-
-
-def squarefree_part(f: ZPoly) -> ZPoly:
-    f = primitive(list(f))
-    if len(f) <= 1:
-        return f
-    g = gcd(f, deriv(f))
-    if len(g) == 1:
-        return f
-    return primitive(divexact(f, g))
 
 
 def yun(f: ZPoly) -> list[tuple[ZPoly, int]]:
@@ -469,8 +444,8 @@ def isolate(f: ZPoly) -> list[IsolatedRoot]:
     bound = cauchy_bound(f)
     # no root lies outside (-B, B) and the variation count changes only
     # at roots, so the values at -B and B are those at -inf and +inf
-    vlo = variations_at(chain, None, -1)
-    vhi = variations_at(chain, None, +1)
+    vlo = _variations(sign_at_inf(g, -1) for g in chain)
+    vhi = _variations(sign_at_inf(g, +1) for g in chain)
     out: list[IsolatedRoot] = []
     # (lo, hi, den, roots in (lo/den, hi/den], vlo, vhi, sign of f at lo/den);
     # the right half is pushed first so that leaves come out sorted

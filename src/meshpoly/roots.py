@@ -8,7 +8,10 @@ only affect displayed approximations, never a yes/no answer.
 
 A root is an intpoly.IsolatedRoot node: an isolating interval on one of
 the polynomial's Yun factors, with the root's multiplicity.  root_data
-is the only way to get the nodes of a polynomial.  Roots are isolated
+is the only way to get the nodes of a polynomial, and it answers every
+real-root question: real-rootedness (is_hyperbolic, root_profile),
+root counts (count_real_roots), the mesh, and in interlace the sign of
+a polynomial on the real line.  Roots are isolated
 without rational probing; the code that reads exact root values
 (mesh_numeric, and approximations for display) probes the nodes it gets
 (IsolatedRoot.try_rational).
@@ -248,9 +251,9 @@ def count_real_roots(p: Polynomial, lo=None, hi=None) -> int:
     """Distinct real roots of p in the half-open interval (lo, hi].
 
     None endpoints mean -infinity / +infinity.  A repeated root counts
-    once.  The Sturm chain is taken of the squarefree part: the chain of
-    p itself vanishes entirely at a repeated root, which miscounts any
-    interval that has one as an endpoint.
+    once.  Each node of root_data is placed against the endpoints
+    (IsolatedRoot.side), so an endpoint that is a root, repeated or not,
+    is decided exactly.
     """
     if p.is_zero:
         raise ValueError("zero polynomial root count is undefined")
@@ -258,27 +261,17 @@ def count_real_roots(p: Polynomial, lo=None, hi=None) -> int:
     hi = as_fraction(hi) if hi is not None else None
     if lo is not None and hi is not None and lo >= hi:
         return 0
-    f = intpoly.primitive(p.nums)
-    if len(f) <= 1:
-        return 0
-    chain = intpoly.sturm_chain(intpoly.squarefree_part(f))
-    return intpoly.count_distinct_in(chain, lo, hi)
+    return sum(1 for n in root_data(p)
+               if (lo is None or n.side(lo.numerator, lo.denominator) > 0)
+               and (hi is None or n.side(hi.numerator, hi.denominator) <= 0))
 
 
 def is_hyperbolic(p: Polynomial) -> bool:
-    """True when nonzero p has only real roots (constants count).
-
-    A polynomial is real-rooted exactly when its squarefree part is, so
-    one distinct-root count settles it without isolating anything.
-    """
+    """True when nonzero p has only real roots (constants count): its
+    real roots, counted with multiplicity, make up its degree."""
     if p.is_zero:
         raise ValueError("zero polynomial hyperbolicity is undefined")
-    if p.degree <= 0:
-        return True
-    f = intpoly.primitive(p.nums)
-    sq = intpoly.squarefree_part(f)
-    chain = intpoly.sturm_chain(sq)
-    return intpoly.count_distinct_in(chain, None, None) == len(sq) - 1
+    return p.degree <= 0 or root_profile(p).is_hyperbolic
 
 
 def mesh_numeric(p: Polynomial, tol: Fraction = DEFAULT_TOL) -> MeshReport:

@@ -244,6 +244,26 @@ def test_theorem_suite_smoke(capsys):
     assert all("PASS" in ln for ln in lines)
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "theorem-suite", "--max-degree", "4"],
+    ["verify", "theorem-suite", "--i-max", "8"],
+    ["verify", "theorem-suite", "--tol", "1/10"],
+    ["verify", "herpou", "--coeffs", "1,-1", "--tol", "1/10"],
+    ["verify", "dms", "--values", "1,1", "--i-max", "8"],
+    ["verify", "dms", "--values", "1,1", "--tol", "1/10"],
+    ["verify", "riesz", "P", "--lam", "1", "--seed", "3"],
+    ["verify", "riesz", "P", "--lam", "1", "--trials", "3"],
+    ["verify", "riesz", "P", "--lam", "1", "--max-degree", "3"],
+    ["verify", "riesz", "P", "--lam", "1", "--i-max", "3"],
+    ["search", "bullet", "--tol", "1/10"],
+])
+def test_flags_a_subcommand_ignores_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def _run_module(*argv):
     # the child imports meshpoly from the same tree as this process
     src = str(Path(meshpoly.__file__).resolve().parents[1])

@@ -10,6 +10,8 @@ from meshpoly.fixtures import derive_rng
 from meshpoly.poly import Polynomial
 from test_nodes import probed
 from test_poly_kernels import ref_shift
+from test_real_roots import (ref_count_distinct_in, ref_squarefree_part,
+                             ref_variations_at)
 
 
 def test_primitive_of_numerators_clears_denominators():
@@ -36,20 +38,20 @@ def test_sturm_chain_and_counting():
     f = [-2, 0, 1]
     ch = ip.sturm_chain(f)
     assert ch[0] == f
-    assert ip.variations_at(ch, None, -1) - ip.variations_at(ch, None, 1) == 2
-    assert ip.count_distinct_in(ch, None, None) == 2
-    assert ip.count_distinct_in(ch, F(0), None) == 1
+    assert ref_variations_at(ch, None, -1) - ref_variations_at(ch, None, 1) == 2
+    assert ref_count_distinct_in(ch, None, None) == 2
+    assert ref_count_distinct_in(ch, F(0), None) == 1
     # half-open (lo, hi]: root at hi counts, root at lo does not
     g = [0, -1, 1]  # x(x - 1)
     chg = ip.sturm_chain(g)
-    assert ip.count_distinct_in(chg, F(0), F(1)) == 1
-    assert ip.count_distinct_in(chg, F(-1), F(1)) == 2
+    assert ref_count_distinct_in(chg, F(0), F(1)) == 1
+    assert ref_count_distinct_in(chg, F(-1), F(1)) == 2
 
 
 def test_squarefree_and_yun():
     f = [-2, 0, 1]
     f2 = ip.mul(f, f)
-    assert ip.squarefree_part(f2) == f
+    assert ref_squarefree_part(f2) == f
     assert ip.yun(f2) == [(f, 2)]
     g = ip.mul([0, 1], ip.mul([0, 1], [-1, 1]))  # x^2 (x - 1)
     assert ip.yun(g) == [([-1, 1], 1), ([0, 1], 2)]
@@ -96,11 +98,6 @@ def test_gcd_and_divexact():
 
 # -- differential tests of the isolation kernel --------------------------
 
-def _reference_variations(chain, x):
-    signs = [s for s in (ip.sign_at(g, x) for g in chain) if s]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
 def _node(f, lo, hi, slo):
     """The IsolatedRoot (lo, hi) of f, ends over their common denominator."""
     den = lo.denominator * hi.denominator // math.gcd(lo.denominator,
@@ -136,12 +133,12 @@ def _reference_isolate(f, probe, stats=None):
             if stats is not None:
                 stats.setdefault("moved", []).append(mid)
             mid = (mid + hi) / 2
-        nl = _reference_variations(chain, lo) - _reference_variations(chain, mid)
+        nl = ref_variations_at(chain, lo) - ref_variations_at(chain, mid)
         split(lo, mid, nl)
         split(mid, hi, n - nl)
 
-    split(-bound, bound, _reference_variations(chain, -bound)
-          - _reference_variations(chain, bound))
+    split(-bound, bound, ref_variations_at(chain, -bound)
+          - ref_variations_at(chain, bound))
     return probed(out, probe)
 
 
@@ -182,7 +179,7 @@ def _isolation_corpus():
             deg = rng.randint(1, 8)
             f = [rng.randint(-big, big) for _ in range(deg)]
             polys.append(f + [rng.choice((-1, 1)) * rng.randint(1, big)])
-    return [ip.squarefree_part(f) for f in polys]
+    return [ref_squarefree_part(f) for f in polys]
 
 
 @pytest.mark.parametrize("probe", [False, True])
@@ -216,7 +213,9 @@ def test_variations_at_matches_signs():
     for f in _isolation_corpus()[:40]:
         chain = ip.sturm_chain(f)
         for x in (F(0), F(1, 3), F(-5, 2), F(7), ip.cauchy_bound(f)):
-            assert ip.variations_at(chain, x) == _reference_variations(chain, x)
+            num, den = x.numerator, x.denominator
+            assert ip._chain_at(chain, num, den) == \
+                (ip.sign_at(f, x), ref_variations_at(chain, x)), (f, x)
 
 
 @pytest.mark.parametrize("alpha", [F(0), F(1), F(-3), F(1, 2), F(-7, 3),

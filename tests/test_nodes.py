@@ -16,6 +16,7 @@ from meshpoly import roots
 from meshpoly.fixtures import derive_rng, gen_rooted
 from meshpoly.interlace import ClassSpec
 from meshpoly.poly import Polynomial
+from test_real_roots import ref_count_distinct_in
 
 ALPHAS = (F(1, 2), F(1), F(3, 2), F(2))
 INF = roots.INF
@@ -158,7 +159,7 @@ def ref_common_root(a, b, gcd_cache):
         gchain_key = ("chain", key)
         if gchain_key not in gcd_cache:
             gcd_cache[gchain_key] = ip.sturm_chain(g)
-        if ip.count_distinct_in(gcd_cache[gchain_key], lo, hi) == 1:
+        if ref_count_distinct_in(gcd_cache[gchain_key], lo, hi) == 1:
             return True
         ref_separate(a, b)
         return False

@@ -14,7 +14,7 @@ from meshpoly import (
     mesh_numeric,
     root_approximations,
 )
-from meshpoly import intpoly
+from meshpoly import intpoly, roots
 
 
 def test_is_hyperbolic():
@@ -89,10 +89,11 @@ def test_count_real_roots_empty_interval():
 
 
 def test_count_real_roots_empty_interval_builds_no_chain(monkeypatch):
-    def no_chain(f):
-        raise AssertionError("Sturm chain built for an empty interval")
+    def no_root_work(f):
+        raise AssertionError("root work done for an empty interval")
 
-    monkeypatch.setattr(intpoly, "sturm_chain", no_chain)
+    monkeypatch.setattr(intpoly, "sturm_chain", no_root_work)
+    monkeypatch.setattr(roots, "_isolation", no_root_work)
     assert count_real_roots(Polynomial.from_roots([0, 1, 2]), 3, -1) == 0
 
 

@@ -8,17 +8,20 @@ decided exactly: roots are compared through isolating intervals, with
 shared roots certified by gcd root counting, never by numeric closeness.
 Both root lists are the unprobed intpoly.IsolatedRoot nodes of
 roots.root_profile; only a witness's displayed approximations
-(roots.approximations) probe them for exact rational roots.  The
-Wronskian's sign is read from the same cached isolation (roots.root_data):
-nonneg_on_reals checks that every real root has even multiplicity, and
-negativity_point probes between adjacent roots.
+(roots.approximations) probe them for exact rational roots.  Once the
+roots interlace, the Wronskian has one sign on the real line
+(Hermite-Kakeya-Obreschkoff), so its leading coefficient decides it.
+Otherwise nonneg_on_reals decides it by Sturm counts: no Yun factor of
+odd multiplicity has a real root.  negativity_point, for a witness only,
+probes between adjacent roots of the cached isolation (roots.root_data).
 
 proper_position is the paper's characterization of the mesh classes: a
 hyperbolic p has mesh >= alpha exactly when p << p(x - alpha).  It is
 public, and the tests use it as an oracle, but class membership does not
-go through it: class_membership decides the mesh bound one adjacent
-root gap at a time (roots._gaps_at_least), which needs no Wronskian and
-no merge of two root lists.
+go through it: class_membership answers from counts alone (the cached
+facts of roots: real-rootedness and the sign of the roots by Sturm
+counts, the mesh bound by one Cauchy index, see roots.mesh_at_least),
+with no isolation, no Wronskian and no merge of two root lists.
 """
 
 from __future__ import annotations
@@ -30,8 +33,8 @@ from typing import Optional
 
 from . import intpoly
 from .poly import Polynomial, as_fraction
-from .roots import (_common_root, _gaps_at_least, _precedes, approximations,
-                    root_data, root_profile)
+from .roots import (_common_root, _mesh_ok, _precedes, _record,
+                    approximations, root_data, root_profile)
 
 __all__ = [
     "ProperPositionVerdict",
@@ -92,7 +95,8 @@ def nonneg_on_reals(w: Polynomial) -> bool:
     """Exact check that w(x) >= 0 for every real x.
 
     Holds exactly when w is identically zero, or has positive leading
-    coefficient, even degree, and no real root of odd multiplicity.
+    coefficient, even degree, and no real root of odd multiplicity: each
+    Yun factor of odd multiplicity has a Sturm count of 0 on the line.
     """
     if w.is_zero:
         return True
@@ -100,7 +104,8 @@ def nonneg_on_reals(w: Polynomial) -> bool:
         return False
     if int(w.degree) % 2 == 1:
         return False
-    return all(n.multiplicity % 2 == 0 for n in root_data(w))
+    return all(intpoly.variation_drop(chain) == 0
+               for chain, mult in intpoly.factor_chains(w.nums) if mult % 2)
 
 
 def negativity_point(w: Polynomial) -> Optional[Fraction]:
@@ -206,7 +211,12 @@ def proper_position(p: Polynomial, q: Polynomial) -> ProperPositionVerdict:
     gamma, delta = _merge_order(prof_p.nodes, prof_q.nodes)
     interlaces = _interlaces(gamma, delta)
     w = wronskian(p, q)
-    w_ok = nonneg_on_reals(w)
+    if interlaces:
+        # interlacing roots give w one sign on the real line
+        # (Hermite-Kakeya-Obreschkoff), so its leading coefficient is it
+        w_ok = w.is_zero or w.leading_coefficient > 0
+    else:
+        w_ok = nonneg_on_reals(w)
     witness = None
     if not interlaces:
         witness = {
@@ -227,20 +237,21 @@ def proper_position(p: Polynomial, q: Polynomial) -> ProperPositionVerdict:
 def class_membership(p: Polynomial, spec: ClassSpec) -> bool:
     """Exact membership of p in a hyperbolicity class with optional bounds.
 
-    One root profile settles everything: real-rootedness by root count,
-    the sign bound by placing 0 against the roots, and the mesh bound one
-    adjacent gap at a time (roots._gaps_at_least).  The zero polynomial
-    is rejected outright (ValueError): it belongs to no class here, and
-    callers that can produce it must handle it first.
+    Answered from counts alone, by p's cached record in roots:
+    real-rootedness and the sign bound by Sturm counts per Yun factor,
+    the mesh bound by one Cauchy index (roots.mesh_at_least has the
+    proof).  The zero polynomial is rejected outright (ValueError): it
+    belongs to no class here, and callers that can produce it must
+    handle it first.
     """
     if p.is_zero:
         raise ValueError("zero polynomial has no class membership")
-    prof = root_profile(p)
-    if not prof.is_hyperbolic:
+    rec = _record(p)
+    if not rec.real_rooted:
         return False
-    if spec.require_nonneg_roots and not prof.all_roots_nonnegative:
+    if spec.require_nonneg_roots and not rec.no_negative_root:
         return False
-    return spec.mesh_bound is None or _gaps_at_least(prof, spec.mesh_bound)
+    return spec.mesh_bound is None or _mesh_ok(rec, spec.mesh_bound)
 
 
 def quadratic_hp1plus(A, B, C) -> bool:

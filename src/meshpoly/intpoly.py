@@ -146,23 +146,36 @@ def _sturm_next(a: ZPoly, b: ZPoly) -> ZPoly:
     return primitive(out)
 
 
-def sturm_chain(f: ZPoly) -> list[ZPoly]:
-    """Signed remainder chain of (f, f').
+def remainder_sequence(a: ZPoly, b: ZPoly) -> list[ZPoly]:
+    """Signed remainder sequence of (a, b) for nonzero a, up to positive
+    factors: a, b, -(a mod b), ..., ending in the last nonzero element,
+    which is proportional to gcd(a, b).  Each element is primitive;
+    a positive factor changes no sign, so sign variations of this
+    sequence are those of the exact sequence.
 
-    For squarefree f the classical Sturm theorem applies; in general the
-    variation difference still counts distinct real roots, and the last
-    chain element is proportional to gcd(f, f').
+    Read by sturm_chain (b = a'), gcd, Yun's first step (through the
+    Sturm chain) and the Cauchy index behind roots.mesh_at_least.
     """
-    f = primitive(list(f))
-    chain = [f]
-    if len(f) > 1:
-        chain.append(primitive(deriv(f)))
-        while chain[-1]:
-            nxt = _sturm_next(chain[-2], chain[-1])
+    seq = [primitive(a)]
+    b = primitive(b)
+    if b:
+        seq.append(b)
+        while True:
+            nxt = _sturm_next(seq[-2], seq[-1])
             if not nxt:
                 break
-            chain.append(nxt)
-    return chain
+            seq.append(nxt)
+    return seq
+
+
+def sturm_chain(f: ZPoly) -> list[ZPoly]:
+    """Signed remainder sequence of (f, f').
+
+    For squarefree f the classical Sturm theorem applies; in general the
+    last chain element is proportional to gcd(f, f'), and every element
+    vanishes at a multiple root, so counts are taken per Yun factor.
+    """
+    return remainder_sequence(f, deriv(f))
 
 
 def _variations(signs) -> int:
@@ -201,16 +214,9 @@ def gcd(a: ZPoly, b: ZPoly) -> ZPoly:
     """Primitive gcd with positive leading coefficient."""
     a = primitive(list(a))
     b = primitive(list(b))
-    if not a:
-        g = b
-    elif not b:
-        g = a
-    else:
-        if len(a) < len(b):
-            a, b = b, a
-        while b:
-            a, b = b, _sturm_next(a, b)
-        g = a
+    if len(a) < len(b):
+        a, b = b, a
+    g = remainder_sequence(a, b)[-1] if a else a
     if g and g[-1] < 0:
         g = neg(g)
     return g
@@ -240,22 +246,28 @@ def divexact(a: ZPoly, b: ZPoly) -> ZPoly:
     return trim(q)
 
 
-def yun(f: ZPoly) -> list[tuple[ZPoly, int]]:
+def yun(f: ZPoly, chain: Optional[list[ZPoly]] = None) -> list[tuple[ZPoly, int]]:
     """Yun's squarefree decomposition: [(g_i, i)] with f ~ prod g_i^i.
 
     Factors are primitive with positive leading coefficient; constant
-    factors are dropped, so the list is empty for constant f.
+    factors are dropped, so the list is empty for constant f.  The first
+    step's gcd(f, f') is the last element of f's Sturm chain; a caller
+    that has sturm_chain(f) passes it as chain.
     """
     f = primitive(list(f))
     if len(f) <= 1:
         return []
-    fp = deriv(f)
-    g = gcd(f, fp)
+    if chain is None:
+        chain = sturm_chain(f)
+    g = chain[-1]
     if len(g) == 1:
         h = list(f)
         if h[-1] < 0:
             h = neg(h)
         return [(primitive(h), 1)]
+    if g[-1] < 0:
+        g = neg(g)
+    fp = deriv(f)
     c = divexact(f, g)
     d = sub(divexact(fp, g), deriv(c))
     out: list[tuple[ZPoly, int]] = []
@@ -268,6 +280,48 @@ def yun(f: ZPoly) -> list[tuple[ZPoly, int]]:
         d = sub(divexact(d, a), deriv(c))
         i += 1
     return out
+
+
+def factor_chains(f: ZPoly) -> list[tuple[list[ZPoly], int]]:
+    """(sturm_chain(g), i) for every Yun factor (g, i) of f, so chain[0]
+    is g.  A squarefree f is its own only factor (sign made positive),
+    and the one chain serves both Yun's first step and the count.
+
+    Counts are taken per factor: at a multiple root of f every element
+    of f's own chain vanishes, so that chain miscounts around it.
+    """
+    f = primitive(list(f))
+    if len(f) <= 1:
+        return []
+    if f[-1] < 0:
+        f = neg(f)
+    chain = sturm_chain(f)
+    if len(chain[-1]) == 1:
+        return [(chain, 1)]
+    return [(sturm_chain(g), i) for g, i in yun(f, chain)]
+
+
+def _variations_at(seq: list[ZPoly], x: Optional[Fraction],
+                   direction: int) -> int:
+    """Sign variations of seq at the rational x, or at direction * infinity
+    when x is None."""
+    if x is None:
+        return _variations([sign_at_inf(g, direction) for g in seq])
+    return _chain_at(seq, x.numerator, x.denominator)[1]
+
+
+def variation_drop(seq: list[ZPoly], lo: Optional[Fraction] = None,
+                   hi: Optional[Fraction] = None) -> int:
+    """Sign variations of seq at lo minus those at hi, for rationals
+    lo < hi; None means -infinity for lo and +infinity for hi.
+
+    Over the Sturm chain of a squarefree g this counts g's roots in
+    (lo, hi], ends that are roots included: at a root of g the count is
+    the one just right of it.  Over remainder_sequence(a, b), from -inf
+    to +inf, it is the Cauchy index of b / a (Basu, Pollack and Roy,
+    Algorithms in Real Algebraic Geometry, ch. 2).
+    """
+    return _variations_at(seq, lo, -1) - _variations_at(seq, hi, +1)
 
 
 def cauchy_bound(f: ZPoly) -> Fraction:
@@ -422,7 +476,8 @@ class IsolatedRoot:
         return None
 
 
-def isolate(f: ZPoly) -> list[IsolatedRoot]:
+def isolate(f: ZPoly,
+            chain: Optional[list[ZPoly]] = None) -> list[IsolatedRoot]:
     """Isolating structures for every real root of squarefree f, sorted,
     each of multiplicity 1.  No rational root is probed for: every node
     is an open interval until a caller narrows it (try_rational).
@@ -435,17 +490,19 @@ def isolate(f: ZPoly) -> list[IsolatedRoot]:
     positive denominator of their interval, which doubles with each
     halving; each point's chain signs are evaluated once, and the
     variation count and sign of f at an interval's ends are carried to
-    its halves.  Each leaf keeps its integer ends.
+    its halves.  Each leaf keeps its integer ends.  A caller that has
+    sturm_chain(f) passes it as chain.
     """
-    f = primitive(list(f))
+    if chain is None:
+        chain = sturm_chain(f)
+    f = chain[0]
     if len(f) <= 1:
         return []
-    chain = sturm_chain(f)
     bound = cauchy_bound(f)
     # no root lies outside (-B, B) and the variation count changes only
     # at roots, so the values at -B and B are those at -inf and +inf
-    vlo = _variations(sign_at_inf(g, -1) for g in chain)
-    vhi = _variations(sign_at_inf(g, +1) for g in chain)
+    vlo = _variations_at(chain, None, -1)
+    vhi = _variations_at(chain, None, +1)
     out: list[IsolatedRoot] = []
     # (lo, hi, den, roots in (lo/den, hi/den], vlo, vhi, sign of f at lo/den);
     # the right half is pushed first so that leaves come out sorted

@@ -6,22 +6,32 @@ forces mesh 0, and polynomials of degree <= 1 get mesh +infinity.  All
 verdicts here are exact; interval refinement and the tolerance parameter
 only affect displayed approximations, never a yes/no answer.
 
-A root is an intpoly.IsolatedRoot node: an isolating interval on one of
-the polynomial's Yun factors, with the root's multiplicity.  root_data
-is the only way to get the nodes of a polynomial, and it answers every
-real-root question: real-rootedness (is_hyperbolic, root_profile),
-root counts (count_real_roots), the mesh, and in interlace the sign of
-a polynomial on the real line.  Roots are isolated
-without rational probing; the code that reads exact root values
-(mesh_numeric, and approximations for display) probes the nodes it gets
-(IsolatedRoot.try_rational).
+Two kinds of question, two paths:
 
-The isolation of each distinct polynomial is computed once: it is keyed
-by the primitive integer representative of the polynomial (so positive
-rational multiples and either basis share an entry) and kept as integers
-in a bounded LRU cache (ISOLATION_CACHE_SIZE entries).  Every call
-builds fresh nodes from those integers, so a caller that refines its
-nodes in place cannot reach another call's nodes.
+* Yes/no questions go by counts: sign variations of signed remainder
+  sequences (intpoly.remainder_sequence) at a few rational points, with
+  no bisection.  Real-rootedness (is_hyperbolic), the absence of
+  negative roots and root counts (count_real_roots) take Sturm counts
+  per Yun factor (intpoly.factor_chains); mesh >= alpha is a Cauchy
+  index (mesh_at_least).  The small facts of each distinct polynomial
+  (real-rooted, squarefree, no negative root, and the largest alpha
+  decided True and the smallest decided False for its mesh) are kept in
+  a bounded LRU cache of records (_records).
+* Values read the isolation: root_data gives intpoly.IsolatedRoot
+  nodes, an isolating interval on one of the polynomial's Yun factors
+  with the root's multiplicity, for root_profile's nodes, mesh_numeric,
+  approximations, and in interlace negativity_point and proper
+  position's merge of two root lists.  Roots are isolated without
+  rational probing; the code that reads exact root values (mesh_numeric,
+  and approximations for display) probes the nodes it gets
+  (IsolatedRoot.try_rational).
+
+Both caches are keyed by the primitive integer representative of the
+polynomial (so positive rational multiples and either basis share an
+entry) and hold ISOLATION_CACHE_SIZE entries each.  The isolation is
+kept as integers, and every call builds fresh nodes from them, so a
+caller that refines its nodes in place cannot reach another call's
+nodes.
 """
 
 from __future__ import annotations
@@ -39,8 +49,8 @@ INF = math.inf
 
 DEFAULT_TOL = Fraction(1, 10**9)
 
-# distinct polynomials whose isolation is kept; membership
-# decisions reuse one polynomial's isolation across classes and images
+# distinct polynomials whose isolation is kept, and whose decided facts
+# are kept (membership decides one image against several classes)
 ISOLATION_CACHE_SIZE = 2048
 
 
@@ -76,6 +86,14 @@ def _separate(x: intpoly.IsolatedRoot, y: intpoly.IsolatedRoot) -> None:
             y.refine()
 
 
+def _key(p: Polynomial) -> tuple:
+    """The primitive integer representative of nonzero p, the key of both
+    caches: p's own numerators when they are primitive already, so that
+    the caches and p share one tuple."""
+    f = p.nums
+    return f if intpoly.content(f) == 1 else tuple(intpoly.primitive(f))
+
+
 @functools.lru_cache(maxsize=ISOLATION_CACHE_SIZE)
 def _isolation(f: tuple) -> tuple:
     """Sorted pairwise-disjoint nodes for the distinct real roots of the
@@ -85,8 +103,8 @@ def _isolation(f: tuple) -> tuple:
     share one factor tuple, which is f itself when f is its own only Yun
     factor."""
     groups = []
-    for factor, mult in intpoly.yun(f):
-        group = intpoly.isolate(factor)
+    for chain, mult in intpoly.factor_chains(f):
+        group = intpoly.isolate(chain[0], chain)
         for n in group:
             n.multiplicity = mult
         groups.append(group)
@@ -120,9 +138,59 @@ def root_data(p: Polynomial) -> list[intpoly.IsolatedRoot]:
     """
     if p.is_zero:
         raise ValueError("zero polynomial has no root data")
-    fields = iter(_isolation(tuple(intpoly.primitive(p.nums))))
+    fields = iter(_isolation(_key(p)))
     return [intpoly.IsolatedRoot.from_ints(*node)
             for node in zip(*[fields] * 6)]
+
+
+class _Record:
+    """The decided facts of one primitive integer polynomial f, kept in
+    place of its chains and nodes.  yes is the largest alpha for which
+    mesh(f) >= alpha was decided True (0 before any), no the smallest
+    decided False (None before any): the answer is monotone in alpha, so
+    every alpha <= yes holds and every alpha >= no fails."""
+
+    __slots__ = ("f", "real_rooted", "squarefree", "no_negative_root",
+                 "yes", "no")
+
+
+@functools.lru_cache(maxsize=ISOLATION_CACHE_SIZE)
+def _records(f: tuple) -> _Record:
+    """Sturm counts per Yun factor g: real-rooted when each g has deg g
+    roots, no negative root when each has none in (-inf, 0] beyond a
+    root at 0.  A constant f is real-rooted and squarefree."""
+    chains = intpoly.factor_chains(f)
+    rec = _Record()
+    rec.f, rec.yes, rec.no = f, 0, None
+    rec.squarefree = all(m == 1 for _, m in chains)
+    rec.real_rooted = all(intpoly.variation_drop(chain) == len(chain[0]) - 1
+                          for chain, _ in chains)
+    rec.no_negative_root = rec.real_rooted and all(
+        intpoly.variation_drop(chain, None, Fraction(0)) == (chain[0][0] == 0)
+        for chain, _ in chains)
+    return rec
+
+
+def _record(p: Polynomial) -> _Record:
+    return _records(_key(p))
+
+
+def _mesh_ok(rec: _Record, alpha: Fraction) -> bool:
+    """mesh >= alpha for the real-rooted polynomial of rec (see
+    mesh_at_least); a new verdict moves rec.yes or rec.no."""
+    f = rec.f
+    if alpha <= rec.yes or len(f) <= 2:
+        return True
+    if not rec.squarefree or (rec.no is not None and alpha >= rec.no):
+        return False
+    q = intpoly.translate(f, alpha)
+    d = intpoly.sub([f[-1] * c for c in q], [q[-1] * c for c in f])
+    seq = intpoly.remainder_sequence(f, d)
+    if abs(intpoly.variation_drop(seq)) == len(f) - len(seq[-1]):
+        rec.yes = alpha
+        return True
+    rec.no = alpha
+    return False
 
 
 def _precedes(x: intpoly.IsolatedRoot, y: intpoly.IsolatedRoot) -> bool:
@@ -186,25 +254,6 @@ def _common_root(x: intpoly.IsolatedRoot, y: intpoly.IsolatedRoot,
     return False
 
 
-def _translate_nodes(nodes: Sequence[intpoly.IsolatedRoot],
-                     alpha: Fraction) -> list[intpoly.IsolatedRoot]:
-    """Nodes for the roots r + alpha, that is for p(x - alpha), built from
-    p's nodes: each factor is shifted once, and for alpha = p/q the ends
-    a/den, b/den move to (a q + p den)/(den q), (b q + p den)/(den q)."""
-    p, q = alpha.numerator, alpha.denominator
-    out = []
-    shifted_factors: dict = {}
-    for n in nodes:
-        fid = id(n.poly)
-        if fid not in shifted_factors:
-            shifted_factors[fid] = intpoly.translate(n.poly, alpha)
-        move = p * n.den
-        out.append(intpoly.IsolatedRoot.from_ints(
-            shifted_factors[fid], n.a * q + move, n.b * q + move,
-            n.den * q, n.slo, n.multiplicity))
-    return out
-
-
 @dataclass
 class RootProfile:
     """Certified summary of the real-root structure of a polynomial."""
@@ -251,9 +300,9 @@ def count_real_roots(p: Polynomial, lo=None, hi=None) -> int:
     """Distinct real roots of p in the half-open interval (lo, hi].
 
     None endpoints mean -infinity / +infinity.  A repeated root counts
-    once.  Each node of root_data is placed against the endpoints
-    (IsolatedRoot.side), so an endpoint that is a root, repeated or not,
-    is decided exactly.
+    once.  The Sturm counts of p's Yun factors at lo and hi are added
+    (intpoly.variation_drop), so an endpoint that is a root, repeated
+    or not, is decided exactly.
     """
     if p.is_zero:
         raise ValueError("zero polynomial root count is undefined")
@@ -261,17 +310,16 @@ def count_real_roots(p: Polynomial, lo=None, hi=None) -> int:
     hi = as_fraction(hi) if hi is not None else None
     if lo is not None and hi is not None and lo >= hi:
         return 0
-    return sum(1 for n in root_data(p)
-               if (lo is None or n.side(lo.numerator, lo.denominator) > 0)
-               and (hi is None or n.side(hi.numerator, hi.denominator) <= 0))
+    return sum(intpoly.variation_drop(chain, lo, hi)
+               for chain, _ in intpoly.factor_chains(p.nums))
 
 
 def is_hyperbolic(p: Polynomial) -> bool:
-    """True when nonzero p has only real roots (constants count): its
-    real roots, counted with multiplicity, make up its degree."""
+    """True when nonzero p has only real roots (constants count): each of
+    its Yun factors has as many real roots as its degree."""
     if p.is_zero:
         raise ValueError("zero polynomial hyperbolicity is undefined")
-    return p.degree <= 0 or root_profile(p).is_hyperbolic
+    return _record(p).real_rooted
 
 
 def mesh_numeric(p: Polynomial, tol: Fraction = DEFAULT_TOL) -> MeshReport:
@@ -322,10 +370,41 @@ def mesh_numeric(p: Polynomial, tol: Fraction = DEFAULT_TOL) -> MeshReport:
 def mesh_at_least(p: Polynomial, alpha) -> bool:
     """Exact decision of mesh(p) >= alpha for hyperbolic p (boundary included).
 
-    Decided gap by gap (_gaps_at_least): each root is placed against the
-    translate by alpha of the root before it, equality certified by a gcd
-    root count, never by numeric closeness.  Degree <= 1 passes every
-    bound; a non-hyperbolic p raises.
+    Degree <= 1 passes every bound and alpha = 0 is always passed; a
+    repeated root fails every alpha > 0; a non-hyperbolic p raises.
+    Otherwise the primitive integer form f of p is squarefree and
+    real-rooted of degree n >= 2, with roots r_1 < ... < r_n, and the
+    answer is one Cauchy index, with no root isolated.  Let q = f(x -
+    alpha) up to a positive factor (intpoly.translate: roots r_i +
+    alpha) and d = lc(f) q - lc(q) f, of degree < n.  Then
+
+        mesh(f) >= alpha  exactly when  |Ind(d/f)| = n - deg gcd(f, q),
+
+    where Ind(d/f) is the variation drop of remainder_sequence(f, d)
+    from -inf to +inf, whose last element is gcd(f, d) = gcd(f, q).  A
+    gap exactly alpha is a common root of f and q, which the gcd cancels.
+
+    Proof.  d/f = lc(f) q/f - lc(q), so |Ind(d/f)| = |Ind(q/f)|.  r_i is
+    a pole of q/f unless r_i - alpha is a root of f: there are n - k
+    poles, k = deg gcd(f, q), each simple, so each jumps by +-1 and the
+    equation holds exactly when all jumps have one sign.  The jump at a
+    pole r_i has the sign of q(r_i) / f'(r_i).  lc(q) and lc(f) have one
+    sign s; sign f'(r_i) = s (-1)^(n-i), and sign q(r_i) = s (-1)^(n-m_i)
+    with m_i the number of roots r_j < r_i - alpha.  So the jump has the
+    sign -(-1)^e_i, e_i = i - 1 - m_i >= 0.
+    If mesh(f) >= alpha, then at a pole r_{i-1} < r_i - alpha, so m_i =
+    i - 1 and every jump is -1.
+    Conversely, let all jumps have one sign.  r_1 is a pole with e_1 = 0,
+    so e_i is even at every pole.  Let c_i be the number of roots <= r_i
+    - alpha: c_i <= i - 1, c_i >= c_{i-1}, and c_i = m_i at a pole.  By
+    induction on i, c_i = i - 1, that is r_{i-1} <= r_i - alpha: c_1 = 0.
+    Given c_{i-1} = i - 2, at a pole c_i = i - 1 - e_i is in [i - 2,
+    i - 1] with the parity of i - 1, so c_i = i - 1.  Otherwise r_i -
+    alpha = r_j and c_i = j >= i - 2; j = i - 2 would give r_i - alpha =
+    r_{i-2} <= r_{i-1} - alpha, so j = i - 1.
+
+    Verdicts are kept per polynomial (_records), so a bound already
+    implied by an earlier verdict costs no sequence.
     """
     alpha = as_fraction(alpha)
     if alpha < 0:
@@ -334,30 +413,10 @@ def mesh_at_least(p: Polynomial, alpha) -> bool:
         raise ValueError("zero polynomial has no mesh")
     if p.degree <= 1:
         return True
-    prof = root_profile(p)
-    if not prof.is_hyperbolic:
+    rec = _record(p)
+    if not rec.real_rooted:
         raise NonHyperbolicInput("mesh is defined for real-rooted polynomials only")
-    return _gaps_at_least(prof, alpha)
-
-
-def _gaps_at_least(prof: RootProfile, alpha: Fraction) -> bool:
-    """Whether every adjacent root gap of a hyperbolic profile is >= alpha.
-
-    Every gap is >= 0, and a repeated root is a gap of 0.  Otherwise
-    r_{i+1} - r_i >= alpha exactly when r_{i+1} equals r_i + alpha (gcd
-    certificate) or lies right of it (endpoints, once the two nodes are
-    separated).
-    """
-    if alpha <= 0:
-        return True
-    if prof.has_multiple_root:
-        return False
-    nodes = prof.nodes
-    gcd_cache: dict = {}
-    for shifted, nxt in zip(_translate_nodes(nodes[:-1], alpha), nodes[1:]):
-        if not _common_root(nxt, shifted, gcd_cache) and _precedes(nxt, shifted):
-            return False
-    return True
+    return _mesh_ok(rec, alpha)
 
 
 def approximations(nodes: Sequence[intpoly.IsolatedRoot],

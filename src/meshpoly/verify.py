@@ -23,8 +23,8 @@ from fractions import Fraction
 from typing import Optional
 
 from . import roots
-from .fixtures import derive_rng, gen_fixture, gen_rooted, rand_fraction
-from .interlace import ClassSpec, class_membership, proper_position, quadratic_hp1plus
+from .fixtures import derive_rng, gen_fixture
+from .interlace import ClassSpec, class_membership, quadratic_hp1plus
 from .operators import (
     DiagonalSequence,
     FiniteDifferenceOperator,
@@ -33,7 +33,7 @@ from .operators import (
     pochhammer_cofactor,
 )
 from .poly import POCHHAMMER, Polynomial, as_fraction
-from .roots import DEFAULT_TOL, count_real_roots, is_hyperbolic, mesh_at_least, mesh_numeric, root_profile
+from .roots import DEFAULT_TOL, count_real_roots, is_hyperbolic, mesh_at_least, mesh_numeric
 
 __all__ = [
     "Verdict",
@@ -186,8 +186,7 @@ def symbol_preserver_verdict(Q: Polynomial, i_max: int = 64, trials: int = 0,
     claim = "symbol-preserves-mesh-one-class"
     if Q.is_zero:
         raise ValueError("zero symbol defines the zero operator")
-    prof = root_profile(Q)
-    if Q.degree == 0 or (prof.is_hyperbolic and prof.all_roots_nonnegative):
+    if class_membership(Q, ClassSpec(require_nonneg_roots=True)):
         details = {"symbol_roots": "real-nonnegative", "scope": "characterized"}
         if trials > 0:
             rng = derive_rng(seed, "symbol-preserver", trials)

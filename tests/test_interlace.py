@@ -6,6 +6,7 @@ import pytest
 
 from meshpoly import (
     ClassSpec,
+    is_hyperbolic,
     Polynomial,
     class_membership,
     negativity_point,
@@ -14,6 +15,7 @@ from meshpoly import (
     quadratic_hp1plus,
     wronskian,
 )
+from meshpoly.fixtures import derive_rng
 
 
 def test_class_spec_labels():
@@ -82,3 +84,71 @@ def test_quadratic_shortcut_boundary():
     assert quadratic_hp1plus(1, 0, 0)
     assert not quadratic_hp1plus(1, 1, 3)  # AC - B^2 - AB = 1 > 0
     assert quadratic_hp1plus(1, 1, 2)  # = 0: roots split by at least 1
+
+
+def _pair_corpus(n=1500):
+    """Real-rooted (p, q) pairs of degree 0-6: p with its derivative
+    (degree gap 1), with a translate, with a multiple of itself (W = 0),
+    with a polynomial sharing a double root, with roots placed between
+    p's roots, and at random; each pair in either order, with its kind
+    (t % 6; 3 is the shared double root)."""
+    pairs = []
+    for t in range(n):
+        rng = derive_rng(7, "proper-position-pairs", t)
+
+        def point():
+            return F(rng.randint(-6, 6), rng.choice((1, 2, 3)))
+
+        def rooted(rts):
+            return Polynomial.from_roots(sorted(rts),
+                                         lead=rng.choice((-2, -1, 1, 3)))
+
+        def between(rts):
+            s = sorted(set(rts))
+            return [a + (b - a) * F(rng.randint(0, 4), 4)
+                    for a, b in zip(s, s[1:])]
+
+        rts = [point() for _ in range(rng.randint(0, 5))]
+        p = rooted(rts)
+        kind = t % 6
+        if kind == 0:
+            p = rooted(rts + [point()])
+            q = p.derivative()
+        elif kind == 1:
+            q = p.shift(rng.choice((F(1, 2), F(1), F(2))))
+        elif kind == 2:
+            q = p * F(rng.choice((-3, 2, 5)), rng.choice((1, 7)))
+        elif kind == 3:
+            r = point()
+            p = rooted(rts + [r, r])
+            others = (between(rts) if rng.random() < 0.7 else
+                      [point() for _ in range(rng.randint(0, 4))])
+            q = rooted(others + [r, r])
+        elif kind == 4:
+            q = rooted(between(rts) + [point() for _ in range(rng.randint(0, 1))])
+        else:
+            q = rooted([point() for _ in range(len(rts) + rng.randint(-1, 1))])
+        pairs.append(((q, p) if rng.random() < 0.5 else (p, q)) + (kind,))
+    return pairs
+
+
+def test_interlacing_wronskian_sign_by_leading_coefficient():
+    """Once the roots interlace, proper_position reads the Wronskian's
+    sign from its leading coefficient (Hermite-Kakeya-Obreschkoff); it
+    must equal the Sturm-count decision nonneg_on_reals(W)."""
+    seen = {"w >= 0": 0, "w not >= 0": 0, "w = 0": 0, "shared double": 0,
+            "degree gap 1": 0, "not interlacing": 0}
+    for p, q, kind in _pair_corpus():
+        assert is_hyperbolic(p) and is_hyperbolic(q)
+        v = proper_position(p, q)
+        w = wronskian(p, q)
+        if not v.interlaces:
+            seen["not interlacing"] += 1
+            continue
+        nonneg = nonneg_on_reals(w)
+        assert v.wronskian_nonneg == nonneg, (p, q)
+        seen["w >= 0" if nonneg else "w not >= 0"] += 1
+        seen["w = 0"] += w.is_zero
+        seen["degree gap 1"] += abs(p.degree - q.degree) == 1
+        seen["shared double"] += kind == 3
+    assert min(seen.values()) >= 50, seen

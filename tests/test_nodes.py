@@ -220,6 +220,45 @@ def ref_translate(nodes, alpha):
     return out
 
 
+def translate_nodes(nodes, alpha):
+    """Integer nodes for the roots r + alpha, that is for p(x - alpha),
+    built from p's nodes: each factor is shifted once, and for alpha =
+    p/q the ends a/den, b/den move to (a q + p den)/(den q),
+    (b q + p den)/(den q).  The gap test's helper, once in roots."""
+    p, q = alpha.numerator, alpha.denominator
+    out = []
+    shifted_factors = {}
+    for n in nodes:
+        fid = id(n.poly)
+        if fid not in shifted_factors:
+            shifted_factors[fid] = ip.translate(n.poly, alpha)
+        move = p * n.den
+        out.append(ip.IsolatedRoot.from_ints(
+            shifted_factors[fid], n.a * q + move, n.b * q + move,
+            n.den * q, n.slo, n.multiplicity))
+    return out
+
+
+def ref_mesh_at_least(p, alpha):
+    """The adjacent-gap decision of mesh(p) >= alpha, the procedure that
+    roots.mesh_at_least once ran, for real-rooted nonzero p: each root is
+    placed against the translate by alpha of the root before it, on the
+    cached isolation, equality certified by a gcd root count
+    (roots._common_root), order by separated endpoints (roots._precedes)."""
+    alpha = F(alpha)
+    if alpha <= 0 or p.degree <= 1:
+        return True
+    nodes = roots.root_data(p)
+    if any(n.multiplicity > 1 for n in nodes):
+        return False
+    gcd_cache = {}
+    for shifted, nxt in zip(translate_nodes(nodes[:-1], alpha), nodes[1:]):
+        if (not roots._common_root(nxt, shifted, gcd_cache)
+                and roots._precedes(nxt, shifted)):
+            return False
+    return True
+
+
 def ref_root_data(f, probe, probe_first=False):
     """root_data with Fraction nodes: isolation, separation across Yun
     factors and the sort, then, with probe, the reference probing of
@@ -308,8 +347,9 @@ def _state(nodes):
 
 @pytest.mark.parametrize("probe", [False, True])
 def test_root_data_and_gap_pass_match_reference(probe):
-    """root_data, then the adjacent-gap pass of _gaps_at_least (run over
-    every pair, without stopping at the first failure), for each alpha."""
+    """root_data, then the adjacent-gap pass of ref_mesh_at_least (run
+    over every pair, without stopping at the first failure), for each
+    alpha."""
     seen = {"exact_next": 0, "exact_moved": 0, "equal": 0,
             "shared_factor": 0, "big": 0}
     for f in _node_corpus():
@@ -318,7 +358,7 @@ def test_root_data_and_gap_pass_match_reference(probe):
         assert _state(new) == _state(ref), f
         seen["big"] += max(map(abs, f)) > 10**35
         for alpha in ALPHAS:
-            new_moved = roots._translate_nodes(new[:-1], alpha)
+            new_moved = translate_nodes(new[:-1], alpha)
             ref_moved = ref_translate(ref[:-1], alpha)
             assert _state(new_moved) == _state(ref_moved)
             new_cache: dict = {}
@@ -415,7 +455,7 @@ def test_separate_matches_reference_on_translates():
     for t in range(0, len(corpus) - 1, 2):
         for alpha in ALPHAS:
             left = probed(roots.root_data(Polynomial(corpus[t])), t % 4 == 0)
-            right = roots._translate_nodes(probed(
+            right = translate_nodes(probed(
                 roots.root_data(Polynomial(corpus[t + 1])), t % 3 == 0), alpha)
             ref_left = ref_root_data(ip.primitive(corpus[t]), t % 4 == 0)
             ref_right = ref_translate(

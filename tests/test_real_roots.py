@@ -1,19 +1,36 @@
-"""Real-root questions against Sturm counts of the squarefree part.
+"""Real-root questions against three independent references.
 
-roots.root_data, the cached isolation, answers every real-root question:
-is_hyperbolic, count_real_roots, nonneg_on_reals and negativity_point.
-The reference below is the earlier, independent procedure: a Sturm
-chain of the squarefree part counts distinct roots, and w >= 0 is
-decided by counting the real roots of the odd-multiplicity part.  Other
-test modules import these references as their Sturm-count oracle.
+The yes/no questions (is_hyperbolic, count_real_roots, nonneg_on_reals,
+mesh_at_least and class_membership) go by Sturm counts per Yun factor
+and by one Cauchy index for the mesh; negativity_point reads the cached
+isolation (roots.root_data).  The references:
+
+* the Sturm-count procedure below: a Sturm chain of the squarefree part
+  counts distinct roots, and w >= 0 is decided by counting the real
+  roots of the odd-multiplicity part.  Other test modules import these
+  references as their Sturm-count oracle;
+* the multiplicities of the root_data nodes;
+* the adjacent-gap test on root_data nodes, test_nodes.ref_mesh_at_least,
+  for the mesh.
+
+The 6,000-polynomial corpus and the mesh corpus are built once per
+module (module-scoped fixtures) and shared by the tests here.
 """
 
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
+
+import pytest
 
 from meshpoly import intpoly as ip
 from meshpoly import roots
 from meshpoly.fixtures import derive_rng
-from meshpoly.interlace import negativity_point, nonneg_on_reals
+from meshpoly.interlace import (ClassSpec, class_membership, negativity_point,
+                                nonneg_on_reals)
 from meshpoly.poly import Polynomial
 
 
@@ -175,28 +192,47 @@ def _intervals(rng, rts):
     return [(None, None), (None, a), (a, None), (a, b), (c, d)]
 
 
-def test_root_questions_match_sturm_reference():
+@pytest.fixture(scope="module")
+def corpus():
+    """(p, its rational roots, ref_root_counter(p), ref_is_hyperbolic(p))."""
+    return [(p, rts, ref_root_counter(p), ref_is_hyperbolic(p))
+            for p, rts in _corpus()]
+
+
+def _node_count(p, lo, hi):
+    """Distinct real roots in (lo, hi], by placing the root_data nodes."""
+    return sum(1 for n in roots.root_data(p)
+               if (lo is None or n.side(lo.numerator, lo.denominator) > 0)
+               and (hi is None or n.side(hi.numerator, hi.denominator) <= 0))
+
+
+def test_root_questions_match_sturm_reference(corpus):
+    """Against the Sturm-count reference, and against the multiplicities
+    and places of the root_data nodes."""
     seen = {"hyperbolic": 0, "not hyperbolic": 0, "nonneg with roots": 0,
             "odd root": 0, "repeated root": 0, "end is root": 0,
             "not squarefree, negative": 0}
-    corpus = _corpus()
     assert len(corpus) >= 6000
-    assert any(max(map(abs, ip.primitive(p.nums))) > 10**30 for p, _ in corpus)
-    assert any(p.leading_coefficient < 0 for p, _ in corpus)
-    for t, (p, rts) in enumerate(corpus):
-        count = ref_root_counter(p)
-        hyp = ref_is_hyperbolic(p)
-        assert roots.is_hyperbolic(p) == hyp, p
+    assert any(max(map(abs, ip.primitive(p.nums))) > 10**30 for p, *_ in corpus)
+    assert any(p.leading_coefficient < 0 for p, *_ in corpus)
+    for t, (p, rts, count, hyp) in enumerate(corpus):
+        mults = [n.multiplicity for n in roots.root_data(p)] if p.degree else []
+        assert roots.is_hyperbolic(p) == hyp == (sum(mults) == p.degree), p
         seen["hyperbolic" if hyp else "not hyperbolic"] += 1
         rng = derive_rng(7, "real-roots-intervals", t)
         for lo, hi in _intervals(rng, rts):
-            assert roots.count_real_roots(p, lo, hi) == count(lo, hi), (p, lo, hi)
+            got = roots.count_real_roots(p, lo, hi)
+            assert got == count(lo, hi), (p, lo, hi)
+            if p.degree and (lo is None or hi is None or lo < hi):
+                assert got == _node_count(p, lo, hi), (p, lo, hi)
             seen["end is root"] += lo in rts or hi in rts
         f = ip.primitive(p.nums)
         squarefree = ref_squarefree_part(f) == f
         seen["repeated root"] += not squarefree and count() > 0
         nonneg = ref_nonneg_on_reals(p)
-        assert nonneg_on_reals(p) == nonneg, p
+        assert nonneg_on_reals(p) == nonneg == (
+            p.leading_coefficient > 0 and int(p.degree) % 2 == 0
+            and all(m % 2 == 0 for m in mults)), p
         if p.leading_coefficient > 0 and int(p.degree) % 2 == 0 and rts:
             seen["nonneg with roots" if nonneg else "odd root"] += 1
         x = negativity_point(p)
@@ -206,3 +242,157 @@ def test_root_questions_match_sturm_reference():
         elif not nonneg:
             seen["not squarefree, negative"] += 1
     assert min(seen.values()) >= 300, seen
+
+
+# -- mesh decisions against the adjacent-gap test --------------------------
+
+MESH_ALPHAS = (F(1, 2), F(1), F(3, 2), F(2), F(3))
+SQRT2 = [-2, 0, 1]
+
+
+def _mesh_corpus(n=1200):
+    """Polynomials whose gaps sit on and near each alpha: degrees 2-10,
+    gaps exactly alpha (also between the irrational roots of x^2 - 2 and
+    of its translate), gap 0 (repeated roots), factors x^2 - 2 and
+    x^2 + 1, negative leads, and degree <= 1."""
+    out = [Polynomial([5]), Polynomial([F(-7, 2)]), Polynomial([3, -2]),
+           Polynomial([0, F(1, 3)]),
+           Polynomial(ip.mul(SQRT2, ip.translate(SQRT2, F(3)))),
+           Polynomial(ip.mul([1, 0, 1], [1, 0, 1]))]
+    for t in range(n):
+        rng = derive_rng(7, "mesh-corpus", t)
+        alpha = MESH_ALPHAS[t % 5]
+        deg = 2 + t % 9
+        f = [rng.choice((-3, -1, 1, 2))]
+        if t % 6 == 0 and deg >= 4:
+            s = F(rng.randint(-4, 4), 2)
+            f = ip.mul(f, ip.mul(ip.translate(SQRT2, s),
+                                 ip.translate(SQRT2, s + alpha)))
+            deg -= 4
+        elif t % 6 == 3:
+            f = ip.mul(f, ip.translate(SQRT2, F(rng.randint(-4, 4), 2)))
+            deg -= 2
+        if t % 10 == 9 and deg >= 2:
+            f = ip.mul(f, [1, 0, 1])
+            deg -= 2
+        r = F(rng.randint(-8, 8), rng.choice((1, 2, 3)))
+        for _ in range(deg):
+            f = ip.mul(f, _linear_power(r, 1))
+            r += rng.choice((alpha, alpha, alpha / 2, alpha * F(3, 2),
+                             F(rng.randint(0, 9), rng.choice((1, 2, 4)))))
+        out.append(Polynomial(f))
+    return out
+
+
+@pytest.fixture(scope="module")
+def mesh_corpus():
+    return _mesh_corpus()
+
+
+def _specs():
+    out = [ClassSpec.hyperbolic(), ClassSpec(require_nonneg_roots=True)]
+    for alpha in MESH_ALPHAS:
+        out += [ClassSpec.hp_ge(alpha), ClassSpec.hp_plus_ge(alpha)]
+    return out
+
+
+def decisions(polys):
+    """Every new decision on each polynomial, as JSON-ready lists."""
+    out = []
+    for p in polys:
+        row = [roots.is_hyperbolic(p), nonneg_on_reals(p),
+               roots.count_real_roots(p, None, 0)]
+        row += [class_membership(p, spec) for spec in _specs()]
+        for alpha in MESH_ALPHAS:
+            try:
+                row.append(roots.mesh_at_least(p, alpha))
+            except roots.NonHyperbolicInput:
+                row.append(None)
+        out.append(row)
+    return out
+
+
+def test_mesh_decisions_match_gap_reference(corpus, mesh_corpus):
+    """mesh_at_least and class_membership in HP, HP+, HP>=alpha and
+    HP+>=alpha against the adjacent-gap test and the Sturm references."""
+    from test_nodes import ref_mesh_at_least
+    seen = {"member": 0, "not member": 0, "gap equal": 0, "repeated": 0,
+            "not hyperbolic": 0, "negative lead": 0, "no negative root": 0}
+    refs = [(p, ref_root_counter(p), ref_is_hyperbolic(p)) for p in mesh_corpus]
+    for p, count, hyp in refs + [(p, count, hyp) for p, _, count, hyp in corpus]:
+        plus = hyp and count(None, F(0)) == (p.evaluate(0) == 0)
+        assert class_membership(p, ClassSpec.hyperbolic()) == hyp, p
+        assert class_membership(p, ClassSpec(require_nonneg_roots=True)) == plus
+        seen["not hyperbolic"] += not hyp
+        seen["no negative root"] += plus
+        seen["negative lead"] += hyp and p.leading_coefficient < 0
+        f = ip.primitive(p.nums)
+        seen["repeated"] += hyp and ref_squarefree_part(f) != f
+        for alpha in MESH_ALPHAS:
+            if not hyp:
+                assert not class_membership(p, ClassSpec.hp_ge(alpha))
+                if p.degree >= 2:
+                    with pytest.raises(roots.NonHyperbolicInput):
+                        roots.mesh_at_least(p, alpha)
+                continue
+            want = ref_mesh_at_least(p, alpha)
+            assert roots.mesh_at_least(p, alpha) == want, (p, alpha)
+            assert class_membership(p, ClassSpec.hp_ge(alpha)) == want
+            assert class_membership(p, ClassSpec.hp_plus_ge(alpha)) == \
+                (want and plus), (p, alpha)
+            seen["member" if want else "not member"] += 1
+            seen["gap equal"] += want and len(
+                ip.gcd(f, ip.translate(f, alpha))) > 1
+    assert min(seen.values()) >= 100, seen
+
+
+def test_mesh_traps():
+    x2 = Polynomial.from_roots([0, 0])
+    hp_plus = ClassSpec(require_nonneg_roots=True)
+    # at a double root every element of the whole chain vanishes: counted
+    # on that chain, x^2 (x - 1) would show a negative root
+    assert class_membership(x2 * Polynomial.from_roots([1]), hp_plus)
+    assert not class_membership(x2 * Polynomial.from_roots([-1]), hp_plus)
+    p = Polynomial.from_roots([0, 1, F(5, 2)])
+    just_above = 1 + F(1, 10**9)
+    for order in ((F(1), just_above), (just_above, F(1))):
+        roots._records.cache_clear()
+        got = [roots.mesh_at_least(p, alpha) for alpha in order]
+        assert got == [alpha == 1 for alpha in order]
+    assert not class_membership(p, ClassSpec.hp_ge(just_above))
+    assert class_membership(p, ClassSpec.hp_plus_ge(1))
+
+
+def test_record_answers_implied_bounds(monkeypatch):
+    """mesh >= alpha is monotone in alpha: once 1 holds and 3/2 fails,
+    every bound at most 1 or at least 3/2 is answered without a
+    remainder sequence."""
+    p = Polynomial.from_roots([0, 1, F(5, 2)], lead=-3)
+    roots._records.cache_clear()
+    assert roots.mesh_at_least(p, 1) and not roots.mesh_at_least(p, F(3, 2))
+
+    def no_sequence(a, b):
+        raise AssertionError("bound not implied by the record")
+
+    monkeypatch.setattr(ip, "remainder_sequence", no_sequence)
+    for alpha, want in ((0, True), (F(1, 2), True), (1, True),
+                        (F(3, 2), False), (2, False)):
+        assert roots.mesh_at_least(p, alpha) == want
+        assert class_membership(p, ClassSpec.hp_ge(alpha)) == want
+    info = roots._records.cache_info()
+    assert info.maxsize == roots.ISOLATION_CACHE_SIZE and info.currsize == 1
+
+
+def test_decisions_do_not_rest_on_assert(mesh_corpus):
+    """The same verdicts with assert statements compiled out."""
+    tests = Path(__file__).resolve().parent
+    src = tests.parent / "src"
+    code = ("import json\n"
+            "assert False, 'assert statements are live'\n"
+            "from test_real_roots import _mesh_corpus, decisions\n"
+            "print(json.dumps(decisions(_mesh_corpus())))\n")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([str(src), str(tests)]))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert json.loads(out) == decisions(mesh_corpus)

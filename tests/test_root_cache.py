@@ -11,7 +11,7 @@ from fractions import Fraction as F
 from meshpoly import intpoly as ip
 from meshpoly import roots
 from meshpoly.poly import POCHHAMMER, Polynomial
-from test_nodes import ALPHAS, _node_corpus, _state
+from test_nodes import ALPHAS, _node_corpus, _state, translate_nodes
 
 
 def _flags(prof):
@@ -58,7 +58,7 @@ def test_narrowing_one_calls_nodes_leaves_the_next_call_cold():
         for n in nodes:
             n.side(0, 1)
         for alpha in ALPHAS:
-            moved = roots._translate_nodes(nodes[:-1], alpha)
+            moved = translate_nodes(nodes[:-1], alpha)
             gcd_cache: dict = {}
             for shifted, nxt in zip(moved, nodes[1:]):
                 if not roots._common_root(nxt, shifted, gcd_cache):

@@ -16,7 +16,7 @@ import hashlib
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .interlace import ClassSpec
 from .poly import Polynomial, as_fraction
@@ -68,10 +68,6 @@ class RootedFixture:
         if len(self.roots) <= 1:
             return INF
         return min(b - a for a, b in zip(self.roots, self.roots[1:]))
-
-    @property
-    def min_root(self) -> Optional[Fraction]:
-        return self.roots[0] if self.roots else None
 
     def proves(self, spec: ClassSpec) -> bool:
         """Integer proof from the attached roots and lead that poly is in spec.

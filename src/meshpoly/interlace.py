@@ -13,7 +13,7 @@ roots interlace, the Wronskian has one sign on the real line
 (Hermite-Kakeya-Obreschkoff), so its leading coefficient decides it.
 Otherwise nonneg_on_reals decides it by Sturm counts: no Yun factor of
 odd multiplicity has a real root.  negativity_point, for a witness only,
-probes between adjacent roots of the cached isolation (roots.root_data).
+probes between adjacent roots of an isolation (roots.root_data).
 
 proper_position is the paper's characterization of the mesh classes: a
 hyperbolic p has mesh >= alpha exactly when p << p(x - alpha).  It is

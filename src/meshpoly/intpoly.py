@@ -331,22 +331,37 @@ def cauchy_bound(f: ZPoly) -> Fraction:
     return Fraction(m, lc) + 1
 
 
-def simplest_in(lo: Fraction, hi: Fraction) -> Fraction:
-    """Smallest-denominator rational in the closed interval [lo, hi]."""
-    if lo > hi:
-        lo, hi = hi, lo
-    if lo <= 0 <= hi:
-        return Fraction(0)
-    if hi < 0:
-        return -simplest_in(-hi, -lo)
-    fl = lo.numerator // lo.denominator
-    if fl + 1 <= hi:
-        # an integer lies inside
-        return Fraction(fl if fl >= lo else fl + 1)
-    if lo == fl:
-        return lo
-    frac = simplest_in(1 / (hi - fl), 1 / (lo - fl))
-    return fl + 1 / frac
+def simplest_in(a: int, b: int, den: int) -> tuple[int, int]:
+    """The smallest-denominator rational in the closed interval
+    [a/den, b/den], for a <= b and den > 0, as a reduced (num, den).
+
+    Continued fractions in integers: for 0 < lo and fl = floor(lo), the
+    answer is lo if lo is an integer, else fl + 1 if that is <= hi, else
+    fl + 1/t with t the simplest rational in [1/(hi - fl), 1/(lo - fl)].
+    The ends stay unreduced pairs, and the answer is carried as the
+    convergent (h1 t + h0) / (k1 t + k0) of the partial quotients so
+    far; h1 k0 - h0 k1 = +-1 makes it reduced.
+    """
+    if a <= 0 <= b:
+        return 0, 1
+    if b < 0:
+        num, d = simplest_in(-b, -a, den)
+        return -num, d
+    pl, ql, ph, qh = a, den, b, den
+    h0, h1, k0, k1 = 0, 1, 1, 0
+    while True:
+        fl, r = divmod(pl, ql)
+        if r == 0:
+            t = fl
+            break
+        if (fl + 1) * qh <= ph:
+            # an integer lies inside
+            t = fl + 1
+            break
+        pl, ql, ph, qh = qh, ph - fl * qh, ql, r
+        h0, h1 = h1, h1 * fl + h0
+        k0, k1 = k1, k1 * fl + k0
+    return h1 * t + h0, k1 * t + k0
 
 
 class IsolatedRoot:
@@ -456,21 +471,21 @@ class IsolatedRoot:
         once that denominator exceeds min(|lc|, den_cap) no rational root
         can be present and probing stops.  Misses are harmless: the root is
         then treated as irrational and only interval bounds are used.
+        Even probes are at the simplest rational (unless it is an end),
+        odd ones at the midpoint; all of it runs on the integer ends.
         """
         if self.a == self.b:
             return self.lo
         cap = min(abs(self.poly[-1]), den_cap)
         for k in range(max_probes):
-            if self.a == self.b:
-                return self.lo
-            num, den = self.a + self.b, 2 * self.den
+            a, b, own = self.a, self.b, self.den
+            num, den = a + b, 2 * own
             if not k % 2:
-                lo, hi = self.lo, self.hi
-                c = simplest_in(lo, hi)
-                if c.denominator > cap:
+                c, d = simplest_in(a, b, own)
+                if d > cap:
                     return None
-                if c != lo and c != hi:
-                    num, den = c.numerator, c.denominator
+                if c * own != a * d and c * own != b * d:
+                    num, den = c, d
             if self._take(num, den):
                 return self.lo
         return None

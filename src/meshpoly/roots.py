@@ -16,22 +16,19 @@ Two kinds of question, two paths:
   index (mesh_at_least).  The small facts of each distinct polynomial
   (real-rooted, squarefree, no negative root, and the largest alpha
   decided True and the smallest decided False for its mesh) are kept in
-  a bounded LRU cache of records (_records).
-* Values read the isolation: root_data gives intpoly.IsolatedRoot
-  nodes, an isolating interval on one of the polynomial's Yun factors
-  with the root's multiplicity, for root_profile's nodes, mesh_numeric,
-  approximations, and in interlace negativity_point and proper
-  position's merge of two root lists.  Roots are isolated without
+  a bounded LRU cache of RECORD_CACHE_SIZE records (_records), keyed by
+  the primitive integer representative of the polynomial, so positive
+  rational multiples and either basis share an entry.
+* Values read an isolation: root_data isolates the roots on each call
+  and gives intpoly.IsolatedRoot nodes, an isolating interval on one of
+  the polynomial's Yun factors with the root's multiplicity, for
+  root_profile's nodes, mesh_numeric, approximations, and in interlace
+  negativity_point and proper position's merge of two root lists.
+  Nothing keeps them, so a caller that refines its nodes in place
+  cannot reach another call's nodes.  Roots are isolated without
   rational probing; the code that reads exact root values (mesh_numeric,
   and approximations for display) probes the nodes it gets
   (IsolatedRoot.try_rational).
-
-Both caches are keyed by the primitive integer representative of the
-polynomial (so positive rational multiples and either basis share an
-entry) and hold ISOLATION_CACHE_SIZE entries each.  The isolation is
-kept as integers, and every call builds fresh nodes from them, so a
-caller that refines its nodes in place cannot reach another call's
-nodes.
 """
 
 from __future__ import annotations
@@ -49,9 +46,9 @@ INF = math.inf
 
 DEFAULT_TOL = Fraction(1, 10**9)
 
-# distinct polynomials whose isolation is kept, and whose decided facts
-# are kept (membership decides one image against several classes)
-ISOLATION_CACHE_SIZE = 2048
+# distinct polynomials whose decided facts are kept (membership decides
+# one image against several classes)
+RECORD_CACHE_SIZE = 2048
 
 
 class NonHyperbolicInput(ValueError):
@@ -86,24 +83,15 @@ def _separate(x: intpoly.IsolatedRoot, y: intpoly.IsolatedRoot) -> None:
             y.refine()
 
 
-def _key(p: Polynomial) -> tuple:
-    """The primitive integer representative of nonzero p, the key of both
-    caches: p's own numerators when they are primitive already, so that
-    the caches and p share one tuple."""
-    f = p.nums
-    return f if intpoly.content(f) == 1 else tuple(intpoly.primitive(f))
-
-
-@functools.lru_cache(maxsize=ISOLATION_CACHE_SIZE)
-def _isolation(f: tuple) -> tuple:
-    """Sorted pairwise-disjoint nodes for the distinct real roots of the
-    nonzero integer polynomial f, frozen as one flat tuple, six fields
-    per node: factor, a, b, den, slo, multiplicity (one tuple per node
-    would cost about 200 bytes more per entry).  Nodes of one factor
-    share one factor tuple, which is f itself when f is its own only Yun
-    factor."""
+def root_data(p: Polynomial) -> list[intpoly.IsolatedRoot]:
+    """Sorted pairwise-disjoint nodes for the distinct real roots of p,
+    isolated on each call (none of them probed for an exact rational
+    root), so a caller may narrow them in place.  Nodes of one Yun
+    factor share that factor's list as their poly."""
+    if p.is_zero:
+        raise ValueError("zero polynomial has no root data")
     groups = []
-    for chain, mult in intpoly.factor_chains(f):
+    for chain, mult in intpoly.factor_chains(p.nums):
         group = intpoly.isolate(chain[0], chain)
         for n in group:
             n.multiplicity = mult
@@ -119,28 +107,7 @@ def _isolation(f: tuple) -> tuple:
     nodes = [n for group in groups for n in group]
     if len(groups) > 1:
         nodes.sort(key=lambda n: (n.lo, n.hi))
-    factors: dict = {}
-    out = []
-    for n in nodes:
-        factor = factors.get(id(n.poly))
-        if factor is None:
-            factor = tuple(n.poly)
-            factors[id(n.poly)] = factor = f if factor == f else factor
-        out += (factor, n.a, n.b, n.den, n.slo, n.multiplicity)
-    return tuple(out)
-
-
-def root_data(p: Polynomial) -> list[intpoly.IsolatedRoot]:
-    """Sorted pairwise-disjoint nodes for the distinct real roots of p.
-
-    The isolation comes from the cache (_isolation) as fresh nodes, none
-    of them probed for an exact rational root.
-    """
-    if p.is_zero:
-        raise ValueError("zero polynomial has no root data")
-    fields = iter(_isolation(_key(p)))
-    return [intpoly.IsolatedRoot.from_ints(*node)
-            for node in zip(*[fields] * 6)]
+    return nodes
 
 
 class _Record:
@@ -154,7 +121,7 @@ class _Record:
                  "yes", "no")
 
 
-@functools.lru_cache(maxsize=ISOLATION_CACHE_SIZE)
+@functools.lru_cache(maxsize=RECORD_CACHE_SIZE)
 def _records(f: tuple) -> _Record:
     """Sturm counts per Yun factor g: real-rooted when each g has deg g
     roots, no negative root when each has none in (-inf, 0] beyond a
@@ -172,7 +139,12 @@ def _records(f: tuple) -> _Record:
 
 
 def _record(p: Polynomial) -> _Record:
-    return _records(_key(p))
+    """The record of nonzero p, keyed by its primitive integer
+    representative: p's own numerators when they are primitive already,
+    so that the record and p share one tuple."""
+    f = p.nums
+    return _records(f if intpoly.content(f) == 1
+                    else tuple(intpoly.primitive(f)))
 
 
 def _mesh_ok(rec: _Record, alpha: Fraction) -> bool:
@@ -260,7 +232,6 @@ class RootProfile:
 
     is_hyperbolic: bool
     all_roots_nonnegative: bool
-    has_multiple_root: bool
     nodes: list = None  # live IsolatedRoot list, refinable
 
 
@@ -291,7 +262,6 @@ def root_profile(p: Polynomial) -> RootProfile:
     return RootProfile(
         is_hyperbolic=is_hyp,
         all_roots_nonnegative=is_hyp and all(n.side(0, 1) >= 0 for n in nodes),
-        has_multiple_root=any(n.multiplicity > 1 for n in nodes),
         nodes=nodes,
     )
 

@@ -53,7 +53,7 @@ INCONCLUSIVE = "inconclusive"
 SKIPPED = "skipped"
 
 
-@dataclass
+@dataclass(slots=True)
 class Verdict:
     claim: str
     status: str

@@ -47,7 +47,7 @@ def test_exact_mesh_matches_numeric():
         rep = mesh_numeric(fx.poly)
         assert rep.exact_value == fx.exact_mesh
         assert fx.exact_mesh >= 1
-        assert fx.min_root == min(fx.roots)
+        assert fx.roots[0] == min(fx.roots)
 
 
 def test_gen_fixture_is_deterministic():
@@ -70,7 +70,7 @@ def test_negative_mesh_bound_keeps_roots_sorted():
     ordered = sorted(fx.roots)
     assert list(fx.roots) == ordered
     assert fx.exact_mesh == min(b - a for a, b in zip(ordered, ordered[1:]))
-    assert fx.min_root == ordered[0]
+    assert fx.roots[0] == ordered[0]
 
 
 SELF_CHECK_UNDER_O = """

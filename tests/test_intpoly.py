@@ -8,7 +8,7 @@ import pytest
 from meshpoly import intpoly as ip
 from meshpoly.fixtures import derive_rng
 from meshpoly.poly import Polynomial
-from test_nodes import probed
+from test_nodes import RefRoot, probed, ref_simplest_in
 from test_poly_kernels import ref_shift
 from test_real_roots import (ref_count_distinct_in, ref_squarefree_part,
                              ref_variations_at)
@@ -82,10 +82,97 @@ def test_isolate_hits_rational_roots_exactly():
     assert r.exact
 
 
+def _simplest(lo, hi):
+    """intpoly.simplest_in on Fraction ends, as a Fraction."""
+    den = lo.denominator * hi.denominator
+    num, d = ip.simplest_in(lo.numerator * hi.denominator,
+                            hi.numerator * lo.denominator, den)
+    return F(num, d)
+
+
 def test_simplest_in_prefers_small_denominator():
-    assert ip.simplest_in(F(-1, 3), F(1, 7)) == 0
-    assert ip.simplest_in(F(5, 3), F(9, 5)) == F(5, 3)
-    assert ip.simplest_in(F(13, 10), F(29, 20)) == F(4, 3)
+    assert _simplest(F(-1, 3), F(1, 7)) == 0
+    assert _simplest(F(5, 3), F(9, 5)) == F(5, 3)
+    assert _simplest(F(13, 10), F(29, 20)) == F(4, 3)
+
+
+CAP = 1 << 16
+
+
+def _simplest_interval(rng, t):
+    """The t-th seeded (a, b, den) interval, a <= b, den > 0.  Deep
+    expansions (exact points, narrow intervals, the cap) cost the
+    reference most, so they are one in ten."""
+    kind = t % 50
+    if kind == 0:
+        # an exact point or a narrow interval around p/q with q at the
+        # probing cap: the simplest rational there is p/q, unless the
+        # interval holds a simpler one
+        q = CAP + rng.randint(-2, 2)
+        m = rng.randint(1, 3)
+        c = rng.randint(-3 * q, 3 * q) * m
+        w = rng.choice((0, 0, 1, m))
+        return c - rng.randint(0, w), c + rng.randint(0, w), q * m
+    # 0 draws a denominator up to 10**3 or 10**9
+    den = rng.choice((1, 2, 3, 12, CAP, CAP + 1, 0, 0)) or \
+        rng.randint(1, 10 ** rng.choice((3, 9)))
+    scale = rng.choice((1, 10, 10**3, den))
+    a = rng.randint(-4 * scale, 4 * scale)
+    if kind <= 2:
+        width = 0                           # an exact point
+    elif kind <= 4:
+        width = rng.randint(0, 3)           # narrow, deep expansions
+    elif kind % 3 == 0:
+        width = rng.randint(0, den)         # width at most 1
+    elif kind % 3 == 1:
+        a = rng.randint(-den, 0)            # contains 0 or ends at it
+        width = -a + rng.randint(0, den)
+    else:
+        width = rng.randint(0, 3 * den)     # often holds an integer
+    return a, a + width, den
+
+
+def test_simplest_in_matches_reference():
+    """Seeded intervals against the Fraction continued-fraction
+    reference: negative ones, ones holding 0 or an integer, exact points,
+    denominators up to 10**9 and around the 2**16 probing cap."""
+    seen = {"negative": 0, "zero inside": 0, "integer inside": 0,
+            "exact point": 0, "den > 10**8": 0, "at cap": 0,
+            "above cap": 0, "deep": 0}
+    rng = derive_rng(7, "simplest")
+    for t in range(100_000):
+        a, b, den = _simplest_interval(rng, t)
+        want = ref_simplest_in(F(a, den), F(b, den))
+        num, d = ip.simplest_in(a, b, den)
+        assert (num, d) == (want.numerator, want.denominator), (a, b, den)
+        seen["negative"] += b < 0
+        seen["zero inside"] += a <= 0 <= b
+        seen["integer inside"] += d == 1 and a < num * den < b
+        seen["exact point"] += a == b
+        seen["den > 10**8"] += den > 10**8
+        seen["at cap"] += d == CAP
+        seen["above cap"] += d == CAP + 1
+        seen["deep"] += d > 10**4
+    assert min(seen.values()) >= 300, seen
+
+
+def test_try_rational_matches_reference_at_the_cap():
+    """Probing with integer ends against the Fraction reference node, on
+    roots whose denominators sit at, below and above the 2**16 cap and at
+    the leading coefficient."""
+    outcomes = set()
+    for q in (CAP - 1, CAP, CAP + 1, 3 * CAP):
+        for p in (1, -7, 5 * q + 3):
+            for extra in ([1], [-2, 0, 1], [-3, 5]):
+                f = ip.mul([-p, q], extra)
+                for node in ip.isolate(f):
+                    ref = RefRoot(node.poly, node.lo, node.hi, node.slo)
+                    got = node.try_rational()
+                    assert got == ref.try_rational(), (f, node.lo)
+                    assert (node.lo, node.hi, node.slo) == \
+                        (ref.lo, ref.hi, ref.slo)
+                    outcomes.add((got is not None, got == F(p, q)))
+    assert outcomes == {(True, True), (True, False), (False, False)}
 
 
 def test_gcd_and_divexact():

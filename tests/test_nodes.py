@@ -24,6 +24,25 @@ INF = roots.INF
 
 # -- the Fraction reference ---------------------------------------------
 
+def ref_simplest_in(lo, hi):
+    """Smallest-denominator rational in the closed interval [lo, hi], by
+    continued fractions on Fractions: the reference for intpoly.simplest_in."""
+    if lo > hi:
+        lo, hi = hi, lo
+    if lo <= 0 <= hi:
+        return F(0)
+    if hi < 0:
+        return -ref_simplest_in(-hi, -lo)
+    fl = lo.numerator // lo.denominator
+    if fl + 1 <= hi:
+        # an integer lies inside
+        return F(fl if fl >= lo else fl + 1)
+    if lo == fl:
+        return lo
+    frac = ref_simplest_in(1 / (hi - fl), 1 / (lo - fl))
+    return fl + 1 / frac
+
+
 class RefRoot:
     """IsolatedRoot with Fraction ends."""
 
@@ -73,7 +92,7 @@ class RefRoot:
             if k % 2:
                 c = (self.lo + self.hi) / 2
             else:
-                c = ip.simplest_in(self.lo, self.hi)
+                c = ref_simplest_in(self.lo, self.hi)
                 if c.denominator > cap:
                     return None
                 if c == self.lo or c == self.hi:
@@ -239,16 +258,17 @@ def translate_nodes(nodes, alpha):
     return out
 
 
-def ref_mesh_at_least(p, alpha):
+def ref_mesh_at_least(nodes, alpha):
     """The adjacent-gap decision of mesh(p) >= alpha, the procedure that
-    roots.mesh_at_least once ran, for real-rooted nonzero p: each root is
-    placed against the translate by alpha of the root before it, on the
-    cached isolation, equality certified by a gcd root count
-    (roots._common_root), order by separated endpoints (roots._precedes)."""
+    roots.mesh_at_least once ran, for real-rooted nonzero p given by its
+    root_data nodes: each root is placed against the translate by alpha
+    of the root before it, equality certified by a gcd root count
+    (roots._common_root), order by separated endpoints (roots._precedes).
+    The nodes may have been narrowed by an earlier call; they are
+    narrowed further in place."""
     alpha = F(alpha)
-    if alpha <= 0 or p.degree <= 1:
+    if alpha <= 0:
         return True
-    nodes = roots.root_data(p)
     if any(n.multiplicity > 1 for n in nodes):
         return False
     gcd_cache = {}
@@ -264,7 +284,7 @@ def ref_root_data(f, probe, probe_first=False):
     factors and the sort, then, with probe, the reference probing of
     every node, as a caller that reads exact values does.  probe_first
     probes each node right after isolation instead, before separation:
-    the order of the uncached probing path that root_data once had."""
+    the order of the probing path that root_data once had."""
     groups = []
     for factor, mult in ip.yun(f):
         group = []
@@ -429,7 +449,7 @@ def test_refine_exclude_and_refine_below_match_reference():
                         # root (often the root itself), or just outside
                         lo, hi = ref.lo, ref.hi
                         if op == 2:
-                            x = ip.simplest_in(lo, hi)
+                            x = ref_simplest_in(lo, hi)
                         else:
                             x = lo + (hi - lo) * F(rng.randint(-2, 12), 10)
                         num, den = x.numerator, x.denominator
@@ -483,7 +503,7 @@ def test_isolated_root_constructor_keeps_values():
 
 
 def test_mesh_numeric_matches_probing_before_separation():
-    """mesh_numeric probes the nodes it gets from the cached isolation,
+    """mesh_numeric probes the nodes it gets from root_data,
     so after any separation across Yun factors.  It reads intervals only
     when every root is simple, that is for one Yun factor, where nothing
     is separated, so its reports are those of the old order: probe each
@@ -514,7 +534,7 @@ def test_mesh_numeric_matches_probing_before_separation():
 
 def test_root_approximations_match_probing_before_separation():
     """root_approximations probes after the separation across Yun
-    factors, where the uncached path once probed before it (and then
+    factors, where an earlier path probed before it (and then
     placed 0 against the roots of a real-rooted input).  With one Yun
     factor of multiplicity 1 nothing is separated, and probing leaves 0
     outside every open interval, so the floats are the same; otherwise

@@ -2,7 +2,7 @@
 
 The yes/no questions (is_hyperbolic, count_real_roots, nonneg_on_reals,
 mesh_at_least and class_membership) go by Sturm counts per Yun factor
-and by one Cauchy index for the mesh; negativity_point reads the cached
+and by one Cauchy index for the mesh; negativity_point reads an
 isolation (roots.root_data).  The references:
 
 * the Sturm-count procedure below: a Sturm chain of the squarefree part
@@ -11,7 +11,8 @@ isolation (roots.root_data).  The references:
   references as their Sturm-count oracle;
 * the multiplicities of the root_data nodes;
 * the adjacent-gap test on root_data nodes, test_nodes.ref_mesh_at_least,
-  for the mesh.
+  for the mesh.  Each test isolates a corpus polynomial once and reuses
+  its nodes, which stay sound however far they are narrowed.
 
 The 6,000-polynomial corpus and the mesh corpus are built once per
 module (module-scoped fixtures) and shared by the tests here.
@@ -199,9 +200,9 @@ def corpus():
             for p, rts in _corpus()]
 
 
-def _node_count(p, lo, hi):
-    """Distinct real roots in (lo, hi], by placing the root_data nodes."""
-    return sum(1 for n in roots.root_data(p)
+def _node_count(nodes, lo, hi):
+    """Distinct real roots in (lo, hi], by placing root_data nodes."""
+    return sum(1 for n in nodes
                if (lo is None or n.side(lo.numerator, lo.denominator) > 0)
                and (hi is None or n.side(hi.numerator, hi.denominator) <= 0))
 
@@ -216,7 +217,8 @@ def test_root_questions_match_sturm_reference(corpus):
     assert any(max(map(abs, ip.primitive(p.nums))) > 10**30 for p, *_ in corpus)
     assert any(p.leading_coefficient < 0 for p, *_ in corpus)
     for t, (p, rts, count, hyp) in enumerate(corpus):
-        mults = [n.multiplicity for n in roots.root_data(p)] if p.degree else []
+        nodes = roots.root_data(p) if p.degree else []
+        mults = [n.multiplicity for n in nodes]
         assert roots.is_hyperbolic(p) == hyp == (sum(mults) == p.degree), p
         seen["hyperbolic" if hyp else "not hyperbolic"] += 1
         rng = derive_rng(7, "real-roots-intervals", t)
@@ -224,7 +226,7 @@ def test_root_questions_match_sturm_reference(corpus):
             got = roots.count_real_roots(p, lo, hi)
             assert got == count(lo, hi), (p, lo, hi)
             if p.degree and (lo is None or hi is None or lo < hi):
-                assert got == _node_count(p, lo, hi), (p, lo, hi)
+                assert got == _node_count(nodes, lo, hi), (p, lo, hi)
             seen["end is root"] += lo in rts or hi in rts
         f = ip.primitive(p.nums)
         squarefree = ref_squarefree_part(f) == f
@@ -328,6 +330,9 @@ def test_mesh_decisions_match_gap_reference(corpus, mesh_corpus):
         seen["negative lead"] += hyp and p.leading_coefficient < 0
         f = ip.primitive(p.nums)
         seen["repeated"] += hyp and ref_squarefree_part(f) != f
+        # one isolation serves every alpha: the gap test narrows the
+        # nodes in place, and narrowed nodes stay sound
+        nodes = roots.root_data(p) if hyp else None
         for alpha in MESH_ALPHAS:
             if not hyp:
                 assert not class_membership(p, ClassSpec.hp_ge(alpha))
@@ -335,7 +340,7 @@ def test_mesh_decisions_match_gap_reference(corpus, mesh_corpus):
                     with pytest.raises(roots.NonHyperbolicInput):
                         roots.mesh_at_least(p, alpha)
                 continue
-            want = ref_mesh_at_least(p, alpha)
+            want = ref_mesh_at_least(nodes, alpha)
             assert roots.mesh_at_least(p, alpha) == want, (p, alpha)
             assert class_membership(p, ClassSpec.hp_ge(alpha)) == want
             assert class_membership(p, ClassSpec.hp_plus_ge(alpha)) == \
@@ -380,7 +385,7 @@ def test_record_answers_implied_bounds(monkeypatch):
         assert roots.mesh_at_least(p, alpha) == want
         assert class_membership(p, ClassSpec.hp_ge(alpha)) == want
     info = roots._records.cache_info()
-    assert info.maxsize == roots.ISOLATION_CACHE_SIZE and info.currsize == 1
+    assert info.maxsize == roots.RECORD_CACHE_SIZE and info.currsize == 1
 
 
 def test_decisions_do_not_rest_on_assert(mesh_corpus):

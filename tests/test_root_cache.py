@@ -1,49 +1,42 @@
-"""The cache of root isolations behind roots.root_data.
+"""What roots keeps, and what it does not.
 
-root_data reads each polynomial's isolation from a bounded LRU cache (roots._isolation), keyed by the primitive integer
-representative of the polynomial, and builds fresh nodes from it.  A
-warm read must give exactly what a cold computation gives, and no
-caller's in-place narrowing may reach the nodes of a later call.
+root_data isolates on each call and keeps nothing, so repeated reads
+and equal polynomials (positive rational multiples, or the other basis)
+give equal nodes in distinct node objects, and no caller's in-place
+narrowing reaches the nodes of a later call.  The decided facts of each
+polynomial are kept in a bounded LRU cache of records (roots._records),
+keyed by the primitive integer representative of the polynomial.
 """
 
 from fractions import Fraction as F
 
-from meshpoly import intpoly as ip
 from meshpoly import roots
 from meshpoly.poly import POCHHAMMER, Polynomial
 from test_nodes import ALPHAS, _node_corpus, _state, translate_nodes
 
 
 def _flags(prof):
-    return (prof.is_hyperbolic, prof.all_roots_nonnegative,
-            prof.has_multiple_root)
+    return (prof.is_hyperbolic, prof.all_roots_nonnegative)
 
 
-def _cold(f):
-    """(root_data state, root_profile state and flags), each computed
-    on an empty cache."""
-    roots._isolation.cache_clear()
+def _first(f):
+    """(root_data state, root_profile state and flags) of a first read."""
     data = _state(roots.root_data(Polynomial(f)))
-    roots._isolation.cache_clear()
     prof = roots.root_profile(Polynomial(f))
     return data, _state(prof.nodes), _flags(prof)
 
 
 def test_warm_reads_match_cold():
-    """Each call gets a new Polynomial, so a cache keyed by object
+    """Each call gets a new Polynomial, so anything keyed by object
     identity would see reused ids of freed polynomials."""
     corpus = _node_corpus()
-    cold = [_cold(f) for f in corpus]
-    roots._isolation.cache_clear()
+    first = [_first(f) for f in corpus]
     for _ in range(2):
-        for f, want in zip(corpus, cold):
+        for f, want in zip(corpus, first):
             prof = roots.root_profile(Polynomial(f))
-            data = _state(roots.root_data(Polynomial(f)))
-            assert (data, _state(prof.nodes), _flags(prof)) == want, f
-    info = roots._isolation.cache_info()
-    distinct = len({tuple(ip.primitive(f)) for f in corpus})
-    assert (info.misses, info.currsize) == (distinct, distinct)
-    assert info.hits == 4 * len(corpus) - distinct
+            data = roots.root_data(Polynomial(f))
+            assert (_state(data), _state(prof.nodes), _flags(prof)) == want, f
+            assert not {id(n) for n in data} & {id(n) for n in prof.nodes}
 
 
 def test_narrowing_one_calls_nodes_leaves_the_next_call_cold():
@@ -53,7 +46,7 @@ def test_narrowing_one_calls_nodes_leaves_the_next_call_cold():
     narrowed = 0
     for f in _node_corpus():
         p = Polynomial(f)
-        cold = _cold(f)[0]
+        cold = _state(roots.root_data(p))
         nodes = roots.root_data(p)
         for n in nodes:
             n.side(0, 1)
@@ -73,24 +66,26 @@ def test_narrowing_one_calls_nodes_leaves_the_next_call_cold():
 
 
 def test_equal_polynomials_share_one_entry():
+    """One record for p, its multiples and its other basis, and equal
+    nodes in distinct objects."""
     p = Polynomial.from_roots([F(-1, 2), 1, 3, 3], lead=F(2, 5))
-    roots._isolation.cache_clear()
-    first = roots.root_data(p)
-    scaled = roots.root_data(p * F(7, 3))
-    other_basis = roots.root_data(p.to_basis(POCHHAMMER))
-    info = roots._isolation.cache_info()
+    equal = (p, p * F(7, 3), p.to_basis(POCHHAMMER))
+    roots._records.cache_clear()
+    assert all(roots.is_hyperbolic(q) for q in equal)
+    info = roots._records.cache_info()
     assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+    first, scaled, other_basis = (roots.root_data(q) for q in equal)
     assert _state(first) == _state(scaled) == _state(other_basis)
-    assert first[0] is not scaled[0]
+    assert first[0] is not scaled[0] and first[0] is not other_basis[0]
 
 
 def test_cache_is_bounded():
-    size = roots.ISOLATION_CACHE_SIZE
-    roots._isolation.cache_clear()
+    size = roots.RECORD_CACHE_SIZE
+    roots._records.cache_clear()
     for k in range(size + 10):
-        roots.root_data(Polynomial([-k, 1]))
-    info = roots._isolation.cache_info()
+        roots.is_hyperbolic(Polynomial([-k, 1]))
+    info = roots._records.cache_info()
     assert info.maxsize == size and info.currsize == size
     # the least recently used entries were dropped
-    roots.root_data(Polynomial([0, 1]))
-    assert roots._isolation.cache_info().misses == size + 11
+    roots.is_hyperbolic(Polynomial([0, 1]))
+    assert roots._records.cache_info().misses == size + 11

@@ -89,11 +89,12 @@ def test_count_real_roots_empty_interval():
 
 
 def test_count_real_roots_empty_interval_builds_no_chain(monkeypatch):
-    def no_root_work(f):
+    def no_root_work(*args):
         raise AssertionError("root work done for an empty interval")
 
     monkeypatch.setattr(intpoly, "sturm_chain", no_root_work)
-    monkeypatch.setattr(roots, "_isolation", no_root_work)
+    monkeypatch.setattr(intpoly, "isolate", no_root_work)
+    monkeypatch.setattr(roots, "root_data", no_root_work)
     assert count_real_roots(Polynomial.from_roots([0, 1, 2]), 3, -1) == 0
 
 

@@ -17,20 +17,12 @@ import io
 import json
 import sys
 import traceback
-from fractions import Fraction
 
-from . import serialize, suite, verify
-from .harness import (
-    SEARCH_KINDS,
-    CounterexampleCertificate,
-    SearchConfig,
-    replay_certificate,
-    run_search,
-)
+# verify, harness and suite are imported by the subcommands that run them
+from . import serialize
 from .operators import DiagonalSequence, diagonal_apply, make_standard
 from .poly import MONOMIAL, POCHHAMMER, Polynomial, as_fraction
 from .roots import DEFAULT_TOL, mesh_numeric, root_approximations
-from .verify import FAILS, HOLDS, INCONCLUSIVE
 
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
@@ -107,6 +99,8 @@ def _csv_of(payload) -> str:
 
 
 def _verdict_exit(verdicts) -> int:
+    from .verify import FAILS, HOLDS
+
     statuses = {v.status for v in verdicts}
     if FAILS in statuses:
         return EXIT_COUNTEREXAMPLE
@@ -174,6 +168,8 @@ def cmd_convert(args) -> int:
 
 
 def cmd_verify_suite(args) -> int:
+    from . import suite
+
     scale = args.trials / 500
     results = suite.run_suite(seed=args.seed, scale=scale, emit=print)
     payload = [{"number": r.number, "name": r.name, "passed": r.passed,
@@ -189,6 +185,8 @@ def cmd_verify_suite(args) -> int:
 
 
 def cmd_verify_herpou(args) -> int:
+    from . import verify
+
     if args.symbol:
         Q = _load_poly(args.symbol)
     elif args.coeffs:
@@ -204,6 +202,8 @@ def cmd_verify_herpou(args) -> int:
 
 
 def cmd_verify_dms(args) -> int:
+    from . import verify
+
     if args.sequence:
         A = serialize.loads_value(_read_text(args.sequence))
         if not isinstance(A, DiagonalSequence):
@@ -223,6 +223,8 @@ def cmd_verify_dms(args) -> int:
 
 
 def cmd_verify_riesz(args) -> int:
+    from . import verify
+
     p = _load_poly(args.poly)
     lam = as_fraction(args.lam)
     if args.derivative:
@@ -241,6 +243,8 @@ def cmd_verify_riesz(args) -> int:
 
 
 def cmd_search(args) -> int:
+    from .harness import SearchConfig, run_search
+
     cfg = SearchConfig(args.kind, seed=args.seed, trials=args.trials,
                        max_degree=args.max_degree, i_max=args.i_max,
                        rho=as_fraction(args.rho))
@@ -276,6 +280,8 @@ def cmd_search(args) -> int:
 
 
 def cmd_replay(args) -> int:
+    from .harness import CounterexampleCertificate, replay_certificate
+
     try:
         obj = json.loads(_read_text(args.certificate))
     except json.JSONDecodeError as e:
@@ -290,11 +296,23 @@ def cmd_replay(args) -> int:
     return EXIT_OK if result["reproduced"] else EXIT_COUNTEREXAMPLE
 
 
+def _count(text: str) -> int:
+    """The type of the count flags: an integer, zero or more."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}")
+    return n
+
+
 _SHARED_FLAGS = {
     "--seed": {"type": int, "default": 7},
-    "--trials": {"type": int, "default": 500},
-    "--max-degree": {"type": int, "default": 6},
-    "--i-max": {"type": int, "default": 64},
+    "--trials": {"type": _count, "default": 500},
+    "--max-degree": {"type": _count, "default": 6},
+    "--i-max": {"type": _count, "default": 64},
     "--tol": {"default": str(DEFAULT_TOL)},
 }
 
@@ -364,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_verify_riesz)
 
     sp = sub.add_parser("search", help="randomized counterexample campaigns")
-    sp.add_argument("kind", choices=SEARCH_KINDS)
+    sp.add_argument("kind", choices=serialize.SEARCH_KINDS)
     sp.add_argument("--rho", default="1/2", help="decay rate for remark2")
     _add_flags(sp, "--seed", "--trials", "--max-degree", "--i-max")
     sp.set_defaults(func=cmd_search)

@@ -28,6 +28,7 @@ from .operators import (
 )
 from .poly import Polynomial, as_fraction
 from .roots import is_hyperbolic
+from .serialize import SEARCH_KINDS
 
 __all__ = [
     "SearchConfig",
@@ -37,8 +38,6 @@ __all__ = [
     "replay_certificate",
     "SEARCH_KINDS",
 ]
-
-SEARCH_KINDS = ("nice", "finite-degree", "bullet", "remark2", "lemma1")
 
 _RNG_SPAN = 2 ** 31
 
@@ -86,6 +85,10 @@ class CounterexampleCertificate:
         for key in ("kind", "conjecture", "trial", "payload", "config"):
             if key not in c:
                 raise serialize.ParseError(f"certificate missing {key!r}")
+        if not isinstance(c["payload"], dict):
+            raise serialize.ParseError("certificate 'payload' must be an object")
+        if not isinstance(c["conjecture"], str):
+            raise serialize.ParseError("certificate 'conjecture' must be a string")
         return CounterexampleCertificate(c["kind"], c["conjecture"], c["trial"],
                                          c["payload"], c["config"])
 
@@ -303,18 +306,27 @@ def run_search(cfg: SearchConfig) -> SearchReport:
     return report
 
 
-def _parse_payload(payload: dict, polys=(), ops=(), rationals=()):
-    # live certificates carry objects, loaded ones carry wire shapes
-    out = dict(payload)
-    for key in polys:
+# how a loaded certificate carries each type; live ones carry the objects
+_WIRE = {Polynomial: serialize.poly_from_obj,
+         FiniteDifferenceOperator: serialize.operator_from_obj,
+         Fraction: serialize.rational_from_str}
+
+
+def _parse_payload(payload: dict, **fields) -> dict:
+    """The payload fields a kind reads, by name and type: a missing or
+    mistyped field is an input error, not a crash in replay."""
+    out = {}
+    for key, kind in fields.items():
+        if key not in payload:
+            raise serialize.ParseError(f"certificate payload missing {key!r}")
         v = payload[key]
-        out[key] = v if isinstance(v, Polynomial) else serialize.poly_from_obj(v)
-    for key in ops:
-        v = payload[key]
-        out[key] = (v if isinstance(v, FiniteDifferenceOperator)
-                    else serialize.operator_from_obj(v))
-    for key in rationals:
-        out[key] = serialize.rational_from_str(payload[key])
+        if isinstance(v, kind) and not isinstance(v, bool):
+            out[key] = v
+        elif kind in _WIRE:
+            out[key] = _WIRE[kind](v)
+        else:
+            raise serialize.ParseError(
+                f"certificate payload {key!r} must be a {kind.__name__}")
     return out
 
 
@@ -331,7 +343,8 @@ def replay_certificate(cert) -> dict:
     spec1p = ClassSpec.hp_plus_ge(1)
     checks = {}
     if cert.kind == "finite-degree":
-        p = _parse_payload(cert.payload, polys=("symbol", "fixture", "image"))
+        p = _parse_payload(cert.payload, symbol=Polynomial, m=int,
+                           fixture=Polynomial, image=Polynomial)
         T = from_symbol(p["symbol"])
         gate_image = T.apply(Polynomial.falling_factorial(p["m"]))
         checks["gate_holds"] = (gate_image.is_zero
@@ -342,7 +355,8 @@ def replay_certificate(cert) -> dict:
         checks["image_escapes"] = (not image.is_zero
                                    and not class_membership(image, spec1))
     elif cert.kind == "bullet":
-        p = _parse_payload(cert.payload, polys=("p", "q", "image"))
+        p = _parse_payload(cert.payload, p=Polynomial, q=Polynomial, d=int,
+                           image=Polynomial)
         r = bullet_product(p["p"], p["q"], p["d"])
         checks["image_matches"] = r == p["image"]
         checks["p_in_class"] = class_membership(p["p"], spec1)
@@ -350,10 +364,14 @@ def replay_certificate(cert) -> dict:
         checks["image_escapes"] = (not r.is_zero
                                    and not class_membership(r, spec1))
     elif cert.kind == "nice":
-        p = _parse_payload(cert.payload, polys=("fixture", "image"))
+        p = _parse_payload(cert.payload, values=list, failed_side=str,
+                           fixture=Polynomial, image=Polynomial)
         values = [serialize.rational_from_str(v) for v in p["values"]]
+        if len(values) <= p["fixture"].degree:
+            raise serialize.ParseError("certificate 'values' shorter than "
+                                       "the fixture's degree")
         A = DiagonalSequence.from_values(values)
-        if p.get("failed_side") == "classical-multiplier-sampled":
+        if p["failed_side"] == "classical-multiplier-sampled":
             gamma = p["fixture"].monomial_coeffs()
             image = Polynomial([g * values[i] for i, g in enumerate(gamma)])
             checks["image_matches"] = image == p["image"]
@@ -368,8 +386,8 @@ def replay_certificate(cert) -> dict:
             checks["image_escapes"] = (not image.is_zero
                                        and not class_membership(image, spec1p))
     elif cert.kind == "remark2":
-        p = _parse_payload(cert.payload, polys=("fixture", "image"),
-                           rationals=("rho",))
+        p = _parse_payload(cert.payload, rho=Fraction, fixture=Polynomial,
+                           image=Polynomial)
         deg = max(p["fixture"].degree, 0)
         A = DiagonalSequence.from_values([p["rho"] ** i for i in range(deg + 1)])
         image = diagonal_apply(A, p["fixture"])
@@ -377,8 +395,8 @@ def replay_certificate(cert) -> dict:
         checks["fixture_in_class"] = class_membership(p["fixture"], spec1p)
         checks["image_escapes"] = not class_membership(image, spec1)
     elif cert.kind == "lemma1":
-        p = _parse_payload(cert.payload, polys=("input", "image"),
-                           ops=("operator",))
+        p = _parse_payload(cert.payload, operator=FiniteDifferenceOperator,
+                           input=Polynomial, image=Polynomial)
         image = p["operator"].apply(p["input"])
         checks["image_matches"] = image == p["image"]
         checks["input_hyperbolic"] = is_hyperbolic(p["input"])

@@ -21,11 +21,11 @@ second carries explicit rational shifts for the remaining cases.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 
 from .operators import DiagonalSequence, FiniteDifferenceOperator
 from .poly import MONOMIAL, POCHHAMMER, Polynomial
-from .verify import Verdict
 
 __all__ = [
     "ParseError",
@@ -40,7 +40,12 @@ __all__ = [
     "to_jsonable",
     "dumps",
     "loads_value",
+    "SEARCH_KINDS",
 ]
+
+# the "kind" a search record or certificate carries; defined here, not in
+# harness, so that the command line can offer them without loading it
+SEARCH_KINDS = ("nice", "finite-degree", "bullet", "remark2", "lemma1")
 
 
 class ParseError(ValueError):
@@ -151,14 +156,16 @@ def to_jsonable(value):
         return operator_to_obj(value)
     if isinstance(value, DiagonalSequence):
         return sequence_to_obj(value)
-    if isinstance(value, Verdict):
-        return {"claim": value.claim, "status": value.status,
-                "witness": to_jsonable(value.witness),
-                "details": to_jsonable(value.details)}
     if isinstance(value, dict):
         return {str(k): to_jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [to_jsonable(v) for v in value]
+    # a Verdict exists only once verify is loaded; this module never loads it
+    verify = sys.modules.get(f"{__package__}.verify")
+    if verify is not None and isinstance(value, verify.Verdict):
+        return {"claim": value.claim, "status": value.status,
+                "witness": to_jsonable(value.witness),
+                "details": to_jsonable(value.details)}
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 

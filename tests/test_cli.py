@@ -282,3 +282,99 @@ def test_console_entry_point():
 def test_usage_error_without_args():
     r = _run_module()
     assert r.returncode == 2
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["verify", "dms", "--values=1,2", "--max-degree", "-1"], "--max-degree"),
+    (["verify", "herpou", "--coeffs", "1,-1", "--i-max", "-1"], "--i-max"),
+    (["search", "nice", "--trials", "-1"], "--trials"),
+    (["verify", "theorem-suite", "--trials=-5"], "--trials"),
+])
+def test_negative_counts_are_usage_errors(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {flag}: expected a non-negative integer" in \
+        capsys.readouterr().err
+
+
+def test_zero_counts_stay_valid(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "search", "nice", "--trials", "0",
+                           "--out", str(tmp_path / "n.jsonl"))
+    assert code == 0 and "0 records" in err
+    code, out, _ = run_cli(capsys, "verify", "dms", "--values", "1,1",
+                           "--trials", "0", "--max-degree", "0")
+    assert code == 0 and json.loads(out)["status"] == "holds"
+    code, _, _ = run_cli(capsys, "verify", "herpou", "--coeffs", "1,-1",
+                         "--i-max", "0")
+    assert code == 0
+
+
+def _certificates():
+    """One certificate of each kind, with the payload fields replay reads.
+
+    remark2 and lemma1 come from their searches; the other kinds rarely
+    certify and are built by hand, which replay need not reproduce."""
+    from meshpoly import (Polynomial, bullet_product, diagonal_apply,
+                          from_symbol, DiagonalSequence)
+    from meshpoly.harness import (CounterexampleCertificate, SearchConfig,
+                                  run_search)
+
+    p = Polynomial.from_roots([0, 2])
+    q = Polynomial.from_roots([1, 3])
+    T = from_symbol(Polynomial([1, 1]))
+    values = [1, 2, 3]
+    hand = {
+        "finite-degree": ({"symbol": Polynomial([1, 1]), "m": 2,
+                           "gate_image": T.apply(Polynomial.falling_factorial(2)),
+                           "fixture": p, "image": T.apply(p)},
+                          ("symbol", "m", "fixture", "image")),
+        "bullet": ({"p": p, "q": q, "d": 2, "image": bullet_product(p, q, 2)},
+                   ("p", "q", "d", "image")),
+        "nice": ({"values": values, "failed_side": "classical-multiplier-sampled",
+                  "condition": "c", "fixture": p,
+                  "image": diagonal_apply(DiagonalSequence.from_values(values), p),
+                  "dms_status": "holds", "classical_status": "fails"},
+                 ("values", "failed_side", "fixture", "image")),
+    }
+    certs = {kind: (CounterexampleCertificate(kind, "c", 0, payload, {}).to_obj(),
+                    read) for kind, (payload, read) in hand.items()}
+    for kind, read in (("remark2", ("rho", "fixture", "image")),
+                       ("lemma1", ("operator", "input", "image"))):
+        cert = run_search(SearchConfig(kind, trials=4, max_degree=4)).certificates[0]
+        certs[kind] = cert.to_obj(), read
+    return certs
+
+
+def test_malformed_certificates_are_input_errors(tmp_path, capsys):
+    path = tmp_path / "cert.json"
+
+    def replay(obj):
+        path.write_text(json.dumps(obj))
+        return run_cli(capsys, "replay", str(path))
+
+    for kind, (obj, read) in _certificates().items():
+        code, _, err = replay(obj)
+        assert code in (0, 1), (kind, err)
+        payload = obj["certificate"]["payload"]
+        for bad in (None, 5, [], True):
+            code, out, err = replay({"certificate": {**obj["certificate"],
+                                                     "payload": bad}})
+            assert code == 2 and not out, (kind, bad, err)
+        # the conjecture is echoed into the output, where a float is refused
+        code, out, err = replay({"certificate": {**obj["certificate"],
+                                                 "conjecture": 1.5}})
+        assert code == 2 and not out, (kind, err)
+        for field in payload:
+            variants = [{k: v for k, v in payload.items() if k != field}]
+            variants += [{**payload, field: bad} for bad in (None, True, {})]
+            for broken in variants:
+                code, out, err = replay(
+                    {"certificate": {**obj["certificate"], "payload": broken}})
+                assert code != 4, (kind, field, err)
+                if field in read:
+                    assert code == 2 and not out, (kind, field, broken, err)
+    obj, _ = _certificates()["nice"]
+    obj["certificate"]["payload"]["values"] = ["1/1", "2/1"]  # degree 2 fixture
+    code, _, err = replay(obj)
+    assert code == 2 and "shorter" in err

@@ -3,17 +3,17 @@
 p is in proper position to q (written p << q) when their root multisets
 interlace with p leading from the left and the Wronskian p q' - p' q is
 non-negative on the whole real line.  The zero polynomial is in proper
-position to every hyperbolic polynomial on both sides.  Interlacing is
-decided exactly: roots are compared through isolating intervals, with
-shared roots certified by gcd root counting, never by numeric closeness.
-Both root lists are the unprobed intpoly.IsolatedRoot nodes of
-roots.root_profile; only a witness's displayed approximations
-(roots.approximations) probe them for exact rational roots.  Once the
+position to every hyperbolic polynomial on both sides.  Every verdict
+goes by counts, with no root isolated: real-rootedness from the records
+of roots, interlacing from one Sturm count of the Wronskian of p and q
+with their gcd divided out (proper_position has the proof).  Once the
 roots interlace, the Wronskian has one sign on the real line
 (Hermite-Kakeya-Obreschkoff), so its leading coefficient decides it.
 Otherwise nonneg_on_reals decides it by Sturm counts: no Yun factor of
-odd multiplicity has a real root.  negativity_point, for a witness only,
-probes between adjacent roots of an isolation (roots.root_data).
+odd multiplicity has a real root.  Only the witnesses read an isolation
+(roots.root_data): the displayed root approximations of an
+interlacing failure, and negativity_point, which tests the sign of w
+between adjacent roots.
 
 proper_position is the paper's characterization of the mesh classes: a
 hyperbolic p has mesh >= alpha exactly when p << p(x - alpha).  It is
@@ -21,20 +21,18 @@ public, and the tests use it as an oracle, but class membership does not
 go through it: class_membership answers from counts alone (the cached
 facts of roots: real-rootedness and the sign of the roots by Sturm
 counts, the mesh bound by one Cauchy index, see roots.mesh_at_least),
-with no isolation, no Wronskian and no merge of two root lists.
+with no Wronskian.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 from typing import Optional
 
 from . import intpoly
 from .poly import Polynomial, as_fraction
-from .roots import (_common_root, _mesh_ok, _precedes, _record,
-                    approximations, root_data, root_profile)
+from .roots import _mesh_ok, _record, approximations, root_data
 
 __all__ = [
     "ProperPositionVerdict",
@@ -117,8 +115,6 @@ def negativity_point(w: Polynomial) -> Optional[Fraction]:
     # one probe inside every sign region: beyond the extreme roots, and
     # strictly between each pair of adjacent distinct roots
     nodes = root_data(w)
-    for n in nodes:
-        n.try_rational()
     probes = [-bound]
     for left, right in zip(nodes, nodes[1:]):
         # an exact root of one Yun factor can end its neighbour's
@@ -133,96 +129,83 @@ def negativity_point(w: Polynomial) -> Optional[Fraction]:
     raise AssertionError("negative value exists but was not located")
 
 
-def _merge_order(nodes_p: list, nodes_q: list):
-    """Global rank for every node; equal roots across the two lists share a rank."""
-    gcd_cache: dict = {}
-    partner: dict = {}
-    for a in nodes_p:
-        for b in nodes_q:
-            if _common_root(a, b, gcd_cache):
-                partner[id(a)] = b
-                partner[id(b)] = a
-
-    def cmp(x: intpoly.IsolatedRoot, y: intpoly.IsolatedRoot) -> int:
-        if x is y or partner.get(id(x)) is y:
-            return 0
-        # distinct roots with disjoint structures: endpoints decide
-        return -1 if _precedes(x, y) else 1
-
-    merged = sorted(nodes_p + nodes_q, key=cmp_to_key(cmp))
-    ranks: dict = {}
-    rank = -1
-    prev = None
-    for n in merged:
-        if prev is not None and cmp(prev, n) == 0:
-            ranks[id(n)] = rank
-        else:
-            rank += 1
-            ranks[id(n)] = rank
-        prev = n
-    gamma = [ranks[id(n)] for n in nodes_p for _ in range(n.multiplicity)]
-    delta = [ranks[id(n)] for n in nodes_q for _ in range(n.multiplicity)]
-    return gamma, delta
-
-
-def _pattern(gamma: list, delta: list) -> bool:
-    # gamma_1 <= delta_1 <= gamma_2 <= delta_2 <= ... covering all entries
-    if len(delta) not in (len(gamma) - 1, len(gamma)):
-        return False
-    for i, d in enumerate(delta):
-        if i < len(gamma) and gamma[i] > d:
-            return False
-        if i + 1 < len(gamma) and d > gamma[i + 1]:
-            return False
-    return True
-
-
-def _interlaces(gamma: list, delta: list) -> bool:
-    if not gamma or not delta:
-        return abs(len(gamma) - len(delta)) <= 1
-    return _pattern(gamma, delta) or _pattern(delta, gamma)
-
-
 def proper_position(p: Polynomial, q: Polynomial) -> ProperPositionVerdict:
-    """Exact verdict on p << q, with a witness describing any failure."""
+    """Exact verdict on p << q, with a witness describing any failure.
+
+    p << q needs real-rooted p and q whose root multisets interlace, p
+    leading: counted with multiplicity, gamma_1 <= delta_1 <= gamma_2 <=
+    delta_2 <= ... for p's roots gamma and q's roots delta, or the same
+    with q leading (interlaces is either order); and W = p q' - p' q >= 0
+    on the line, which picks the order.  Interlacing is decided by one
+    count, with no root isolated: with g = gcd(p, q), p1 = p/g and
+    q1 = q/g, the roots of p and q interlace exactly when W1 = p1 q1' -
+    p1' q1 is zero or has no real root (Sturm count 0 from -inf to +inf).
+
+    Proof.  Let N_p(t) be the number of roots of p that are <= t.  The
+    roots interlace exactly when N_p - N_q takes its values in {0, 1}
+    everywhere (p leading), or in {-1, 0} everywhere (q leading).
+    Removing a common root from both multisets leaves every N_p(t) -
+    N_q(t) unchanged, so p and q interlace exactly when the coprime,
+    real-rooted p1 and q1 do, and for these interlacing is strict
+    alternation of simple roots.
+    If they alternate, W1 is zero or has no real root.  W1 = 0 exactly
+    when p1 and q1 are both constant.  Otherwise let p1 have the larger
+    degree n >= 1 (W(q1, p1) = -W1 has the same roots).  p1 has simple
+    roots r_1 < ... < r_n, and q1/p1 = c + sum a_i / (x - r_i) with a_i =
+    q1(r_i) / p1'(r_i).  q1 has one root between adjacent r_i, so
+    q1(r_i) alternates in sign, as p1'(r_i) does, and every a_i is
+    nonzero with one sign.  Then W1 / p1^2 = (q1/p1)' = -sum a_i /
+    (x - r_i)^2 is nonzero off the r_i, and W1(r_i) = -p1'(r_i) q1(r_i)
+    is nonzero.
+    Conversely, let W1 have no real root.  At a multiple root of p1 or
+    q1, W1 vanishes, so both are squarefree.  Between adjacent roots of
+    p1, (q1/p1)' = W1 / p1^2 has one sign, and q1/p1 runs from one
+    infinity to the other, since the poles are simple and q1 does not
+    vanish there: exactly one root of q1 lies between them.  By the same
+    argument for q1/p1's reciprocal, exactly one root of p1 lies between
+    adjacent roots of q1.  So no two roots of one polynomial are
+    adjacent in the merged order: the roots alternate.
+
+    Once the roots interlace, W has one sign on the real line
+    (Hermite-Kakeya-Obreschkoff), so its leading coefficient decides it.
+    Otherwise nonneg_on_reals decides it.
+    """
     if p.is_zero and q.is_zero:
         return ProperPositionVerdict(True, True, True)
     if p.is_zero or q.is_zero:
-        other = q if p.is_zero else p
-        prof = root_profile(other)
-        if prof.is_hyperbolic:
+        if _record(q if p.is_zero else p).real_rooted:
             return ProperPositionVerdict(True, True, True)
         return ProperPositionVerdict(
             False, True, True,
             {"condition": "non-hyperbolic-operand",
              "operand": "q" if p.is_zero else "p"})
-    prof_p = root_profile(p)
-    if not prof_p.is_hyperbolic:
-        return ProperPositionVerdict(
-            False, False, False, {"condition": "non-hyperbolic-operand", "operand": "p"})
-    prof_q = root_profile(q)
-    if not prof_q.is_hyperbolic:
-        return ProperPositionVerdict(
-            False, False, False, {"condition": "non-hyperbolic-operand", "operand": "q"})
+    for name, operand in (("p", p), ("q", q)):
+        if not _record(operand).real_rooted:
+            return ProperPositionVerdict(
+                False, False, False,
+                {"condition": "non-hyperbolic-operand", "operand": name})
     if abs(int(p.degree) - int(q.degree)) > 1:
         return ProperPositionVerdict(
             False, False, False,
             {"condition": "degree-gap", "degrees": [int(p.degree), int(q.degree)]})
-    gamma, delta = _merge_order(prof_p.nodes, prof_q.nodes)
-    interlaces = _interlaces(gamma, delta)
+    g = intpoly.gcd(p.nums, q.nums)
+    p1 = intpoly.divexact(intpoly.primitive(p.nums), g)
+    q1 = intpoly.divexact(intpoly.primitive(q.nums), g)
+    w1 = intpoly.sub(intpoly.mul(p1, intpoly.deriv(q1)),
+                     intpoly.mul(intpoly.deriv(p1), q1))
+    interlaces = not w1 or intpoly.variation_drop(intpoly.sturm_chain(w1)) == 0
     w = wronskian(p, q)
     if interlaces:
-        # interlacing roots give w one sign on the real line
-        # (Hermite-Kakeya-Obreschkoff), so its leading coefficient is it
         w_ok = w.is_zero or w.leading_coefficient > 0
     else:
         w_ok = nonneg_on_reals(w)
     witness = None
     if not interlaces:
+        tol = Fraction(1, 10**6)
         witness = {
             "condition": "interlacing-failed",
-            "p_roots_approx": approximations(prof_p.nodes, Fraction(1, 10**6)),
-            "q_roots_approx": approximations(prof_q.nodes, Fraction(1, 10**6)),
+            "p_roots_approx": approximations(root_data(p), tol),
+            "q_roots_approx": approximations(root_data(q), tol),
         }
     elif not w_ok:
         x0 = negativity_point(w)

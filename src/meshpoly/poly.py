@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import reduce
 from typing import Iterable, Sequence, Union
 
 from . import intpoly
@@ -44,32 +44,39 @@ def as_fraction(value: RatLike) -> Fraction:
     raise TypeError(f"not an exact rational: {value!r}")
 
 
-@lru_cache(maxsize=None)
+# rows 0, 1, ... of each Stirling triangle built so far
+_STIRLING1: list[tuple[int, ...]] = [(1,)]
+_STIRLING2: list[tuple[int, ...]] = [(1,)]
+
+
 def _stirling1_row(n: int) -> tuple[int, ...]:
     # row[k] is the signed Stirling number of the first kind s(n, k):
-    # (x)_n = sum_k row[k] x^k, built from (x)_n = (x - (n-1)) (x)_{n-1}
-    if n == 0:
-        return (1,)
-    prev = _stirling1_row(n - 1)
-    row = [0] * (n + 1)
-    for k, c in enumerate(prev):
-        row[k + 1] += c
-        row[k] -= (n - 1) * c
-    return tuple(row)
+    # (x)_n = sum_k row[k] x^k, built from (x)_n = (x - (n-1)) (x)_{n-1},
+    # row by row from the highest row built so far
+    rows = _STIRLING1
+    while len(rows) <= n:
+        m = len(rows)
+        row = [0] * (m + 1)
+        for k, c in enumerate(rows[-1]):
+            row[k + 1] += c
+            row[k] -= (m - 1) * c
+        rows.append(tuple(row))
+    return rows[n]
 
 
-@lru_cache(maxsize=None)
 def _stirling2_row(n: int) -> tuple[int, ...]:
     # row[k] is the Stirling number of the second kind S(n, k):
-    # x^n = sum_k row[k] (x)_k, built from x (x)_k = (x)_{k+1} + k (x)_k
-    if n == 0:
-        return (1,)
-    prev = _stirling2_row(n - 1)
-    row = [0] * (n + 1)
-    for k, c in enumerate(prev):
-        row[k + 1] += c
-        row[k] += k * c
-    return tuple(row)
+    # x^n = sum_k row[k] (x)_k, built from x (x)_k = (x)_{k+1} + k (x)_k,
+    # row by row from the highest row built so far
+    rows = _STIRLING2
+    while len(rows) <= n:
+        m = len(rows)
+        row = [0] * (m + 1)
+        for k, c in enumerate(rows[-1]):
+            row[k + 1] += c
+            row[k] += k * c
+        rows.append(tuple(row))
+    return rows[n]
 
 
 def _restate(nums: Sequence[int], basis: str) -> list[int]:

@@ -10,10 +10,11 @@ Two kinds of question, two paths:
 
 * Yes/no questions go by counts: sign variations of signed remainder
   sequences (intpoly.remainder_sequence) at a few rational points, with
-  no bisection.  Real-rootedness (is_hyperbolic), the absence of
-  negative roots and root counts (count_real_roots) take Sturm counts
-  per Yun factor (intpoly.factor_chains); mesh >= alpha is a Cauchy
-  index (mesh_at_least).  The small facts of each distinct polynomial
+  no bisection.  Real-rootedness (is_hyperbolic and root_profile's
+  flags), the absence of negative roots and root counts
+  (count_real_roots) take Sturm counts per Yun factor
+  (intpoly.factor_chains); mesh >= alpha is a Cauchy index
+  (mesh_at_least).  The small facts of each distinct polynomial
   (real-rooted, squarefree, no negative root, and the largest alpha
   decided True and the smallest decided False for its mesh) are kept in
   a bounded LRU cache of RECORD_CACHE_SIZE records (_records), keyed by
@@ -23,12 +24,12 @@ Two kinds of question, two paths:
   and gives intpoly.IsolatedRoot nodes, an isolating interval on one of
   the polynomial's Yun factors with the root's multiplicity, for
   root_profile's nodes, mesh_numeric, approximations, and in interlace
-  negativity_point and proper position's merge of two root lists.
-  Nothing keeps them, so a caller that refines its nodes in place
-  cannot reach another call's nodes.  Roots are isolated without
-  rational probing; the code that reads exact root values (mesh_numeric,
-  and approximations for display) probes the nodes it gets
-  (IsolatedRoot.try_rational).
+  negativity_point and the root approximations of an interlacing
+  failure.  No yes/no answer reads them.  Nothing keeps them, so a
+  caller that refines its nodes in place cannot reach another call's
+  nodes.  Roots are isolated without rational probing; the code that
+  reads exact root values (mesh_numeric, and approximations for
+  display) probes the nodes it gets (IsolatedRoot.try_rational).
 """
 
 from __future__ import annotations
@@ -61,7 +62,8 @@ def _separate(x: intpoly.IsolatedRoot, y: intpoly.IsolatedRoot) -> None:
     Disjoint means the open intervals do not overlap and neither exact
     value lies inside the other's open interval, so the root order is
     decided by endpoint comparison.  Ends are compared by integer cross
-    products over the positive denominators.
+    products over the positive denominators.  root_data separates the
+    roots of distinct Yun factors with it.
     """
     while True:
         xa, xb, xd = x.a, x.b, x.den
@@ -165,67 +167,6 @@ def _mesh_ok(rec: _Record, alpha: Fraction) -> bool:
     return False
 
 
-def _precedes(x: intpoly.IsolatedRoot, y: intpoly.IsolatedRoot) -> bool:
-    """Whether x's root lies left of y's; the roots are distinct and the
-    nodes separated, as _separate and _common_root leave them."""
-    xa, xb, xd = x.a, x.b, x.den
-    ya, yb, yd = y.a, y.b, y.den
-    if xa == xb and ya == yb:
-        return xa * yd < ya * xd
-    if xb * yd <= ya * xd:
-        return True
-    if yb * xd <= xa * yd:
-        return False
-    if xa == xb:
-        return xa * yd <= ya * xd
-    if ya == yb:
-        return ya * xd >= xb * yd
-    raise AssertionError("nodes not separated")
-
-
-def _common_root(x: intpoly.IsolatedRoot, y: intpoly.IsolatedRoot,
-                 gcd_cache: dict) -> bool:
-    """Certify whether two nodes hold the same real number.
-
-    Afterwards, unequal nodes are fully separated so that endpoint
-    comparison (_precedes) decides their order.
-    """
-    xa, xb, xd = x.a, x.b, x.den
-    ya, yb, yd = y.a, y.b, y.den
-    if xa == xb:
-        if ya == yb:
-            return xa * yd == ya * xd
-        # an exact value inside y's open interval is y's root or splits it
-        y.exclude(xa, xd)
-        return y.a == y.b
-    if ya == yb:
-        x.exclude(ya, yd)
-        return x.a == x.b
-    # the overlap (lo, hi) of the two open intervals, as (num, den) pairs
-    lo = (xa, xd) if xa * yd >= ya * xd else (ya, yd)
-    hi = (xb, xd) if xb * yd <= yb * xd else (yb, yd)
-    if lo[0] * hi[1] >= hi[0] * lo[1]:
-        return False
-    key = (id(x.poly), id(y.poly))
-    if key not in gcd_cache:
-        gcd_cache[key] = intpoly.gcd(x.poly, y.poly)
-    g = gcd_cache[key]
-    if len(g) <= 1:
-        _separate(x, y)
-        return False
-    gchain_key = ("chain", key)
-    if gchain_key not in gcd_cache:
-        gcd_cache[gchain_key] = intpoly.sturm_chain(g)
-    chain = gcd_cache[gchain_key]
-    # interval endpoints are never roots of the factors, hence not of g,
-    # so the variation difference counts g's roots in the open overlap
-    if intpoly._chain_at(chain, *lo)[1] - intpoly._chain_at(chain, *hi)[1] == 1:
-        return True
-    # no shared root inside the overlap: the roots differ
-    _separate(x, y)
-    return False
-
-
 @dataclass
 class RootProfile:
     """Certified summary of the real-root structure of a polynomial."""
@@ -253,17 +194,17 @@ class MeshReport:
 
 
 def root_profile(p: Polynomial) -> RootProfile:
-    """Exact hyperbolicity / sign / multiplicity report for nonzero p."""
+    """Exact hyperbolicity / sign report for nonzero p, with its nodes.
+
+    The flags are p's record (real-rooted, no negative root, by Sturm
+    counts); only the nodes come from an isolation (root_data).
+    """
     if p.is_zero:
         raise ValueError("zero polynomial has no root profile")
-    nodes = root_data(p) if p.degree >= 1 else []
-    real_with_mult = sum(n.multiplicity for n in nodes)
-    is_hyp = real_with_mult == int(p.degree)
-    return RootProfile(
-        is_hyperbolic=is_hyp,
-        all_roots_nonnegative=is_hyp and all(n.side(0, 1) >= 0 for n in nodes),
-        nodes=nodes,
-    )
+    rec = _record(p)
+    return RootProfile(is_hyperbolic=rec.real_rooted,
+                       all_roots_nonnegative=rec.no_negative_root,
+                       nodes=root_data(p))
 
 
 def count_real_roots(p: Polynomial, lo=None, hi=None) -> int:

@@ -5,6 +5,12 @@ and the node helpers in roots compare them by integer cross products.
 The reference below is the earlier form of the same algorithms, with
 Fraction ends and Fraction comparisons.  Both must leave every node with
 the same (lo, hi, slo) after every step, and give the same verdicts.
+
+int_common_root and int_precedes are the integer forms of the node
+comparisons that roots once used to merge two root lists (proper
+position) and to test adjacent gaps (the mesh): proper position and the
+mesh are now decided by counts, and the tests keep these two as part of
+their references (ref_mesh_at_least here, the merge in test_interlace).
 """
 
 from fractions import Fraction as F
@@ -184,6 +190,68 @@ def ref_common_root(a, b, gcd_cache):
         return False
 
 
+# -- the integer node comparisons, once in roots ------------------------
+
+def int_precedes(x, y):
+    """Whether x's root lies left of y's; the roots are distinct and the
+    nodes separated, as roots._separate and int_common_root leave them."""
+    xa, xb, xd = x.a, x.b, x.den
+    ya, yb, yd = y.a, y.b, y.den
+    if xa == xb and ya == yb:
+        return xa * yd < ya * xd
+    if xb * yd <= ya * xd:
+        return True
+    if yb * xd <= xa * yd:
+        return False
+    if xa == xb:
+        return xa * yd <= ya * xd
+    if ya == yb:
+        return ya * xd >= xb * yd
+    raise AssertionError("nodes not separated")
+
+
+def int_common_root(x, y, gcd_cache):
+    """Certify whether two IsolatedRoot nodes hold the same real number.
+
+    Afterwards, unequal nodes are fully separated so that endpoint
+    comparison (int_precedes) decides their order.
+    """
+    xa, xb, xd = x.a, x.b, x.den
+    ya, yb, yd = y.a, y.b, y.den
+    if xa == xb:
+        if ya == yb:
+            return xa * yd == ya * xd
+        # an exact value inside y's open interval is y's root or splits it
+        y.exclude(xa, xd)
+        return y.a == y.b
+    if ya == yb:
+        x.exclude(ya, yd)
+        return x.a == x.b
+    # the overlap (lo, hi) of the two open intervals, as (num, den) pairs
+    lo = (xa, xd) if xa * yd >= ya * xd else (ya, yd)
+    hi = (xb, xd) if xb * yd <= yb * xd else (yb, yd)
+    if lo[0] * hi[1] >= hi[0] * lo[1]:
+        return False
+    key = (id(x.poly), id(y.poly))
+    if key not in gcd_cache:
+        gcd_cache[key] = ip.gcd(x.poly, y.poly)
+    g = gcd_cache[key]
+    if len(g) <= 1:
+        roots._separate(x, y)
+        return False
+    gchain_key = ("chain", key)
+    if gchain_key not in gcd_cache:
+        gcd_cache[gchain_key] = ip.sturm_chain(g)
+    chain = gcd_cache[gchain_key]
+    # interval endpoints are never roots of the factors, hence not of g,
+    # so the variation difference counts g's roots in the open overlap
+    if ip._chain_at(chain, *lo)[1] - ip._chain_at(chain, *hi)[1] == 1:
+        return True
+    # no shared root inside the overlap: the roots differ
+    roots._separate(x, y)
+    return False
+
+
 def ref_nonneg(nodes):
     for n in nodes:
         if n.exact is not None:
@@ -263,7 +331,7 @@ def ref_mesh_at_least(nodes, alpha):
     roots.mesh_at_least once ran, for real-rooted nonzero p given by its
     root_data nodes: each root is placed against the translate by alpha
     of the root before it, equality certified by a gcd root count
-    (roots._common_root), order by separated endpoints (roots._precedes).
+    (int_common_root), order by separated endpoints (int_precedes).
     The nodes may have been narrowed by an earlier call; they are
     narrowed further in place."""
     alpha = F(alpha)
@@ -273,8 +341,8 @@ def ref_mesh_at_least(nodes, alpha):
         return False
     gcd_cache = {}
     for shifted, nxt in zip(translate_nodes(nodes[:-1], alpha), nodes[1:]):
-        if (not roots._common_root(nxt, shifted, gcd_cache)
-                and roots._precedes(nxt, shifted)):
+        if (not int_common_root(nxt, shifted, gcd_cache)
+                and int_precedes(nxt, shifted)):
             return False
     return True
 
@@ -387,14 +455,14 @@ def test_root_data_and_gap_pass_match_reference(probe):
                                           zip(ref_moved, ref[1:])):
                 seen["exact_next"] += nn.exact is not None
                 seen["exact_moved"] += nm.exact is not None
-                same = roots._common_root(nn, nm, new_cache)
+                same = int_common_root(nn, nm, new_cache)
                 assert same == ref_common_root(rn, rm, ref_cache)
                 assert _state([nn, nm]) == _state([rn, rm])
                 if same:
                     seen["equal"] += 1
                 else:
-                    assert roots._precedes(nn, nm) == ref_precedes(rn, rm)
-                    assert roots._precedes(nm, nn) == ref_precedes(rm, rn)
+                    assert int_precedes(nn, nm) == ref_precedes(rn, rm)
+                    assert int_precedes(nm, nn) == ref_precedes(rm, rn)
             seen["shared_factor"] += any(len(g) > 1 for k, g in
                                          new_cache.items() if k[0] != "chain")
         assert _state(new) == _state(ref)
@@ -489,7 +557,7 @@ def test_separate_matches_reference_on_translates():
                     roots._separate(a, b)
                     ref_separate(ra, rb)
                     assert _state([a, b]) == _state([ra, rb])
-                    assert roots._precedes(a, b) == ref_precedes(ra, rb)
+                    assert int_precedes(a, b) == ref_precedes(ra, rb)
                     pairs += 1
     assert pairs > 500
 

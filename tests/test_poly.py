@@ -1,6 +1,12 @@
 """Exact polynomial arithmetic in the monomial and falling-factorial bases."""
 
+import json
+import math
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -82,3 +88,37 @@ def test_equality_is_basis_free():
     p = Polynomial([0, 2, -3, 1])
     assert p == Polynomial.falling_factorial(3)
     assert p == p.to_basis(POCHHAMMER)
+
+
+def test_stirling_rows_need_no_recursion():
+    """The Stirling rows behind (x)_n and basis conversion are built in a
+    loop: under a recursion limit of 150, a fresh process builds rows up
+    to 400 with the right values."""
+    code = ("import json, sys\n"
+            "sys.setrecursionlimit(150)\n"
+            "from meshpoly.poly import POCHHAMMER, Polynomial\n"
+            "ff = Polynomial.falling_factorial(400)\n"
+            "x400 = Polynomial([0] * 400 + [1]).to_basis(POCHHAMMER)\n"
+            "print(json.dumps({\n"
+            "    'ff_at': [str(ff.evaluate(k)) for k in (0, 399, 400, -1)],\n"
+            "    'ff_mono': [str(c) for c in ff.monomial_coeffs()],\n"
+            "    'ff_poch': [str(c) for c in ff.coeffs],\n"
+            "    'x400_poch': [str(c) for c in x400.coeffs]}))\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    got = {k: [int(v) for v in vals] for k, vals in json.loads(out).items()}
+    n = 400
+    assert got["ff_at"] == [0, 0, math.factorial(n), math.factorial(n)]
+    mono = got["ff_mono"]
+    # s(n, 1) = (-1)^(n-1) (n-1)!, s(n, n-1) = -C(n, 2), s(n, n) = 1
+    assert (mono[0], mono[1]) == (0, (-1) ** (n - 1) * math.factorial(n - 1))
+    assert mono[-2:] == [-math.comb(n, 2), 1]
+    assert got["ff_poch"] == [0] * n + [1]
+    poch = got["x400_poch"]
+    # S(n, 1) = 1, S(n, 2) = 2^(n-1) - 1, S(n, n-1) = C(n, 2), S(n, n) = 1
+    assert poch[:3] == [0, 1, 2 ** (n - 1) - 1]
+    assert poch[-2:] == [math.comb(n, 2), 1]
+    # x^n at x = 3 from its pochhammer expansion: (3)_k = 0 for k > 3
+    assert sum(c * math.perm(3, k) for k, c in enumerate(poch[:4])) == 3 ** n

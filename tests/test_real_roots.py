@@ -1,15 +1,16 @@
 """Real-root questions against three independent references.
 
-The yes/no questions (is_hyperbolic, count_real_roots, nonneg_on_reals,
-mesh_at_least and class_membership) go by Sturm counts per Yun factor
-and by one Cauchy index for the mesh; negativity_point reads an
-isolation (roots.root_data).  The references:
+The yes/no questions (is_hyperbolic, root_profile's flags,
+count_real_roots, nonneg_on_reals, mesh_at_least and class_membership)
+go by Sturm counts per Yun factor and by one Cauchy index for the mesh;
+negativity_point reads an isolation (roots.root_data), and its point is
+checked by its sign only.  The references:
 
 * the Sturm-count procedure below: a Sturm chain of the squarefree part
   counts distinct roots, and w >= 0 is decided by counting the real
   roots of the odd-multiplicity part.  Other test modules import these
   references as their Sturm-count oracle;
-* the multiplicities of the root_data nodes;
+* the multiplicities and places of the root_data nodes;
 * the adjacent-gap test on root_data nodes, test_nodes.ref_mesh_at_least,
   for the mesh.  Each test isolates a corpus polynomial once and reuses
   its nodes, which stay sound however far they are narrowed.
@@ -111,24 +112,6 @@ def ref_nonneg_on_reals(w):
     return ref_count_distinct_in(ip.sturm_chain(odd), None, None) == 0
 
 
-def ref_negativity_point(w):
-    """The probe the earlier negativity_point returned: midpoints between
-    the probed isolating intervals of the squarefree part."""
-    if ref_nonneg_on_reals(w):
-        return None
-    f = ip.primitive(w.nums)
-    bound = ip.cauchy_bound(f)
-    isos = ip.isolate(ref_squarefree_part(f))
-    for n in isos:
-        n.try_rational()
-    probes = ([-bound] + [(a.hi + b.lo) / 2 for a, b in zip(isos, isos[1:])]
-              + [bound])
-    for x in probes:
-        if ip.sign_at(f, x) < 0:
-            return x
-    raise AssertionError("negative value exists but was not located")
-
-
 # -- the seeded corpus ---------------------------------------------------
 
 GRID = sorted({F(k, d) for d in (1, 2, 3) for k in range(-6, 7)})
@@ -200,6 +183,15 @@ def corpus():
             for p, rts in _corpus()]
 
 
+def ref_profile_flags(nodes, degree):
+    """root_profile's flags as an earlier version read them from the
+    root_data nodes of a nonzero polynomial of the given degree:
+    real-rooted when the multiplicities sum to the degree, all roots
+    nonnegative when, besides, no root lies left of 0."""
+    hyp = sum(n.multiplicity for n in nodes) == degree
+    return hyp, hyp and all(n.side(0, 1) >= 0 for n in nodes)
+
+
 def _node_count(nodes, lo, hi):
     """Distinct real roots in (lo, hi], by placing root_data nodes."""
     return sum(1 for n in nodes
@@ -209,10 +201,13 @@ def _node_count(nodes, lo, hi):
 
 def test_root_questions_match_sturm_reference(corpus):
     """Against the Sturm-count reference, and against the multiplicities
-    and places of the root_data nodes."""
+    and places of the root_data nodes, which also give root_profile's
+    flags (ref_profile_flags)."""
     seen = {"hyperbolic": 0, "not hyperbolic": 0, "nonneg with roots": 0,
             "odd root": 0, "repeated root": 0, "end is root": 0,
             "not squarefree, negative": 0}
+    profiles = {"all roots nonneg": 0, "a negative root": 0, "root at 0": 0,
+                "constant": 0}
     assert len(corpus) >= 6000
     assert any(max(map(abs, ip.primitive(p.nums))) > 10**30 for p, *_ in corpus)
     assert any(p.leading_coefficient < 0 for p, *_ in corpus)
@@ -221,6 +216,14 @@ def test_root_questions_match_sturm_reference(corpus):
         mults = [n.multiplicity for n in nodes]
         assert roots.is_hyperbolic(p) == hyp == (sum(mults) == p.degree), p
         seen["hyperbolic" if hyp else "not hyperbolic"] += 1
+        prof = roots.root_profile(p)
+        flags = (prof.is_hyperbolic, prof.all_roots_nonnegative)
+        assert flags == ref_profile_flags(nodes, p.degree), p
+        if hyp:
+            profiles["all roots nonneg" if flags[1]
+                     else "a negative root"] += 1
+            profiles["root at 0"] += F(0) in rts
+            profiles["constant"] += p.degree == 0
         rng = derive_rng(7, "real-roots-intervals", t)
         for lo, hi in _intervals(rng, rts):
             got = roots.count_real_roots(p, lo, hi)
@@ -239,11 +242,9 @@ def test_root_questions_match_sturm_reference(corpus):
             seen["nonneg with roots" if nonneg else "odd root"] += 1
         x = negativity_point(p)
         assert (x is not None and ip.sign_at(f, x) < 0) == (not nonneg), p
-        if squarefree:
-            assert x == ref_negativity_point(p), p
-        elif not nonneg:
-            seen["not squarefree, negative"] += 1
+        seen["not squarefree, negative"] += not squarefree and not nonneg
     assert min(seen.values()) >= 300, seen
+    assert min(profiles.values()) >= 200, profiles
 
 
 # -- mesh decisions against the adjacent-gap test --------------------------

@@ -12,7 +12,8 @@ from fractions import Fraction as F
 
 from meshpoly import roots
 from meshpoly.poly import POCHHAMMER, Polynomial
-from test_nodes import ALPHAS, _node_corpus, _state, translate_nodes
+from test_nodes import (ALPHAS, _node_corpus, _state, int_common_root,
+                        int_precedes, translate_nodes)
 
 
 def _flags(prof):
@@ -54,8 +55,8 @@ def test_narrowing_one_calls_nodes_leaves_the_next_call_cold():
             moved = translate_nodes(nodes[:-1], alpha)
             gcd_cache: dict = {}
             for shifted, nxt in zip(moved, nodes[1:]):
-                if not roots._common_root(nxt, shifted, gcd_cache):
-                    roots._precedes(nxt, shifted)
+                if not int_common_root(nxt, shifted, gcd_cache):
+                    int_precedes(nxt, shifted)
         for n in nodes:
             n.refine()
             n.try_rational()

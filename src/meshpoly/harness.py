@@ -49,7 +49,6 @@ class SearchConfig:
     trials: int = 500
     max_degree: int = 6
     i_max: int = 64
-    root_range: Fraction = Fraction(12)
     rho: Fraction = Fraction(1, 2)  # remark2 only
 
     def echo(self) -> dict:
@@ -139,8 +138,7 @@ def _search_finite_degree(cfg: SearchConfig, report: SearchReport) -> None:
                   "tested": 0, "consistent": True}
         if gate:
             for s in range(inner):
-                p = gen_fixture(spec, rng.randint(0, m), rng,
-                                root_range=cfg.root_range)
+                p = gen_fixture(spec, rng.randint(0, m), rng)
                 image = T.apply(p)
                 record["tested"] += 1
                 if image.is_zero or class_membership(image, spec):
@@ -160,8 +158,8 @@ def _search_bullet(cfg: SearchConfig, report: SearchReport) -> None:
     for t in range(cfg.trials):
         rng = derive_rng(cfg.seed, "bullet", t)
         d = rng.randint(2, max(2, min(4, cfg.max_degree)))
-        p = gen_fixture(spec, rng.randint(1, d), rng, root_range=cfg.root_range)
-        q = gen_fixture(spec, rng.randint(1, d), rng, root_range=cfg.root_range)
+        p = gen_fixture(spec, rng.randint(1, d), rng)
+        q = gen_fixture(spec, rng.randint(1, d), rng)
         r = bullet_product(p, q, d)
         ok = r.is_zero or class_membership(r, spec)
         report.records.append({"trial": t, "d": d, "p": p, "q": q,

@@ -7,7 +7,8 @@ polynomials store equal (nums, den).  Arithmetic runs on these integers
 through the intpoly kernels.  The basis tag only names the basis that
 coeffs reads in and the wire format writes in: ordinary powers of x
 (monomial) or the falling factorials (x)_i = x(x-1)...(x-i+1)
-(pochhammer), restated from nums by integer Stirling rows at read time.
+(pochhammer), restated from nums at read time by one in-place integer
+loop per direction (_restate), with no table kept between calls.
 Floating point never enters any computation in this module.
 """
 
@@ -44,54 +45,25 @@ def as_fraction(value: RatLike) -> Fraction:
     raise TypeError(f"not an exact rational: {value!r}")
 
 
-# rows 0, 1, ... of each Stirling triangle built so far
-_STIRLING1: list[tuple[int, ...]] = [(1,)]
-_STIRLING2: list[tuple[int, ...]] = [(1,)]
-
-
-def _stirling1_row(n: int) -> tuple[int, ...]:
-    # row[k] is the signed Stirling number of the first kind s(n, k):
-    # (x)_n = sum_k row[k] x^k, built from (x)_n = (x - (n-1)) (x)_{n-1},
-    # row by row from the highest row built so far
-    rows = _STIRLING1
-    while len(rows) <= n:
-        m = len(rows)
-        row = [0] * (m + 1)
-        for k, c in enumerate(rows[-1]):
-            row[k + 1] += c
-            row[k] -= (m - 1) * c
-        rows.append(tuple(row))
-    return rows[n]
-
-
-def _stirling2_row(n: int) -> tuple[int, ...]:
-    # row[k] is the Stirling number of the second kind S(n, k):
-    # x^n = sum_k row[k] (x)_k, built from x (x)_k = (x)_{k+1} + k (x)_k,
-    # row by row from the highest row built so far
-    rows = _STIRLING2
-    while len(rows) <= n:
-        m = len(rows)
-        row = [0] * (m + 1)
-        for k, c in enumerate(rows[-1]):
-            row[k + 1] += c
-            row[k] += k * c
-        rows.append(tuple(row))
-    return rows[n]
-
-
 def _restate(nums: Sequence[int], basis: str) -> list[int]:
     """Integer coefficients in the other basis restated in basis.
 
-    Into the monomial basis each (x)_i expands by the Stirling row s(i, .);
-    into the pochhammer basis each x^i by the row S(i, .).  The length is
-    kept: (x)_i and x^i both lead with 1.
+    Into the monomial basis, sum_i b_i (x)_i = b_0 + x(b_1 + (x - 1)(b_2
+    + (x - 2)(...))) is multiplied out from the inside (nested Horner);
+    into the pochhammer basis the inverse divides by x - 1, x - 2, ...
+    in turn (synthetic division).  Both run in place on a copy, and the
+    length is kept: (x)_i and x^i both lead with 1.
     """
-    row = _stirling1_row if basis == MONOMIAL else _stirling2_row
-    out = [0] * len(nums)
-    for i, c in enumerate(nums):
-        if c:
-            for k, s in enumerate(row(i)):
-                out[k] += c * s
+    out = list(nums)
+    n = len(out)
+    if basis == MONOMIAL:
+        for i in range(n - 2, 0, -1):
+            for j in range(i, n - 1):
+                out[j] -= i * out[j + 1]
+    else:
+        for i in range(1, n - 1):
+            for j in range(n - 2, i - 1, -1):
+                out[j] += i * out[j + 1]
     return out
 
 
@@ -122,20 +94,23 @@ def _canonical(nums: Sequence[int], den: int) -> tuple[tuple[int, ...], int]:
     return tuple(c // g for c in nums[:n]), den // g
 
 
-def stirling_first(n: int, k: int) -> int:
-    """Signed Stirling number of the first kind s(n, k)."""
+def _stirling(n: int, k: int, basis: str) -> int:
+    # entry k of the unit vector e_n restated in basis
     if n < 0 or k < 0:
         raise ValueError("Stirling indices must be non-negative")
-    row = _stirling1_row(n)
-    return row[k] if k < len(row) else 0
+    return _restate([0] * n + [1], basis)[k] if k <= n else 0
+
+
+def stirling_first(n: int, k: int) -> int:
+    """Signed Stirling number of the first kind s(n, k): the coefficient
+    of x^k in (x)_n."""
+    return _stirling(n, k, MONOMIAL)
 
 
 def stirling_second(n: int, k: int) -> int:
-    """Stirling number of the second kind S(n, k)."""
-    if n < 0 or k < 0:
-        raise ValueError("Stirling indices must be non-negative")
-    row = _stirling2_row(n)
-    return row[k] if k < len(row) else 0
+    """Stirling number of the second kind S(n, k): the coefficient of
+    (x)_k in x^n."""
+    return _stirling(n, k, POCHHAMMER)
 
 
 class Polynomial:
@@ -195,7 +170,8 @@ class Polynomial:
         """(x)_n = x(x-1)...(x-n+1), expressed in the pochhammer basis."""
         if n < 0:
             raise ValueError("falling factorial index must be non-negative")
-        return Polynomial._from_ints(_stirling1_row(n), 1, POCHHAMMER)
+        return Polynomial._from_ints(_restate([0] * n + [1], MONOMIAL), 1,
+                                     POCHHAMMER)
 
     @staticmethod
     def _from_ints(nums: Sequence[int], den: int,

@@ -247,13 +247,13 @@ def mesh_numeric(p: Polynomial, tol: Fraction = DEFAULT_TOL) -> MeshReport:
         raise ValueError("zero polynomial has no mesh")
     if p.degree <= 1:
         return MeshReport(INF, INF, INF)
-    nodes = root_data(p)
-    if sum(n.multiplicity for n in nodes) != int(p.degree):
+    rec = _record(p)
+    if not rec.real_rooted:
         raise NonHyperbolicInput("mesh is defined for real-rooted polynomials only")
-    if any(n.multiplicity > 1 for n in nodes):
+    if not rec.squarefree:
         return MeshReport(Fraction(0), Fraction(0), Fraction(0))
-    if len(nodes) == 1:
-        return MeshReport(INF, INF, INF)
+    # squarefree and real-rooted of degree >= 2: at least two nodes
+    nodes = root_data(p)
     for n in nodes:
         n.try_rational()
     if all(n.exact is not None for n in nodes):

@@ -3,10 +3,11 @@
 apply, bullet_product, diagonal_apply and the reading of a polynomial in
 another basis (to_basis, then coeffs) compute on integer numerators over
 one denominator (the moment form of apply, the falling-factorial form of
-the bullet product, integer Stirling rows).  The reference below is the
-earlier form of the same maps, in Fractions: one Taylor shift of p per
-term, repeated forward differences, and Stirling conversion coefficient
-by coefficient, on the Fraction arithmetic of test_poly_kernels.  Both
+the bullet product, in-place basis conversion).  The reference below is
+the earlier form of the same maps, in Fractions: one Taylor shift of p
+per term, repeated forward differences, and Stirling conversion
+coefficient by coefficient from triangles built here by their
+recurrences, on the Fraction arithmetic of test_poly_kernels.  Both
 must give the same coeffs in the same basis on a seeded corpus.
 """
 
@@ -24,11 +25,9 @@ from meshpoly import (
     diagonal_apply,
     from_symbol,
     make_standard,
-    stirling_first,
-    stirling_second,
 )
 from meshpoly.fixtures import derive_rng
-from meshpoly.poly import int_form
+from meshpoly.poly import _restate, int_form
 from test_poly_kernels import (ref_add, ref_evaluate, ref_mul, ref_scale,
                                ref_shift)
 
@@ -37,15 +36,48 @@ BIG = 10 ** 40
 
 # -- the Fraction reference ---------------------------------------------
 
+def stirling1_rows(n):
+    """Rows 0..n of the signed Stirling triangle of the first kind:
+    row m holds s(m, k), the x^k coefficients of (x)_m, built from
+    (x)_m = (x - (m-1)) (x)_{m-1}."""
+    rows = [[1]]
+    for m in range(1, n + 1):
+        row = [0] * (m + 1)
+        for k, c in enumerate(rows[-1]):
+            row[k + 1] += c
+            row[k] -= (m - 1) * c
+        rows.append(row)
+    return rows
+
+
+def stirling2_rows(n):
+    """Rows 0..n of the Stirling triangle of the second kind: row m
+    holds S(m, k), the (x)_k coefficients of x^m, built from
+    x (x)_k = (x)_{k+1} + k (x)_k."""
+    rows = [[1]]
+    for m in range(1, n + 1):
+        row = [0] * (m + 1)
+        for k, c in enumerate(rows[-1]):
+            row[k + 1] += c
+            row[k] += k * c
+        rows.append(row)
+    return rows
+
+
+def ref_restate(coeffs, basis):
+    """coeffs in the other basis restated in basis, term by term."""
+    rows = (stirling1_rows if basis == MONOMIAL else stirling2_rows)(len(coeffs))
+    out = [0] * len(coeffs)
+    for i, c in enumerate(coeffs):
+        for k, s in enumerate(rows[i]):
+            out[k] += c * s
+    return out
+
+
 def ref_to_basis(p, basis):
     if basis == p.basis:
         return p
-    stirling = stirling_first if basis == MONOMIAL else stirling_second
-    out = [F(0)] * len(p.coeffs)
-    for i, c in enumerate(p.coeffs):
-        for k in range(i + 1):
-            out[k] += c * stirling(i, k)
-    return Polynomial(out, basis)
+    return Polynomial(ref_restate(p.coeffs, basis), basis)
 
 
 def ref_apply(T, p):
@@ -182,6 +214,24 @@ def test_to_basis_matches_fraction_stirling():
     for p in inputs_corpus("basis", 200):
         for basis in (MONOMIAL, POCHHAMMER):
             same(p.to_basis(basis), ref_to_basis(p, basis))
+
+
+def test_restate_matches_stirling_triangles():
+    """_restate, both directions, against the triangle recurrences on the
+    basis corpus plus integer vectors of length up to 40 with entries up
+    to 10**40."""
+    vectors = [list(p.nums) for p in inputs_corpus("basis", 200)]
+    rng = derive_rng(7, "operator-kernels", "restate")
+    for n in range(41):
+        for _ in range(3):
+            vectors.append([rng.randint(-BIG, BIG) if rng.random() < 0.8 else 0
+                            for _ in range(n)])
+    assert max(map(len, vectors)) == 40
+    for v in vectors:
+        for basis in (MONOMIAL, POCHHAMMER):
+            assert _restate(v, basis) == ref_restate(v, basis), (v, basis)
+    # the two directions are inverse
+    assert all(_restate(_restate(v, POCHHAMMER), MONOMIAL) == v for v in vectors)
 
 
 def test_bullet_product_matches_repeated_differences():

@@ -91,9 +91,9 @@ def test_equality_is_basis_free():
 
 
 def test_stirling_rows_need_no_recursion():
-    """The Stirling rows behind (x)_n and basis conversion are built in a
-    loop: under a recursion limit of 150, a fresh process builds rows up
-    to 400 with the right values."""
+    """(x)_n and basis conversion are computed by loops, not recursion:
+    under a recursion limit of 150, a fresh process converts at degree
+    400 and gets the right Stirling numbers."""
     code = ("import json, sys\n"
             "sys.setrecursionlimit(150)\n"
             "from meshpoly.poly import POCHHAMMER, Polynomial\n"
@@ -122,3 +122,22 @@ def test_stirling_rows_need_no_recursion():
     assert poch[-2:] == [math.comb(n, 2), 1]
     # x^n at x = 3 from its pochhammer expansion: (3)_k = 0 for k > 3
     assert sum(c * math.perm(3, k) for k, c in enumerate(poch[:4])) == 3 ** n
+
+
+def test_basis_conversion_keeps_no_memory():
+    """Nothing built by a conversion outlives it: after (x)_300 and x^300
+    read in the pochhammer basis, a fresh process holds less than 1 MB of
+    traced memory once its results are dropped (Stirling tables kept
+    between calls held 12 MB here)."""
+    code = ("import gc, tracemalloc\n"
+            "from meshpoly.poly import POCHHAMMER, Polynomial\n"
+            "tracemalloc.start()\n"
+            "Polynomial.falling_factorial(300)\n"
+            "Polynomial([0] * 300 + [1]).to_basis(POCHHAMMER).coeffs\n"
+            "gc.collect()\n"
+            "print(tracemalloc.get_traced_memory()[0])\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert int(out) < 2 ** 20

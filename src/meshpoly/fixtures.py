@@ -3,21 +3,23 @@
 Every random object in a campaign is a pure function of
 (master_seed, *indices): the indices are hashed into an independent
 stream, so trials can run in any order or in parallel and still
-reproduce bit-for-bit.  Fixtures are built from explicit rational roots
-(first root uniform in a range, then gaps of at least the class bound),
-so their exact mesh is known by construction.  Before a fixture is
-handed out, its construction data prove it in its class, in integers
-(RootedFixture.proves); no root of the polynomial is decided again.
+reproduce bit-for-bit.  Fixtures are built, in integers, from explicit
+rational roots (first root uniform in a range, then gaps of at least
+the class bound), so their exact mesh is known by construction.  Before
+a fixture is handed out, its construction data prove it in its class
+(RootedFixture.proves), also in integers; no root is decided again.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from . import intpoly
 from .interlace import ClassSpec
 from .poly import Polynomial, as_fraction
 from .roots import INF
@@ -44,14 +46,20 @@ def derive_rng(master_seed: int, *indices) -> random.Random:
 def rand_fraction(rng: random.Random, lo, hi,
                   denominators: Sequence[int] = _DENOMS) -> Fraction:
     """Uniform-ish rational in [lo, hi] with a small denominator."""
-    lo = as_fraction(lo)
-    hi = as_fraction(hi)
+    return Fraction(*_draw(rng, as_fraction(lo), as_fraction(hi),
+                           denominators))
+
+
+def _draw(rng: random.Random, lo, hi,
+          denominators: Sequence[int] = _DENOMS) -> tuple[int, int]:
+    """rand_fraction's draw for int or Fraction ends, as an unreduced
+    (num, den): lo itself when no num/den with den drawn lies in [lo, hi]."""
     den = rng.choice(denominators)
     a = -(-lo.numerator * den // lo.denominator)  # ceil(lo*den)
     b = hi.numerator * den // hi.denominator      # floor(hi*den)
     if a > b:
-        return lo
-    return Fraction(rng.randint(a, b), den)
+        return lo.numerator, lo.denominator
+    return rng.randint(a, b), den
 
 
 @dataclass(frozen=True)
@@ -80,22 +88,20 @@ class RootedFixture:
         least gap and its least root the first.
         """
         alpha = _least_gap(spec)
-        for a, b in zip(self.roots, self.roots[1:]):
-            # b - a >= alpha, times a.den * b.den * alpha.den; as alpha >= 0,
-            # this also puts the roots in nondecreasing order
-            ad, bd = a.denominator, b.denominator
-            if (b.numerator * ad - a.numerator * bd) * alpha.denominator \
-                    < alpha.numerator * ad * bd:
+        an, ad = alpha.numerator, alpha.denominator
+        pq = [(r.numerator, r.denominator) for r in self.roots]
+        for (p, q), (p2, q2) in zip(pq, pq[1:]):
+            # p2/q2 - p/q >= alpha, times q * q2 * ad; as alpha >= 0, this
+            # also puts the roots in nondecreasing order
+            if (p2 * q - p * q2) * ad < an * q * q2:
                 return False
-        if spec.require_nonneg_roots and self.roots \
-                and self.roots[0].numerator < 0:
+        if spec.require_nonneg_roots and pq and pq[0][0] < 0:
             return False
         product = [self.lead.numerator]
         scale = self.lead.denominator
-        for r in self.roots:
-            p, q = r.numerator, r.denominator
-            product = [qc - p * c for qc, c in
-                       zip([0] + [q * c for c in product], product + [0])]
+        for p, q in pq:
+            product = [q * c - p * e for c, e in
+                       zip([0] + product, product + [0])]
             scale *= q
         nums, den = self.poly.nums, self.poly.den
         return len(nums) == len(product) and all(
@@ -115,29 +121,32 @@ def gen_rooted(spec: ClassSpec, degree: int, rng: random.Random,
 
     First root uniform in the admissible range, each later root one class
     gap (a positive mesh bound, or 0) plus a non-negative rational jitter
-    further on.  Before the fixture is released, its roots and lead prove
-    its membership in integers (RootedFixture.proves), independently of
-    the product in Polynomial.from_roots that built the polynomial; a failure here is a
-    generator bug, raised even under python -O.
+    further on, as integers n_i over one d that every draw and the gap
+    divide; poly is lead * prod (d x - n_i) / d**degree.  Before release,
+    its roots and lead prove it in spec in integers from each root's
+    reduced p/q (RootedFixture.proves); a failure is a generator bug,
+    raised even under python -O.
     """
     if degree < 0:
         raise ValueError("degree must be >= 0")
     lead = as_fraction(rng.choice(_LEADS))
-    if degree == 0:
-        fx = RootedFixture(Polynomial.constant(lead), (), lead)
-        if not fx.proves(spec):
-            raise AssertionError(f"degree-0 fixture outside {spec.label}")
-        return fx
-    root_range = as_fraction(root_range)
-    base_gap = _least_gap(spec)
-    lo = Fraction(0) if spec.require_nonneg_roots else -root_range
-    r = rand_fraction(rng, lo, root_range)
-    roots = [r]
-    for _ in range(degree - 1):
-        r = r + base_gap + rand_fraction(rng, 0, jitter)
-        roots.append(r)
-    fx = RootedFixture(Polynomial.from_roots(roots, lead=lead), tuple(roots),
-                       lead)
+    nums, den = [lead.numerator], lead.denominator
+    roots = []
+    if degree:
+        hi = as_fraction(root_range)
+        jitter = as_fraction(jitter)
+        gap = _least_gap(spec)
+        lo = 0 if spec.require_nonneg_roots else -hi
+        d = math.lcm(gap.denominator, hi.denominator, *_DENOMS)
+        step = gap.numerator * (d // gap.denominator)
+        n = -step  # the first root takes no gap
+        for i in range(degree):
+            p, q = _draw(rng, 0, jitter) if i else _draw(rng, lo, hi)
+            n += step + p * (d // q)
+            nums = intpoly.mul(nums, [-n, d])
+            roots.append(Fraction(n, d))
+        den *= d ** degree
+    fx = RootedFixture(Polynomial._from_ints(nums, den), tuple(roots), lead)
     if not fx.proves(spec):
         raise AssertionError(f"fixture with roots {roots} outside {spec.label}")
     return fx

@@ -6,6 +6,9 @@ ints, ascending by degree, normalized so the list is empty (zero) or has
 a non-zero last entry.  Rational inputs are cleared to a primitive
 integer representative first; all the predicates used downstream (signs,
 root locations, divisibility) are invariant under positive scaling.
+Remainder steps scale by the least positive multiplier that cancels a
+lead; each element is then the one primitive polynomial positively
+proportional to the exact remainder (_sturm_next).
 """
 
 from __future__ import annotations
@@ -54,23 +57,15 @@ def deriv(f: ZPoly) -> ZPoly:
 
 
 def content(f: ZPoly) -> int:
-    g = 0
-    for c in f:
-        g = math.gcd(g, abs(c))
-        if g == 1:
-            return 1
-    return g
+    """gcd of the coefficients, >= 0; 0 for the zero polynomial."""
+    return math.gcd(*f)
 
 
 def primitive(f: ZPoly) -> ZPoly:
     """Divide out the (positive) content; the sign pattern is preserved."""
     f = trim(list(f))
-    if not f:
-        return f
     g = content(f)
-    if g > 1:
-        f = [c // g for c in f]
-    return f
+    return [c // g for c in f] if g > 1 else f
 
 
 def translate(f: ZPoly, a: Fraction) -> ZPoly:
@@ -126,24 +121,31 @@ def sign_at_inf(f: ZPoly, direction: int) -> int:
 
 
 def _sturm_next(a: ZPoly, b: ZPoly) -> ZPoly:
-    """Primitive integer polynomial positively proportional to -(a mod b)."""
+    """The primitive integer polynomial positively proportional to
+    -(a mod b), unique as such; [] when b divides a.
+
+    Each step cancels the lead c of r by s r - q x^k b, with s = lb / g,
+    q = c / g and g = gcd(c, lb), both negated when s < 0, and pops it;
+    as s > 0, the last r is a positive multiple of a mod b.
+    """
     r = list(a)
     db = len(b) - 1
     lb = b[-1]
-    sgn = 1
-    while len(r) - 1 >= db and r:
-        r = [lb * c for c in r]
-        if lb < 0:
-            sgn = -sgn
-        q = r[-1] // lb
-        off = len(r) - 1 - db
-        for j in range(db + 1):
-            r[off + j] -= q * b[j]
-        trim(r)
-    if not r:
-        return []
-    out = [-c if sgn > 0 else c for c in r]
-    return primitive(out)
+    while len(r) > db:
+        c = r.pop()
+        if c:
+            g = math.gcd(c, lb)
+            s, q = lb // g, c // g
+            if s < 0:
+                s, q = -s, -q
+            if s != 1:
+                r = [s * x for x in r]
+            off = len(r) - db
+            for j in range(db):
+                r[off + j] -= q * b[j]
+    trim(r)
+    g = math.gcd(*r)
+    return [-c // g for c in r]
 
 
 def remainder_sequence(a: ZPoly, b: ZPoly) -> list[ZPoly]:
@@ -212,14 +214,10 @@ def _chain_at(chain: list[ZPoly], num: int, den: int) -> tuple[int, int]:
 
 def gcd(a: ZPoly, b: ZPoly) -> ZPoly:
     """Primitive gcd with positive leading coefficient."""
-    a = primitive(list(a))
-    b = primitive(list(b))
     if len(a) < len(b):
         a, b = b, a
-    g = remainder_sequence(a, b)[-1] if a else a
-    if g and g[-1] < 0:
-        g = neg(g)
-    return g
+    g = remainder_sequence(a, b)[-1] if a else []
+    return neg(g) if g and g[-1] < 0 else g
 
 
 def divexact(a: ZPoly, b: ZPoly) -> ZPoly:
@@ -261,15 +259,11 @@ def yun(f: ZPoly, chain: Optional[list[ZPoly]] = None) -> list[tuple[ZPoly, int]
         chain = sturm_chain(f)
     g = chain[-1]
     if len(g) == 1:
-        h = list(f)
-        if h[-1] < 0:
-            h = neg(h)
-        return [(primitive(h), 1)]
+        return [(neg(f) if f[-1] < 0 else f, 1)]
     if g[-1] < 0:
         g = neg(g)
-    fp = deriv(f)
     c = divexact(f, g)
-    d = sub(divexact(fp, g), deriv(c))
+    d = sub(divexact(deriv(f), g), deriv(c))
     out: list[tuple[ZPoly, int]] = []
     i = 1
     while len(c) > 1:

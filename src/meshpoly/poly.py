@@ -82,11 +82,7 @@ def _canonical(nums: Sequence[int], den: int) -> tuple[tuple[int, ...], int]:
         n -= 1
     if not n:
         return (), 1
-    g = abs(den)
-    for c in nums:
-        if g == 1:
-            break
-        g = math.gcd(g, c)
+    g = math.gcd(den, *nums)
     if den < 0:
         g = -g
     if g == 1:

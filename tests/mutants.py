@@ -1,0 +1,111 @@
+"""Mutation check: every seeded mutant of src/ must fail a named test file.
+
+    python tests/mutants.py
+
+Each mutant is one exact text substitution in one module, which must
+match exactly once.  For each, src/ is copied to a temporary directory,
+the substitution is applied there, and pytest runs the mutant's test
+files against the copy (the checkout is never edited).  A mutant
+survives when those tests pass.  An unmutated copy must first pass every
+named test file, so that a mutant counts as killed only by a failure it
+causes.  The script prints one line per mutant and exits 1 if any
+survives, 2 if the unmutated copy fails or a substitution does not
+match once.
+Standard library only; pytest is run as a subprocess.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# (name, module under src/meshpoly, old text, new text, test files)
+MUTANTS = [
+    ("no negation of a negative multiplier", "intpoly.py",
+     """            if s < 0:
+                s, q = -s, -q
+""", "", ["tests/test_intpoly.py"]),
+    ("no content division of the remainder", "intpoly.py",
+     "    return [-c // g for c in r]", "    return [-c for c in r]",
+     ["tests/test_intpoly.py"]),
+    ("remainder returned with the wrong sign", "intpoly.py",
+     "    return [-c // g for c in r]", "    return [c // g for c in r]",
+     ["tests/test_intpoly.py"]),
+    ("content always 1", "intpoly.py",
+     "    return math.gcd(*f)", "    return 1",
+     ["tests/test_intpoly.py"]),
+    ("gap term dropped from the root accumulation", "fixtures.py",
+     "            n += step + p * (d // q)", "            n += p * (d // q)",
+     ["tests/test_fixtures.py"]),
+    ("proves without its product check", "fixtures.py",
+     """        return len(nums) == len(product) and all(
+            c * scale == m * den for c, m in zip(nums, product))""",
+     "        return True", ["tests/test_fixtures.py"]),
+]
+
+
+def first_failure(tests: list[str], module: str = "", old: str = "",
+                  new: str = "") -> str:
+    """The first failure pytest reports for the tests on a copy of src/
+    with old replaced by new in module (no substitution when module is
+    empty); "" when they pass."""
+    with tempfile.TemporaryDirectory(prefix="meshpoly-mutant-") as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        if module:
+            path = src / "meshpoly" / module
+            text = path.read_text()
+            if text.count(old) != 1:
+                raise LookupError(f"{module}: substitution matches "
+                                  f"{text.count(old)} times, not once")
+            path.write_text(text.replace(old, new))
+        env = dict(os.environ, PYTHONPATH=str(src),
+                   PYTHONDONTWRITEBYTECODE="1")
+        r = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p",
+             "no:cacheprovider", "-o", f"pythonpath={src}", *tests],
+            cwd=ROOT, env=env, capture_output=True, text=True)
+        if r.returncode == 0:
+            return ""
+        failed = [ln for ln in r.stdout.splitlines()
+                  if ln.startswith(("FAILED", "ERROR"))]
+        return failed[0] if failed else f"pytest exit {r.returncode}"
+
+
+def main() -> int:
+    start = time.perf_counter()
+    files = sorted({f for *_, tests in MUTANTS for f in tests})
+    failure = first_failure(files)
+    if failure:
+        print(f"error    the unmutated copy fails: {failure}")
+        return 2
+    print(f"baseline passes {' '.join(files)} "
+          f"({time.perf_counter() - start:.1f} s)")
+    survivors = 0
+    for name, module, old, new, tests in MUTANTS:
+        t = time.perf_counter()
+        try:
+            failure = first_failure(tests, module, old, new)
+        except LookupError as e:
+            print(f"error    {name}: {e}")
+            return 2
+        survivors += not failure
+        print(f"{'killed' if failure else 'SURVIVED':8} {name} "
+              f"({time.perf_counter() - t:.1f} s)")
+        if failure:
+            print(f"         by {failure}")
+    print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} killed in "
+          f"{time.perf_counter() - start:.1f} s")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

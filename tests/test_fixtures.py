@@ -6,8 +6,9 @@ from pathlib import Path
 
 import meshpoly
 
-from meshpoly import INF, ClassSpec, class_membership, mesh_numeric
+from meshpoly import INF, ClassSpec, Polynomial, class_membership, mesh_numeric
 from meshpoly.fixtures import derive_rng, gen_fixture, gen_rooted, rand_fraction
+from meshpoly.poly import as_fraction
 
 
 def test_derive_rng_is_keyed_and_stable():
@@ -73,18 +74,72 @@ def test_negative_mesh_bound_keeps_roots_sorted():
     assert fx.roots[0] == ordered[0]
 
 
+def ref_rand_fraction(rng, lo, hi, denominators=(1, 2, 3, 4, 6, 8)):
+    """rand_fraction in Fractions, as fixtures drew before its integer draw."""
+    lo = as_fraction(lo)
+    hi = as_fraction(hi)
+    den = rng.choice(denominators)
+    a = -(-lo.numerator * den // lo.denominator)  # ceil(lo*den)
+    b = hi.numerator * den // hi.denominator      # floor(hi*den)
+    if a > b:
+        return lo
+    return F(rng.randint(a, b), den)
+
+
+def ref_gen_rooted(spec, degree, rng, root_range=12, jitter=2):
+    """(poly, roots, lead) of gen_rooted in Fraction arithmetic: each root
+    is the last one plus the class gap plus a jitter, and the polynomial
+    is Polynomial.from_roots of them."""
+    lead = as_fraction(rng.choice(
+        (1, 1, 1, 2, 3, F(1, 2), F(3, 4), F(5, 2))))
+    if degree == 0:
+        return Polynomial.constant(lead), (), lead
+    root_range = as_fraction(root_range)
+    bound = spec.mesh_bound
+    base_gap = bound if bound is not None and bound > 0 else F(0)
+    lo = F(0) if spec.require_nonneg_roots else -root_range
+    r = ref_rand_fraction(rng, lo, root_range)
+    roots = [r]
+    for _ in range(degree - 1):
+        r = r + base_gap + ref_rand_fraction(rng, 0, jitter)
+        roots.append(r)
+    return Polynomial.from_roots(roots, lead=lead), tuple(roots), lead
+
+
+def test_gen_rooted_matches_fraction_reference():
+    """Integer root accumulation against ref_gen_rooted: the same poly
+    (nums, den, basis), roots and lead, and the same RNG state after."""
+    specs = [ClassSpec.hp_ge(a) for a in (F(1, 2), 1, F(3, 2), 2, 0, -1)]
+    specs += [ClassSpec.hp_plus_ge(0), ClassSpec.hp_plus_ge(1),
+              ClassSpec.hyperbolic()]
+    for s, spec in enumerate(specs):
+        for jitter in (2, F(3, 2), F(1, 2), F(1, 3)):
+            for root_range in (12, F(5, 2)):
+                for degree in range(11):
+                    for t in range(3):
+                        key = (s, str(jitter), str(root_range), degree, t)
+                        rng = derive_rng(7, "stream", *key)
+                        ref_rng = derive_rng(7, "stream", *key)
+                        fx = gen_rooted(spec, degree, rng, root_range, jitter)
+                        poly, rts, lead = ref_gen_rooted(
+                            spec, degree, ref_rng, root_range, jitter)
+                        assert (fx.poly.nums, fx.poly.den, fx.poly.basis) \
+                            == (poly.nums, poly.den, poly.basis), key
+                        assert (fx.roots, fx.lead) == (rts, lead), key
+                        assert all(type(r) is F for r in fx.roots), key
+                        assert rng.getstate() == ref_rng.getstate(), key
+
+
 SELF_CHECK_UNDER_O = """
 import meshpoly.fixtures as fx
 from meshpoly import ClassSpec, Polynomial
 
 class OffByOne:
-    # the constructors as fixtures sees them, each off by 1 in the
-    # constant term, so only the product comparison sees the fault
-    constant = staticmethod(
-        lambda c: Polynomial.constant(c) + Polynomial.constant(1))
-    from_roots = staticmethod(
-        lambda roots, lead=1:
-        Polynomial.from_roots(roots, lead) + Polynomial.constant(1))
+    # the constructor as fixtures sees it, off by 1 in the constant
+    # term, so only the product comparison sees the fault
+    _from_ints = staticmethod(
+        lambda nums, den:
+        Polynomial._from_ints(nums, den) + Polynomial.constant(1))
 
 fx.Polynomial = OffByOne
 print(__debug__)

@@ -10,8 +10,10 @@ from meshpoly.fixtures import derive_rng
 from meshpoly.poly import Polynomial
 from test_nodes import RefRoot, probed, ref_simplest_in
 from test_poly_kernels import ref_shift
-from test_real_roots import (ref_count_distinct_in, ref_squarefree_part,
-                             ref_variations_at)
+from test_real_roots import (ref_content, ref_count_distinct_in, ref_gcd,
+                             ref_primitive, ref_remainder_sequence,
+                             ref_squarefree_part, ref_variations_at,
+                             ref_yun)
 
 
 def test_primitive_of_numerators_clears_denominators():
@@ -315,3 +317,85 @@ def test_translate_matches_polynomial_shift(alpha):
         f = ip.trim([rng.randint(-big, big) for _ in range(rng.randint(1, 9))])
         expected = ip.primitive(ref_shift(Polynomial(f), alpha).nums)
         assert ip.translate(f, alpha) == expected, (f, alpha)
+
+
+# -- the remainder kernel against the full-lead reference -----------------
+
+def _rand_zpoly(rng, degree, mag):
+    """Coefficients in [-mag, mag], a nonzero lead of either sign."""
+    return [rng.randint(-mag, mag) for _ in range(degree)] + \
+        [rng.choice((-1, 1)) * rng.randint(1, mag)]
+
+
+def _kernel_pair(t):
+    """(a, b) of degrees 0-12 with coefficients up to 10**40, by kind:
+    generic, constant b, b led by +-1 (its lead divides every remainder
+    lead), a scaled by b's lead, a prime lead of b (gcd 1 with most
+    remainder leads), a shared factor (squared in a), and b = a' with a
+    content in a."""
+    rng = derive_rng(7, "remainder-kernel", t)
+    kind = t % 7
+    mag = 10 ** rng.choice((1, 1, 3, 3, 12, 40))
+    a = _rand_zpoly(rng, rng.randint(0, rng.choice((3, 6, 12))), mag)
+    b = _rand_zpoly(rng, rng.randint(0, rng.choice((3, 6, 12))), mag)
+    if kind == 1:
+        b = b[-1:]
+    elif kind == 2:
+        b[-1] = rng.choice((-1, 1))
+    elif kind == 3:
+        a = [b[-1] * c for c in a]
+    elif kind == 4:
+        b[-1] = rng.choice((-1, 1)) * rng.choice((7, 13, 101, 10**9 + 7))
+    elif kind == 5:
+        h = _rand_zpoly(rng, rng.randint(1, 3), rng.choice((3, 10**6)))
+        a = ip.mul(ip.mul(h, h), a[:rng.randint(1, 6)] + [a[-1]])
+        b = ip.mul(h, b[:rng.randint(1, 8)] + [b[-1]])
+    elif kind == 6:
+        a = [rng.randint(2, 10**6) * c for c in a]
+        b = ip.deriv(a)
+    return a, b
+
+
+def test_remainder_kernel_matches_full_lead_reference():
+    """remainder_sequence, gcd, content and primitive on 30,100 seeded
+    pairs, sturm_chain on the pairs (a, a') and yun on the a with a
+    squared factor, against the full-lead reference kernel of
+    test_real_roots, list for list."""
+    seen = {"b constant": 0, "b lead negative": 0, "b lead +-1": 0,
+            "b lead divides a's": 0, "leads coprime": 0,
+            "shared factor": 0, "content > 1": 0, "degree 12": 0,
+            "coefficient > 10**39": 0, "b zero": 0}
+    for t in range(30100):
+        a, b = _kernel_pair(t)
+        for f in (a, b):
+            assert ip.content(f) == ref_content(f), f
+            assert ip.primitive(f) == ref_primitive(f), f
+        ref = ref_remainder_sequence(a, b)
+        assert ip.remainder_sequence(a, b) == ref, (a, b)
+        g = ip.gcd(a, b)
+        if len(a) >= len(b):
+            # ref_gcd(a, b): the last element, made positive
+            last = ref[-1]
+            assert g == ([-c for c in last] if last[-1] < 0 else last), (a, b)
+        else:
+            assert g == ref_gcd(a, b), (a, b)
+        if t % 7 == 6:
+            # b = a', so ref is test_real_roots.ref_sturm_chain(a)
+            assert ip.sturm_chain(a) == ref, a
+        elif t % 7 == 5:
+            assert ip.yun(a) == ref_yun(a), a
+        if not b:
+            seen["b zero"] += 1
+            continue
+        lb = b[-1]
+        seen["b constant"] += len(b) == 1
+        seen["b lead negative"] += lb < 0
+        seen["b lead +-1"] += abs(lb) == 1 and len(b) > 1
+        seen["b lead divides a's"] += a[-1] % lb == 0 and abs(lb) > 1
+        seen["leads coprime"] += math.gcd(a[-1], lb) == 1 and abs(lb) > 1
+        seen["shared factor"] += len(g) > 1
+        seen["content > 1"] += ip.content(a) > 1
+        seen["degree 12"] += len(a) == 13 or len(b) == 13
+        seen["coefficient > 10**39"] += max(map(abs, a + b)) > 10**39
+    assert seen.pop("b zero") >= 100, seen
+    assert min(seen.values()) >= 1000, seen

@@ -8,8 +8,11 @@ checked by its sign only.  The references:
 
 * the Sturm-count procedure below: a Sturm chain of the squarefree part
   counts distinct roots, and w >= 0 is decided by counting the real
-  roots of the odd-multiplicity part.  Other test modules import these
-  references as their Sturm-count oracle;
+  roots of the odd-multiplicity part.  It runs on its own remainder
+  kernel (ref_sturm_next, which multiplies by the full lead of the
+  divisor at every step, a Python gcd loop for the content, and a
+  textbook Yun decomposition), not on intpoly's.  Other test modules
+  import these references as their Sturm-count oracle;
 * the multiplicities and places of the root_data nodes;
 * the adjacent-gap test on root_data nodes, test_nodes.ref_mesh_at_least,
   for the mesh.  Each test isolates a corpus polynomial once and reuses
@@ -20,6 +23,7 @@ module (module-scoped fixtures) and shared by the tests here.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -36,16 +40,107 @@ from meshpoly.interlace import (ClassSpec, class_membership, negativity_point,
 from meshpoly.poly import Polynomial
 
 
+# -- the reference remainder kernel --------------------------------------
+
+def ref_content(f):
+    g = 0
+    for c in f:
+        g = math.gcd(g, abs(c))
+        if g == 1:
+            return 1
+    return g
+
+
+def ref_primitive(f):
+    f = ip.trim(list(f))
+    if not f:
+        return f
+    g = ref_content(f)
+    if g > 1:
+        f = [c // g for c in f]
+    return f
+
+
+def ref_sturm_next(a, b):
+    """Primitive integer polynomial positively proportional to -(a mod b),
+    by pseudo-division that multiplies the whole remainder by the full
+    lead of b at every step and tracks the sign that adds."""
+    r = list(a)
+    db = len(b) - 1
+    lb = b[-1]
+    sgn = 1
+    while len(r) - 1 >= db and r:
+        r = [lb * c for c in r]
+        if lb < 0:
+            sgn = -sgn
+        q = r[-1] // lb
+        off = len(r) - 1 - db
+        for j in range(db + 1):
+            r[off + j] -= q * b[j]
+        ip.trim(r)
+    if not r:
+        return []
+    return ref_primitive([-c if sgn > 0 else c for c in r])
+
+
+def ref_remainder_sequence(a, b):
+    """a, b, -(a mod b), ... as primitive integer polynomials, for a != 0."""
+    seq = [ref_primitive(a)]
+    b = ref_primitive(b)
+    if b:
+        seq.append(b)
+        while True:
+            nxt = ref_sturm_next(seq[-2], seq[-1])
+            if not nxt:
+                break
+            seq.append(nxt)
+    return seq
+
+
+def ref_sturm_chain(f):
+    return ref_remainder_sequence(f, ip.deriv(f))
+
+
+def ref_gcd(a, b):
+    """Primitive gcd with positive leading coefficient."""
+    a, b = ref_primitive(a), ref_primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    g = ref_remainder_sequence(a, b)[-1] if a else a
+    return [-c for c in g] if g and g[-1] < 0 else g
+
+
+def ref_yun(f):
+    """Yun's squarefree decomposition [(g_i, i)], f ~ prod g_i^i, from
+    gcd(f, f'); factors primitive with positive lead, constants dropped."""
+    f = ref_primitive(f)
+    if len(f) <= 1:
+        return []
+    g = ref_gcd(f, ip.deriv(f))
+    c = ip.divexact(f, g)
+    d = ip.sub(ip.divexact(ip.deriv(f), g), ip.deriv(c))
+    out = []
+    i = 1
+    while len(c) > 1:
+        a = ref_gcd(c, d)
+        if len(a) > 1:
+            out.append((a, i))
+        c = ip.divexact(c, a)
+        d = ip.sub(ip.divexact(d, a), ip.deriv(c))
+        i += 1
+    return out
+
+
 # -- the Sturm-count reference ------------------------------------------
 
 def ref_squarefree_part(f):
-    f = ip.primitive(list(f))
+    f = ref_primitive(f)
     if len(f) <= 1:
         return f
-    g = ip.gcd(f, ip.deriv(f))
+    g = ref_gcd(f, ip.deriv(f))
     if len(g) == 1:
         return f
-    return ip.primitive(ip.divexact(f, g))
+    return ref_primitive(ip.divexact(f, g))
 
 
 def ref_variations_at(chain, x, direction=0):
@@ -68,7 +163,7 @@ def ref_root_counter(p):
     """count(lo, hi): distinct real roots of p in (lo, hi], from one Sturm
     chain of the squarefree part."""
     sq = ref_squarefree_part(p.nums)
-    chain = ip.sturm_chain(sq)
+    chain = ref_sturm_chain(sq)
 
     def count(lo=None, hi=None):
         if len(sq) <= 1 or (lo is not None and hi is not None and lo >= hi):
@@ -81,12 +176,12 @@ def ref_is_hyperbolic(p):
     if p.degree <= 0:
         return True
     sq = ref_squarefree_part(p.nums)
-    return ref_count_distinct_in(ip.sturm_chain(sq), None, None) == len(sq) - 1
+    return ref_count_distinct_in(ref_sturm_chain(sq), None, None) == len(sq) - 1
 
 
 def ref_odd_multiplicity_part(f):
     out = [1]
-    for fac, mult in ip.yun(f):
+    for fac, mult in ref_yun(f):
         if mult % 2 == 1:
             out = ip.mul(out, fac)
     return out
@@ -99,8 +194,8 @@ def ref_nonneg_on_reals(w):
         return False
     if w.degree == 0:
         return True
-    f = ip.primitive(w.nums)
-    chain = ip.sturm_chain(f)
+    f = ref_primitive(w.nums)
+    chain = ref_sturm_chain(f)
     if ref_count_distinct_in(chain, None, None) == 0:
         return True
     if len(chain[-1]) == 1:
@@ -109,7 +204,7 @@ def ref_nonneg_on_reals(w):
     odd = ref_odd_multiplicity_part(f)
     if len(odd) <= 1:
         return True
-    return ref_count_distinct_in(ip.sturm_chain(odd), None, None) == 0
+    return ref_count_distinct_in(ref_sturm_chain(odd), None, None) == 0
 
 
 # -- the seeded corpus ---------------------------------------------------
@@ -348,7 +443,7 @@ def test_mesh_decisions_match_gap_reference(corpus, mesh_corpus):
                 (want and plus), (p, alpha)
             seen["member" if want else "not member"] += 1
             seen["gap equal"] += want and len(
-                ip.gcd(f, ip.translate(f, alpha))) > 1
+                ref_gcd(f, ip.translate(f, alpha))) > 1
     assert min(seen.values()) >= 100, seen
 
 

@@ -153,6 +153,9 @@ def cmd_apply(args) -> int:
     T = _load_operator(args.op)
     p = _load_poly(args.poly)
     if isinstance(T, DiagonalSequence):
+        # a value table too short for p is an input error (exit 2)
+        if not p.is_zero and not T.defined_up_to(int(p.degree)):
+            raise ValueError(f"sequence too short for degree {int(p.degree)}")
         image = diagonal_apply(T, p)
     else:
         image = T.apply(p)

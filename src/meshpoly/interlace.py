@@ -19,9 +19,10 @@ proper_position is the paper's characterization of the mesh classes: a
 hyperbolic p has mesh >= alpha exactly when p << p(x - alpha).  It is
 public, and the tests use it as an oracle, but class membership does not
 go through it: class_membership answers from counts alone (the cached
-facts of roots: real-rootedness and the sign of the roots by Sturm
-counts, the mesh bound by one Cauchy index, see roots.mesh_at_least),
-with no Wronskian.
+facts of roots: a positive mesh bound, real-rootedness included, by one
+Cauchy index, see roots.mesh_at_least; real-rootedness otherwise by
+Sturm counts; the sign of the roots by Descartes' rule), with no
+Wronskian.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ from typing import Optional
 
 from . import intpoly
 from .poly import Polynomial, as_fraction
-from .roots import _mesh_ok, _record, approximations, root_data
+from .roots import (_mesh_ok, _no_negative_root, _record, approximations,
+                    root_data)
 
 __all__ = [
     "ProperPositionVerdict",
@@ -220,21 +222,25 @@ def proper_position(p: Polynomial, q: Polynomial) -> ProperPositionVerdict:
 def class_membership(p: Polynomial, spec: ClassSpec) -> bool:
     """Exact membership of p in a hyperbolicity class with optional bounds.
 
-    Answered from counts alone, by p's cached record in roots:
-    real-rootedness and the sign bound by Sturm counts per Yun factor,
-    the mesh bound by one Cauchy index (roots.mesh_at_least has the
-    proof).  The zero polynomial is rejected outright (ValueError): it
-    belongs to no class here, and callers that can produce it must
-    handle it first.
+    Answered from counts alone, by p's cached record in roots.  A
+    positive mesh bound is one Cauchy index, which also decides
+    real-rootedness (roots.mesh_at_least has the proof); other specs
+    take real-rootedness from Sturm counts per Yun factor.  The sign
+    bound of a real-rooted p is Descartes' rule of signs, exact there.
+    The zero polynomial is rejected outright (ValueError): it belongs
+    to no class here, and callers that can produce it must handle it
+    first.
     """
     if p.is_zero:
         raise ValueError("zero polynomial has no class membership")
     rec = _record(p)
-    if not rec.real_rooted:
+    alpha = spec.mesh_bound
+    if alpha is not None and alpha > 0:
+        if not _mesh_ok(rec, alpha):
+            return False
+    elif not rec.real_rooted:
         return False
-    if spec.require_nonneg_roots and not rec.no_negative_root:
-        return False
-    return spec.mesh_bound is None or _mesh_ok(rec, spec.mesh_bound)
+    return not spec.require_nonneg_roots or _no_negative_root(rec.f)
 
 
 def quadratic_hp1plus(A, B, C) -> bool:

@@ -10,16 +10,19 @@ Two kinds of question, two paths:
 
 * Yes/no questions go by counts: sign variations of signed remainder
   sequences (intpoly.remainder_sequence) at a few rational points, with
-  no bisection.  Real-rootedness (is_hyperbolic and root_profile's
-  flags), the absence of negative roots and root counts
-  (count_real_roots) take Sturm counts per Yun factor
-  (intpoly.factor_chains); mesh >= alpha is a Cauchy index
-  (mesh_at_least).  The small facts of each distinct polynomial
-  (real-rooted, squarefree, no negative root, and the largest alpha
-  decided True and the smallest decided False for its mesh) are kept in
-  a bounded LRU cache of RECORD_CACHE_SIZE records (_records), keyed by
-  the primitive integer representative of the polynomial, so positive
-  rational multiples and either basis share an entry.
+  no bisection.  Membership in HP>=alpha for alpha > 0 is one Cauchy
+  index (mesh_at_least), which decides real-rootedness, squarefreeness
+  and the mesh bound at once; for a real-rooted polynomial the absence
+  of negative roots is Descartes' rule of signs (_no_negative_root),
+  which is exact there.  Real-rootedness on its own (is_hyperbolic and
+  root_profile's flags) and root counts (count_real_roots) take Sturm
+  counts per Yun factor (intpoly.factor_chains).  The small facts of
+  each distinct polynomial (real-rooted and squarefree, computed on
+  first read, and the largest alpha decided True and the smallest
+  decided False for its mesh) are kept in a bounded LRU cache of
+  RECORD_CACHE_SIZE records (_records), keyed by the primitive integer
+  representative of the polynomial, so positive rational multiples and
+  either basis share an entry.
 * Values read an isolation: root_data isolates the roots on each call
   and gives intpoly.IsolatedRoot nodes, an isolating interval on one of
   the polynomial's Yun factors with the root's multiplicity, for
@@ -92,8 +95,13 @@ def root_data(p: Polynomial) -> list[intpoly.IsolatedRoot]:
     factor share that factor's list as their poly."""
     if p.is_zero:
         raise ValueError("zero polynomial has no root data")
+    return _nodes(intpoly.factor_chains(p.nums))
+
+
+def _nodes(chains) -> list[intpoly.IsolatedRoot]:
+    """root_data's nodes, isolated on chains = factor_chains(f)."""
     groups = []
-    for chain, mult in intpoly.factor_chains(p.nums):
+    for chain, mult in chains:
         group = intpoly.isolate(chain[0], chain)
         for n in group:
             n.multiplicity = mult
@@ -112,31 +120,64 @@ def root_data(p: Polynomial) -> list[intpoly.IsolatedRoot]:
     return nodes
 
 
+def _chain_flags(chains) -> tuple[bool, bool]:
+    """(real-rooted, squarefree) of f from chains = factor_chains(f): f
+    is real-rooted when each Yun factor g has deg g roots by its Sturm
+    count.  A constant f (no chains) is both."""
+    return (all(intpoly.variation_drop(chain) == len(chain[0]) - 1
+                for chain, _ in chains),
+            all(m == 1 for _, m in chains))
+
+
+def _no_negative_root(f: intpoly.ZPoly) -> bool:
+    """No root of the real-rooted nonzero f is negative.
+
+    Descartes' rule of signs is exact for a real-rooted polynomial: f(-x)
+    has as many positive roots, with multiplicity, as sign variations in
+    its coefficients (-1)^i c_i.  So f has no negative root exactly when
+    every nonzero c_i has the sign of lc(f) (-1)^(n - i), n = deg f.
+    """
+    n, up = len(f) - 1, f[-1] > 0
+    return all(not c or ((c > 0) != up) == (n - i) % 2
+               for i, c in enumerate(f))
+
+
 class _Record:
     """The decided facts of one primitive integer polynomial f, kept in
     place of its chains and nodes.  yes is the largest alpha for which
     mesh(f) >= alpha was decided True (0 before any), no the smallest
     decided False (None before any): the answer is monotone in alpha, so
-    every alpha <= yes holds and every alpha >= no fails."""
+    every alpha <= yes holds and every alpha >= no fails.
 
-    __slots__ = ("f", "real_rooted", "squarefree", "no_negative_root",
-                 "yes", "no")
+    Real-rootedness and squarefreeness (flags) are Sturm counts per Yun
+    factor, computed on first read; a positive yes implies both (see
+    mesh_at_least), so they are then never computed.  When one of them
+    fails, every alpha > 0 fails, and no becomes 0."""
+
+    __slots__ = ("f", "chain_flags", "yes", "no")
+
+    def flags(self, chains=None) -> tuple[bool, bool]:
+        """(real-rooted, squarefree); a caller that has factor_chains(f)
+        passes it as chains."""
+        if self.yes > 0:
+            return True, True
+        if self.chain_flags is None:
+            self.chain_flags = _chain_flags(
+                intpoly.factor_chains(self.f) if chains is None else chains)
+            if not all(self.chain_flags):
+                self.no = Fraction(0)
+        return self.chain_flags
+
+    @property
+    def real_rooted(self) -> bool:
+        return self.flags()[0]
 
 
 @functools.lru_cache(maxsize=RECORD_CACHE_SIZE)
 def _records(f: tuple) -> _Record:
-    """Sturm counts per Yun factor g: real-rooted when each g has deg g
-    roots, no negative root when each has none in (-inf, 0] beyond a
-    root at 0.  A constant f is real-rooted and squarefree."""
-    chains = intpoly.factor_chains(f)
+    """A record of f with nothing decided yet."""
     rec = _Record()
-    rec.f, rec.yes, rec.no = f, 0, None
-    rec.squarefree = all(m == 1 for _, m in chains)
-    rec.real_rooted = all(intpoly.variation_drop(chain) == len(chain[0]) - 1
-                          for chain, _ in chains)
-    rec.no_negative_root = rec.real_rooted and all(
-        intpoly.variation_drop(chain, None, Fraction(0)) == (chain[0][0] == 0)
-        for chain, _ in chains)
+    rec.f, rec.chain_flags, rec.yes, rec.no = f, None, 0, None
     return rec
 
 
@@ -150,12 +191,14 @@ def _record(p: Polynomial) -> _Record:
 
 
 def _mesh_ok(rec: _Record, alpha: Fraction) -> bool:
-    """mesh >= alpha for the real-rooted polynomial of rec (see
-    mesh_at_least); a new verdict moves rec.yes or rec.no."""
+    """mesh >= alpha for the polynomial f of rec.  For alpha > 0 any f
+    may be asked, and True also means that f is real-rooted and
+    squarefree (see mesh_at_least); for alpha <= 0 the answer holds for
+    a real-rooted f only.  A new verdict moves rec.yes or rec.no."""
     f = rec.f
     if alpha <= rec.yes or len(f) <= 2:
         return True
-    if not rec.squarefree or (rec.no is not None and alpha >= rec.no):
+    if rec.no is not None and alpha >= rec.no:
         return False
     q = intpoly.translate(f, alpha)
     d = intpoly.sub([f[-1] * c for c in q], [q[-1] * c for c in f])
@@ -196,15 +239,20 @@ class MeshReport:
 def root_profile(p: Polynomial) -> RootProfile:
     """Exact hyperbolicity / sign report for nonzero p, with its nodes.
 
-    The flags are p's record (real-rooted, no negative root, by Sturm
-    counts); only the nodes come from an isolation (root_data).
+    The flags are p's record (real-rooted by Sturm counts, filled from
+    the chains the nodes are isolated on when the record is cold) and
+    Descartes' rule for the sign of the roots; the nodes come from an
+    isolation (root_data).
     """
     if p.is_zero:
         raise ValueError("zero polynomial has no root profile")
     rec = _record(p)
-    return RootProfile(is_hyperbolic=rec.real_rooted,
-                       all_roots_nonnegative=rec.no_negative_root,
-                       nodes=root_data(p))
+    chains = intpoly.factor_chains(rec.f)
+    real_rooted = rec.flags(chains)[0]
+    return RootProfile(
+        is_hyperbolic=real_rooted,
+        all_roots_nonnegative=real_rooted and _no_negative_root(rec.f),
+        nodes=_nodes(chains))
 
 
 def count_real_roots(p: Polynomial, lo=None, hi=None) -> int:
@@ -248,12 +296,16 @@ def mesh_numeric(p: Polynomial, tol: Fraction = DEFAULT_TOL) -> MeshReport:
     if p.degree <= 1:
         return MeshReport(INF, INF, INF)
     rec = _record(p)
-    if not rec.real_rooted:
+    # on a cold record the chains that the nodes need decide the flags too
+    chains = (intpoly.factor_chains(rec.f)
+              if rec.chain_flags is None and rec.yes == 0 else None)
+    real_rooted, squarefree = rec.flags(chains)
+    if not real_rooted:
         raise NonHyperbolicInput("mesh is defined for real-rooted polynomials only")
-    if not rec.squarefree:
+    if not squarefree:
         return MeshReport(Fraction(0), Fraction(0), Fraction(0))
     # squarefree and real-rooted of degree >= 2: at least two nodes
-    nodes = root_data(p)
+    nodes = _nodes(chains or intpoly.factor_chains(rec.f))
     for n in nodes:
         n.try_rational()
     if all(n.exact is not None for n in nodes):
@@ -283,36 +335,51 @@ def mesh_at_least(p: Polynomial, alpha) -> bool:
 
     Degree <= 1 passes every bound and alpha = 0 is always passed; a
     repeated root fails every alpha > 0; a non-hyperbolic p raises.
-    Otherwise the primitive integer form f of p is squarefree and
-    real-rooted of degree n >= 2, with roots r_1 < ... < r_n, and the
-    answer is one Cauchy index, with no root isolated.  Let q = f(x -
-    alpha) up to a positive factor (intpoly.translate: roots r_i +
-    alpha) and d = lc(f) q - lc(q) f, of degree < n.  Then
+    Otherwise, for alpha > 0, the answer is one Cauchy index, with no
+    root isolated and no Sturm chain.  Let f be the primitive integer
+    form of p, of degree n >= 2, q = f(x - alpha) up to a positive factor
+    (intpoly.translate: roots r + alpha) and d = lc(f) q - lc(q) f, of
+    degree < n.  Then
 
-        mesh(f) >= alpha  exactly when  |Ind(d/f)| = n - deg gcd(f, q),
+        |Ind(d/f)| = n - deg gcd(f, q)  exactly when f has n distinct
+        real roots and every gap between adjacent ones is >= alpha,
 
     where Ind(d/f) is the variation drop of remainder_sequence(f, d)
-    from -inf to +inf, whose last element is gcd(f, d) = gcd(f, q).  A
-    gap exactly alpha is a common root of f and q, which the gcd cancels.
+    from -inf to +inf, whose last element is gcd(f, d) = gcd(f, q).  The
+    index thus decides real-rootedness and squarefreeness as well: a
+    True answer needs no Sturm count, and only a False one computes
+    real-rootedness, to tell "mesh below alpha" from a non-hyperbolic p.
 
-    Proof.  d/f = lc(f) q/f - lc(q), so |Ind(d/f)| = |Ind(q/f)|.  r_i is
-    a pole of q/f unless r_i - alpha is a root of f: there are n - k
-    poles, k = deg gcd(f, q), each simple, so each jumps by +-1 and the
-    equation holds exactly when all jumps have one sign.  The jump at a
-    pole r_i has the sign of q(r_i) / f'(r_i).  lc(q) and lc(f) have one
-    sign s; sign f'(r_i) = s (-1)^(n-i), and sign q(r_i) = s (-1)^(n-m_i)
-    with m_i the number of roots r_j < r_i - alpha.  So the jump has the
-    sign -(-1)^e_i, e_i = i - 1 - m_i >= 0.
-    If mesh(f) >= alpha, then at a pole r_{i-1} < r_i - alpha, so m_i =
-    i - 1 and every jump is -1.
-    Conversely, let all jumps have one sign.  r_1 is a pole with e_1 = 0,
-    so e_i is even at every pole.  Let c_i be the number of roots <= r_i
-    - alpha: c_i <= i - 1, c_i >= c_{i-1}, and c_i = m_i at a pole.  By
-    induction on i, c_i = i - 1, that is r_{i-1} <= r_i - alpha: c_1 = 0.
-    Given c_{i-1} = i - 2, at a pole c_i = i - 1 - e_i is in [i - 2,
-    i - 1] with the parity of i - 1, so c_i = i - 1.  Otherwise r_i -
-    alpha = r_j and c_i = j >= i - 2; j = i - 2 would give r_i - alpha =
-    r_{i-2} <= r_{i-1} - alpha, so j = i - 1.
+    Proof.  d/f = lc(f) q/f - lc(q), so |Ind(d/f)| = |Ind(q/f)|.  With k
+    = deg gcd(f, q), the pole orders of q/f, real or not, sum to n - k,
+    and a real pole adds -1, 0 or +1 to the index: +-1 when its order is
+    odd, by the sign change of q/f across it.  So the equation holds
+    exactly when every pole is real and simple and every jump has one
+    sign.  Assume it holds.
+    All roots are real: a root r of f lies on a chain r, r - alpha, r -
+    2 alpha, ... of roots of f, which ends at a root s with s - alpha not
+    a root.  Then q(s) = f(s - alpha) != 0, so s is a pole, s is real,
+    and r = s + j alpha is real.
+    Signs: lc(q) and lc(f) have one sign, so for x not a root of f or q,
+    q(x)/f(x) = (lc(q)/lc(f)) prod_r (x - alpha - r)/(x - r) over the
+    roots r with multiplicity has the sign (-1)^N(x), where N(x) counts
+    the roots in (x - alpha, x).  Just left of a pole t, N counts the
+    roots in [t - alpha, t); call that N(t-).  A simple pole jumps by +1
+    exactly when q/f is negative just left of it, so every N(t-) has one
+    parity.  The smallest root is a pole with N(t-) = 0, so N(t-) is
+    even at every pole t.
+    Let t_1 < ... < t_m be the distinct roots.  By induction on j, t_j is
+    simple and, for j > 1, t_j - t_(j-1) >= alpha.  Given this below j,
+    at most one of t_1, ..., t_(j-1) lies in [t_j - alpha, t_j), since
+    they are alpha apart.  If t_j is a pole, N(t_j-) is even and at most
+    1, so it is 0: t_j - alpha is no root, the pole order mult(t_j) -
+    mult(t_j - alpha) = mult(t_j) is 1, and t_(j-1) < t_j - alpha.  If
+    t_j is no pole, mult(t_j) <= mult(t_j - alpha) makes t_j - alpha an
+    earlier root, simple, so t_j is simple; it is the one earlier root
+    in [t_j - alpha, t_j), so it is t_(j-1), a gap of exactly alpha.
+    Conversely, if f has n simple real roots alpha or more apart, the
+    poles are the roots t with t - alpha no root; each is simple, there
+    are n - k of them, and N(t-) = 0 at each, so every jump has one sign.
 
     Verdicts are kept per polynomial (_records), so a bound already
     implied by an earlier verdict costs no sequence.
@@ -325,9 +392,11 @@ def mesh_at_least(p: Polynomial, alpha) -> bool:
     if p.degree <= 1:
         return True
     rec = _record(p)
+    if alpha > 0 and _mesh_ok(rec, alpha):
+        return True
     if not rec.real_rooted:
         raise NonHyperbolicInput("mesh is defined for real-rooted polynomials only")
-    return _mesh_ok(rec, alpha)
+    return alpha == 0
 
 
 def approximations(nodes: Sequence[intpoly.IsolatedRoot],

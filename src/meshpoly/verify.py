@@ -33,7 +33,7 @@ from .operators import (
     pochhammer_cofactor,
 )
 from .poly import POCHHAMMER, Polynomial, as_fraction
-from .roots import DEFAULT_TOL, count_real_roots, is_hyperbolic, mesh_at_least, mesh_numeric
+from .roots import DEFAULT_TOL, count_real_roots, is_hyperbolic, mesh_numeric
 
 __all__ = [
     "Verdict",
@@ -132,12 +132,16 @@ def check_mesh_monotone(T, p: Polynomial, alpha=None, variant: str = "difference
             "condition": "finite-mesh-image-of-degree<=1-input",
             "input": p, "image": image,
         })
+    # a positive baseline is one Cauchy index, which decides
+    # real-rootedness too; is_hyperbolic only picks a failure's witness
+    if beta > 0 and class_membership(image, ClassSpec.hp_ge(beta)):
+        return Verdict(claim, HOLDS, details=details)
     if not is_hyperbolic(image):
         return Verdict(claim, FAILS, witness={
             "condition": "image-not-hyperbolic",
             "input": p, "image": image, "baseline": beta,
         })
-    if not mesh_at_least(image, beta):
+    if beta > 0:
         return Verdict(claim, FAILS, witness={
             "condition": "image-mesh-decreased",
             "input": p, "image": image, "baseline": beta,
@@ -158,9 +162,7 @@ def _image_in_mesh_one_class(T: FiniteDifferenceOperator, i: int,
     """
     if Ri.is_zero:
         return True
-    if not is_hyperbolic(Ri):
-        return False
-    if not mesh_at_least(Ri, 1):
+    if not class_membership(Ri, ClassSpec.hp_ge(1)):
         return False
     k = T.order
     if i == k:
@@ -210,10 +212,10 @@ def symbol_preserver_verdict(Q: Polynomial, i_max: int = 64, trials: int = 0,
         image = T.apply(Polynomial.falling_factorial(i))
         if image.is_zero:
             raise AssertionError("cofactor scan flagged a zero image")
-        hyp = is_hyperbolic(image)
-        if hyp and mesh_at_least(image, 1):
+        if class_membership(image, ClassSpec.hp_ge(1)):
             raise AssertionError("cofactor scan disagrees with direct membership")
-        condition = "image-not-hyperbolic" if not hyp else "image-mesh-below-1"
+        condition = ("image-mesh-below-1" if is_hyperbolic(image)
+                     else "image-not-hyperbolic")
         return Verdict(claim, FAILS, witness={
             "condition": condition, "index": i, "image": image, "cofactor": Ri,
         }, details={"scanned_up_to": i})

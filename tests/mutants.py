@@ -48,6 +48,20 @@ MUTANTS = [
      """        return len(nums) == len(product) and all(
             c * scale == m * den for c, m in zip(nums, product))""",
      "        return True", ["tests/test_fixtures.py"]),
+    ("Descartes parity flipped", "roots.py",
+     "    return all(not c or ((c > 0) != up) == (n - i) % 2",
+     "    return all(not c or ((c > 0) != up) == (n - i + 1) % 2",
+     ["tests/test_mesh_index.py"]),
+    ("the Cauchy index ignores the gcd", "roots.py",
+     "== len(f) - len(seq[-1]):", "== len(f) - 1:",
+     ["tests/test_mesh_index.py"]),
+    ("the index asked for mesh bound 0", "interlace.py",
+     "    if alpha is not None and alpha > 0:",
+     "    if alpha is not None and alpha >= 0:",
+     ["tests/test_mesh_index.py"]),
+    ("a zero yes implies the flags", "roots.py",
+     "        if self.yes > 0:", "        if self.yes >= 0:",
+     ["tests/test_mesh_index.py"]),
 ]
 
 

@@ -85,6 +85,22 @@ def test_apply_sequence(tmp_path, capsys):
     assert img == {"basis": "monomial", "coeffs": ["0/1", "-4/1", "4/1"]}
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("poly", [
+    POLY_024, '{"basis": "pochhammer", "coeffs": ["0", "0", "0", "1"]}'],
+    ids=["monomial", "pochhammer"])
+def test_apply_short_sequence_is_exit_2(tmp_path, capsys, fmt, poly):
+    """Three values cannot scale a degree-3 polynomial: an input error,
+    not an internal one."""
+    p = tmp_path / "p.json"
+    p.write_text(poly)
+    sq = tmp_path / "seq.json"
+    sq.write_text('{"sequence": {"values": ["1", "2", "4"]}}')
+    code, out, err = run_cli(capsys, "apply", str(p), "--op", str(sq),
+                             "--format", fmt)
+    assert (code, out, err) == (2, "", "error: sequence too short for degree 3\n")
+
+
 def test_convert(tmp_path, capsys):
     p = tmp_path / "p.json"
     p.write_text('{"basis": "monomial", "coeffs": ["1", "1", "1"]}')

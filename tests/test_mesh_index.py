@@ -1,0 +1,249 @@
+"""Membership in HP>=alpha by the Cauchy index alone, against the earlier
+three-step decision.
+
+For alpha > 0, class_membership and mesh_at_least ask one Cauchy index
+(roots.mesh_at_least has the proof that it decides real-rootedness,
+squarefreeness and the mesh bound at once), and the sign of the roots
+of a real-rooted polynomial is Descartes' rule of signs.  The reference
+here is the decision they replace: Sturm counts per Yun factor for
+real-rootedness and for roots in (-inf, 0], then squarefreeness, then
+the index, asked only of a squarefree real-rooted polynomial.  It runs
+on intpoly's kernel, which tests/test_intpoly.py checks against an
+independent one.
+
+The corpus puts the index where the Sturm steps used to stop it:
+repeated roots on and off alpha-progressions, such as (x - s)(x - s -
+alpha)^2, complex pairs beside such progressions, roots at 0, degree
+<= 1 and negative leads.
+"""
+
+from fractions import Fraction as F
+
+import pytest
+
+from meshpoly import intpoly as ip
+from meshpoly import roots
+from meshpoly.fixtures import derive_rng
+from meshpoly.interlace import ClassSpec, class_membership
+from meshpoly.poly import Polynomial
+
+ALPHAS = (F(1, 3), F(1, 2), F(1), F(3, 2), F(2))
+
+
+# -- the earlier decision --------------------------------------------------
+
+def ref_facts(f):
+    """(real-rooted, squarefree, no negative root) of the primitive
+    nonzero f by Sturm counts per Yun factor."""
+    chains = ip.factor_chains(f)
+    real = all(ip.variation_drop(chain) == len(chain[0]) - 1
+               for chain, _ in chains)
+    nonneg = real and all(
+        ip.variation_drop(chain, None, F(0)) == (chain[0][0] == 0)
+        for chain, _ in chains)
+    return real, all(m == 1 for _, m in chains), nonneg
+
+
+def ref_mesh(f, facts, alpha):
+    """mesh >= alpha; None for a non-real-rooted f of degree >= 2."""
+    real, squarefree, _ = facts
+    if len(f) <= 2:
+        return True
+    if not real:
+        return None
+    if alpha == 0:
+        return True
+    if not squarefree:
+        return False
+    q = ip.translate(f, alpha)
+    d = ip.sub([f[-1] * c for c in q], [q[-1] * c for c in f])
+    seq = ip.remainder_sequence(f, d)
+    return abs(ip.variation_drop(seq)) == len(f) - len(seq[-1])
+
+
+def ref_membership(f, facts, spec):
+    real, _, nonneg = facts
+    if not real or (spec.require_nonneg_roots and not nonneg):
+        return False
+    return spec.mesh_bound is None or ref_mesh(f, facts, spec.mesh_bound)
+
+
+# -- the corpus ------------------------------------------------------------
+
+def _linear(r):
+    return [-r.numerator, r.denominator]
+
+
+def _progression(rng, alpha, size):
+    """Roots on an alpha-progression, with gaps of other sizes between
+    some of its stretches."""
+    r = F(rng.randint(-12, 12), rng.choice((1, 2, 3, 6)))
+    out = []
+    for _ in range(size):
+        out.append(r)
+        r += rng.choice((alpha, alpha, alpha, alpha / 2, 2 * alpha,
+                         F(rng.randint(1, 6), rng.choice((1, 2, 3)))))
+    return out
+
+
+def _poly(t):
+    """The t-th corpus polynomial, as integer coefficients."""
+    rng = derive_rng(7, "mesh-index", t)
+    alpha = ALPHAS[t % 5]
+    kind = t // 5 % 8
+    rts = []
+    f = [rng.choice((-4, -2, -1, 1, 1, 3))]
+    if kind == 0:
+        # (x - s)(x - s - alpha)^2 and its mirror, beside other roots
+        s = F(rng.randint(-6, 6), rng.choice((1, 2, 3)))
+        rts = [s, s + alpha, s + alpha] if rng.random() < 0.5 \
+            else [s, s, s + alpha]
+        rts += _progression(rng, alpha, rng.randint(0, 3))
+    elif kind == 1:
+        # a progression with one root doubled or tripled
+        rts = _progression(rng, alpha, rng.randint(2, 6))
+        rts += [rng.choice(rts)] * rng.randint(1, 2)
+    elif kind == 2:
+        # a complex pair, or a pair of irrational real roots, beside a
+        # progression
+        rts = _progression(rng, alpha, rng.randint(1, 5))
+        a, b = rng.randint(-6, 6), rng.randint(1, 9)
+        pair = [a * a + b, -2 * a, 1] if rng.random() < 0.7 \
+            else [a * a - 2 * b * b, -2 * a, 1]
+        f = ip.mul(f, pair)
+    elif kind == 3:
+        # a root at 0, simple or not, among roots of either sign
+        rts = [F(0)] * rng.choice((1, 1, 2)) + _progression(
+            rng, alpha, rng.randint(1, 4))
+    elif kind == 4:
+        # degree <= 1
+        rts = [F(rng.randint(-5, 5), rng.choice((1, 2, 3)))] * \
+            rng.randint(0, 1)
+    elif kind == 5:
+        # random integer coefficients, mostly with complex roots
+        f = [rng.randint(-9, 9) for _ in range(rng.randint(2, 7))]
+        f.append(rng.choice((-3, -1, 1, 2)))
+    elif kind == 6:
+        # nonnegative progressions, simple or with a repeated root
+        rts = _progression(rng, alpha, rng.randint(2, 5))
+        rts = [r - rts[0] for r in rts]
+        if rng.random() < 0.4:
+            rts.append(rng.choice(rts))
+    else:
+        # a square times a progression: every root repeated or the
+        # square of a complex pair
+        base = _progression(rng, alpha, rng.randint(1, 3))
+        rts = base + base
+        if rng.random() < 0.5:
+            f = ip.mul(f, ip.mul([1, 0, 1], [1, 0, 1]))
+    for r in rts:
+        f = ip.mul(f, _linear(r))
+    return f
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    return [_poly(t) for t in range(4200)]
+
+
+def _specs(alpha):
+    return [ClassSpec.hp_ge(alpha), ClassSpec.hp_plus_ge(alpha)]
+
+
+def test_index_decides_like_the_sturm_steps(corpus):
+    """class_membership and mesh_at_least on every (f, alpha) pair, in a
+    seeded shuffled order from a cleared record cache, so that earlier
+    verdicts of a record answer some later ones; also HP, HP+ and
+    alpha = 0, where real-rootedness still takes Sturm counts."""
+    refs = []
+    for f in corpus:
+        p = Polynomial(f)
+        g = ip.primitive(f)
+        refs.append((p, g, ref_facts(g)))
+    pairs = [(k, alpha) for k in range(len(refs)) for alpha in ALPHAS]
+    assert len(pairs) >= 20000
+    derive_rng(7, "mesh-index", "order").shuffle(pairs)
+    seen = {"member": 0, "not real-rooted": 0, "repeated root": 0,
+            "gap equal, member": 0, "repeated on a progression": 0,
+            "negative lead": 0, "nonneg member": 0, "degree <= 1": 0,
+            "root at 0, member": 0, "real, mesh below": 0}
+    roots._records.cache_clear()
+    for k, alpha in pairs:
+        p, g, facts = refs[k]
+        want = ref_mesh(g, facts, alpha)
+        if want is None:
+            with pytest.raises(roots.NonHyperbolicInput):
+                roots.mesh_at_least(p, alpha)
+        else:
+            assert roots.mesh_at_least(p, alpha) == want, (p, alpha)
+        for spec in _specs(alpha):
+            assert class_membership(p, spec) == \
+                ref_membership(g, facts, spec), (p, spec)
+        real, squarefree, nonneg = facts
+        member = bool(want) and real
+        seen["member"] += member
+        seen["not real-rooted"] += not real
+        seen["repeated root"] += real and not squarefree
+        seen["real, mesh below"] += real and not want
+        seen["gap equal, member"] += member and len(
+            ip.gcd(g, ip.translate(g, alpha))) > 1
+        seen["repeated on a progression"] += not squarefree and len(
+            ip.gcd(g, ip.translate(g, alpha))) > 1
+        seen["negative lead"] += member and g[-1] < 0
+        seen["nonneg member"] += member and nonneg
+        seen["degree <= 1"] += len(g) <= 2
+        seen["root at 0, member"] += member and g[0] == 0
+    assert min(seen.values()) >= 300, seen
+    for p, g, facts in refs:
+        for spec in (ClassSpec.hyperbolic(), ClassSpec(require_nonneg_roots=True),
+                     ClassSpec.hp_ge(0), ClassSpec.hp_plus_ge(0)):
+            assert class_membership(p, spec) == \
+                ref_membership(g, facts, spec), (p, spec)
+        if len(g) > 2:
+            want = ref_mesh(g, facts, F(0))
+            if want is None:
+                with pytest.raises(roots.NonHyperbolicInput):
+                    roots.mesh_at_least(p, 0)
+            else:
+                assert roots.mesh_at_least(p, 0)
+
+
+def test_descartes_matches_sturm_count_at_zero(corpus):
+    """For every real-rooted corpus polynomial, and for the positive and
+    negative translates that move a root onto 0 or just past it."""
+    checked = {True: 0, False: 0}
+    for f in corpus:
+        g = ip.primitive(f)
+        for h in (g, ip.translate(g, F(1, 3)), ip.translate(g, F(-1, 2))):
+            real, _, nonneg = ref_facts(h)
+            if real:
+                assert roots._no_negative_root(h) == nonneg, h
+                assert roots.root_profile(Polynomial(h)).all_roots_nonnegative \
+                    == nonneg, h
+                checked[nonneg] += 1
+    assert min(checked.values()) >= 1000, checked
+
+
+def test_cold_mesh_numeric_builds_the_chains_once(monkeypatch):
+    """The chains that isolate the roots also decide the flags, and a
+    positive verdict of the index implies them."""
+    calls = []
+    factor_chains = ip.factor_chains
+
+    def counted(f):
+        calls.append(f)
+        return factor_chains(f)
+
+    monkeypatch.setattr(ip, "factor_chains", counted)
+    p = Polynomial.from_roots([-1, 2, 5])
+    roots._records.cache_clear()
+    assert roots.mesh_numeric(p).exact_value == 3
+    assert len(calls) == 1
+    roots._records.cache_clear()
+    assert roots.root_profile(Polynomial.from_roots([-1, 2, 2, 5])).is_hyperbolic
+    assert len(calls) == 2
+    roots._records.cache_clear()
+    assert class_membership(p, ClassSpec.hp_plus_ge(1)) is False
+    assert class_membership(p, ClassSpec.hp_ge(3))
+    assert roots.is_hyperbolic(p) and roots.mesh_numeric(p).exact_value == 3
+    assert len(calls) == 3

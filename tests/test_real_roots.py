@@ -22,6 +22,7 @@ The 6,000-polynomial corpus and the mesh corpus are built once per
 module (module-scoped fixtures) and shared by the tests here.
 """
 
+import functools
 import json
 import math
 import os
@@ -294,10 +295,18 @@ def _node_count(nodes, lo, hi):
                and (hi is None or n.side(hi.numerator, hi.denominator) <= 0))
 
 
-def test_root_questions_match_sturm_reference(corpus):
+def test_root_questions_match_sturm_reference(corpus, monkeypatch):
     """Against the Sturm-count reference, and against the multiplicities
     and places of the root_data nodes, which also give root_profile's
-    flags (ref_profile_flags)."""
+    flags (ref_profile_flags).
+
+    Each call of the package builds the Yun factors and Sturm chains of
+    its polynomial anew (count_real_roots five times per polynomial
+    here).  They are a pure function of the polynomial, so one build per
+    polynomial serves every call on it: its numerators and, when they
+    are not primitive, its primitive form."""
+    monkeypatch.setattr(ip, "factor_chains",
+                        functools.lru_cache(maxsize=2)(ip.factor_chains))
     seen = {"hyperbolic": 0, "not hyperbolic": 0, "nonneg with roots": 0,
             "odd root": 0, "repeated root": 0, "end is root": 0,
             "not squarefree, negative": 0}

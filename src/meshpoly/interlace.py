@@ -5,24 +5,21 @@ interlace with p leading from the left and the Wronskian p q' - p' q is
 non-negative on the whole real line.  The zero polynomial is in proper
 position to every hyperbolic polynomial on both sides.  Every verdict
 goes by counts, with no root isolated: real-rootedness from the records
-of roots, interlacing from one Sturm count of the Wronskian of p and q
-with their gcd divided out (proper_position has the proof).  Once the
-roots interlace, the Wronskian has one sign on the real line
-(Hermite-Kakeya-Obreschkoff), so its leading coefficient decides it.
-Otherwise nonneg_on_reals decides it by Sturm counts: no Yun factor of
-odd multiplicity has a real root.  Only the witnesses read an isolation
-(roots.root_data): the displayed root approximations of an
-interlacing failure, and negativity_point, which tests the sign of w
-between adjacent roots.
+of roots (is_hyperbolic), interlacing from one Sturm count of the
+Wronskian of p and q with their gcd divided out (proper_position has
+the proof).  Once the roots interlace, the Wronskian has one sign on
+the real line (Hermite-Kakeya-Obreschkoff), so its leading coefficient
+decides it.  Otherwise nonneg_on_reals decides it by Sturm counts: no
+Yun factor of odd multiplicity has a real root.  Only the witnesses
+read an isolation (roots.root_data): the displayed root approximations
+of an interlacing failure, and negativity_point, which tests the sign
+of w between adjacent roots.
 
 proper_position is the paper's characterization of the mesh classes: a
 hyperbolic p has mesh >= alpha exactly when p << p(x - alpha).  It is
 public, and the tests use it as an oracle, but class membership does not
-go through it: class_membership answers from counts alone (the cached
-facts of roots: a positive mesh bound, real-rootedness included, by one
-Cauchy index, see roots.mesh_at_least; real-rootedness otherwise by
-Sturm counts; the sign of the roots by Descartes' rule), with no
-Wronskian.
+go through it: class_membership asks one Cauchy index of the record of
+roots (roots._mesh_ok) and Descartes' rule, with no Wronskian.
 """
 
 from __future__ import annotations
@@ -34,7 +31,7 @@ from typing import Optional
 from . import intpoly
 from .poly import Polynomial, as_fraction
 from .roots import (_mesh_ok, _no_negative_root, _record, approximations,
-                    root_data)
+                    is_hyperbolic, root_data)
 
 __all__ = [
     "ProperPositionVerdict",
@@ -175,14 +172,14 @@ def proper_position(p: Polynomial, q: Polynomial) -> ProperPositionVerdict:
     if p.is_zero and q.is_zero:
         return ProperPositionVerdict(True, True, True)
     if p.is_zero or q.is_zero:
-        if _record(q if p.is_zero else p).real_rooted:
+        if is_hyperbolic(q if p.is_zero else p):
             return ProperPositionVerdict(True, True, True)
         return ProperPositionVerdict(
             False, True, True,
             {"condition": "non-hyperbolic-operand",
              "operand": "q" if p.is_zero else "p"})
     for name, operand in (("p", p), ("q", q)):
-        if not _record(operand).real_rooted:
+        if not is_hyperbolic(operand):
             return ProperPositionVerdict(
                 False, False, False,
                 {"condition": "non-hyperbolic-operand", "operand": name})
@@ -222,11 +219,11 @@ def proper_position(p: Polynomial, q: Polynomial) -> ProperPositionVerdict:
 def class_membership(p: Polynomial, spec: ClassSpec) -> bool:
     """Exact membership of p in a hyperbolicity class with optional bounds.
 
-    Answered from counts alone, by p's cached record in roots.  A
-    positive mesh bound is one Cauchy index, which also decides
-    real-rootedness (roots.mesh_at_least has the proof); other specs
-    take real-rootedness from Sturm counts per Yun factor.  The sign
-    bound of a real-rooted p is Descartes' rule of signs, exact there.
+    Answered from counts alone, by p's cached record in roots: the mesh
+    bound, none or below 0 taken as 0, is one Cauchy index, which also
+    decides real-rootedness (roots._mesh_ok; at 0 it is Sturm's
+    theorem).  The sign bound is Descartes' rule of signs, exact for
+    a real-rooted p.
     The zero polynomial is rejected outright (ValueError): it belongs
     to no class here, and callers that can produce it must handle it
     first.
@@ -235,10 +232,9 @@ def class_membership(p: Polynomial, spec: ClassSpec) -> bool:
         raise ValueError("zero polynomial has no class membership")
     rec = _record(p)
     alpha = spec.mesh_bound
-    if alpha is not None and alpha > 0:
-        if not _mesh_ok(rec, alpha):
-            return False
-    elif not rec.real_rooted:
+    if alpha is None or alpha < 0:
+        alpha = 0
+    if not _mesh_ok(rec, alpha):
         return False
     return not spec.require_nonneg_roots or _no_negative_root(rec.f)
 

@@ -156,7 +156,7 @@ def remainder_sequence(a: ZPoly, b: ZPoly) -> list[ZPoly]:
     sequence are those of the exact sequence.
 
     Read by sturm_chain (b = a'), gcd, Yun's first step (through the
-    Sturm chain) and the Cauchy index behind roots.mesh_at_least.
+    Sturm chain) and the Cauchy indices behind roots._mesh_ok.
     """
     seq = [primitive(a)]
     b = primitive(b)
@@ -173,9 +173,10 @@ def remainder_sequence(a: ZPoly, b: ZPoly) -> list[ZPoly]:
 def sturm_chain(f: ZPoly) -> list[ZPoly]:
     """Signed remainder sequence of (f, f').
 
-    For squarefree f the classical Sturm theorem applies; in general the
-    last chain element is proportional to gcd(f, f'), and every element
-    vanishes at a multiple root, so counts are taken per Yun factor.
+    The last chain element is proportional to gcd(f, f'), and the
+    variation drop from -inf to +inf is the number of distinct real
+    roots (roots._mesh_ok reads it).  Every element vanishes at a
+    multiple root, so counts in an interval are taken per Yun factor.
     """
     return remainder_sequence(f, deriv(f))
 
@@ -276,10 +277,12 @@ def yun(f: ZPoly, chain: Optional[list[ZPoly]] = None) -> list[tuple[ZPoly, int]
     return out
 
 
-def factor_chains(f: ZPoly) -> list[tuple[list[ZPoly], int]]:
+def factor_chains(f: ZPoly, chain: Optional[list[ZPoly]] = None
+                  ) -> list[tuple[list[ZPoly], int]]:
     """(sturm_chain(g), i) for every Yun factor (g, i) of f, so chain[0]
     is g.  A squarefree f is its own only factor (sign made positive),
-    and the one chain serves both Yun's first step and the count.
+    and the one chain serves both Yun's first step and the count; a
+    caller that has sturm_chain(primitive(f)) passes it as chain.
 
     Counts are taken per factor: at a multiple root of f every element
     of f's own chain vanishes, so that chain miscounts around it.
@@ -287,9 +290,11 @@ def factor_chains(f: ZPoly) -> list[tuple[list[ZPoly], int]]:
     f = primitive(list(f))
     if len(f) <= 1:
         return []
+    if chain is None:
+        chain = sturm_chain(f)
     if f[-1] < 0:
-        f = neg(f)
-    chain = sturm_chain(f)
+        # the chain of -f is the chain of f negated
+        f, chain = neg(f), [neg(g) for g in chain]
     if len(chain[-1]) == 1:
         return [(chain, 1)]
     return [(sturm_chain(g), i) for g, i in yun(f, chain)]

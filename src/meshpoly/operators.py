@@ -286,15 +286,17 @@ def sequence_from_poly(phi: Polynomial, length: int) -> DiagonalSequence:
 
     The root condition forces phi(i) >= 0 for every i >= 0 and is what
     makes the resulting sequence a preserver; a violating root is reported.
+    By Descartes' rule, a real-rooted phi has no positive root exactly when
+    no coefficient has the sign opposite to its lead.
     """
     if phi.is_zero:
         raise ValueError("phi must be nonzero")
     if phi.degree >= 1:
-        prof = _roots.root_profile(phi)
-        if not prof.is_hyperbolic:
+        if not _roots.is_hyperbolic(phi):
             raise ValueError("phi must be hyperbolic")
-        bad = [n for n in prof.nodes if n.side(0, 1) > 0]
-        if bad:
+        f = phi.nums
+        if (min(f) < 0) if f[-1] > 0 else (max(f) > 0):
+            bad = [n for n in _roots.root_data(phi) if n.side(0, 1) > 0]
             near = _roots.approximations(bad[:1], Fraction(1, 10**6))[0]
             raise ValueError(
                 f"phi has a root near {near} > 0; all roots must be <= 0")

@@ -10,15 +10,15 @@ Two kinds of question, two paths:
 
 * Yes/no questions go by counts: sign variations of signed remainder
   sequences (intpoly.remainder_sequence) at a few rational points, with
-  no bisection.  Membership in HP>=alpha for alpha > 0 is one Cauchy
-  index (mesh_at_least), which decides real-rootedness, squarefreeness
-  and the mesh bound at once; for a real-rooted polynomial the absence
-  of negative roots is Descartes' rule of signs (_no_negative_root),
-  which is exact there.  Real-rootedness on its own (is_hyperbolic and
-  root_profile's flags) and root counts (count_real_roots) take Sturm
-  counts per Yun factor (intpoly.factor_chains).  The small facts of
-  each distinct polynomial (real-rooted and squarefree, computed on
-  first read, and the largest alpha decided True and the smallest
+  no bisection.  Membership in HP>=alpha, for every alpha >= 0, is one
+  Cauchy index (_mesh_ok): alpha = 0 is real-rootedness, by Sturm's
+  theorem on the chain of f and f', and alpha > 0 decides
+  real-rootedness, squarefreeness and the mesh bound at once (see
+  mesh_at_least).  For a real-rooted polynomial the absence of negative
+  roots is Descartes' rule of signs (_no_negative_root), which is exact
+  there.  Root counts in an interval (count_real_roots) take Sturm
+  counts per Yun factor (intpoly.factor_chains).  The verdicts on each
+  distinct polynomial (the largest alpha decided True and the smallest
   decided False for its mesh) are kept in a bounded LRU cache of
   RECORD_CACHE_SIZE records (_records), keyed by the primitive integer
   representative of the polynomial, so positive rational multiples and
@@ -120,64 +120,40 @@ def _nodes(chains) -> list[intpoly.IsolatedRoot]:
     return nodes
 
 
-def _chain_flags(chains) -> tuple[bool, bool]:
-    """(real-rooted, squarefree) of f from chains = factor_chains(f): f
-    is real-rooted when each Yun factor g has deg g roots by its Sturm
-    count.  A constant f (no chains) is both."""
-    return (all(intpoly.variation_drop(chain) == len(chain[0]) - 1
-                for chain, _ in chains),
-            all(m == 1 for _, m in chains))
-
-
 def _no_negative_root(f: intpoly.ZPoly) -> bool:
     """No root of the real-rooted nonzero f is negative.
 
     Descartes' rule of signs is exact for a real-rooted polynomial: f(-x)
     has as many positive roots, with multiplicity, as sign variations in
     its coefficients (-1)^i c_i.  So f has no negative root exactly when
-    every nonzero c_i has the sign of lc(f) (-1)^(n - i), n = deg f.
+    every nonzero c_i has the sign of lc(f) (-1)^(n - i), n = deg f; the
+    slices hold the c_i with n - i even and odd.
     """
-    n, up = len(f) - 1, f[-1] > 0
-    return all(not c or ((c > 0) != up) == (n - i) % 2
-               for i, c in enumerate(f))
+    even, odd = f[(len(f) - 1) % 2::2], f[len(f) % 2::2]
+    if f[-1] > 0:
+        return min(even) >= 0 and max(odd, default=0) <= 0
+    return max(even) <= 0 and min(odd, default=0) >= 0
 
 
 class _Record:
     """The decided facts of one primitive integer polynomial f, kept in
-    place of its chains and nodes.  yes is the largest alpha for which
-    mesh(f) >= alpha was decided True (0 before any), no the smallest
-    decided False (None before any): the answer is monotone in alpha, so
-    every alpha <= yes holds and every alpha >= no fails.
+    place of its chains and nodes.  yes is the largest alpha >= 0 for
+    which mesh(f) >= alpha was decided True (-1 before any), no the
+    smallest decided False (None before any): the answer is monotone in
+    alpha, so every alpha <= yes holds and every alpha >= no fails.
 
-    Real-rootedness and squarefreeness (flags) are Sturm counts per Yun
-    factor, computed on first read; a positive yes implies both (see
-    mesh_at_least), so they are then never computed.  When one of them
-    fails, every alpha > 0 fails, and no becomes 0."""
+    mesh(f) >= 0 is real-rootedness (see _mesh_ok): a non-real-rooted f
+    has no = 0, and a real-rooted f with a repeated root has mesh exactly
+    0, yes = no = 0."""
 
-    __slots__ = ("f", "chain_flags", "yes", "no")
-
-    def flags(self, chains=None) -> tuple[bool, bool]:
-        """(real-rooted, squarefree); a caller that has factor_chains(f)
-        passes it as chains."""
-        if self.yes > 0:
-            return True, True
-        if self.chain_flags is None:
-            self.chain_flags = _chain_flags(
-                intpoly.factor_chains(self.f) if chains is None else chains)
-            if not all(self.chain_flags):
-                self.no = Fraction(0)
-        return self.chain_flags
-
-    @property
-    def real_rooted(self) -> bool:
-        return self.flags()[0]
+    __slots__ = ("f", "yes", "no")
 
 
 @functools.lru_cache(maxsize=RECORD_CACHE_SIZE)
 def _records(f: tuple) -> _Record:
     """A record of f with nothing decided yet."""
     rec = _Record()
-    rec.f, rec.chain_flags, rec.yes, rec.no = f, None, 0, None
+    rec.f, rec.yes, rec.no = f, -1, None
     return rec
 
 
@@ -190,21 +166,33 @@ def _record(p: Polynomial) -> _Record:
                     else tuple(intpoly.primitive(f)))
 
 
-def _mesh_ok(rec: _Record, alpha: Fraction) -> bool:
-    """mesh >= alpha for the polynomial f of rec.  For alpha > 0 any f
-    may be asked, and True also means that f is real-rooted and
-    squarefree (see mesh_at_least); for alpha <= 0 the answer holds for
-    a real-rooted f only.  A new verdict moves rec.yes or rec.no."""
+def _mesh_ok(rec: _Record, alpha, chain=None) -> bool:
+    """f is real-rooted with mesh >= alpha, for f = rec.f of degree n and
+    any alpha >= 0, by one Cauchy index: |Ind(d/f)| = n - deg gcd(f, d),
+    read from seq = remainder_sequence(f, d), which ends in gcd(f, d).
+
+    For alpha > 0, d = lc(f) q - lc(q) f with q = f(x - alpha), and True
+    also means squarefree (mesh_at_least has the proof).  For alpha = 0,
+    d = f' and seq = sturm_chain(f), which a caller may pass as chain:
+    Ind(f'/f) counts the distinct real roots (Sturm's theorem), so the
+    equation says that f is real-rooted.  A nonconstant gcd(f, f') then
+    means a repeated root, mesh exactly 0, and sets rec.no to 0 too.  A
+    new verdict moves rec.yes or rec.no."""
     f = rec.f
     if alpha <= rec.yes or len(f) <= 2:
         return True
     if rec.no is not None and alpha >= rec.no:
         return False
-    q = intpoly.translate(f, alpha)
-    d = intpoly.sub([f[-1] * c for c in q], [q[-1] * c for c in f])
-    seq = intpoly.remainder_sequence(f, d)
+    if alpha:
+        q = intpoly.translate(f, alpha)
+        d = intpoly.sub([f[-1] * c for c in q], [q[-1] * c for c in f])
+        seq = intpoly.remainder_sequence(f, d)
+    else:
+        seq = chain or intpoly.sturm_chain(f)
     if abs(intpoly.variation_drop(seq)) == len(f) - len(seq[-1]):
         rec.yes = alpha
+        if len(seq[-1]) > 1 and not alpha:
+            rec.no = alpha
         return True
     rec.no = alpha
     return False
@@ -239,20 +227,19 @@ class MeshReport:
 def root_profile(p: Polynomial) -> RootProfile:
     """Exact hyperbolicity / sign report for nonzero p, with its nodes.
 
-    The flags are p's record (real-rooted by Sturm counts, filled from
-    the chains the nodes are isolated on when the record is cold) and
+    The flags are p's record (real-rooted by the index at alpha = 0) and
     Descartes' rule for the sign of the roots; the nodes come from an
-    isolation (root_data).
+    isolation (as root_data's).  One Sturm chain of p serves both.
     """
     if p.is_zero:
         raise ValueError("zero polynomial has no root profile")
     rec = _record(p)
-    chains = intpoly.factor_chains(rec.f)
-    real_rooted = rec.flags(chains)[0]
+    chain = intpoly.sturm_chain(rec.f)
+    real_rooted = _mesh_ok(rec, 0, chain)
     return RootProfile(
         is_hyperbolic=real_rooted,
         all_roots_nonnegative=real_rooted and _no_negative_root(rec.f),
-        nodes=_nodes(chains))
+        nodes=_nodes(intpoly.factor_chains(rec.f, chain)))
 
 
 def count_real_roots(p: Polynomial, lo=None, hi=None) -> int:
@@ -274,11 +261,11 @@ def count_real_roots(p: Polynomial, lo=None, hi=None) -> int:
 
 
 def is_hyperbolic(p: Polynomial) -> bool:
-    """True when nonzero p has only real roots (constants count): each of
-    its Yun factors has as many real roots as its degree."""
+    """True when nonzero p has only real roots (constants count): mesh
+    >= 0, by Sturm's theorem as the index equation of _mesh_ok."""
     if p.is_zero:
         raise ValueError("zero polynomial hyperbolicity is undefined")
-    return _record(p).real_rooted
+    return _mesh_ok(_record(p), 0)
 
 
 def mesh_numeric(p: Polynomial, tol: Fraction = DEFAULT_TOL) -> MeshReport:
@@ -296,16 +283,16 @@ def mesh_numeric(p: Polynomial, tol: Fraction = DEFAULT_TOL) -> MeshReport:
     if p.degree <= 1:
         return MeshReport(INF, INF, INF)
     rec = _record(p)
-    # on a cold record the chains that the nodes need decide the flags too
-    chains = (intpoly.factor_chains(rec.f)
-              if rec.chain_flags is None and rec.yes == 0 else None)
-    real_rooted, squarefree = rec.flags(chains)
-    if not real_rooted:
+    # while alpha = 0 is undecided, the chain that decides it is also the
+    # one the nodes are isolated on
+    chain = (intpoly.sturm_chain(rec.f)
+             if rec.yes < 0 and rec.no != 0 else None)
+    if not _mesh_ok(rec, 0, chain):
         raise NonHyperbolicInput("mesh is defined for real-rooted polynomials only")
-    if not squarefree:
+    if rec.no == 0:
         return MeshReport(Fraction(0), Fraction(0), Fraction(0))
     # squarefree and real-rooted of degree >= 2: at least two nodes
-    nodes = _nodes(chains or intpoly.factor_chains(rec.f))
+    nodes = _nodes(intpoly.factor_chains(rec.f, chain))
     for n in nodes:
         n.try_rational()
     if all(n.exact is not None for n in nodes):
@@ -347,8 +334,9 @@ def mesh_at_least(p: Polynomial, alpha) -> bool:
     where Ind(d/f) is the variation drop of remainder_sequence(f, d)
     from -inf to +inf, whose last element is gcd(f, d) = gcd(f, q).  The
     index thus decides real-rootedness and squarefreeness as well: a
-    True answer needs no Sturm count, and only a False one computes
-    real-rootedness, to tell "mesh below alpha" from a non-hyperbolic p.
+    True answer needs no Sturm chain, and only a False one asks alpha =
+    0 (real-rootedness, _mesh_ok), to tell "mesh below alpha" from a
+    non-hyperbolic p.
 
     Proof.  d/f = lc(f) q/f - lc(q), so |Ind(d/f)| = |Ind(q/f)|.  With k
     = deg gcd(f, q), the pole orders of q/f, real or not, sum to n - k,
@@ -392,11 +380,11 @@ def mesh_at_least(p: Polynomial, alpha) -> bool:
     if p.degree <= 1:
         return True
     rec = _record(p)
-    if alpha > 0 and _mesh_ok(rec, alpha):
+    if _mesh_ok(rec, alpha):
         return True
-    if not rec.real_rooted:
+    if not _mesh_ok(rec, 0):
         raise NonHyperbolicInput("mesh is defined for real-rooted polynomials only")
-    return alpha == 0
+    return False
 
 
 def approximations(nodes: Sequence[intpoly.IsolatedRoot],

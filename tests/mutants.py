@@ -49,19 +49,47 @@ MUTANTS = [
             c * scale == m * den for c, m in zip(nums, product))""",
      "        return True", ["tests/test_fixtures.py"]),
     ("Descartes parity flipped", "roots.py",
-     "    return all(not c or ((c > 0) != up) == (n - i) % 2",
-     "    return all(not c or ((c > 0) != up) == (n - i + 1) % 2",
+     "    even, odd = f[(len(f) - 1) % 2::2], f[len(f) % 2::2]",
+     "    even, odd = f[len(f) % 2::2], f[(len(f) - 1) % 2::2]",
      ["tests/test_mesh_index.py"]),
     ("the Cauchy index ignores the gcd", "roots.py",
      "== len(f) - len(seq[-1]):", "== len(f) - 1:",
      ["tests/test_mesh_index.py"]),
-    ("the index asked for mesh bound 0", "interlace.py",
-     "    if alpha is not None and alpha > 0:",
-     "    if alpha is not None and alpha >= 0:",
+    ("the index asked for mesh bound 0 by the shift", "roots.py",
+     """    if alpha:
+        q = intpoly.translate(f, alpha)""",
+     """    if alpha >= 0:
+        q = intpoly.translate(f, alpha)""",
      ["tests/test_mesh_index.py"]),
-    ("a zero yes implies the flags", "roots.py",
-     "        if self.yes > 0:", "        if self.yes >= 0:",
+    ("a zero yes implies squarefree", "roots.py",
+     "    if rec.no == 0:", "    if rec.no == 0 and rec.yes != 0:",
      ["tests/test_mesh_index.py"]),
+    ("a repeated root leaves no at None", "roots.py",
+     """        if len(seq[-1]) > 1 and not alpha:
+            rec.no = alpha
+""", "", ["tests/test_mesh_index.py"]),
+    ("the gcd ignored at alpha = 0", "roots.py",
+     """        seq = chain or intpoly.sturm_chain(f)
+""", """        seq = chain or intpoly.sturm_chain(f)
+        if abs(intpoly.variation_drop(seq)) != len(f) - 1:
+            rec.no = alpha
+            return False
+""", ["tests/test_mesh_index.py"]),
+    ("yes starts at 0", "roots.py",
+     "    rec.f, rec.yes, rec.no = f, -1, None",
+     "    rec.f, rec.yes, rec.no = f, 0, None",
+     ["tests/test_mesh_index.py"]),
+    ("proper position without the gcd division", "interlace.py",
+     "    g = intpoly.gcd(p.nums, q.nums)", "    g = [1]",
+     ["tests/test_interlace.py"]),
+    ("the monomial restatement skips x - 1", "poly.py",
+     "        for i in range(n - 2, 0, -1):",
+     "        for i in range(n - 2, 1, -1):",
+     ["tests/test_operator_kernels.py"]),
+    ("proves without its order check", "fixtures.py",
+     "            if (p2 * q - p * q2) * ad < an * q * q2:",
+     "            if abs(p2 * q - p * q2) * ad < an * q * q2:",
+     ["tests/test_fixture_certificate.py"]),
 ]
 
 

@@ -3,13 +3,14 @@ three-step decision.
 
 For alpha > 0, class_membership and mesh_at_least ask one Cauchy index
 (roots.mesh_at_least has the proof that it decides real-rootedness,
-squarefreeness and the mesh bound at once), and the sign of the roots
-of a real-rooted polynomial is Descartes' rule of signs.  The reference
-here is the decision they replace: Sturm counts per Yun factor for
-real-rootedness and for roots in (-inf, 0], then squarefreeness, then
-the index, asked only of a squarefree real-rooted polynomial.  It runs
-on intpoly's kernel, which tests/test_intpoly.py checks against an
-independent one.
+squarefreeness and the mesh bound at once); for alpha = 0 the index is
+the one of f'/f, on the Sturm chain of f (Sturm's theorem).  The sign
+of the roots of a real-rooted polynomial is Descartes' rule of signs.
+The reference here is the decision they replace: Sturm counts per Yun
+factor for real-rootedness and for roots in (-inf, 0], then
+squarefreeness, then the index, asked only of a squarefree real-rooted
+polynomial.  It runs on intpoly's kernel, which tests/test_intpoly.py
+checks against an independent one.
 
 The corpus puts the index where the Sturm steps used to stop it:
 repeated roots on and off alpha-progressions, such as (x - s)(x - s -
@@ -154,7 +155,7 @@ def test_index_decides_like_the_sturm_steps(corpus):
     """class_membership and mesh_at_least on every (f, alpha) pair, in a
     seeded shuffled order from a cleared record cache, so that earlier
     verdicts of a record answer some later ones; also HP, HP+ and
-    alpha = 0, where real-rootedness still takes Sturm counts."""
+    alpha = 0, where the index is the one of f'/f."""
     refs = []
     for f in corpus:
         p = Polynomial(f)
@@ -225,25 +226,52 @@ def test_descartes_matches_sturm_count_at_zero(corpus):
 
 
 def test_cold_mesh_numeric_builds_the_chains_once(monkeypatch):
-    """The chains that isolate the roots also decide the flags, and a
-    positive verdict of the index implies them."""
-    calls = []
+    """The chain of f that decides alpha = 0 is also the one its roots
+    are isolated on, and a positive verdict of the index implies
+    real-rootedness.  A cold mesh_numeric, root_profile or is_hyperbolic
+    builds the Sturm chain of f once, and once a record knows of a
+    repeated root, mesh questions on it build no remainder sequence."""
+    calls, chains, seqs = [], [], []
     factor_chains = ip.factor_chains
+    sturm_chain = ip.sturm_chain
+    remainder_sequence = ip.remainder_sequence
 
-    def counted(f):
+    def counted(f, chain=None):
         calls.append(f)
-        return factor_chains(f)
+        return factor_chains(f, chain)
+
+    def counted_chain(f):
+        chains.append(tuple(ip.primitive(f)))
+        return sturm_chain(f)
+
+    def counted_sequence(a, b):
+        seqs.append(a)
+        return remainder_sequence(a, b)
+
+    def chains_of(p):
+        return chains.count(tuple(ip.primitive(p.nums)))
 
     monkeypatch.setattr(ip, "factor_chains", counted)
+    monkeypatch.setattr(ip, "sturm_chain", counted_chain)
+    monkeypatch.setattr(ip, "remainder_sequence", counted_sequence)
     p = Polynomial.from_roots([-1, 2, 5])
+    r = Polynomial.from_roots([-1, 2, 2, 5])
     roots._records.cache_clear()
     assert roots.mesh_numeric(p).exact_value == 3
-    assert len(calls) == 1
+    assert len(calls) == 1 and chains_of(p) == 1
     roots._records.cache_clear()
-    assert roots.root_profile(Polynomial.from_roots([-1, 2, 2, 5])).is_hyperbolic
-    assert len(calls) == 2
+    assert roots.root_profile(r).is_hyperbolic
+    assert len(calls) == 2 and chains_of(r) == 1
     roots._records.cache_clear()
     assert class_membership(p, ClassSpec.hp_plus_ge(1)) is False
     assert class_membership(p, ClassSpec.hp_ge(3))
     assert roots.is_hyperbolic(p) and roots.mesh_numeric(p).exact_value == 3
     assert len(calls) == 3
+    roots._records.cache_clear()
+    chains.clear()
+    assert roots.is_hyperbolic(p) and chains_of(p) == 1
+    assert roots.is_hyperbolic(r) and chains_of(r) == 1
+    built = len(seqs)
+    assert roots.mesh_at_least(r, F(1, 1000)) is False
+    assert roots.mesh_numeric(r).exact_value == 0
+    assert len(seqs) == built

@@ -25,6 +25,8 @@ from meshpoly import (
     stirling_second,
     symbol,
 )
+from meshpoly import intpoly
+from meshpoly.fixtures import derive_rng
 
 
 def test_delta_operator():
@@ -106,6 +108,54 @@ def test_diagonal_apply():
 def test_sequence_from_poly():
     A = sequence_from_poly(Polynomial([1, 1]), 5)
     assert A.values == (F(1), F(2), F(3), F(4), F(5))
+
+
+@pytest.mark.parametrize("phi, message", [
+    (Polynomial.from_roots([-1, F(3, 2)]),
+     "phi has a root near 1.5 > 0; all roots must be <= 0"),
+    (Polynomial([-2, 0, 1]) * Polynomial([3, 1]),
+     "phi has a root near 1.4142133593559265 > 0; all roots must be <= 0"),
+    (Polynomial.from_roots([F(-1, 2), F(2, 3), F(2, 3), 7]) * F(-5, 3),
+     "phi has a root near 0.6666666666666666 > 0; all roots must be <= 0"),
+    (Polynomial([1, 0, 1]), "phi must be hyperbolic"),
+])
+def test_sequence_from_poly_reports_the_least_positive_root(phi, message):
+    with pytest.raises(ValueError) as e:
+        sequence_from_poly(phi, 4)
+    assert str(e.value) == message
+
+
+def test_sequence_from_poly_isolates_only_a_violation(monkeypatch):
+    """The sign of the roots is decided by Descartes' rule, with no root
+    isolated unless one is positive; checked against the roots each phi
+    is built from, with 0, repeated roots and negative leads among them."""
+    calls = []
+    isolate = intpoly.isolate
+
+    def counted(*args):
+        calls.append(args)
+        return isolate(*args)
+
+    monkeypatch.setattr(intpoly, "isolate", counted)
+    rng = derive_rng(7, "sequence-from-poly")
+    passed = failed = 0
+    for _ in range(300):
+        rts = [F(rng.randint(-9, 3), rng.choice((1, 2, 3)))
+               for _ in range(rng.randint(1, 5))]
+        rts += rts[:rng.randint(0, 1)]
+        phi = Polynomial.from_roots(rts) * F(rng.choice((-3, -1, 2)), 5)
+        before = len(calls)
+        if max(rts) > 0:
+            with pytest.raises(ValueError, match="> 0; all roots must be <= 0"):
+                sequence_from_poly(phi, 3)
+            failed += 1
+            assert len(calls) > before
+        else:
+            A = sequence_from_poly(phi, 3)
+            assert A.values == tuple(phi.evaluate(F(i)) for i in range(3))
+            passed += 1
+            assert len(calls) == before, phi
+    assert min(passed, failed) >= 50, (passed, failed)
 
 
 def test_brenti_map():

@@ -36,7 +36,7 @@ from typing import Iterable, Optional, Sequence
 
 from .poly import (MONOMIAL, POCHHAMMER, Polynomial, _restate, as_fraction,
                    int_form)
-from . import roots as _roots
+from . import intpoly, roots as _roots
 
 __all__ = [
     "FiniteDifferenceOperator",
@@ -307,22 +307,24 @@ def sequence_from_poly(phi: Polynomial, length: int) -> DiagonalSequence:
 def pochhammer_cofactor(T: FiniteDifferenceOperator, i: int) -> Polynomial:
     """R_i with T((x)_i) = (x-k)(x-k-1)...(x-i+1) * R_i, k = order of T.
 
-    Exact synthetic division; a nonzero remainder would contradict the
-    factorization that every constant-coefficient operator satisfies on
-    the Pochhammer basis, so it raises.
+    For T = sum_s a_s E^(-s), the term a_s (x-s)_i of T((x)_i) is a_s
+    times x - j for s <= j <= s+i-1.  As 0 <= s <= k, every j in k..i-1
+    is in that range, so those factors are common to all terms.  R_i sums
+    a_s times the other factors (j < k or j >= i), built in integers over
+    one common denominator without forming the image; its degree is at
+    most min(i, k).  For i <= k nothing is common and R_i = T((x)_i).
     """
+    if i < 0:
+        raise ValueError("falling factorial index must be non-negative")
     if not (T.constant_coefficients and T.integer_shifts):
         raise ValueError("cofactor is defined for constant-coefficient operators")
     k = int(T.order)
-    if i < k:
-        raise ValueError(f"index {i} below operator order {k}")
-    image = T.apply(Polynomial.falling_factorial(i))
-    nums = list(image.nums)
-    for j in range(k, i):
-        # synthetic division by (x - j) in place: nums[0] becomes the
-        # remainder, nums[1:] the quotient
-        for t in range(len(nums) - 2, -1, -1):
-            nums[t] += j * nums[t + 1]
-        if nums and nums.pop(0):
-            raise AssertionError(f"nonzero remainder dividing by (x - {j})")
-    return Polynomial._from_ints(nums, image.den)
+    nums, den = int_form([q.coefficient(0) for _, q in T.terms])
+    R = [0] * (min(i, k) + 1)
+    for (s, _), a in zip(T.terms, nums):
+        s, term = int(s), [a]
+        for j in [*range(s, min(s + i, k)), *range(max(k, i), s + i)]:
+            term = intpoly.mul(term, [-j, 1])
+        for d, c in enumerate(term):
+            R[d] += c
+    return Polynomial._from_ints(R, den)

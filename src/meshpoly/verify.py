@@ -150,27 +150,23 @@ def check_mesh_monotone(T, p: Polynomial, alpha=None, variant: str = "difference
     return Verdict(claim, HOLDS, details=details)
 
 
-def _image_in_mesh_one_class(T: FiniteDifferenceOperator, i: int,
-                             Ri: Polynomial) -> bool:
-    """Exact test of T((x)_i) in HP>=1 using the cofactor factorization.
+def _image_in_mesh_one_class(T: FiniteDifferenceOperator, m: int) -> bool:
+    """Is T((x)_m) zero or in HP>=1?  Decided on its cofactor alone.
 
-    T((x)_i) = (x-k)...(x-i+1) * R_i with k = ord(T), so the image lies
-    in the class iff R_i is hyperbolic with mesh >= 1 and none of its
-    roots falls strictly between k-1 and i (a root there sits within
-    distance < 1 of the integer progression k..i-1, or on it).  Roots at
-    exactly i or at most k-1 are fine: they are one full step away.
+    T((x)_m) = (x-k)...(x-m+1) * R_m with k = ord(T) and deg R_m <= k
+    (pochhammer_cofactor).  For m <= k the product is empty and R_m is
+    the image.  Otherwise the image is in the class iff R_m is and no
+    root of R_m lies strictly between k-1 and m, within distance < 1 of
+    the progression k..m-1; roots at m or at most k-1 are a step away.
     """
-    if Ri.is_zero:
+    R = pochhammer_cofactor(T, m)
+    if R.is_zero:
         return True
-    if not class_membership(Ri, ClassSpec.hp_ge(1)):
+    if not class_membership(R, ClassSpec.hp_ge(1)):
         return False
     k = T.order
-    if i == k:
-        return True  # no progression factors to clash with
-    inside = count_real_roots(Ri, k - 1, i)
-    if Ri.evaluate(i) == 0:
-        inside -= 1
-    return inside == 0
+    # count_real_roots counts (k-1, m]: less a root at m, none may remain
+    return m <= k or count_real_roots(R, k - 1, m) == (R.evaluate(m) == 0)
 
 
 def symbol_preserver_verdict(Q: Polynomial, i_max: int = 64, trials: int = 0,
@@ -180,10 +176,11 @@ def symbol_preserver_verdict(Q: Polynomial, i_max: int = 64, trials: int = 0,
     Preservation holds exactly when Q is real-rooted with no negative
     root.  When it is, the verdict is "holds" (optionally backed by a
     sampled self-test; a sampled failure would contradict the theorem
-    and raises).  When it is not, the falling factorials are scanned in
-    increasing degree for the first image leaving the class; the scan
-    uses the cofactor factorization and the found index is re-certified
-    on the full image before being reported.
+    and raises).  When it is not, the indices i = ord(T), ..., i_max
+    are scanned for the first T((x)_i) leaving the class, each decided
+    on its cofactor R_i (_image_in_mesh_one_class).  Only the found
+    index's image is formed and re-certified; it is real-rooted exactly
+    when R_i is, which picks the witness condition.
     """
     claim = "symbol-preserves-mesh-one-class"
     if Q.is_zero:
@@ -206,15 +203,13 @@ def symbol_preserver_verdict(Q: Polynomial, i_max: int = 64, trials: int = 0,
     T = from_symbol(Q)
     k = T.order
     for i in range(k, i_max + 1):
-        Ri = pochhammer_cofactor(T, i)
-        if _image_in_mesh_one_class(T, i, Ri):
+        if _image_in_mesh_one_class(T, i):
             continue
         image = T.apply(Polynomial.falling_factorial(i))
-        if image.is_zero:
-            raise AssertionError("cofactor scan flagged a zero image")
-        if class_membership(image, ClassSpec.hp_ge(1)):
+        if image.is_zero or class_membership(image, ClassSpec.hp_ge(1)):
             raise AssertionError("cofactor scan disagrees with direct membership")
-        condition = ("image-mesh-below-1" if is_hyperbolic(image)
+        Ri = pochhammer_cofactor(T, i)
+        condition = ("image-mesh-below-1" if is_hyperbolic(Ri)
                      else "image-not-hyperbolic")
         return Verdict(claim, FAILS, witness={
             "condition": condition, "index": i, "image": image, "cofactor": Ri,

@@ -3,14 +3,17 @@
     python tests/mutants.py
 
 Each mutant is one exact text substitution in one module, which must
-match exactly once.  For each, src/ is copied to a temporary directory,
-the substitution is applied there, and pytest runs the mutant's test
-files against the copy (the checkout is never edited).  A mutant
-survives when those tests pass.  An unmutated copy must first pass every
-named test file, so that a mutant counts as killed only by a failure it
+match exactly once.  Every substitution is checked against src/ before
+any test runs, so a refactor that moves mutated code fails at once;
+tests/test_mutant_substitutions.py makes the same check in tier-1.
+For each mutant, src/ is copied to a temporary directory, the
+substitution is applied there, and pytest runs the mutant's test files
+against the copy (the checkout is never edited).  A mutant survives
+when those tests pass.  An unmutated copy must first pass every named
+test file, so that a mutant counts as killed only by a failure it
 causes.  The script prints one line per mutant and exits 1 if any
-survives, 2 if the unmutated copy fails or a substitution does not
-match once.
+survives, 2 if a substitution does not match once or the unmutated
+copy fails.
 Standard library only; pytest is run as a subprocess.
 """
 
@@ -90,7 +93,39 @@ MUTANTS = [
      "            if (p2 * q - p * q2) * ad < an * q * q2:",
      "            if abs(p2 * q - p * q2) * ad < an * q * q2:",
      ["tests/test_fixture_certificate.py"]),
+    ("proves without its gap check", "fixtures.py",
+     "            if (p2 * q - p * q2) * ad < an * q * q2:",
+     "            if (p2 * q - p * q2) * ad < 0:",
+     ["tests/test_fixture_certificate.py"]),
+    ("proves without its HP+ check", "fixtures.py",
+     """        if spec.require_nonneg_roots and pq and pq[0][0] < 0:
+            return False
+""", "", ["tests/test_fixture_certificate.py"]),
+    ("the pochhammer restatement skips x - 1", "poly.py",
+     "        for i in range(1, n - 1):", "        for i in range(2, n - 1):",
+     ["tests/test_operator_kernels.py"]),
+    ("the cofactor skips x - i and keeps x - (s+i)", "operators.py",
+     "range(max(k, i), s + i)", "range(max(k, i) + 1, s + i + 1)",
+     ["tests/test_poly_kernels.py"]),
+    ("the cofactor gate shortcut only below the order", "verify.py",
+     "    return m <= k or", "    return m < k or", ["tests/test_verify.py"]),
+    ("the cofactor gate counts a root at m", "verify.py",
+     "== (R.evaluate(m) == 0)", "== 0", ["tests/test_verify.py"]),
+    ("the cofactor gate counts roots from k, not k - 1", "verify.py",
+     "count_real_roots(R, k - 1, m)", "count_real_roots(R, k, m)",
+     ["tests/test_verify.py"]),
 ]
+
+
+def unmatched() -> list[str]:
+    """One line per mutant whose substitution does not match its module
+    under src/ exactly once; empty when every mutant applies."""
+    out = []
+    for name, module, old, _, _ in MUTANTS:
+        n = (ROOT / "src" / "meshpoly" / module).read_text().count(old)
+        if n != 1:
+            out.append(f"{name}: {module} matches {n} times, not once")
+    return out
 
 
 def first_failure(tests: list[str], module: str = "", old: str = "",
@@ -104,11 +139,7 @@ def first_failure(tests: list[str], module: str = "", old: str = "",
                         ignore=shutil.ignore_patterns("__pycache__"))
         if module:
             path = src / "meshpoly" / module
-            text = path.read_text()
-            if text.count(old) != 1:
-                raise LookupError(f"{module}: substitution matches "
-                                  f"{text.count(old)} times, not once")
-            path.write_text(text.replace(old, new))
+            path.write_text(path.read_text().replace(old, new))
         env = dict(os.environ, PYTHONPATH=str(src),
                    PYTHONDONTWRITEBYTECODE="1")
         r = subprocess.run(
@@ -124,6 +155,11 @@ def first_failure(tests: list[str], module: str = "", old: str = "",
 
 def main() -> int:
     start = time.perf_counter()
+    errors = unmatched()
+    for error in errors:
+        print(f"error    {error}")
+    if errors:
+        return 2
     files = sorted({f for *_, tests in MUTANTS for f in tests})
     failure = first_failure(files)
     if failure:
@@ -134,11 +170,7 @@ def main() -> int:
     survivors = 0
     for name, module, old, new, tests in MUTANTS:
         t = time.perf_counter()
-        try:
-            failure = first_failure(tests, module, old, new)
-        except LookupError as e:
-            print(f"error    {name}: {e}")
-            return 2
+        failure = first_failure(tests, module, old, new)
         survivors += not failure
         print(f"{'killed' if failure else 'SURVIVED':8} {name} "
               f"({time.perf_counter() - t:.1f} s)")

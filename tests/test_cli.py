@@ -383,7 +383,9 @@ def test_malformed_certificates_are_input_errors(tmp_path, capsys):
         assert code == 2 and not out, (kind, err)
         for field in payload:
             variants = [{k: v for k, v in payload.items() if k != field}]
-            variants += [{**payload, field: bad} for bad in (None, True, {})]
+            # a negative m has no falling factorial
+            bads = (None, True, {}) + ((-1,) if field == "m" else ())
+            variants += [{**payload, field: bad} for bad in bads]
             for broken in variants:
                 code, out, err = replay(
                     {"certificate": {**obj["certificate"], "payload": broken}})

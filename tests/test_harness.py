@@ -101,3 +101,28 @@ def test_tampered_certificate_fails_replay():
     out = replay_certificate(obj)
     assert not out["reproduced"]
     assert not out["checks"]["image_matches"]
+
+
+def test_replay_decides_a_large_m_gate_without_its_image(monkeypatch):
+    # m is read from outside input: the gate reads only the cofactor, so
+    # no operator is applied to anything of degree m or more
+    from meshpoly import FiniteDifferenceOperator, Polynomial, from_symbol
+
+    m, fixture = 1000, Polynomial.from_roots([0, 2])
+    image = from_symbol(Polynomial([1, 1])).apply(fixture)
+    cert = CounterexampleCertificate(
+        "finite-degree", "degree-bounded-symbol-closure", 0,
+        {"symbol": Polynomial([1, 1]), "m": m, "fixture": fixture,
+         "image": image}, {}).to_obj()
+    apply = FiniteDifferenceOperator.apply
+
+    def guarded(T, p):
+        if p.degree >= m:
+            raise AssertionError(f"operator applied at degree {p.degree}")
+        return apply(T, p)
+
+    monkeypatch.setattr(FiniteDifferenceOperator, "apply", guarded)
+    # R_1000 = x + (x - 1000) has its root 500 on the progression's span
+    assert replay_certificate(cert)["checks"] == {
+        "gate_holds": False, "image_matches": True,
+        "fixture_in_class": True, "image_escapes": False}

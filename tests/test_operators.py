@@ -82,6 +82,15 @@ def test_pochhammer_cofactor():
     assert pochhammer_cofactor(T, 3).monomial_coeffs() == (F(-3), F(2))
     D = make_standard("delta")
     assert pochhammer_cofactor(D, 2).monomial_coeffs() == (F(2),)
+    # below the order nothing is in front: 1 + t^2 on (x)_1 is x + (x - 2)
+    assert pochhammer_cofactor(from_symbol(Polynomial([1, 0, 1])), 1) == \
+        Polynomial([-2, 2])
+    with pytest.raises(ValueError):
+        pochhammer_cofactor(T, -1)
+    with pytest.raises(ValueError):
+        pochhammer_cofactor(make_standard("euler_xdelta"), 2)
+    with pytest.raises(ValueError):
+        pochhammer_cofactor(make_standard("riesz", lam=1, alpha=F(1, 2)), 2)
 
 
 def test_diagonal_sequence_table_and_rule():

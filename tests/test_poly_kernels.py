@@ -225,7 +225,11 @@ def test_pochhammer_cofactor_matches_synthetic_division():
             [rng.randint(0, 4) for _ in range(rng.randint(0, 3))],
             lead=F(rng.randint(1, 9), rng.randint(1, 9)))))
     for T in ops:
-        for i in range(int(T.order), int(T.order) + 7):
+        k = int(T.order)
+        for i in range(k):  # nothing in front: R_i is the image itself
+            same(pochhammer_cofactor(T, i),
+                 T.apply(Polynomial.falling_factorial(i)))
+        for i in range(k, 41):
             same(pochhammer_cofactor(T, i), ref_pochhammer_cofactor(T, i))
     assert pochhammer_cofactor(FiniteDifferenceOperator([]), 3).is_zero
 

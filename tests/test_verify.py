@@ -1,5 +1,7 @@
 """Verdict-producing checks: preservation, obstruction witnesses, probes."""
 
+import hashlib
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -22,9 +24,13 @@ from meshpoly import (
     make_standard,
     mesh_at_least,
     monotonicity_witness,
+    pochhammer_cofactor,
+    serialize,
     symbol_preserver_verdict,
     verify,
 )
+from meshpoly.fixtures import derive_rng
+from meshpoly.roots import count_real_roots
 
 
 def test_verdict_contract():
@@ -104,6 +110,79 @@ def test_symbol_scan_accepts_nonneg_real_roots():
 def test_symbol_scan_rejects_zero():
     with pytest.raises(ValueError):
         symbol_preserver_verdict(Polynomial([]))
+
+
+def test_symbol_scan_past_the_default_index_bound():
+    # 401/100 - 4t + t^2 has roots 2 +- i/10; the first image to leave
+    # HP>=1 is at index 203, which the default i_max = 64 misses.  The
+    # digest pins the witness bytes of the scan that formed every image.
+    Q = Polynomial([F(401, 100), -4, 1])
+    assert symbol_preserver_verdict(Q).status == verify.INCONCLUSIVE
+    v = symbol_preserver_verdict(Q, i_max=250)
+    assert v.status == verify.FAILS and v.details == {"scanned_up_to": 203}
+    assert (v.witness["index"], v.witness["condition"]) == (
+        203, "image-not-hyperbolic")
+    assert hashlib.sha256(serialize.dumps(v.witness).encode()).hexdigest() \
+        == "d1358d5e0388b51ff249a8571f8d668b9ea9018a31e5ad3d2b4fe8526d2c7365"
+
+
+def _gate_symbols(n):
+    """Seeded symbols of order 1..3 in four families: rational
+    coefficients, a_0 = 0, real roots of either sign, and a factor
+    (1 - t)^r, whose operator maps every (x)_m with m < r to zero."""
+    rng = derive_rng(11, "cofactor-gate")
+
+    def rat():
+        return F(rng.randint(-6, 6), rng.randint(1, 4))
+
+    for t in range(n):
+        k = rng.randint(1, 3)
+        family = t % 4
+        if family == 0:
+            Q = Polynomial([rat() for _ in range(k)] + [rng.choice([-3, -1, 1, 2])])
+        elif family == 1:
+            Q = Polynomial([0] + [rat() for _ in range(k - 1)]
+                           + [rng.choice([-3, -1, 1, 2])])
+        elif family == 2:
+            Q = Polynomial.from_roots(
+                [F(rng.randint(-12, 12), rng.randint(1, 3)) for _ in range(k)],
+                lead=rng.choice([1, -2, F(1, 3)]))
+        else:
+            Q = Polynomial([1]) if rng.random() < 0.5 else Polynomial(
+                [F(rng.randint(-4, 4), rng.randint(1, 3)), rng.choice([-1, 1, 2])])
+            for _ in range(rng.randint(1, 3)):
+                Q = Q * Polynomial([1, -1])
+        yield Q
+
+
+def test_cofactor_gate_matches_full_image_membership():
+    spec = ClassSpec.hp_ge(1)
+    seen = Counter()
+    for Q in _gate_symbols(160):
+        T = from_symbol(Q)
+        k = T.order
+        for m in range(17):
+            image = T.apply(Polynomial.falling_factorial(m))
+            want = image.is_zero or class_membership(image, spec)
+            assert verify._image_in_mesh_one_class(T, m) == want, (Q, m)
+            R = pochhammer_cofactor(T, m)
+            seen["m < k"] += m < k
+            seen["zero image"] += image.is_zero
+            if R.is_zero or not class_membership(R, spec):
+                continue
+            if m == k:
+                # no progression in front, whatever R_k's roots near k
+                seen["m = k, a root in (k-1, k]"] += (
+                    R.degree > 0 and count_real_roots(R, k - 1, k) > 0)
+            elif m > k:
+                seen["R_m in, rejected by the count"] += not want
+                seen["R_m in, a root in (k-1, k]"] += (
+                    count_real_roots(R, k - 1, k) > 0)
+                if Q.coefficient(0) == 0:
+                    # every term holds x - m: a boundary root, allowed
+                    assert R.evaluate(m) == 0
+                    seen["a_0 = 0, root at m, image in"] += want
+    assert len(seen) == 6 and min(seen.values()) >= 20, seen
 
 
 # -- sign-pattern check ----------------------------------------------------

@@ -12,11 +12,9 @@ Exit codes, shared by every subcommand:
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import sys
-import traceback
 
 # verify, harness and suite are imported by the subcommands that run them
 from . import serialize
@@ -80,6 +78,8 @@ def _emit(payload, args) -> None:
 
 def _csv_of(payload) -> str:
     """Flat key,value rows; lists of uniform dicts become real tables."""
+    import csv  # only the csv format needs it
+
     obj = serialize.to_jsonable(payload)
     buf = io.StringIO()
     writer = csv.writer(buf)
@@ -413,6 +413,8 @@ def main(argv=None) -> int:
         # an AssertionError or ArithmeticError here is a bug, which must not
         # read as exit 1 (a counterexample); SystemExit and
         # KeyboardInterrupt are not Exceptions and pass through
+        import traceback  # loaded only for an internal error
+
         traceback.print_exc()
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -33,7 +33,8 @@ __all__ = [
 ]
 
 _DENOMS = (1, 2, 3, 4, 6, 8)
-_LEADS = (1, 1, 1, 2, 3, Fraction(1, 2), Fraction(3, 4), Fraction(5, 2))
+_LEADS = (*map(Fraction, (1, 1, 1, 2, 3)),
+          Fraction(1, 2), Fraction(3, 4), Fraction(5, 2))
 
 
 def derive_rng(master_seed: int, *indices) -> random.Random:
@@ -45,9 +46,16 @@ def derive_rng(master_seed: int, *indices) -> random.Random:
 
 def rand_fraction(rng: random.Random, lo, hi,
                   denominators: Sequence[int] = _DENOMS) -> Fraction:
-    """Uniform-ish rational in [lo, hi] with a small denominator."""
-    return Fraction(*_draw(rng, as_fraction(lo), as_fraction(hi),
-                           denominators))
+    """Uniform-ish rational in [lo, hi] with a small denominator.
+
+    int and Fraction ends are read as they are (both carry numerator and
+    denominator); only other ends, 'num/den' strings, are coerced."""
+    return Fraction(*_draw(rng, _rational(lo), _rational(hi), denominators))
+
+
+def _rational(value):
+    """value itself when it is an int, else as_fraction(value)."""
+    return value if type(value) is int else as_fraction(value)
 
 
 def _draw(rng: random.Random, lo, hi,
@@ -108,11 +116,12 @@ class RootedFixture:
             c * scale == m * den for c, m in zip(nums, product))
 
 
-def _least_gap(spec: ClassSpec) -> Fraction:
+def _least_gap(spec: ClassSpec):
     """The adjacent root gap spec asks for: its mesh bound if positive,
-    else 0 (every mesh is >= 0, so a bound <= 0 asks for nothing)."""
+    else the int 0 (every mesh is >= 0, so a bound <= 0 asks for
+    nothing).  The sign is read from the numerator, an int comparison."""
     bound = spec.mesh_bound
-    return bound if bound is not None and bound > 0 else Fraction(0)
+    return bound if bound is not None and bound.numerator > 0 else 0
 
 
 def gen_rooted(spec: ClassSpec, degree: int, rng: random.Random,
@@ -122,19 +131,22 @@ def gen_rooted(spec: ClassSpec, degree: int, rng: random.Random,
     First root uniform in the admissible range, each later root one class
     gap (a positive mesh bound, or 0) plus a non-negative rational jitter
     further on, as integers n_i over one d that every draw and the gap
-    divide; poly is lead * prod (d x - n_i) / d**degree.  Before release,
-    its roots and lead prove it in spec in integers from each root's
-    reduced p/q (RootedFixture.proves); a failure is a generator bug,
-    raised even under python -O.
+    divide; poly is lead * prod (d x - n_i) / d**degree.  int and
+    Fraction ends (root_range, jitter) are read as they are and the lead
+    is drawn as a Fraction, so no Fraction is built only to be taken
+    apart; a Fraction is made for each root, which the fixture carries.
+    Before release, its roots and lead prove it in spec in integers from
+    each root's reduced p/q (RootedFixture.proves); a failure is a
+    generator bug, raised even under python -O.
     """
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    lead = as_fraction(rng.choice(_LEADS))
+    lead = rng.choice(_LEADS)
     nums, den = [lead.numerator], lead.denominator
     roots = []
     if degree:
-        hi = as_fraction(root_range)
-        jitter = as_fraction(jitter)
+        hi = _rational(root_range)
+        jitter = _rational(jitter)
         gap = _least_gap(spec)
         lo = 0 if spec.require_nonneg_roots else -hi
         d = math.lcm(gap.denominator, hi.denominator, *_DENOMS)

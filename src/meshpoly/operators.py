@@ -67,7 +67,10 @@ class FiniteDifferenceOperator:
         for shift, coeff in terms:
             s = as_fraction(shift)
             q = _as_poly(coeff)
-            merged[s] = merged.get(s, Polynomial.zero()) + q
+            if s in merged:
+                merged[s] = merged[s] + q
+            else:  # tagged monomial, as a sum is
+                merged[s] = q if q.basis == MONOMIAL else q.to_basis(MONOMIAL)
         cleaned = sorted((s, q) for s, q in merged.items() if not q.is_zero)
         self.terms = tuple(cleaned)
 
@@ -92,7 +95,8 @@ class FiniteDifferenceOperator:
 
     @property
     def integer_shifts(self) -> bool:
-        return all(s.denominator == 1 and s >= 0 for s, _ in self.terms)
+        return all(s.denominator == 1 and s.numerator >= 0
+                   for s, _ in self.terms)
 
     @property
     def coeffs(self) -> list:
@@ -117,7 +121,8 @@ class FiniteDifferenceOperator:
         n = len(P)
         if not n or not self.terms:
             return Polynomial.zero()
-        neg_shifts, V = int_form([-s for s, _ in self.terms])
+        V = reduce(math.lcm, (s.denominator for s, _ in self.terms), 1)
+        neg_shifts = [-s.numerator * (V // s.denominator) for s, _ in self.terms]
         e = reduce(math.lcm, (q.den for _, q in self.terms), 1)
         Qs = [[c * (e // q.den) for c in q.nums] for _, q in self.terms]
         width = max(map(len, Qs))
@@ -196,8 +201,12 @@ def symbol(T: FiniteDifferenceOperator) -> Polynomial:
 
 
 def from_symbol(Q: Polynomial) -> FiniteDifferenceOperator:
-    """Constant-coefficient operator whose symbol is Q."""
-    return FiniteDifferenceOperator.from_coeffs(list(Q.monomial_coeffs()))
+    """Constant-coefficient operator whose symbol is Q, built from Q's
+    stored numerators: the term at shift j is the constant Q.nums[j] /
+    Q.den, and zero coefficients give no term."""
+    return FiniteDifferenceOperator(
+        (j, Polynomial._from_ints((c,), Q.den)) for j, c in enumerate(Q.nums)
+        if c)
 
 
 class DiagonalSequence:
@@ -319,7 +328,9 @@ def pochhammer_cofactor(T: FiniteDifferenceOperator, i: int) -> Polynomial:
     if not (T.constant_coefficients and T.integer_shifts):
         raise ValueError("cofactor is defined for constant-coefficient operators")
     k = int(T.order)
-    nums, den = int_form([q.coefficient(0) for _, q in T.terms])
+    # each q is a nonzero constant nums[0] / den, read over one denominator
+    den = reduce(math.lcm, (q.den for _, q in T.terms), 1)
+    nums = [q.nums[0] * (den // q.den) for _, q in T.terms]
     R = [0] * (min(i, k) + 1)
     for (s, _), a in zip(T.terms, nums):
         s, term = int(s), [a]

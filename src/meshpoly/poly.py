@@ -35,7 +35,16 @@ def as_fraction(value: RatLike) -> Fraction:
 
     Floats are rejected on purpose: the library is exact.  So are bools,
     although bool is an int subclass: True is not the rational 1.
+    An exact int or Fraction is recognized by its type first: isinstance
+    against Fraction runs the ABC machinery of numbers.Rational, about
+    six times the cost of a type test.  Subclasses take the isinstance
+    tests.
     """
+    t = type(value)
+    if t is int:
+        return Fraction(value)
+    if t is Fraction:
+        return value
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):

@@ -21,11 +21,12 @@ second carries explicit rational shifts for the remaining cases.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from fractions import Fraction
 
 from .operators import DiagonalSequence, FiniteDifferenceOperator
-from .poly import MONOMIAL, POCHHAMMER, Polynomial
+from .poly import MONOMIAL, POCHHAMMER, Polynomial, _restate, as_fraction
 
 __all__ = [
     "ParseError",
@@ -58,7 +59,10 @@ class ParseError(ValueError):
 
 
 def rational_to_str(x) -> str:
-    x = Fraction(x)
+    """"num/den" of an exact rational (an int, a Fraction or a 'num/den'
+    string), in lowest terms with den > 0.  Floats and bools raise
+    TypeError, as in poly.as_fraction: neither is a rational here."""
+    x = as_fraction(x)
     return f"{x.numerator}/{x.denominator}"
 
 
@@ -77,7 +81,16 @@ def rational_from_str(s) -> Fraction:
 
 
 def poly_to_obj(p: Polynomial) -> dict:
-    return {"basis": p.basis, "coeffs": [rational_to_str(c) for c in p.coeffs]}
+    """p's coefficients in its own basis as "num/den" strings, written
+    from the stored integers: coefficient c / p.den reduced by one gcd,
+    the text rational_to_str writes for the same value."""
+    den = p.den
+    nums = p.nums if p.basis == MONOMIAL else _restate(p.nums, POCHHAMMER)
+    coeffs = []
+    for c in nums:
+        g = math.gcd(c, den)
+        coeffs.append(f"{c // g}/{den // g}")
+    return {"basis": p.basis, "coeffs": coeffs}
 
 
 def poly_from_obj(obj) -> Polynomial:
@@ -143,7 +156,19 @@ def to_jsonable(value):
     Floats are refused: anything worth recording is exact, and the one
     infinity in the library (the mesh of degree <= 1 polynomials) must
     be mapped to a string by the caller before it reaches a record.
+    The common exact types are dispatched on type(value) first, so that
+    no isinstance test against the Fraction ABC runs for them; the
+    isinstance chain below serves subclasses.
     """
+    t = type(value)
+    if t is Fraction:
+        return rational_to_str(value)
+    if t is dict:
+        return {str(k): to_jsonable(v) for k, v in value.items()}
+    if t is Polynomial:
+        return poly_to_obj(value)
+    if t is list or t is tuple:
+        return [to_jsonable(v) for v in value]
     if value is None or isinstance(value, (bool, int, str)):
         return value
     if isinstance(value, float):

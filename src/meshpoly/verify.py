@@ -32,7 +32,7 @@ from .operators import (
     from_symbol,
     pochhammer_cofactor,
 )
-from .poly import POCHHAMMER, Polynomial, as_fraction
+from .poly import POCHHAMMER, Polynomial, as_fraction, int_form
 from .roots import DEFAULT_TOL, count_real_roots, is_hyperbolic, mesh_numeric
 
 __all__ = [
@@ -297,7 +297,8 @@ def monotonicity_witness(alpha_m, alpha_m1, alpha_m2, m: int = 0) -> Verdict:
 
 
 def _sign(x: Fraction) -> int:
-    return (x > 0) - (x < 0)
+    n = x.numerator
+    return (n > 0) - (n < 0)
 
 
 def _sign_obstruction(values) -> Optional[tuple]:
@@ -495,6 +496,9 @@ def classical_multiplier_probe(A: DiagonalSequence, trials: int = 200,
     is checked against HP+>=rho: the products are the rho-dilated
     falling factorials, so this follows the image family down from the
     discrete setting (rho = 1) toward the classical one (rho -> 0).
+    The monomial image is formed in integers, as diagonal_apply forms
+    its image: the values over one denominator e, times the fixture's
+    stored numerators, over p.den * e.
     """
     claim = "classical-multiplier-sampled"
     if A.values is not None:
@@ -509,13 +513,15 @@ def classical_multiplier_probe(A: DiagonalSequence, trials: int = 200,
     for r in rescaling:
         if not 0 < r <= 1:
             raise ValueError("rescaling factors must lie in (0, 1]")
+    alphas, e = int_form(values)
     rng = derive_rng(seed, "classical", trials)
     spec0 = ClassSpec.hp_plus_ge(0)
     checked = 0
     for t in range(trials):
         p = gen_fixture(spec0, rng.randint(0, max_degree), rng)
-        gamma = p.monomial_coeffs()
-        image = Polynomial([g * values[i] for i, g in enumerate(gamma)])
+        # deg p <= max_degree, so alphas covers every coefficient of p
+        image = Polynomial._from_ints(
+            [a * c for a, c in zip(alphas, p.nums)], p.den * e)
         if not image.is_zero:
             if not is_hyperbolic(image):
                 return Verdict(claim, FAILS, witness={
@@ -526,8 +532,8 @@ def classical_multiplier_probe(A: DiagonalSequence, trials: int = 200,
         for r in rescaling:
             traced = Polynomial.zero()
             factor = Polynomial.constant(1)
-            for i, g in enumerate(gamma):
-                traced = traced + (g * values[i]) * factor
+            for i, c in enumerate(image.monomial_coeffs()):
+                traced = traced + c * factor
                 factor = factor * Polynomial.from_roots([i * r])
             if traced.is_zero:
                 continue

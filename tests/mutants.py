@@ -114,6 +114,18 @@ MUTANTS = [
     ("the cofactor gate counts roots from k, not k - 1", "verify.py",
      "count_real_roots(R, k - 1, m)", "count_real_roots(R, k, m)",
      ["tests/test_verify.py"]),
+    ("poly_to_obj without its gcd reduction", "serialize.py",
+     "        g = math.gcd(c, den)\n", "        g = 1\n",
+     ["tests/test_serialize.py"]),
+    ("the classical image with its values shifted by one index", "verify.py",
+     "zip(alphas, p.nums)", "zip(alphas[1:], p.nums)",
+     ["tests/test_verify.py"]),
+    ("as_fraction lets bool through its int test", "poly.py",
+     "    if t is int:\n", "    if isinstance(value, int):\n",
+     ["tests/test_poly.py"]),
+    ("the least gap keeps a non-positive bound", "fixtures.py",
+     "bound is not None and bound.numerator > 0 else 0",
+     "bound is not None else 0", ["tests/test_fixtures.py"]),
 ]
 
 

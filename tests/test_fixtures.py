@@ -86,6 +86,22 @@ def ref_rand_fraction(rng, lo, hi, denominators=(1, 2, 3, 4, 6, 8)):
     return F(rng.randint(a, b), den)
 
 
+def test_rand_fraction_matches_fraction_reference():
+    """Every kind of end rand_fraction takes (int, Fraction, 'num/den'
+    string), against ref_rand_fraction: the same value, exactly a
+    Fraction, and the same RNG state after each call."""
+    ends = [-3, 0, 2, 12, F(-5, 2), F(1, 8), F(7, 3), F(3), "-3", "1/8",
+            "7/3"]
+    rng, ref_rng = derive_rng(7, "rf-ref"), derive_rng(7, "rf-ref")
+    for lo in ends:
+        for hi in ends:
+            for t in range(20):
+                v = rand_fraction(rng, lo, hi)
+                assert type(v) is F
+                assert v == ref_rand_fraction(ref_rng, lo, hi), (lo, hi, t)
+                assert rng.getstate() == ref_rng.getstate(), (lo, hi, t)
+
+
 def ref_gen_rooted(spec, degree, rng, root_range=12, jitter=2):
     """(poly, roots, lead) of gen_rooted in Fraction arithmetic: each root
     is the last one plus the class gap plus a jitter, and the polynomial
@@ -113,8 +129,8 @@ def test_gen_rooted_matches_fraction_reference():
     specs += [ClassSpec.hp_plus_ge(0), ClassSpec.hp_plus_ge(1),
               ClassSpec.hyperbolic()]
     for s, spec in enumerate(specs):
-        for jitter in (2, F(3, 2), F(1, 2), F(1, 3)):
-            for root_range in (12, F(5, 2)):
+        for jitter in (2, F(3, 2), F(1, 2), F(1, 3), "1/3"):
+            for root_range in (12, F(5, 2), "5/2"):
                 for degree in range(11):
                     for t in range(3):
                         key = (s, str(jitter), str(root_range), degree, t)
@@ -127,6 +143,7 @@ def test_gen_rooted_matches_fraction_reference():
                             == (poly.nums, poly.den, poly.basis), key
                         assert (fx.roots, fx.lead) == (rts, lead), key
                         assert all(type(r) is F for r in fx.roots), key
+                        assert type(fx.lead) is F, key
                         assert rng.getstate() == ref_rng.getstate(), key
 
 

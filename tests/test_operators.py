@@ -69,6 +69,24 @@ def test_symbol_round_trip():
     assert symbol(from_symbol(Q2)) == Q2
 
 
+def test_from_symbol_matches_fraction_reference():
+    """from_symbol from Q's numerators against the operator built from
+    Q's Fraction coefficients; every term coefficient is tagged monomial,
+    also one given in the pochhammer basis."""
+    rng = derive_rng(7, "from-symbol")
+    for t in range(400):
+        nums = [rng.choice((0, rng.randint(-9, 9))) for _ in range(5)]
+        basis = ("monomial", "pochhammer")[t % 2]
+        Q = Polynomial._from_ints(nums, rng.randint(1, 12), basis)
+        ref = FiniteDifferenceOperator.from_coeffs(list(Q.monomial_coeffs()))
+        T = from_symbol(Q)
+        assert [(s, q.nums, q.den, q.basis) for s, q in T.terms] == \
+            [(s, q.nums, q.den, q.basis) for s, q in ref.terms], t
+    ff = Polynomial([0, 1], "pochhammer")
+    T = FiniteDifferenceOperator([(0, ff), (1, ff), (1, ff)])
+    assert [q.basis for _, q in T.terms] == ["monomial", "monomial"]
+
+
 def test_from_coeffs():
     T = FiniteDifferenceOperator.from_coeffs([Polynomial([1]), Polynomial([1])])
     p = Polynomial.from_roots([0, 2])

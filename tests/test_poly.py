@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from meshpoly import MONOMIAL, POCHHAMMER, Polynomial, make_standard
+from meshpoly.poly import as_fraction
 
 
 def test_construct_and_props():
@@ -141,3 +142,40 @@ def test_basis_conversion_keeps_no_memory():
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True).stdout
     assert int(out) < 2 ** 20
+
+
+def ref_as_fraction(value):
+    """as_fraction by its isinstance chain alone, as it was before the
+    exact-type tests for int and Fraction."""
+    if isinstance(value, F):
+        return value
+    if isinstance(value, int) and not isinstance(value, bool):
+        return F(value)
+    if isinstance(value, str):
+        return F(value)
+    raise TypeError(f"not an exact rational: {value!r}")
+
+
+class _Int(int):
+    pass
+
+
+class _Fraction(F):
+    pass
+
+
+def _outcome(coerce, value):
+    try:
+        out = coerce(value)
+    except (TypeError, ValueError, ZeroDivisionError) as e:
+        return type(e), str(e)
+    return type(out), out, out is value
+
+
+def test_as_fraction_matches_isinstance_reference():
+    values = [0, 1, -7, 10 ** 40, -(10 ** 40) - 1, True, False, 0.5, 2.0,
+              float("nan"), "3/4", "-6", " 5/10 ", "1/0", "x", "", F(3, 4),
+              F(-10 ** 40, 3), F(0), _Int(5), _Int(-3), _Fraction(5, 10),
+              _Fraction(-1), None, [1], 3 + 0j]
+    for v in values:
+        assert _outcome(as_fraction, v) == _outcome(ref_as_fraction, v), v

@@ -1,11 +1,15 @@
 """Wire format: rational strings only, no floats anywhere."""
 
 import json
+import random
+from collections import OrderedDict, namedtuple
 from fractions import Fraction as F
 
 import pytest
 
 from meshpoly import (
+    MONOMIAL,
+    POCHHAMMER,
     DiagonalSequence,
     FiniteDifferenceOperator,
     Polynomial,
@@ -29,6 +33,14 @@ def test_rational_strings():
         sz.rational_from_str("1/0")
     with pytest.raises(sz.ParseError):
         sz.rational_from_str([1])
+
+
+def test_rational_to_str_refuses_floats_and_bools():
+    # neither is an exact rational: 0.1 once wrote its binary expansion
+    # and True wrote "1/1", while to_jsonable refuses floats
+    for value in (0.1, True, False, 2.0):
+        with pytest.raises(TypeError):
+            sz.rational_to_str(value)
 
 
 def test_json_booleans_are_not_rationals():
@@ -59,6 +71,42 @@ def test_poly_round_trip():
     assert sz.poly_from_obj(obj) == p
     ff = Polynomial.falling_factorial(3).to_basis("pochhammer")
     assert sz.poly_from_obj(sz.poly_to_obj(ff)) == ff
+
+
+def ref_poly_to_obj(p):
+    """poly_to_obj through Fractions, as it was before it wrote each
+    coefficient from (nums, den): p.coeffs, each re-wrapped by Fraction."""
+    return {"basis": p.basis,
+            "coeffs": [f"{F(c).numerator}/{F(c).denominator}"
+                       for c in p.coeffs]}
+
+
+def test_poly_to_obj_matches_fraction_reference():
+    rng = random.Random(20)
+    polys = [Polynomial(), Polynomial((), POCHHAMMER), Polynomial([-3]),
+             Polynomial([0, 0, -1], POCHHAMMER)]
+    for t in range(20000):
+        lim = 10 ** 40 if t % 10 == 0 else 12
+        nums = [rng.randint(-lim, lim) if rng.random() < 0.8 else 0
+                for _ in range(rng.randint(1, 9))]
+        den = 1 if t % 3 == 0 else rng.randint(1, max(lim, 60))
+        polys.append(Polynomial._from_ints(nums, den,
+                                           (MONOMIAL, POCHHAMMER)[t % 2]))
+    assert sum(p.den == 1 for p in polys) > 5000
+    assert sum(not p.is_zero and p.nums[-1] < 0 for p in polys) > 5000
+    for p in polys:
+        assert sz.poly_to_obj(p) == ref_poly_to_obj(p), (p.nums, p.den)
+
+
+def test_subclass_values_serialize_as_their_base():
+    # exact types take a fast path; subclasses keep the isinstance chain
+    class Half(F):
+        pass
+
+    Pair = namedtuple("Pair", "a b")
+    assert sz.dumps(OrderedDict(b=Half(1, 2), a=Pair(F(2), True))) \
+        == sz.dumps({"b": F(1, 2), "a": [F(2), True]}) \
+        == '{"a":["2/1",true],"b":"1/2"}'
 
 
 def test_operator_wire_shape():

@@ -29,7 +29,7 @@ from meshpoly import (
     symbol_preserver_verdict,
     verify,
 )
-from meshpoly.fixtures import derive_rng
+from meshpoly.fixtures import derive_rng, rand_fraction
 from meshpoly.roots import count_real_roots
 
 
@@ -267,6 +267,66 @@ def test_classical_probe():
     assert classical_multiplier_probe(
         DiagonalSequence.from_values([1, -1, 1]), trials=0
     ).status == verify.SKIPPED
+
+
+def ref_monomial_image(values, p):
+    """The classical probe's monomial image sum_i gamma_i alpha_i x^i in
+    Fractions, as it was formed before it read p's numerators."""
+    return Polynomial([g * values[i] for i, g in
+                       enumerate(p.monomial_coeffs())])
+
+
+def _classical_tables(n):
+    """n value tables of length 7 without a sign obstruction: one sign,
+    zeros only before the first and after the last nonzero value."""
+    rng = derive_rng(7, "classical-tables")
+    for _ in range(n):
+        sign = rng.choice((1, -1))
+        head = rng.randint(0, 3)
+        body = rng.randint(1, 7 - head)
+        yield ([F(0)] * head
+               + [sign * rand_fraction(rng, F(1, 8), 5) for _ in range(body)]
+               + [F(0)] * (7 - head - body))
+
+
+def test_classical_image_matches_fraction_reference(monkeypatch):
+    """Every trial's monomial image, caught where the probe asks
+    is_hyperbolic of it (answered True, so no trial stops the probe),
+    against ref_monomial_image of the trial's fixture."""
+    fixtures, images = [], {}
+    draw = verify.gen_fixture
+
+    def gen_fixture(*args, **kwargs):
+        fixtures.append(draw(*args, **kwargs))
+        return fixtures[-1]
+
+    def is_hyperbolic(image):
+        images[len(fixtures) - 1] = image
+        return True
+
+    monkeypatch.setattr(verify, "gen_fixture", gen_fixture)
+    monkeypatch.setattr(verify, "is_hyperbolic", is_hyperbolic)
+    tables = [DiagonalSequence.from_values(v) for v in _classical_tables(10)]
+    tables += [DiagonalSequence.from_rule(Polynomial([1, 1])),
+               DiagonalSequence.from_rule(Polynomial([F(1, 3), 0, F(2, 5)]))]
+    zero_tables = sum(0 in A.prefix(7) for A in tables)
+    assert zero_tables >= 5
+    for s, A in enumerate(tables):
+        fixtures.clear()
+        images.clear()
+        v = classical_multiplier_probe(A, trials=500, max_degree=6, seed=s,
+                                       rescaling=())
+        assert v.status == verify.HOLDS
+        assert len(fixtures) == 500
+        assert v.details["nonzero_images"] == len(images)
+        values = A.prefix(7)
+        for t, p in enumerate(fixtures):
+            ref = ref_monomial_image(values, p)
+            if ref.is_zero:
+                assert t not in images, (s, t)
+            else:
+                assert (images[t].nums, images[t].den, images[t].basis) \
+                    == (ref.nums, ref.den, ref.basis), (s, t)
 
 
 # -- geometric sequences -----------------------------------------------------

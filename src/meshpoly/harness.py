@@ -11,13 +11,12 @@ input needed to replay it from scratch.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 from . import serialize, verify
-from .fixtures import _draw, derive_rng, gen_fixture, rand_fraction
+from .fixtures import derive_rng, gen_fixture, rand_fraction
 from .interlace import ClassSpec, class_membership
 from .operators import (
     DiagonalSequence,
@@ -113,16 +112,12 @@ class SearchReport:
 
 
 def _random_symbol(rng) -> Polynomial:
-    """k + 1 coefficients, k = 1..3, each rand_fraction(rng, -3, 3) drawn
-    as its unreduced (num, den) and read over one denominator; the draw
-    repeats until the lead is nonzero."""
     k = rng.randint(1, 3)
     while True:
-        draws = [_draw(rng, -3, 3) for _ in range(k + 1)]
-        if draws[-1][0]:
-            den = math.lcm(*(q for _, q in draws))
-            return Polynomial._from_ints([p * (den // q) for p, q in draws],
-                                         den)
+        coeffs = [rand_fraction(rng, -3, 3) for _ in range(k)]
+        lead = rand_fraction(rng, -3, 3)
+        if lead != 0:
+            return Polynomial(coeffs + [lead])
 
 
 def _search_finite_degree(cfg: SearchConfig, report: SearchReport) -> None:

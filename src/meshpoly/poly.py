@@ -35,20 +35,14 @@ def as_fraction(value: RatLike) -> Fraction:
 
     Floats are rejected on purpose: the library is exact.  So are bools,
     although bool is an int subclass: True is not the rational 1.
-    An exact int or Fraction is recognized by its type first: isinstance
-    against Fraction runs the ABC machinery of numbers.Rational, about
-    six times the cost of a type test.  Subclasses take the isinstance
-    tests.
+    The int test comes first: isinstance against Fraction returns at once
+    for an exact Fraction, but runs the ABC machinery of numbers.Rational
+    for anything else, about six times the cost of an int test.
     """
-    t = type(value)
-    if t is int:
-        return Fraction(value)
-    if t is Fraction:
-        return value
-    if isinstance(value, Fraction):
-        return value
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
+    if isinstance(value, Fraction):
+        return value
     if isinstance(value, str):
         return Fraction(value)
     raise TypeError(f"not an exact rational: {value!r}")
@@ -189,11 +183,17 @@ class Polynomial:
 
     # -- basic queries -----------------------------------------------
 
+    def basis_nums(self) -> Sequence[int]:
+        """The coefficients in self.basis as integers over self.den,
+        ascending by index (not reduced against den)."""
+        if self.basis == MONOMIAL:
+            return self.nums
+        return _restate(self.nums, POCHHAMMER)
+
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """The coefficients in self.basis, ascending by index."""
-        nums = self.nums if self.basis == MONOMIAL else _restate(self.nums, POCHHAMMER)
-        return tuple(Fraction(c, self.den) for c in nums)
+        return tuple(Fraction(c, self.den) for c in self.basis_nums())
 
     @property
     def is_zero(self) -> bool:

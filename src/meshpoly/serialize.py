@@ -26,7 +26,7 @@ import sys
 from fractions import Fraction
 
 from .operators import DiagonalSequence, FiniteDifferenceOperator
-from .poly import MONOMIAL, POCHHAMMER, Polynomial, _restate, as_fraction
+from .poly import MONOMIAL, POCHHAMMER, Polynomial, as_fraction
 
 __all__ = [
     "ParseError",
@@ -85,9 +85,8 @@ def poly_to_obj(p: Polynomial) -> dict:
     from the stored integers: coefficient c / p.den reduced by one gcd,
     the text rational_to_str writes for the same value."""
     den = p.den
-    nums = p.nums if p.basis == MONOMIAL else _restate(p.nums, POCHHAMMER)
     coeffs = []
-    for c in nums:
+    for c in p.basis_nums():
         g = math.gcd(c, den)
         coeffs.append(f"{c // g}/{den // g}")
     return {"basis": p.basis, "coeffs": coeffs}
@@ -156,35 +155,26 @@ def to_jsonable(value):
     Floats are refused: anything worth recording is exact, and the one
     infinity in the library (the mesh of degree <= 1 polynomials) must
     be mapped to a string by the caller before it reaches a record.
-    The common exact types are dispatched on type(value) first, so that
-    no isinstance test against the Fraction ABC runs for them; the
-    isinstance chain below serves subclasses.
+    The Fraction test comes after every other library type: isinstance
+    against Fraction returns at once for a Fraction, but runs the ABC
+    machinery of numbers.Rational for anything else.
     """
-    t = type(value)
-    if t is Fraction:
-        return rational_to_str(value)
-    if t is dict:
-        return {str(k): to_jsonable(v) for k, v in value.items()}
-    if t is Polynomial:
-        return poly_to_obj(value)
-    if t is list or t is tuple:
-        return [to_jsonable(v) for v in value]
     if value is None or isinstance(value, (bool, int, str)):
         return value
     if isinstance(value, float):
         raise TypeError("refusing to serialize a float; records are exact")
-    if isinstance(value, Fraction):
-        return rational_to_str(value)
+    if isinstance(value, dict):
+        return {str(k): to_jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [to_jsonable(v) for v in value]
     if isinstance(value, Polynomial):
         return poly_to_obj(value)
     if isinstance(value, FiniteDifferenceOperator):
         return operator_to_obj(value)
     if isinstance(value, DiagonalSequence):
         return sequence_to_obj(value)
-    if isinstance(value, dict):
-        return {str(k): to_jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [to_jsonable(v) for v in value]
+    if isinstance(value, Fraction):
+        return rational_to_str(value)
     # a Verdict exists only once verify is loaded; this module never loads it
     verify = sys.modules.get(f"{__package__}.verify")
     if verify is not None and isinstance(value, verify.Verdict):

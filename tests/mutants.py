@@ -121,7 +121,8 @@ MUTANTS = [
      "zip(alphas, p.nums)", "zip(alphas[1:], p.nums)",
      ["tests/test_verify.py"]),
     ("as_fraction lets bool through its int test", "poly.py",
-     "    if t is int:\n", "    if isinstance(value, int):\n",
+     "    if isinstance(value, int) and not isinstance(value, bool):\n",
+     "    if isinstance(value, int):\n",
      ["tests/test_poly.py"]),
     ("the least gap keeps a non-positive bound", "fixtures.py",
      "bound is not None and bound.numerator > 0 else 0",

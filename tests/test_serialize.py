@@ -99,7 +99,7 @@ def test_poly_to_obj_matches_fraction_reference():
 
 
 def test_subclass_values_serialize_as_their_base():
-    # exact types take a fast path; subclasses keep the isinstance chain
+    # subclasses of Fraction, dict and tuple serialize as their base
     class Half(F):
         pass
 

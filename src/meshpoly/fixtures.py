@@ -5,9 +5,12 @@ Every random object in a campaign is a pure function of
 stream, so trials can run in any order or in parallel and still
 reproduce bit-for-bit.  Fixtures are built, in integers, from explicit
 rational roots (first root uniform in a range, then gaps of at least
-the class bound), so their exact mesh is known by construction.  Before
-a fixture is handed out, its construction data prove it in its class
-(RootedFixture.proves), also in integers; no root is decided again.
+the class bound), kept as integer numerators over one denominator, so
+their exact mesh is known by construction.  Before a fixture is handed
+out, those numerators and its lead prove it in its class (_proves), also
+in integers; no root is decided again.  gen_fixture builds no Fraction
+root; gen_rooted makes them after the proof, and RootedFixture.proves
+checks attached roots by the same proof.
 """
 
 from __future__ import annotations
@@ -86,34 +89,45 @@ class RootedFixture:
         return min(b - a for a, b in zip(self.roots, self.roots[1:]))
 
     def proves(self, spec: ClassSpec) -> bool:
-        """Integer proof from the attached roots and lead that poly is in spec.
+        """Integer proof from the attached roots and lead that poly is in
+        spec: the roots are passed to _proves as numerators over the lcm
+        of their denominators."""
+        d = math.lcm(*(r.denominator for r in self.roots))
+        ns = [r.numerator * (d // r.denominator) for r in self.roots]
+        return _proves(spec, ns, d, self.lead, self.poly)
 
-        Holds when the roots are nondecreasing with every adjacent gap at
-        least a positive mesh bound, the first root is >= 0 if spec asks
-        for it, and poly == lead * prod (x - p_i/q_i), compared on poly's
-        stored numerators over den as lead.numerator * prod (q_i x - p_i)
-        * den == nums * lead.denominator * prod q_i.  Then poly has exactly these roots, so its mesh is the
-        least gap and its least root the first.
-        """
-        alpha = _least_gap(spec)
-        an, ad = alpha.numerator, alpha.denominator
-        pq = [(r.numerator, r.denominator) for r in self.roots]
-        for (p, q), (p2, q2) in zip(pq, pq[1:]):
-            # p2/q2 - p/q >= alpha, times q * q2 * ad; as alpha >= 0, this
-            # also puts the roots in nondecreasing order
-            if (p2 * q - p * q2) * ad < an * q * q2:
-                return False
-        if spec.require_nonneg_roots and pq and pq[0][0] < 0:
+
+def _proves(spec: ClassSpec, ns, d: int, lead: Fraction,
+            poly: Polynomial) -> bool:
+    """Integer proof that poly is in spec, from its roots n_i/d (d > 0)
+    and its lead.
+
+    Holds when the roots are nondecreasing with every adjacent gap at
+    least a positive mesh bound, the first root is >= 0 if spec asks
+    for it, and poly == lead * prod (x - n_i/d), compared on poly's
+    stored numerators over den as lead.numerator * prod (d x - n_i) *
+    den == nums * lead.denominator * d**k for k roots.  The product is
+    formed here from the n_i, apart from any list a caller built poly
+    from.  Then poly has exactly these roots, so its mesh is the least
+    gap and its least root the first.
+    """
+    alpha = _least_gap(spec)
+    an, ad = alpha.numerator, alpha.denominator
+    for n, n2 in zip(ns, ns[1:]):
+        # n2/d - n/d >= alpha, times d * ad; as alpha >= 0, this also
+        # puts the roots in nondecreasing order
+        if (n2 - n) * ad < an * d:
             return False
-        product = [self.lead.numerator]
-        scale = self.lead.denominator
-        for p, q in pq:
-            product = [q * c - p * e for c, e in
-                       zip([0] + product, product + [0])]
-            scale *= q
-        nums, den = self.poly.nums, self.poly.den
-        return len(nums) == len(product) and all(
-            c * scale == m * den for c, m in zip(nums, product))
+    if spec.require_nonneg_roots and ns and ns[0] < 0:
+        return False
+    product = [lead.numerator]
+    for n in ns:
+        product = [d * c - n * e for c, e in
+                   zip([0] + product, product + [0])]
+    scale = lead.denominator * d ** len(ns)
+    nums, den = poly.nums, poly.den
+    return len(nums) == len(product) and all(
+        c * scale == m * den for c, m in zip(nums, product))
 
 
 def _least_gap(spec: ClassSpec):
@@ -124,26 +138,15 @@ def _least_gap(spec: ClassSpec):
     return bound if bound is not None and bound.numerator > 0 else 0
 
 
-def gen_rooted(spec: ClassSpec, degree: int, rng: random.Random,
-               root_range=12, jitter=2) -> RootedFixture:
-    """Fixture provably inside spec, with its exact roots attached.
-
-    First root uniform in the admissible range, each later root one class
-    gap (a positive mesh bound, or 0) plus a non-negative rational jitter
-    further on, as integers n_i over one d that every draw and the gap
-    divide; poly is lead * prod (d x - n_i) / d**degree.  int and
-    Fraction ends (root_range, jitter) are read as they are and the lead
-    is drawn as a Fraction, so no Fraction is built only to be taken
-    apart; a Fraction is made for each root, which the fixture carries.
-    Before release, its roots and lead prove it in spec in integers from
-    each root's reduced p/q (RootedFixture.proves); a failure is a
-    generator bug, raised even under python -O.
-    """
+def _construct(spec: ClassSpec, degree: int, rng: random.Random,
+               root_range, jitter) -> tuple:
+    """(poly, ns, d, lead) of a fixture in spec with roots n_i/d, proved
+    by _proves before it is returned; see gen_rooted."""
     if degree < 0:
         raise ValueError("degree must be >= 0")
     lead = rng.choice(_LEADS)
     nums, den = [lead.numerator], lead.denominator
-    roots = []
+    ns, d = [], 1
     if degree:
         hi = _rational(root_range)
         jitter = _rational(jitter)
@@ -156,16 +159,35 @@ def gen_rooted(spec: ClassSpec, degree: int, rng: random.Random,
             p, q = _draw(rng, 0, jitter) if i else _draw(rng, lo, hi)
             n += step + p * (d // q)
             nums = intpoly.mul(nums, [-n, d])
-            roots.append(Fraction(n, d))
+            ns.append(n)
         den *= d ** degree
-    fx = RootedFixture(Polynomial._from_ints(nums, den), tuple(roots), lead)
-    if not fx.proves(spec):
-        raise AssertionError(f"fixture with roots {roots} outside {spec.label}")
-    return fx
+    poly = Polynomial._from_ints(nums, den)
+    if not _proves(spec, ns, d, lead, poly):
+        raise AssertionError(
+            f"fixture with roots {ns} over {d} outside {spec.label}")
+    return poly, ns, d, lead
+
+
+def gen_rooted(spec: ClassSpec, degree: int, rng: random.Random,
+               root_range=12, jitter=2) -> RootedFixture:
+    """Fixture provably inside spec, with its exact roots attached.
+
+    First root uniform in the admissible range, each later root one class
+    gap (a positive mesh bound, or 0) plus a non-negative rational jitter
+    further on, as integers n_i over one d that every draw and the gap
+    divide; poly is lead * prod (d x - n_i) / d**degree.  int and
+    Fraction ends (root_range, jitter) are read as they are and the lead
+    is drawn as a Fraction.  Before release, the n_i, d and lead prove
+    poly in spec in integers (_proves); a failure is a generator bug,
+    raised even under python -O.  Only then is a Fraction made for each
+    root, which the fixture carries.
+    """
+    poly, ns, d, lead = _construct(spec, degree, rng, root_range, jitter)
+    return RootedFixture(poly, tuple(Fraction(n, d) for n in ns), lead)
 
 
 def gen_fixture(spec: ClassSpec, degree: int, rng: random.Random,
                 root_range=12, jitter=2) -> Polynomial:
-    """The polynomial alone; see gen_rooted for the construction contract."""
-    return gen_rooted(spec, degree, rng, root_range=root_range,
-                      jitter=jitter).poly
+    """The polynomial alone, proved as gen_rooted's is (the same draws),
+    with no Fraction root and no RootedFixture built."""
+    return _construct(spec, degree, rng, root_range, jitter)[0]

@@ -232,7 +232,7 @@ def class_membership(p: Polynomial, spec: ClassSpec) -> bool:
         raise ValueError("zero polynomial has no class membership")
     rec = _record(p)
     alpha = spec.mesh_bound
-    if alpha is None or alpha < 0:
+    if alpha is None or alpha.numerator < 0:
         alpha = 0
     if not _mesh_ok(rec, alpha):
         return False

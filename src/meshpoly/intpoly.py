@@ -148,6 +148,18 @@ def _sturm_next(a: ZPoly, b: ZPoly) -> ZPoly:
     return [-c // g for c in r]
 
 
+def remainder_steps(a: ZPoly, b: ZPoly):
+    """The elements of remainder_sequence(a, b), one at a time: each
+    remainder is computed only when the one before it has been read, so
+    a reader that stops early divides no further (full_index)."""
+    prev = primitive(a)
+    yield prev
+    cur = primitive(b)
+    while cur:
+        yield cur
+        prev, cur = cur, _sturm_next(prev, cur)
+
+
 def remainder_sequence(a: ZPoly, b: ZPoly) -> list[ZPoly]:
     """Signed remainder sequence of (a, b) for nonzero a, up to positive
     factors: a, b, -(a mod b), ..., ending in the last nonzero element,
@@ -155,19 +167,35 @@ def remainder_sequence(a: ZPoly, b: ZPoly) -> list[ZPoly]:
     a positive factor changes no sign, so sign variations of this
     sequence are those of the exact sequence.
 
-    Read by sturm_chain (b = a'), gcd, Yun's first step (through the
-    Sturm chain) and the Cauchy indices behind roots._mesh_ok.
+    Read by sturm_chain (b = a'), gcd and Yun's first step (through the
+    Sturm chain); the Cauchy indices behind roots._mesh_ok read its
+    elements as they come (remainder_steps, full_index).
     """
-    seq = [primitive(a)]
-    b = primitive(b)
-    if b:
-        seq.append(b)
-        while True:
-            nxt = _sturm_next(seq[-2], seq[-1])
-            if not nxt:
-                break
-            seq.append(nxt)
-    return seq
+    return list(remainder_steps(a, b))
+
+
+def full_index(seq) -> Optional[ZPoly]:
+    """The last element of the signed remainder sequence seq = s_0, ...,
+    s_k (a list or remainder_steps) when |Ind(s_1/s_0)| = deg s_0 -
+    deg s_k, else None: exactly when every element has degree one less
+    than the one before it and sign(lc s_(i+1)) / sign(lc s_i) is the
+    same at every step (roots._mesh_ok has the proof).  The elements
+    are read in order, and reading stops at the first one that rules
+    the equation out.
+    """
+    it = iter(seq)
+    prev = next(it)
+    agree = None
+    for cur in it:
+        if len(cur) != len(prev) - 1:
+            return None
+        same = (cur[-1] > 0) == (prev[-1] > 0)
+        if agree is None:
+            agree = same
+        elif same != agree:
+            return None
+        prev = cur
+    return prev
 
 
 def sturm_chain(f: ZPoly) -> list[ZPoly]:

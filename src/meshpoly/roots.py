@@ -8,21 +8,24 @@ only affect displayed approximations, never a yes/no answer.
 
 Two kinds of question, two paths:
 
-* Yes/no questions go by counts: sign variations of signed remainder
-  sequences (intpoly.remainder_sequence) at a few rational points, with
-  no bisection.  Membership in HP>=alpha, for every alpha >= 0, is one
+* Yes/no questions go by counts on signed remainder sequences, with no
+  bisection.  Membership in HP>=alpha, for every alpha >= 0, is one
   Cauchy index (_mesh_ok): alpha = 0 is real-rootedness, by Sturm's
   theorem on the chain of f and f', and alpha > 0 decides
   real-rootedness, squarefreeness and the mesh bound at once (see
-  mesh_at_least).  For a real-rooted polynomial the absence of negative
-  roots is Descartes' rule of signs (_no_negative_root), which is exact
-  there.  Root counts in an interval (count_real_roots) take Sturm
-  counts per Yun factor (intpoly.factor_chains).  The verdicts on each
-  distinct polynomial (the largest alpha decided True and the smallest
-  decided False for its mesh) are kept in a bounded LRU cache of
-  RECORD_CACHE_SIZE records (_records), keyed by the primitive integer
-  representative of the polynomial, so positive rational multiples and
-  either basis share an entry.
+  mesh_at_least).  The index equation is read from the degrees and
+  lead signs of the sequence's elements as they are computed
+  (intpoly.remainder_steps, intpoly.full_index), and the first element
+  that rules it out ends the decision.  For a real-rooted polynomial
+  the absence of negative roots is Descartes' rule of signs
+  (_no_negative_root), which is exact there.  Root counts in an
+  interval (count_real_roots) take Sturm counts per Yun factor
+  (intpoly.factor_chains, intpoly.variation_drop).  The verdicts on
+  each distinct polynomial (the largest alpha decided True and the
+  smallest decided False for its mesh, as integer pairs) are kept in a
+  bounded LRU cache of RECORD_CACHE_SIZE records (_records), keyed by
+  the primitive integer representative of the polynomial, so positive
+  rational multiples and either basis share an entry.
 * Values read an isolation: root_data isolates the roots on each call
   and gives intpoly.IsolatedRoot nodes, an isolating interval on one of
   the polynomial's Yun factors with the root's multiplicity, for
@@ -138,9 +141,11 @@ def _no_negative_root(f: intpoly.ZPoly) -> bool:
 class _Record:
     """The decided facts of one primitive integer polynomial f, kept in
     place of its chains and nodes.  yes is the largest alpha >= 0 for
-    which mesh(f) >= alpha was decided True (-1 before any), no the
+    which mesh(f) >= alpha was decided True ((-1, 1) before any), no the
     smallest decided False (None before any): the answer is monotone in
     alpha, so every alpha <= yes holds and every alpha >= no fails.
+    Both are (numerator, denominator) pairs of ints with a positive
+    denominator, compared with alpha by integer cross products.
 
     mesh(f) >= 0 is real-rootedness (see _mesh_ok): a non-real-rooted f
     has no = 0, and a real-rooted f with a repeated root has mesh exactly
@@ -149,11 +154,14 @@ class _Record:
     __slots__ = ("f", "yes", "no")
 
 
+_ZERO = (0, 1)
+
+
 @functools.lru_cache(maxsize=RECORD_CACHE_SIZE)
 def _records(f: tuple) -> _Record:
     """A record of f with nothing decided yet."""
     rec = _Record()
-    rec.f, rec.yes, rec.no = f, -1, None
+    rec.f, rec.yes, rec.no = f, (-1, 1), None
     return rec
 
 
@@ -168,8 +176,26 @@ def _record(p: Polynomial) -> _Record:
 
 def _mesh_ok(rec: _Record, alpha, chain=None) -> bool:
     """f is real-rooted with mesh >= alpha, for f = rec.f of degree n and
-    any alpha >= 0, by one Cauchy index: |Ind(d/f)| = n - deg gcd(f, d),
-    read from seq = remainder_sequence(f, d), which ends in gcd(f, d).
+    an int or Fraction alpha >= 0, by one Cauchy index: |Ind(d/f)| = n -
+    deg gcd(f, d), read from seq = remainder_sequence(f, d), which ends
+    in gcd(f, d).  alpha is read as its numerator and denominator.
+
+    Let seq = s_0 = f, s_1 = d, ..., s_k.  The equation holds exactly
+    when every element has degree one less than the one before it and
+    sign(lc s_(i+1)) / sign(lc s_i) is the same at every step.  Proof:
+    each adjacent pair adds -1, 0 or +1 to V(-inf) - V(+inf), nonzero
+    only when its degrees differ by an odd number, so |Ind| <= k <= n -
+    deg s_k, as every step drops the degree by at least one; both are
+    equalities exactly when every drop is one and every pair adds the
+    same sign.  A pair with a unit drop is a variation at +inf when its
+    leads differ in sign and at -inf when they agree, so it adds +1 or
+    -1 as the sign ratio is +1 or -1.  The elements are read as they are
+    computed (intpoly.remainder_steps, intpoly.full_index), and the
+    first one that breaks either condition ends the decision with
+    False; deg d < n - 1 would end it before any division, but both d
+    below have degree n - 1 (for alpha > 0, the x^(n-1) coefficient of
+    d is -n alpha lc(f) lc(q)).  The bounds of rec are compared with
+    alpha by integer cross products.
 
     For alpha > 0, d = lc(f) q - lc(q) f with q = f(x - alpha), and True
     also means squarefree (mesh_at_least has the proof).  For alpha = 0,
@@ -179,23 +205,26 @@ def _mesh_ok(rec: _Record, alpha, chain=None) -> bool:
     means a repeated root, mesh exactly 0, and sets rec.no to 0 too.  A
     new verdict moves rec.yes or rec.no."""
     f = rec.f
-    if alpha <= rec.yes or len(f) <= 2:
+    num, den = alpha.numerator, alpha.denominator
+    yes, no = rec.yes, rec.no
+    if num * yes[1] <= yes[0] * den or len(f) <= 2:
         return True
-    if rec.no is not None and alpha >= rec.no:
+    if no is not None and num * no[1] >= no[0] * den:
         return False
-    if alpha:
+    if num:
         q = intpoly.translate(f, alpha)
         d = intpoly.sub([f[-1] * c for c in q], [q[-1] * c for c in f])
-        seq = intpoly.remainder_sequence(f, d)
+        last = intpoly.full_index(intpoly.remainder_steps(f, d))
     else:
-        seq = chain or intpoly.sturm_chain(f)
-    if abs(intpoly.variation_drop(seq)) == len(f) - len(seq[-1]):
-        rec.yes = alpha
-        if len(seq[-1]) > 1 and not alpha:
-            rec.no = alpha
-        return True
-    rec.no = alpha
-    return False
+        last = intpoly.full_index(
+            chain or intpoly.remainder_steps(f, intpoly.deriv(f)))
+    if last is None:
+        rec.no = (num, den)
+        return False
+    rec.yes = (num, den)
+    if len(last) > 1 and not num:
+        rec.no = _ZERO
+    return True
 
 
 @dataclass
@@ -286,10 +315,10 @@ def mesh_numeric(p: Polynomial, tol: Fraction = DEFAULT_TOL) -> MeshReport:
     # while alpha = 0 is undecided, the chain that decides it is also the
     # one the nodes are isolated on
     chain = (intpoly.sturm_chain(rec.f)
-             if rec.yes < 0 and rec.no != 0 else None)
+             if rec.yes[0] < 0 and rec.no != _ZERO else None)
     if not _mesh_ok(rec, 0, chain):
         raise NonHyperbolicInput("mesh is defined for real-rooted polynomials only")
-    if rec.no == 0:
+    if rec.no == _ZERO:
         return MeshReport(Fraction(0), Fraction(0), Fraction(0))
     # squarefree and real-rooted of degree >= 2: at least two nodes
     nodes = _nodes(intpoly.factor_chains(rec.f, chain))
@@ -369,11 +398,20 @@ def mesh_at_least(p: Polynomial, alpha) -> bool:
     poles are the roots t with t - alpha no root; each is simple, there
     are n - k of them, and N(t-) = 0 at each, so every jump has one sign.
 
+    The index is read without counting a variation (_mesh_ok): each
+    adjacent pair of the sequence adds at most one to |Ind|, and only
+    when its degrees differ by an odd number, while there are at most n
+    - deg gcd(f, q) pairs, one per degree dropped.  So the equation
+    holds exactly when every step drops the degree by one and every
+    pair adds the same sign, i.e. sign(lc s_(i+1)) / sign(lc s_i) is
+    the same at every step; the first element that breaks this ends the
+    decision.
+
     Verdicts are kept per polynomial (_records), so a bound already
     implied by an earlier verdict costs no sequence.
     """
     alpha = as_fraction(alpha)
-    if alpha < 0:
+    if alpha.numerator < 0:
         raise ValueError("mesh bound must be non-negative")
     if p.is_zero:
         raise ValueError("zero polynomial has no mesh")

@@ -48,40 +48,50 @@ MUTANTS = [
      "            n += step + p * (d // q)", "            n += p * (d // q)",
      ["tests/test_fixtures.py"]),
     ("proves without its product check", "fixtures.py",
-     """        return len(nums) == len(product) and all(
-            c * scale == m * den for c, m in zip(nums, product))""",
-     "        return True", ["tests/test_fixtures.py"]),
+     """    return len(nums) == len(product) and all(
+        c * scale == m * den for c, m in zip(nums, product))""",
+     "    return True", ["tests/test_fixtures.py"]),
     ("Descartes parity flipped", "roots.py",
      "    even, odd = f[(len(f) - 1) % 2::2], f[len(f) % 2::2]",
      "    even, odd = f[len(f) % 2::2], f[(len(f) - 1) % 2::2]",
      ["tests/test_mesh_index.py"]),
-    ("the Cauchy index ignores the gcd", "roots.py",
-     "== len(f) - len(seq[-1]):", "== len(f) - 1:",
+    ("the Cauchy index ignores the gcd", "intpoly.py",
+     "    return prev\n", "    return prev if len(prev) == 1 else None\n",
      ["tests/test_mesh_index.py"]),
+    ("the early exit accepts a drop of two degrees", "intpoly.py",
+     "        if len(cur) != len(prev) - 1:",
+     "        if len(cur) < len(prev) - 2:", ["tests/test_mesh_index.py"]),
+    ("the early exit ignores the sign relation", "intpoly.py",
+     """        elif same != agree:
+            return None
+""", "", ["tests/test_mesh_index.py"]),
     ("the index asked for mesh bound 0 by the shift", "roots.py",
-     """    if alpha:
+     """    if num:
         q = intpoly.translate(f, alpha)""",
-     """    if alpha >= 0:
+     """    if num >= 0:
         q = intpoly.translate(f, alpha)""",
      ["tests/test_mesh_index.py"]),
     ("a zero yes implies squarefree", "roots.py",
-     "    if rec.no == 0:", "    if rec.no == 0 and rec.yes != 0:",
+     "    if rec.no == _ZERO:", "    if rec.no == _ZERO and rec.yes != _ZERO:",
      ["tests/test_mesh_index.py"]),
     ("a repeated root leaves no at None", "roots.py",
-     """        if len(seq[-1]) > 1 and not alpha:
-            rec.no = alpha
+     """    if len(last) > 1 and not num:
+        rec.no = _ZERO
 """, "", ["tests/test_mesh_index.py"]),
     ("the gcd ignored at alpha = 0", "roots.py",
-     """        seq = chain or intpoly.sturm_chain(f)
-""", """        seq = chain or intpoly.sturm_chain(f)
-        if abs(intpoly.variation_drop(seq)) != len(f) - 1:
-            rec.no = alpha
-            return False
+     """            chain or intpoly.remainder_steps(f, intpoly.deriv(f)))
+""", """            chain or intpoly.remainder_steps(f, intpoly.deriv(f)))
+        if last is not None and len(last) > 1:
+            last = None
 """, ["tests/test_mesh_index.py"]),
     ("yes starts at 0", "roots.py",
-     "    rec.f, rec.yes, rec.no = f, -1, None",
-     "    rec.f, rec.yes, rec.no = f, 0, None",
+     "    rec.f, rec.yes, rec.no = f, (-1, 1), None",
+     "    rec.f, rec.yes, rec.no = f, (0, 1), None",
      ["tests/test_mesh_index.py"]),
+    ("the record's cross product uses < for <=", "roots.py",
+     "    if num * yes[1] <= yes[0] * den or len(f) <= 2:",
+     "    if num * yes[1] < yes[0] * den or len(f) <= 2:",
+     ["tests/test_root_cache.py"]),
     ("proper position without the gcd division", "interlace.py",
      "    g = intpoly.gcd(p.nums, q.nums)", "    g = [1]",
      ["tests/test_interlace.py"]),
@@ -90,16 +100,20 @@ MUTANTS = [
      "        for i in range(n - 2, 1, -1):",
      ["tests/test_operator_kernels.py"]),
     ("proves without its order check", "fixtures.py",
-     "            if (p2 * q - p * q2) * ad < an * q * q2:",
-     "            if abs(p2 * q - p * q2) * ad < an * q * q2:",
+     "        if (n2 - n) * ad < an * d:",
+     "        if abs(n2 - n) * ad < an * d:",
      ["tests/test_fixture_certificate.py"]),
     ("proves without its gap check", "fixtures.py",
-     "            if (p2 * q - p * q2) * ad < an * q * q2:",
-     "            if (p2 * q - p * q2) * ad < 0:",
+     "        if (n2 - n) * ad < an * d:",
+     "        if (n2 - n) * ad < 0:",
+     ["tests/test_fixture_certificate.py"]),
+    ("proves' gap test drops d", "fixtures.py",
+     "        if (n2 - n) * ad < an * d:",
+     "        if (n2 - n) * ad < an:",
      ["tests/test_fixture_certificate.py"]),
     ("proves without its HP+ check", "fixtures.py",
-     """        if spec.require_nonneg_roots and pq and pq[0][0] < 0:
-            return False
+     """    if spec.require_nonneg_roots and ns and ns[0] < 0:
+        return False
 """, "", ["tests/test_fixture_certificate.py"]),
     ("the pochhammer restatement skips x - 1", "poly.py",
      "        for i in range(1, n - 1):", "        for i in range(2, n - 1):",

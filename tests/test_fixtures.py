@@ -147,6 +147,29 @@ def test_gen_rooted_matches_fraction_reference():
                         assert rng.getstate() == ref_rng.getstate(), key
 
 
+def test_gen_fixture_is_gen_rooted_poly():
+    """gen_fixture, which builds no roots, gives gen_rooted's poly (nums,
+    den and basis) from the same draws, and leaves the RNG in the same
+    state."""
+    specs = [ClassSpec.hp_ge(a) for a in (F(1, 2), 1, F(3, 2), 0, -1)]
+    specs += [ClassSpec.hp_plus_ge(0), ClassSpec.hp_plus_ge(F(1, 3)),
+              ClassSpec.hyperbolic()]
+    for s, spec in enumerate(specs):
+        for jitter in (2, F(1, 3), "0"):
+            for root_range in (12, "5/2"):
+                for degree in range(10):
+                    key = (s, str(jitter), str(root_range), degree)
+                    rng = derive_rng(3, "gen-fixture", *key)
+                    rooted_rng = derive_rng(3, "gen-fixture", *key)
+                    p = gen_fixture(spec, degree, rng, root_range, jitter)
+                    fx = gen_rooted(spec, degree, rooted_rng, root_range,
+                                    jitter)
+                    assert (p.nums, p.den, p.basis) == \
+                        (fx.poly.nums, fx.poly.den, fx.poly.basis), key
+                    assert p == fx.poly, key
+                    assert rng.getstate() == rooted_rng.getstate(), key
+
+
 SELF_CHECK_UNDER_O = """
 import meshpoly.fixtures as fx
 from meshpoly import ClassSpec, Polynomial

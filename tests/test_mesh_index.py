@@ -229,49 +229,109 @@ def test_cold_mesh_numeric_builds_the_chains_once(monkeypatch):
     """The chain of f that decides alpha = 0 is also the one its roots
     are isolated on, and a positive verdict of the index implies
     real-rootedness.  A cold mesh_numeric, root_profile or is_hyperbolic
-    builds the Sturm chain of f once, and once a record knows of a
-    repeated root, mesh questions on it build no remainder sequence."""
-    calls, chains, seqs = [], [], []
+    walks the remainder sequence of f and f' once (as a whole Sturm
+    chain or element by element), and once a record knows of a repeated
+    root, mesh questions on it walk no remainder sequence."""
+    calls, walks, seqs = [], [], []
     factor_chains = ip.factor_chains
-    sturm_chain = ip.sturm_chain
-    remainder_sequence = ip.remainder_sequence
+    remainder_steps = ip.remainder_steps
 
     def counted(f, chain=None):
         calls.append(f)
         return factor_chains(f, chain)
 
-    def counted_chain(f):
-        chains.append(tuple(ip.primitive(f)))
-        return sturm_chain(f)
-
-    def counted_sequence(a, b):
+    def counted_steps(a, b):
+        # every remainder sequence, whole or read as it comes, is a walk
         seqs.append(a)
-        return remainder_sequence(a, b)
+        if b == ip.deriv(a):
+            walks.append(tuple(ip.primitive(a)))
+        return remainder_steps(a, b)
 
-    def chains_of(p):
-        return chains.count(tuple(ip.primitive(p.nums)))
+    def walks_of(p):
+        return walks.count(tuple(ip.primitive(p.nums)))
 
     monkeypatch.setattr(ip, "factor_chains", counted)
-    monkeypatch.setattr(ip, "sturm_chain", counted_chain)
-    monkeypatch.setattr(ip, "remainder_sequence", counted_sequence)
+    monkeypatch.setattr(ip, "remainder_steps", counted_steps)
     p = Polynomial.from_roots([-1, 2, 5])
     r = Polynomial.from_roots([-1, 2, 2, 5])
     roots._records.cache_clear()
     assert roots.mesh_numeric(p).exact_value == 3
-    assert len(calls) == 1 and chains_of(p) == 1
+    assert len(calls) == 1 and walks_of(p) == 1
     roots._records.cache_clear()
     assert roots.root_profile(r).is_hyperbolic
-    assert len(calls) == 2 and chains_of(r) == 1
+    assert len(calls) == 2 and walks_of(r) == 1
     roots._records.cache_clear()
     assert class_membership(p, ClassSpec.hp_plus_ge(1)) is False
     assert class_membership(p, ClassSpec.hp_ge(3))
     assert roots.is_hyperbolic(p) and roots.mesh_numeric(p).exact_value == 3
     assert len(calls) == 3
     roots._records.cache_clear()
-    chains.clear()
-    assert roots.is_hyperbolic(p) and chains_of(p) == 1
-    assert roots.is_hyperbolic(r) and chains_of(r) == 1
+    walks.clear()
+    assert roots.is_hyperbolic(p) and walks_of(p) == 1
+    assert roots.is_hyperbolic(r) and walks_of(r) == 1
     built = len(seqs)
     assert roots.mesh_at_least(r, F(1, 1000)) is False
     assert roots.mesh_numeric(r).exact_value == 0
     assert len(seqs) == built
+
+
+INDEX_ALPHAS = (F(0), F(1, 2), F(3, 7), F(1), F(2), F(5))
+
+
+def _index_pairs(f):
+    """(alpha, d) for the d that roots._mesh_ok asks of f at each alpha
+    in INDEX_ALPHAS, and (None, f''): f'' drops two degrees at once,
+    which no d of _mesh_ok does (its x^(n-1) coefficient is -n alpha
+    lc(f) lc(q), and f' has degree n - 1)."""
+    for alpha in INDEX_ALPHAS:
+        if alpha:
+            q = ip.translate(f, alpha)
+            yield alpha, ip.sub([f[-1] * c for c in q], [q[-1] * c for c in f])
+        else:
+            yield alpha, ip.deriv(f)
+    yield None, ip.deriv(ip.deriv(f))
+
+
+def test_full_index_matches_variation_drop(corpus):
+    """intpoly.full_index, read element by element from remainder_steps,
+    against the whole equation |variation_drop(seq)| = deg f - deg s_k
+    on seq = remainder_sequence(f, d), for 14,000 (f, d) pairs: the d
+    of _index_pairs.  The verdict and the last element agree, a whole
+    list gives the same answer, no element is read past the end of seq,
+    and deg d < deg f - 1 ends the walk at d, before any division."""
+    seen = {"true, gcd constant": 0, "true, gcd nonconstant": 0,
+            "true, negative lead": 0, "false at d": 0,
+            "false by the lead signs": 0, "false after a division": 0,
+            "repeated root at 0": 0, "not real-rooted at 0": 0}
+    for f in corpus[:2000]:
+        f = ip.primitive(f)
+        for alpha, d in _index_pairs(f):
+            seq = ip.remainder_sequence(f, d)
+            want = abs(ip.variation_drop(seq)) == len(f) - len(seq[-1])
+            read = []
+
+            def steps():
+                for g in ip.remainder_steps(f, d):
+                    read.append(g)
+                    yield g
+
+            last = ip.full_index(steps())
+            assert (last is not None) == want, (f, alpha)
+            assert ip.full_index(seq) == last, (f, alpha)
+            assert read == seq[:len(read)], (f, alpha)
+            if want:
+                assert last == seq[-1] and read == seq, (f, alpha)
+                seen["true, gcd constant"] += len(last) == 1
+                seen["true, gcd nonconstant"] += len(last) > 1
+                seen["true, negative lead"] += f[-1] < 0
+                seen["repeated root at 0"] += alpha == 0 and len(last) > 1
+                continue
+            if len(d) < len(f) - 1:
+                assert len(read) == 2, (f, alpha)
+                seen["false at d"] += 1
+            else:
+                seen["false after a division"] += len(read) > 2
+            seen["false by the lead signs"] += all(
+                len(b) == len(a) - 1 for a, b in zip(seq, seq[1:]))
+            seen["not real-rooted at 0"] += alpha == 0
+    assert min(seen.values()) >= 200, seen

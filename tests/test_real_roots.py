@@ -487,7 +487,9 @@ def test_record_answers_implied_bounds(monkeypatch):
     def no_sequence(a, b):
         raise AssertionError("bound not implied by the record")
 
-    monkeypatch.setattr(ip, "remainder_sequence", no_sequence)
+    # every remainder sequence, whole or read as it comes, is walked by
+    # remainder_steps
+    monkeypatch.setattr(ip, "remainder_steps", no_sequence)
     for alpha, want in ((0, True), (F(1, 2), True), (1, True),
                         (F(3, 2), False), (2, False)):
         assert roots.mesh_at_least(p, alpha) == want

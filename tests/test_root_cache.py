@@ -10,7 +10,11 @@ keyed by the primitive integer representative of the polynomial.
 
 from fractions import Fraction as F
 
+import pytest
+
+from meshpoly import intpoly as ip
 from meshpoly import roots
+from meshpoly.interlace import ClassSpec, class_membership
 from meshpoly.poly import POCHHAMMER, Polynomial
 from test_nodes import (ALPHAS, _node_corpus, _state, int_common_root,
                         int_precedes, translate_nodes)
@@ -90,3 +94,66 @@ def test_cache_is_bounded():
     # the least recently used entries were dropped
     roots.is_hyperbolic(Polynomial([0, 1]))
     assert roots._records.cache_info().misses == size + 11
+
+
+BIG = 10**40
+# (numerator, denominator) pairs with a positive denominator, as records
+# keep them: negative, zero and 10^40-sized parts, some unreduced
+PAIRS = [(-1, 1), (0, 1), (0, 7), (1, 1), (2, 2), (-3, 2), (5, 7), (10, 14),
+         (BIG, 1), (1, BIG), (-BIG, BIG + 1), (BIG + 1, BIG),
+         (BIG - 1, BIG), (-1, BIG), (BIG * BIG, BIG - 1)]
+BOUNDS = [0, 1, 2, -1, *(F(n, d) for n, d in PAIRS)]
+
+
+class _Undecided(Exception):
+    pass
+
+
+def ref_record_answer(yes, no, alpha):
+    """What a record with these bounds answers for alpha, in Fraction
+    comparisons: True, False, or None when it decides nothing."""
+    if alpha <= F(*yes):
+        return True
+    if no is not None and alpha >= F(*no):
+        return False
+    return None
+
+
+def test_record_bounds_match_fraction_comparisons(monkeypatch):
+    """_mesh_ok answers from a record's integer pairs by cross products
+    exactly as Fraction comparisons do, and leaves the record as it was;
+    class_membership and mesh_at_least read the sign of a bound as
+    Fraction comparison does."""
+    def undecided(a, b):
+        raise _Undecided
+
+    monkeypatch.setattr(ip, "remainder_steps", undecided)
+    decided = 0
+    for yes in PAIRS:
+        for no in [None, *PAIRS]:
+            for alpha in BOUNDS:
+                rec = roots._Record()
+                rec.f, rec.yes, rec.no = (-1, 0, 1), yes, no
+                try:
+                    got = roots._mesh_ok(rec, alpha)
+                except _Undecided:
+                    got = None
+                assert got == ref_record_answer(yes, no, alpha), \
+                    (yes, no, alpha)
+                assert (rec.yes, rec.no) == (yes, no)
+                decided += got is not None
+    assert decided > 1000
+    monkeypatch.undo()
+    p = Polynomial.from_roots([0, 1, 3], lead=-2)
+    for bound in [None, *BOUNDS]:
+        # p has mesh 1; a bound below 0 asks for mesh >= 0
+        want = bound is None or bound <= 1
+        assert class_membership(p, ClassSpec(mesh_bound=bound)) == want
+        assert class_membership(p, ClassSpec(mesh_bound=bound,
+                                             require_nonneg_roots=True)) == want
+        if bound is not None and bound < 0:
+            with pytest.raises(ValueError):
+                roots.mesh_at_least(p, bound)
+        elif bound is not None:
+            assert roots.mesh_at_least(p, bound) == (bound <= 1)
+    assert not class_membership(Polynomial([1, 0, 1]), ClassSpec(F(-1, BIG)))

@@ -6,9 +6,10 @@ ints, ascending by degree, normalized so the list is empty (zero) or has
 a non-zero last entry.  Rational inputs are cleared to a primitive
 integer representative first; all the predicates used downstream (signs,
 root locations, divisibility) are invariant under positive scaling.
-Remainder steps scale by the least positive multiplier that cancels a
-lead; each element is then the one primitive polynomial positively
-proportional to the exact remainder (_sturm_next).
+A remainder step that drops the degree by one is the pseudo-remainder
+lc(b)**2 (a mod b) in one pass; other steps scale by the least positive
+multiplier that cancels a lead.  Each element is then the one primitive
+polynomial positively proportional to the exact remainder (_sturm_next).
 """
 
 from __future__ import annotations
@@ -69,22 +70,28 @@ def primitive(f: ZPoly) -> ZPoly:
 
 
 def translate(f: ZPoly, a: Fraction) -> ZPoly:
-    """primitive(q**d * f(x - p/q)) for a = p/q and d = deg f: the integer
-    representative whose roots are those of f moved right by a."""
+    """primitive(q**n * f(x - p/q)) for a = p/q and n = deg f: the integer
+    representative whose roots are those of f moved right by a.
+
+    With y = q x, q**n f(x - p/q) = sum k_i (y - p)**i for k_i = c_i
+    q**(n - i): the k_i are shifted by p in place (the Taylor shift's
+    n (n + 1) / 2 steps k_j -= p k_(j+1)), and the coefficient of y**j
+    then gains q**j."""
     p, q = a.numerator, a.denominator
-    out: ZPoly = []
-    qk = 1
-    for c in reversed(f):
-        # Horner in (q x - p): after the step for c_i, out = sum_{j >= i}
-        # c_j (q x - p)**(j - i) q**(d - j)
-        nxt = [0] * (len(out) + 1)
-        nxt[0] = c * qk
-        for j, v in enumerate(out):
-            nxt[j] -= p * v
-            nxt[j + 1] += q * v
-        out = nxt
-        qk *= q
-    return primitive(out)
+    n = len(f) - 1
+    if q == 1:
+        k = list(f)
+    else:
+        pw = [1]
+        for _ in range(n):
+            pw.append(pw[-1] * q)
+        k = [c * w for c, w in zip(f, reversed(pw))]
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            k[j] -= p * k[j + 1]
+    if q != 1:
+        k = [c * w for c, w in zip(k, pw)]
+    return primitive(k)
 
 
 def _sign_at(f: ZPoly, num: int, den: int) -> int:
@@ -124,25 +131,36 @@ def _sturm_next(a: ZPoly, b: ZPoly) -> ZPoly:
     """The primitive integer polynomial positively proportional to
     -(a mod b), unique as such; [] when b divides a.
 
-    Each step cancels the lead c of r by s r - q x^k b, with s = lb / g,
-    q = c / g and g = gcd(c, lb), both negated when s < 0, and pops it;
-    as s > 0, the last r is a positive multiple of a mod b.
+    When deg a = n and deg b = n - 1 >= 1, the pseudo-remainder is
+    prem(a, b) = lb**2 (a mod b), lb = lc(b), in one pass: with c =
+    lb a_(n-1) - a_n b_(n-2) and b_(-1) = 0, its coefficient of x**i is
+    lb**2 a_i - lb a_n b_(i-1) - c b_i for i < n - 1 (the same form at
+    i = n - 1 is 0).  Otherwise each step cancels the lead c of r by
+    s r - q x^k b, with s = lb / g, q = c / g and g = gcd(c, lb), both
+    negated when s < 0, and pops it.  Either way the last r is a
+    positive multiple of a mod b.
     """
-    r = list(a)
     db = len(b) - 1
     lb = b[-1]
-    while len(r) > db:
-        c = r.pop()
-        if c:
-            g = math.gcd(c, lb)
-            s, q = lb // g, c // g
-            if s < 0:
-                s, q = -s, -q
-            if s != 1:
-                r = [s * x for x in r]
-            off = len(r) - db
-            for j in range(db):
-                r[off + j] -= q * b[j]
+    if len(a) == db + 2 and db:
+        an = a[-1]
+        c = lb * a[-2] - an * b[-2]
+        l2, la = lb * lb, lb * an
+        r = [l2 * x - la * y - c * z for x, y, z in zip(a, [0, *b], b)]
+    else:
+        r = list(a)
+        while len(r) > db:
+            c = r.pop()
+            if c:
+                g = math.gcd(c, lb)
+                s, q = lb // g, c // g
+                if s < 0:
+                    s, q = -s, -q
+                if s != 1:
+                    r = [s * x for x in r]
+                off = len(r) - db
+                for j in range(db):
+                    r[off + j] -= q * b[j]
     trim(r)
     g = math.gcd(*r)
     return [-c // g for c in r]

@@ -197,8 +197,10 @@ def _mesh_ok(rec: _Record, alpha, chain=None) -> bool:
     d is -n alpha lc(f) lc(q)).  The bounds of rec are compared with
     alpha by integer cross products.
 
-    For alpha > 0, d = lc(f) q - lc(q) f with q = f(x - alpha), and True
-    also means squarefree (mesh_at_least has the proof).  For alpha = 0,
+    For alpha > 0, d = lc(f) q - lc(q) f with q = f(x - alpha), formed
+    in one pass over the coefficient pairs of q and f; their x^n terms
+    cancel, and trimming drops that zero.  True also means squarefree
+    (mesh_at_least has the proof).  For alpha = 0,
     d = f' and seq = sturm_chain(f), which a caller may pass as chain:
     Ind(f'/f) counts the distinct real roots (Sturm's theorem), so the
     equation says that f is real-rooted.  A nonconstant gcd(f, f') then
@@ -213,7 +215,8 @@ def _mesh_ok(rec: _Record, alpha, chain=None) -> bool:
         return False
     if num:
         q = intpoly.translate(f, alpha)
-        d = intpoly.sub([f[-1] * c for c in q], [q[-1] * c for c in f])
+        lf, lq = f[-1], q[-1]
+        d = intpoly.trim([lf * x - lq * y for x, y in zip(q, f)])
         last = intpoly.full_index(intpoly.remainder_steps(f, d))
     else:
         last = intpoly.full_index(

@@ -11,9 +11,11 @@ substitution is applied there, and pytest runs the mutant's test files
 against the copy (the checkout is never edited).  A mutant survives
 when those tests pass.  An unmutated copy must first pass every named
 test file, so that a mutant counts as killed only by a failure it
-causes.  The script prints one line per mutant and exits 1 if any
-survives, 2 if a substitution does not match once or the unmutated
-copy fails.
+causes.  Each pytest run is stopped after TIMEOUT_S seconds; a mutant
+whose tests run that long (a wrong remainder can make a bisection go
+on forever) counts as killed by the timeout.  The script prints one
+line per mutant and exits 1 if any survives, 2 if a substitution does
+not match once or the unmutated copy fails.
 Standard library only; pytest is run as a subprocess.
 """
 
@@ -28,12 +30,25 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+TIMEOUT_S = 300  # per pytest run; the unmutated copy takes well under 60 s
 
 # (name, module under src/meshpoly, old text, new text, test files)
 MUTANTS = [
     ("no negation of a negative multiplier", "intpoly.py",
-     """            if s < 0:
-                s, q = -s, -q
+     """                if s < 0:
+                    s, q = -s, -q
+""", "", ["tests/test_intpoly.py"]),
+    ("the unit-drop step scales a by |lb|, not lb**2", "intpoly.py",
+     "        l2, la = lb * lb, lb * an", "        l2, la = abs(lb), lb * an",
+     ["tests/test_intpoly.py"]),
+    ("the unit-drop step swaps b_i and b_(i-1)", "intpoly.py",
+     "zip(a, [0, *b], b)", "zip(a, b, [0, *b])", ["tests/test_intpoly.py"]),
+    ("the Taylor shift's sign flipped", "intpoly.py",
+     "            k[j] -= p * k[j + 1]", "            k[j] += p * k[j + 1]",
+     ["tests/test_intpoly.py"]),
+    ("the Taylor shift drops its q-power rescale", "intpoly.py",
+     """    if q != 1:
+        k = [c * w for c, w in zip(k, pw)]
 """, "", ["tests/test_intpoly.py"]),
     ("no content division of the remainder", "intpoly.py",
      "    return [-c // g for c in r]", "    return [-c for c in r]",
@@ -71,6 +86,9 @@ MUTANTS = [
      """    if num >= 0:
         q = intpoly.translate(f, alpha)""",
      ["tests/test_mesh_index.py"]),
+    ("the divisor with the two leads swapped", "roots.py",
+     "[lf * x - lq * y for x, y in zip(q, f)]",
+     "[lq * x - lf * y for x, y in zip(q, f)]", ["tests/test_mesh_index.py"]),
     ("a zero yes implies squarefree", "roots.py",
      "    if rec.no == _ZERO:", "    if rec.no == _ZERO and rec.yes != _ZERO:",
      ["tests/test_mesh_index.py"]),
@@ -159,7 +177,8 @@ def first_failure(tests: list[str], module: str = "", old: str = "",
                   new: str = "") -> str:
     """The first failure pytest reports for the tests on a copy of src/
     with old replaced by new in module (no substitution when module is
-    empty); "" when they pass."""
+    empty); "" when they pass, and "timeout after N s" when pytest is
+    stopped by the timeout."""
     with tempfile.TemporaryDirectory(prefix="meshpoly-mutant-") as tmp:
         src = Path(tmp) / "src"
         shutil.copytree(ROOT / "src", src,
@@ -169,10 +188,14 @@ def first_failure(tests: list[str], module: str = "", old: str = "",
             path.write_text(path.read_text().replace(old, new))
         env = dict(os.environ, PYTHONPATH=str(src),
                    PYTHONDONTWRITEBYTECODE="1")
-        r = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-x", "-p",
-             "no:cacheprovider", "-o", f"pythonpath={src}", *tests],
-            cwd=ROOT, env=env, capture_output=True, text=True)
+        try:
+            r = subprocess.run(
+                [sys.executable, "-m", "pytest", "-q", "-x", "-p",
+                 "no:cacheprovider", "-o", f"pythonpath={src}", *tests],
+                cwd=ROOT, env=env, capture_output=True, text=True,
+                timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            return f"timeout after {TIMEOUT_S} s"
         if r.returncode == 0:
             return ""
         failed = [ln for ln in r.stdout.splitlines()

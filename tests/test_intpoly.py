@@ -308,13 +308,16 @@ def test_variations_at_matches_signs():
 
 
 @pytest.mark.parametrize("alpha", [F(0), F(1), F(-3), F(1, 2), F(-7, 3),
-                                   F(22, 7)])
+                                   F(22, 7), F(5, 8), F(7, 10**6 + 3)])
 def test_translate_matches_polynomial_shift(alpha):
     # against the Fraction Taylor shift: Polynomial.shift runs on translate
+    fs = [[5], [-3], [0, 2], [7, -4], [-10**20, 3 * 10**20 + 1]]
     for t in range(40):
         rng = derive_rng(7, "translate", t)
         big = 10 ** rng.choice((1, 4, 20))
-        f = ip.trim([rng.randint(-big, big) for _ in range(rng.randint(1, 9))])
+        fs.append(ip.trim([rng.randint(-big, big)
+                           for _ in range(rng.randint(1, 9))]))
+    for f in fs:
         expected = ip.primitive(ref_shift(Polynomial(f), alpha).nums)
         assert ip.translate(f, alpha) == expected, (f, alpha)
 
@@ -360,11 +363,18 @@ def test_remainder_kernel_matches_full_lead_reference():
     """remainder_sequence, gcd, content and primitive on 30,100 seeded
     pairs, sturm_chain on the pairs (a, a') and yun on the a with a
     squared factor, against the full-lead reference kernel of
-    test_real_roots, list for list."""
+    test_real_roots, list for list.  Besides the kinds of (a, b), the
+    kinds of the steps of each sequence are counted, so that both paths
+    of _sturm_next are covered: a unit degree drop (the one-pass
+    pseudo-remainder) with a negative lead of b, a unit drop whose
+    remainder is 0, and, for the lead-by-lead loop, equal degrees and a
+    drop of two or more."""
     seen = {"b constant": 0, "b lead negative": 0, "b lead +-1": 0,
             "b lead divides a's": 0, "leads coprime": 0,
             "shared factor": 0, "content > 1": 0, "degree 12": 0,
             "coefficient > 10**39": 0, "b zero": 0}
+    steps = {"unit drop, lb < 0": 0, "unit drop, b divides a": 0,
+             "equal degrees": 0, "drop >= 2": 0}
     for t in range(30100):
         a, b = _kernel_pair(t)
         for f in (a, b):
@@ -384,6 +394,13 @@ def test_remainder_kernel_matches_full_lead_reference():
             assert ip.sturm_chain(a) == ref, a
         elif t % 7 == 5:
             assert ip.yun(a) == ref_yun(a), a
+        for i in range(1, len(ref)):
+            drop = len(ref[i - 1]) - len(ref[i])
+            if drop == 1 and len(ref[i]) > 1:
+                steps["unit drop, lb < 0"] += ref[i][-1] < 0
+                steps["unit drop, b divides a"] += i == len(ref) - 1
+            steps["equal degrees"] += drop == 0
+            steps["drop >= 2"] += drop >= 2
         if not b:
             seen["b zero"] += 1
             continue
@@ -399,3 +416,4 @@ def test_remainder_kernel_matches_full_lead_reference():
         seen["coefficient > 10**39"] += max(map(abs, a + b)) > 10**39
     assert seen.pop("b zero") >= 100, seen
     assert min(seen.values()) >= 1000, seen
+    assert min(steps.values()) >= 100, steps

@@ -69,15 +69,14 @@ def primitive(f: ZPoly) -> ZPoly:
     return [c // g for c in f] if g > 1 else f
 
 
-def translate(f: ZPoly, a: Fraction) -> ZPoly:
-    """primitive(q**n * f(x - p/q)) for a = p/q and n = deg f: the integer
-    representative whose roots are those of f moved right by a.
+def taylor_shift(f: ZPoly, p: int, q: int) -> ZPoly:
+    """q**n * f(x - p/q) for n = deg f and q > 0, not reduced: (p, q)
+    need not be coprime, and no content is divided out.
 
     With y = q x, q**n f(x - p/q) = sum k_i (y - p)**i for k_i = c_i
     q**(n - i): the k_i are shifted by p in place (the Taylor shift's
     n (n + 1) / 2 steps k_j -= p k_(j+1)), and the coefficient of y**j
-    then gains q**j."""
-    p, q = a.numerator, a.denominator
+    then gains q**j.  q = 1 scales nothing and p = 0 takes no step."""
     n = len(f) - 1
     if q == 1:
         k = list(f)
@@ -86,12 +85,20 @@ def translate(f: ZPoly, a: Fraction) -> ZPoly:
         for _ in range(n):
             pw.append(pw[-1] * q)
         k = [c * w for c, w in zip(f, reversed(pw))]
-    for i in range(n):
-        for j in range(n - 1, i - 1, -1):
-            k[j] -= p * k[j + 1]
+    if p:
+        for i in range(n):
+            for j in range(n - 1, i - 1, -1):
+                k[j] -= p * k[j + 1]
     if q != 1:
         k = [c * w for c, w in zip(k, pw)]
-    return primitive(k)
+    return k
+
+
+def translate(f: ZPoly, a: Fraction) -> ZPoly:
+    """primitive(q**n * f(x - p/q)) for a = p/q and n = deg f (taylor_shift):
+    the integer representative whose roots are those of f moved right
+    by a."""
+    return primitive(taylor_shift(f, a.numerator, a.denominator))
 
 
 def _sign_at(f: ZPoly, num: int, den: int) -> int:
@@ -167,10 +174,11 @@ def _sturm_next(a: ZPoly, b: ZPoly) -> ZPoly:
 
 
 def remainder_steps(a: ZPoly, b: ZPoly):
-    """The elements of remainder_sequence(a, b), one at a time: each
-    remainder is computed only when the one before it has been read, so
-    a reader that stops early divides no further (full_index)."""
-    prev = primitive(a)
+    """The elements of remainder_sequence(a, b) for a primitive a, which
+    is yielded as given, one at a time: each remainder is computed only
+    when the one before it has been read, so a reader that stops early
+    divides no further (full_index)."""
+    prev = a
     yield prev
     cur = primitive(b)
     while cur:
@@ -189,7 +197,7 @@ def remainder_sequence(a: ZPoly, b: ZPoly) -> list[ZPoly]:
     Sturm chain); the Cauchy indices behind roots._mesh_ok read its
     elements as they come (remainder_steps, full_index).
     """
-    return list(remainder_steps(a, b))
+    return list(remainder_steps(primitive(a), b))
 
 
 def full_index(seq) -> Optional[ZPoly]:

@@ -7,16 +7,17 @@ is expressible for non-integer alpha.  Constant-coefficient operators with
 integer shifts carry a symbol polynomial Q(t) = a_0 + a_1 t + ... + a_k t^k,
 and composition of such operators multiplies symbols.
 
-Every such operator is a Polya-Schur operator sum_k M_k(x) D^k / k! with
-moments M_k = sum_s q_s(x) (-s)^k (Borcea-Branden 2009): by Taylor's
-formula p(x - s) = sum_k (-s)^k p^(k)(x) / k!.  apply uses this form, so
-one Taylor table tau_k = p^(k) / k! of p serves every term.  It runs on
-integer numerators: with p = P/d, the shifts s = S/V and the q_s = Q_s/e
-over common denominators,
+apply reads T(p) from this definition, in integers.  With p = P/d of
+degree m, the shifts s = S/V over one V and the q_s = Q_s/e over one e,
 
-    T(p) = sum_k V^(n-1-k) (sum_s Q_s(x) (-S)^k) tau_k(P) / (d e V^(n-1)),
+    d e V^m T(p) = sum_s Q_s(x) [V^m P(x - S/V)],
 
-where n = deg p + 1 and tau_k(P)[j] = C(j+k, k) P[j+k].
+and each bracket is one in-place Taylor shift (intpoly.taylor_shift):
+m (m + 1) / 2 steps that each multiply by S, none when S = 0.  The
+Polya-Schur form sum_k M_k(x) D^k / k! with moments M_k = sum_s q_s(x)
+(-s)^k (Borcea-Branden 2009) gives the same image, but its Taylor
+table multiplies every coefficient of p by a binomial, O(m^2) products
+of two growing integers.
 
 The bullet product works in the falling-factorial basis.  There
 forward^k (x)_i = i!/(i-k)! (x)_(i-k), so with p = sum a_i (x)_i and
@@ -116,34 +117,24 @@ class FiniteDifferenceOperator:
         return len(self.terms)
 
     def apply(self, p: Polynomial) -> Polynomial:
-        """T(p) in the moment form of the module docstring."""
-        P, d = p.nums, p.den
-        n = len(P)
-        if not n or not self.terms:
+        """T(p) from its definition, one Taylor shift of p per term, in
+        the integer form of the module docstring."""
+        P = p.nums
+        if not P or not self.terms:
             return Polynomial.zero()
         V = reduce(math.lcm, (s.denominator for s, _ in self.terms), 1)
-        neg_shifts = [-s.numerator * (V // s.denominator) for s, _ in self.terms]
         e = reduce(math.lcm, (q.den for _, q in self.terms), 1)
-        Qs = [[c * (e // q.den) for c in q.nums] for _, q in self.terms]
-        width = max(map(len, Qs))
-        powers = [1] * len(Qs)  # (-S)^k per term, -S = -s V
-        out = [0] * (n + width - 1)
-        for k in range(n):
-            moment = [0] * width
-            for t, Q in enumerate(Qs):
-                w = powers[t]
-                if w:
-                    for i, c in enumerate(Q):
-                        moment[i] += c * w
-                    powers[t] = w * neg_shifts[t]
-            scale = V ** (n - 1 - k)
-            tau = [math.comb(j + k, k) * P[j + k] for j in range(n - k)]
-            for i, m in enumerate(moment):
-                if m:
-                    m *= scale
-                    for j, c in enumerate(tau):
-                        out[i + j] += m * c
-        return Polynomial._from_ints(out, d * e * V ** (n - 1))
+        out = [0] * (len(P) + max(len(q.nums) for _, q in self.terms) - 1)
+        for s, q in self.terms:
+            shifted = intpoly.taylor_shift(
+                P, s.numerator * (V // s.denominator), V)
+            w = e // q.den
+            for i, c in enumerate(q.nums):
+                if c:
+                    c *= w
+                    for j, b in enumerate(shifted, i):
+                        out[j] += c * b
+        return Polynomial._from_ints(out, p.den * e * V ** (len(P) - 1))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FiniteDifferenceOperator):

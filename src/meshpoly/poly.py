@@ -286,16 +286,14 @@ class Polynomial:
         return Polynomial._from_ints(intpoly.deriv(self.nums), self.den)
 
     def shift(self, a: RatLike) -> "Polynomial":
-        """Return p(x - a): the graph slides right by a for a > 0."""
+        """Return p(x - a): the graph slides right by a for a > 0, read
+        as q**n p(x - a) (intpoly.taylor_shift) over q**n for n = deg p
+        and q the denominator of a."""
         a = as_fraction(a)
-        nums = self.nums
-        if not nums:
-            return Polynomial.zero()
-        # translate gives the primitive part of p(x - a); p's leading
-        # coefficient, which a shift keeps, fixes the scale
-        f = intpoly.translate(nums, a)
-        return Polynomial._from_ints([c * nums[-1] for c in f],
-                                     f[-1] * self.den)
+        q = a.denominator
+        return Polynomial._from_ints(
+            intpoly.taylor_shift(self.nums, a.numerator, q),
+            self.den * q ** max(len(self.nums) - 1, 0))
 
     # -- display -------------------------------------------------------
 

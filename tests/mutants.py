@@ -44,7 +44,7 @@ MUTANTS = [
     ("the unit-drop step swaps b_i and b_(i-1)", "intpoly.py",
      "zip(a, [0, *b], b)", "zip(a, b, [0, *b])", ["tests/test_intpoly.py"]),
     ("the Taylor shift's sign flipped", "intpoly.py",
-     "            k[j] -= p * k[j + 1]", "            k[j] += p * k[j + 1]",
+     "                k[j] -= p * k[j + 1]", "                k[j] += p * k[j + 1]",
      ["tests/test_intpoly.py"]),
     ("the Taylor shift drops its q-power rescale", "intpoly.py",
      """    if q != 1:
@@ -113,6 +113,19 @@ MUTANTS = [
     ("proper position without the gcd division", "interlace.py",
      "    g = intpoly.gcd(p.nums, q.nums)", "    g = [1]",
      ["tests/test_interlace.py"]),
+    ("apply shifts each term the wrong way", "operators.py",
+     "                P, s.numerator * (V // s.denominator), V)",
+     "                P, -s.numerator * (V // s.denominator), V)",
+     ["tests/test_operator_kernels.py"]),
+    ("apply drops the V-power rescale", "operators.py",
+     "p.den * e * V ** (len(P) - 1))", "p.den * e)",
+     ["tests/test_operator_kernels.py"]),
+    ("apply drops the coefficient scale e // q.den", "operators.py",
+     "            w = e // q.den", "            w = 1",
+     ["tests/test_operator_kernels.py"]),
+    ("apply adds each term one degree too high", "operators.py",
+     "enumerate(shifted, i)", "enumerate(shifted, i + 1)",
+     ["tests/test_operator_kernels.py"]),
     ("the monomial restatement skips x - 1", "poly.py",
      "        for i in range(n - 2, 0, -1):",
      "        for i in range(n - 2, 1, -1):",

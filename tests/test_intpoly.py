@@ -307,19 +307,52 @@ def test_variations_at_matches_signs():
                 (ip.sign_at(f, x), ref_variations_at(chain, x)), (f, x)
 
 
-@pytest.mark.parametrize("alpha", [F(0), F(1), F(-3), F(1, 2), F(-7, 3),
-                                   F(22, 7), F(5, 8), F(7, 10**6 + 3)])
-def test_translate_matches_polynomial_shift(alpha):
-    # against the Fraction Taylor shift: Polynomial.shift runs on translate
-    fs = [[5], [-3], [0, 2], [7, -4], [-10**20, 3 * 10**20 + 1]]
+def _shift_corpus():
+    """f of degree -1 to 8: zero, constants and lines first, then seeded
+    coefficients up to 10**20."""
+    fs = [[], [5], [-3], [0, 2], [7, -4], [-10**20, 3 * 10**20 + 1]]
     for t in range(40):
         rng = derive_rng(7, "translate", t)
         big = 10 ** rng.choice((1, 4, 20))
         fs.append(ip.trim([rng.randint(-big, big)
                            for _ in range(rng.randint(1, 9))]))
-    for f in fs:
+    return fs
+
+
+@pytest.mark.parametrize("alpha", [F(0), F(1), F(-3), F(1, 2), F(-7, 3),
+                                   F(22, 7), F(5, 8), F(7, 10**6 + 3)])
+def test_translate_matches_polynomial_shift(alpha):
+    # against the Fraction Taylor shift
+    for f in _shift_corpus():
         expected = ip.primitive(ref_shift(Polynomial(f), alpha).nums)
         assert ip.translate(f, alpha) == expected, (f, alpha)
+
+
+# (p, q) as taylor_shift reads them: p = 0, negative p, and pairs that
+# are not reduced
+SHIFT_PAIRS = [(0, 1), (0, 6), (3, 1), (-4, 1), (6, 4), (-9, 6), (10, 5),
+               (-14, 21), (5, 8), (-7, 10**6 + 3), (10**20 + 1, 3)]
+
+
+@pytest.mark.parametrize("p, q", SHIFT_PAIRS)
+def test_taylor_shift_matches_fraction_shift(p, q):
+    """taylor_shift(f, p, q) is q**n f(x - p/q), n = deg f, unreduced:
+    the same list of ints as the Fraction Taylor shift times q**n."""
+    for f in _shift_corpus():
+        scale = q ** max(len(f) - 1, 0)
+        want = [c * scale for c in
+                ref_shift(Polynomial(f), F(p, q)).monomial_coeffs()]
+        got = ip.taylor_shift(f, p, q)
+        assert got == want and all(type(c) is int for c in got), (f, p, q)
+
+
+@pytest.mark.parametrize("p, q", SHIFT_PAIRS)
+def test_polynomial_shift_matches_fraction_shift(p, q):
+    for f in _shift_corpus():
+        for den in (1, 7, -12):
+            poly = Polynomial._from_ints(f, den)
+            got, want = poly.shift(F(p, q)), ref_shift(poly, F(p, q))
+            assert (got.nums, got.den) == (want.nums, want.den), (f, den, p, q)
 
 
 # -- the remainder kernel against the full-lead reference -----------------

@@ -2,13 +2,15 @@
 
 apply, bullet_product, diagonal_apply and the reading of a polynomial in
 another basis (to_basis, then coeffs) compute on integer numerators over
-one denominator (the moment form of apply, the falling-factorial form of
-the bullet product, in-place basis conversion).  The reference below is
-the earlier form of the same maps, in Fractions: one Taylor shift of p
-per term, repeated forward differences, and Stirling conversion
-coefficient by coefficient from triangles built here by their
-recurrences, on the Fraction arithmetic of test_poly_kernels.  Both
-must give the same coeffs in the same basis on a seeded corpus.
+one denominator (one integer Taylor shift of p per term in apply, the
+falling-factorial form of the bullet product, in-place basis
+conversion).  The reference below is the earlier form of the same maps,
+in Fractions: one Fraction Taylor shift of p per term, repeated forward
+differences, and Stirling conversion coefficient by coefficient from
+triangles built here by their recurrences, on the Fraction arithmetic
+of test_poly_kernels.  Both must give the same coeffs in the same basis
+on a seeded corpus.  At high degree apply is checked against
+pochhammer_cofactor instead, which forms no image.
 """
 
 from fractions import Fraction as F
@@ -25,7 +27,9 @@ from meshpoly import (
     diagonal_apply,
     from_symbol,
     make_standard,
+    pochhammer_cofactor,
 )
+from meshpoly import intpoly
 from meshpoly.fixtures import derive_rng
 from meshpoly.poly import _restate, int_form
 from test_poly_kernels import (ref_add, ref_evaluate, ref_mul, ref_scale,
@@ -208,6 +212,30 @@ def test_apply_matches_shift_per_term():
     for T in operators_corpus():
         for p in polys:
             same(T.apply(p), ref_apply(T, p))
+
+
+def test_apply_matches_pochhammer_cofactor_at_high_degree():
+    """T((x)_m) = (x - k)(x - k - 1)...(x - m + 1) R_m for symbols of
+    order k <= 4 and m up to 300, with R_m from pochhammer_cofactor,
+    which forms no image: an oracle at degrees where the Fraction
+    reference is slow."""
+    rng = derive_rng(7, "operator-kernels", "cofactor")
+    symbols = [Polynomial([F(401, 100), -4, 1])]
+    for k in range(5):
+        symbols += [rand_poly(rng, k), rand_poly(rng, k, big=True)]
+    for Q in symbols:
+        T = from_symbol(Q)
+        j = k = int(T.order)
+        common = [1]  # prod (x - j) for j = k .. m - 1
+        for m in (0, 1, 2, 3, 4, 5, 9, 40, 137, 300):
+            while j < m:
+                common = intpoly.mul(common, [-j, 1])
+                j += 1
+            R = pochhammer_cofactor(T, m)
+            want = Polynomial._from_ints(intpoly.mul(list(R.nums), common),
+                                         R.den)
+            got = T.apply(Polynomial.falling_factorial(m))
+            assert (got.nums, got.den) == (want.nums, want.den), (Q, m)
 
 
 def test_to_basis_matches_fraction_stirling():

@@ -18,12 +18,11 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from . import intpoly
-from .interlace import ClassSpec
+from .interlace import ClassSpec, _Frozen
 from .poly import Polynomial, as_fraction
 from .roots import INF
 
@@ -73,13 +72,15 @@ def _draw(rng: random.Random, lo, hi,
     return rng.randint(a, b), den
 
 
-@dataclass(frozen=True)
-class RootedFixture:
+class RootedFixture(_Frozen):
     """A polynomial with its construction data: sorted rational roots."""
 
-    poly: Polynomial
-    roots: tuple
-    lead: Fraction
+    __slots__ = ("poly", "roots", "lead")
+
+    def __init__(self, poly: Polynomial, roots: tuple, lead: Fraction):
+        object.__setattr__(self, "poly", poly)
+        object.__setattr__(self, "roots", roots)
+        object.__setattr__(self, "lead", lead)
 
     @property
     def exact_mesh(self):

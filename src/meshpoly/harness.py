@@ -11,7 +11,6 @@ input needed to replay it from scratch.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -42,14 +41,14 @@ __all__ = [
 _RNG_SPAN = 2 ** 31
 
 
-@dataclass
 class SearchConfig:
-    kind: str
-    seed: int = 7
-    trials: int = 500
-    max_degree: int = 6
-    i_max: int = 64
-    rho: Fraction = Fraction(1, 2)  # remark2 only
+    __slots__ = ("kind", "seed", "trials", "max_degree", "i_max", "rho")
+
+    def __init__(self, kind: str, seed: int = 7, trials: int = 500,
+                 max_degree: int = 6, i_max: int = 64,
+                 rho: Fraction = Fraction(1, 2)):  # rho: remark2 only
+        self.kind, self.seed, self.trials = kind, seed, trials
+        self.max_degree, self.i_max, self.rho = max_degree, i_max, rho
 
     def echo(self) -> dict:
         return {"kind": self.kind, "seed": self.seed, "trials": self.trials,
@@ -57,13 +56,13 @@ class SearchConfig:
                 "rho": as_fraction(self.rho)}
 
 
-@dataclass
 class CounterexampleCertificate:
-    kind: str
-    conjecture: str
-    trial: int
-    payload: dict
-    config: dict
+    __slots__ = ("kind", "conjecture", "trial", "payload", "config")
+
+    def __init__(self, kind: str, conjecture: str, trial: int, payload: dict,
+                 config: dict):
+        self.kind, self.conjecture, self.trial = kind, conjecture, trial
+        self.payload, self.config = payload, config
 
     def to_obj(self) -> dict:
         return serialize.to_jsonable({
@@ -92,11 +91,14 @@ class CounterexampleCertificate:
                                          c["payload"], c["config"])
 
 
-@dataclass
 class SearchReport:
-    config: SearchConfig
-    records: list = field(default_factory=list)
-    certificates: list = field(default_factory=list)
+    __slots__ = ("config", "records", "certificates")
+
+    def __init__(self, config: SearchConfig, records: Optional[list] = None,
+                 certificates: Optional[list] = None):
+        self.config = config
+        self.records = [] if records is None else records
+        self.certificates = [] if certificates is None else certificates
 
     @property
     def summary(self) -> dict:

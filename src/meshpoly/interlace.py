@@ -24,7 +24,6 @@ roots (roots._mesh_ok) and Descartes' rule, with no Wronskian.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -45,23 +44,55 @@ __all__ = [
 ]
 
 
-@dataclass
 class ProperPositionVerdict:
-    holds: bool
-    interlaces: bool
-    wronskian_nonneg: bool
-    failure_witness: Optional[dict] = None
+    __slots__ = ("holds", "interlaces", "wronskian_nonneg", "failure_witness")
+
+    def __init__(self, holds: bool, interlaces: bool, wronskian_nonneg: bool,
+                 failure_witness: Optional[dict] = None):
+        self.holds, self.interlaces = holds, interlaces
+        self.wronskian_nonneg = wronskian_nonneg
+        self.failure_witness = failure_witness
 
     def __bool__(self) -> bool:
         return self.holds
 
 
-@dataclass(frozen=True)
-class ClassSpec:
+class _Frozen:
+    """A record equal and hashed by the values of its fields, its
+    __slots__, which only __init__ sets (with object.__setattr__)."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, not by assignment
+        return type(self), self._values()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class ClassSpec(_Frozen):
     """A class of hyperbolic polynomials cut out by mesh and root-sign bounds."""
 
-    mesh_bound: Optional[Fraction] = None
-    require_nonneg_roots: bool = False
+    __slots__ = ("mesh_bound", "require_nonneg_roots")
+
+    def __init__(self, mesh_bound: Optional[Fraction] = None,
+                 require_nonneg_roots: bool = False):
+        object.__setattr__(self, "mesh_bound", mesh_bound)
+        object.__setattr__(self, "require_nonneg_roots", require_nonneg_roots)
 
     @staticmethod
     def hyperbolic() -> "ClassSpec":

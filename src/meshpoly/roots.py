@@ -35,14 +35,14 @@ Two kinds of question, two paths:
   caller that refines its nodes in place cannot reach another call's
   nodes.  Roots are isolated without rational probing; the code that
   reads exact root values (mesh_numeric, and approximations for
-  display) probes the nodes it gets (IsolatedRoot.try_rational).
+  display) probes the nodes it gets (IsolatedRoot.try_rational), and
+  mesh_and_roots reads both from one isolation, probed once.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -230,26 +230,30 @@ def _mesh_ok(rec: _Record, alpha, chain=None) -> bool:
     return True
 
 
-@dataclass
 class RootProfile:
     """Certified summary of the real-root structure of a polynomial."""
 
-    is_hyperbolic: bool
-    all_roots_nonnegative: bool
-    nodes: list = None  # live IsolatedRoot list, refinable
+    __slots__ = ("is_hyperbolic", "all_roots_nonnegative", "nodes")
+
+    def __init__(self, is_hyperbolic: bool, all_roots_nonnegative: bool,
+                 nodes: list = None):
+        self.is_hyperbolic = is_hyperbolic
+        self.all_roots_nonnegative = all_roots_nonnegative
+        self.nodes = nodes  # live IsolatedRoot list, refinable
 
 
-@dataclass
 class MeshReport:
     """Mesh enclosure; exact_value is set when the mesh is known exactly.
 
     mesh_lower <= mesh <= mesh_upper always holds; for degree <= 1 all
-    three fields are +infinity (math.inf).
+    three fields are +infinity (math.inf), and otherwise Fractions.
     """
 
-    mesh_lower: object  # Fraction or math.inf
-    mesh_upper: object
-    exact_value: object = None  # Fraction, math.inf, or None when only enclosed
+    __slots__ = ("mesh_lower", "mesh_upper", "exact_value")
+
+    def __init__(self, mesh_lower, mesh_upper, exact_value=None):
+        self.mesh_lower, self.mesh_upper = mesh_lower, mesh_upper
+        self.exact_value = exact_value
 
     @property
     def is_infinite(self) -> bool:
@@ -307,7 +311,25 @@ def mesh_numeric(p: Polynomial, tol: Fraction = DEFAULT_TOL) -> MeshReport:
     (the common case for constructed fixtures), math.inf for degree <= 1,
     and None when the mesh is only enclosed between the reported bounds.
     """
-    tol = as_fraction(tol)
+    return _mesh(p, as_fraction(tol))
+
+
+def mesh_and_roots(p: Polynomial, tol: Fraction = DEFAULT_TOL
+                   ) -> tuple[MeshReport, list[float]]:
+    """mesh_numeric(p, tol) and root_approximations(p, tol) from one
+    isolation: the approximations start from copies of the nodes taken
+    right after their one rational probe, before the enclosure narrows
+    them, where root_approximations' own probe leaves its nodes."""
+    tol, copies = as_fraction(tol), []
+    rep = _mesh(p, tol, copies)
+    # no copies: nothing was isolated (degree <= 1, or a repeated root)
+    return rep, (_midpoints(copies, tol) if copies
+                 else root_approximations(p, tol))
+
+
+def _mesh(p: Polynomial, tol: Fraction, copies: list = None) -> MeshReport:
+    """mesh_numeric(p, tol); a copies list gets a copy of each node
+    right after its rational probe."""
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     if p.is_zero:
@@ -327,6 +349,10 @@ def mesh_numeric(p: Polynomial, tol: Fraction = DEFAULT_TOL) -> MeshReport:
     nodes = _nodes(intpoly.factor_chains(rec.f, chain))
     for n in nodes:
         n.try_rational()
+    if copies is not None:
+        copies += [intpoly.IsolatedRoot.from_ints(n.poly, n.a, n.b, n.den,
+                                                  n.slo, n.multiplicity)
+                   for n in nodes]
     if all(n.exact is not None for n in nodes):
         vals = sorted(n.exact for n in nodes)
         m = min(b - a for a, b in zip(vals, vals[1:]))
@@ -432,9 +458,16 @@ def approximations(nodes: Sequence[intpoly.IsolatedRoot],
                    tol: Fraction) -> list[float]:
     """Float midpoints of the nodes, for display only: each node is
     probed for an exact rational root, then refined to width <= tol."""
-    out = []
     for n in nodes:
         n.try_rational()
+    return _midpoints(nodes, tol)
+
+
+def _midpoints(nodes: Sequence[intpoly.IsolatedRoot],
+               tol: Fraction) -> list[float]:
+    """Float midpoints of the nodes, refined in place to width <= tol."""
+    out = []
+    for n in nodes:
         n.refine_below(tol.numerator, tol.denominator)
         out.append(float(Fraction(n.a + n.b, 2 * n.den)))
     return out

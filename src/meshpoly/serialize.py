@@ -25,7 +25,6 @@ import math
 import sys
 from fractions import Fraction
 
-from .operators import DiagonalSequence, FiniteDifferenceOperator
 from .poly import MONOMIAL, POCHHAMMER, Polynomial, as_fraction
 
 __all__ = [
@@ -104,7 +103,7 @@ def poly_from_obj(obj) -> Polynomial:
     return Polynomial([rational_from_str(c) for c in coeffs], basis)
 
 
-def operator_to_obj(T: FiniteDifferenceOperator) -> dict:
+def operator_to_obj(T) -> dict:
     if T.integer_shifts:
         return {"op": {"coeffs": [poly_to_obj(q) for q in T.coeffs]}}
     shifts = [rational_to_str(s) for s, _ in T.terms]
@@ -112,7 +111,9 @@ def operator_to_obj(T: FiniteDifferenceOperator) -> dict:
                    "coeffs": [poly_to_obj(q) for _, q in T.terms]}}
 
 
-def operator_from_obj(obj) -> FiniteDifferenceOperator:
+def operator_from_obj(obj):
+    from .operators import FiniteDifferenceOperator
+
     if not isinstance(obj, dict) or not isinstance(obj.get("op"), dict):
         raise ParseError("operator object needs an 'op' field")
     op = obj["op"]
@@ -129,13 +130,15 @@ def operator_from_obj(obj) -> FiniteDifferenceOperator:
     return FiniteDifferenceOperator.from_coeffs(polys)
 
 
-def sequence_to_obj(A: DiagonalSequence) -> dict:
+def sequence_to_obj(A) -> dict:
     if A.values is not None:
         return {"sequence": {"values": [rational_to_str(v) for v in A.values]}}
     return {"sequence": {"phi": poly_to_obj(A.phi)}}
 
 
-def sequence_from_obj(obj) -> DiagonalSequence:
+def sequence_from_obj(obj):
+    from .operators import DiagonalSequence
+
     if not isinstance(obj, dict) or not isinstance(obj.get("sequence"), dict):
         raise ParseError("sequence object needs a 'sequence' field")
     seq = obj["sequence"]
@@ -157,7 +160,9 @@ def to_jsonable(value):
     be mapped to a string by the caller before it reaches a record.
     The Fraction test comes after every other library type: isinstance
     against Fraction returns at once for a Fraction, but runs the ABC
-    machinery of numbers.Rational for anything else.
+    machinery of numbers.Rational for anything else.  An operator, a
+    sequence or a Verdict exists only once operators or verify is
+    loaded, and this module loads neither: they are found in sys.modules.
     """
     if value is None or isinstance(value, (bool, int, str)):
         return value
@@ -169,18 +174,18 @@ def to_jsonable(value):
         return [to_jsonable(v) for v in value]
     if isinstance(value, Polynomial):
         return poly_to_obj(value)
-    if isinstance(value, FiniteDifferenceOperator):
+    ops = sys.modules.get(f"{__package__}.operators")
+    if ops is not None and isinstance(value, ops.FiniteDifferenceOperator):
         return operator_to_obj(value)
-    if isinstance(value, DiagonalSequence):
+    if ops is not None and isinstance(value, ops.DiagonalSequence):
         return sequence_to_obj(value)
-    if isinstance(value, Fraction):
-        return rational_to_str(value)
-    # a Verdict exists only once verify is loaded; this module never loads it
     verify = sys.modules.get(f"{__package__}.verify")
     if verify is not None and isinstance(value, verify.Verdict):
         return {"claim": value.claim, "status": value.status,
                 "witness": to_jsonable(value.witness),
                 "details": to_jsonable(value.details)}
+    if isinstance(value, Fraction):
+        return rational_to_str(value)
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 

@@ -10,7 +10,6 @@ counts and finish in a couple of minutes.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import verify
@@ -31,13 +30,13 @@ from .roots import is_hyperbolic, mesh_at_least, mesh_numeric, root_approximatio
 __all__ = ["CriterionResult", "run_criterion", "run_suite", "CRITERIA"]
 
 
-@dataclass
 class CriterionResult:
-    number: int
-    name: str
-    passed: bool
-    details: str
-    elapsed: float = 0.0
+    __slots__ = ("number", "name", "passed", "details", "elapsed")
+
+    def __init__(self, number: int, name: str, passed: bool, details: str,
+                 elapsed: float = 0.0):
+        self.number, self.name, self.passed = number, name, passed
+        self.details, self.elapsed = details, elapsed
 
     @property
     def line(self) -> str:

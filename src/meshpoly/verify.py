@@ -18,7 +18,6 @@ reproducible byte for byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -53,18 +52,17 @@ INCONCLUSIVE = "inconclusive"
 SKIPPED = "skipped"
 
 
-@dataclass(slots=True)
 class Verdict:
-    claim: str
-    status: str
-    witness: Optional[dict] = None
-    details: dict = field(default_factory=dict)
+    __slots__ = ("claim", "status", "witness", "details")
 
-    def __post_init__(self):
-        if self.status not in (HOLDS, FAILS, INCONCLUSIVE, SKIPPED):
-            raise ValueError(f"unknown verdict status {self.status!r}")
-        if (self.witness is not None) != (self.status == FAILS):
+    def __init__(self, claim: str, status: str, witness: Optional[dict] = None,
+                 details: Optional[dict] = None):
+        if status not in (HOLDS, FAILS, INCONCLUSIVE, SKIPPED):
+            raise ValueError(f"unknown verdict status {status!r}")
+        if (witness is not None) != (status == FAILS):
             raise ValueError("witness must be present exactly when status is 'fails'")
+        self.claim, self.status, self.witness = claim, status, witness
+        self.details = {} if details is None else details
 
     @property
     def holds(self) -> bool:

@@ -172,6 +172,14 @@ MUTANTS = [
     ("the least gap keeps a non-positive bound", "fixtures.py",
      "bound is not None and bound.numerator > 0 else 0",
      "bound is not None else 0", ["tests/test_fixtures.py"]),
+    ("mesh approximations read the nodes the enclosure narrows", "roots.py",
+     """        copies += [intpoly.IsolatedRoot.from_ints(n.poly, n.a, n.b, n.den,
+                                                  n.slo, n.multiplicity)
+                   for n in nodes]
+""", "        copies += nodes\n", ["tests/test_cli.py"]),
+    ("mesh approximations probe the copied nodes again", "roots.py",
+     "_midpoints(copies, tol)", "approximations(copies, tol)",
+     ["tests/test_cli.py"]),
 ]
 
 

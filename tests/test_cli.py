@@ -60,6 +60,64 @@ def test_mesh_csv_out_file(tmp_path, capsys):
     assert "mesh" in dest.read_text()
 
 
+# stdout of `meshpoly mesh` for (coefficients, flags), as the version
+# that isolated each input twice (once for the mesh, once for the root
+# approximations) wrote it.  At --tol 1/10 approximations taken from the
+# nodes the mesh enclosure narrowed would differ; for 7919x^2 - 2, whose
+# rational probe stops after 24 probes, so would nodes probed twice.
+MESH_STDOUT = [
+    (["-2", "0", "1"], [],  # x^2 - 2
+     '{\n "mesh": {\n  "exact": null,\n  "infinite": false,\n'
+     '  "lower": "3037000499/1073741824",\n  "roots_decimal": [\n'
+     '   "-1.41421356",\n   "1.41421356"\n  ],\n'
+     '  "upper": "759250125/268435456"\n }\n}\n'),
+    (["-2", "0", "1"], ["--tol", "1/10"],  # x^2 - 2
+     '{\n "mesh": {\n  "exact": null,\n  "infinite": false,\n'
+     '  "lower": "45/16",\n  "roots_decimal": [\n   "-1.40625",\n'
+     '   "1.40625"\n  ],\n  "upper": "23/8"\n }\n}\n'),
+    (["1", "-3", "0", "1"], [],  # x^3 - 3x + 1
+     '{\n "mesh": {\n  "exact": null,\n  "infinite": false,\n'
+     '  "lower": "2544322585/2147483648",\n  "roots_decimal": [\n'
+     '   "-1.87938524",\n   "0.347296356",\n   "1.53208889"\n  ],\n'
+     '  "upper": "2544322587/2147483648"\n }\n}\n'),
+    (["1", "-3", "0", "1"], ["--tol", "1/10"],  # x^3 - 3x + 1
+     '{\n "mesh": {\n  "exact": null,\n  "infinite": false,\n'
+     '  "lower": "37/32",\n  "roots_decimal": [\n   "-1.90625",\n'
+     '   "0.34375",\n   "1.53125"\n  ],\n  "upper": "39/32"\n }\n}\n'),
+    (["2", "-3", "0", "1"], [],  # (x - 1)^2 (x + 2)
+     '{\n "mesh": {\n  "exact": "0/1",\n  "infinite": false,\n'
+     '  "lower": "0/1",\n  "roots_decimal": [\n   "-2",\n   "1"\n  ],\n'
+     '  "upper": "0/1"\n }\n}\n'),
+    (["-2", "0", "7919"], [],  # 7919x^2 - 2
+     '{\n "mesh": {\n  "exact": null,\n  "infinite": false,\n'
+     '  "lower": "50133556518841/1577315966386176",\n'
+     '  "roots_decimal": [\n   "-0.0158920466",\n   "0.0158920466"\n'
+     '  ],\n  "upper": "200534230438835/6309263865544704"\n }\n}\n'),
+]
+
+
+@pytest.mark.parametrize("coeffs, flags, stdout", MESH_STDOUT,
+                         ids=[",".join(c + f) for c, f, _ in MESH_STDOUT])
+def test_mesh_stdout_bytes_and_one_isolation(tmp_path, capsys, monkeypatch,
+                                             coeffs, flags, stdout):
+    from meshpoly import intpoly
+
+    isolated = []
+    isolate = intpoly.isolate
+
+    def counting(f, chain=None):
+        isolated.append(f)
+        return isolate(f, chain)
+
+    monkeypatch.setattr(intpoly, "isolate", counting)
+    f = tmp_path / "p.json"
+    f.write_text(json.dumps({"coeffs": coeffs}))
+    code, out, _ = run_cli(capsys, "mesh", str(f), *flags)
+    assert (code, out) == (0, stdout)
+    p = meshpoly.Polynomial([meshpoly.as_fraction(c) for c in coeffs])
+    assert len(isolated) == len(intpoly.factor_chains(p.nums))
+
+
 def test_apply_operator(tmp_path, capsys):
     p = tmp_path / "p.json"
     p.write_text('{"basis": "monomial", "coeffs": ["0", "0", "0", "1"]}')
@@ -287,6 +345,15 @@ def _run_module(*argv):
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
     return subprocess.run([sys.executable, "-m", "meshpoly", *argv],
                           env=env, capture_output=True, text=True, timeout=60)
+
+
+def test_tol_default_is_the_library_default():
+    # the parser holds the text, so that building it loads no roots
+    from meshpoly import roots
+
+    assert cli._SHARED_FLAGS["--tol"]["default"] == str(roots.DEFAULT_TOL)
+    args = cli.build_parser().parse_args(["mesh", "p.json"])
+    assert meshpoly.as_fraction(args.tol) == roots.DEFAULT_TOL
 
 
 def test_console_entry_point():

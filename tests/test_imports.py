@@ -20,19 +20,22 @@ DELTA = json.dumps({"op": {"coeffs": [{"coeffs": ["1"]}, {"coeffs": ["-1"]}]}})
 
 # standard modules that only an error or the csv format needs
 ON_DEMAND = {"csv", "traceback"}
+# standard modules that no call needs: dataclasses alone costs more to
+# import than most subcommands take to run
+NEVER = {"dataclasses", "inspect"}
 
 # runs `python -m meshpoly ARGS` and reports, as the last line of stderr,
 # the meshpoly submodules the call left in sys.modules, and which of the
-# ON_DEMAND modules it loaded
+# ON_DEMAND and NEVER modules it loaded
 _PROBE = """import json, runpy, sys
 try:
     runpy.run_module("meshpoly", run_name="__main__", alter_sys=True)
 finally:
     print(json.dumps(sorted(m[len("meshpoly."):] for m in sys.modules
                             if m.startswith("meshpoly."))
-                     + [m for m in ("csv", "traceback") if m in sys.modules]),
+                     + [m for m in %r if m in sys.modules]),
           file=sys.stderr)
-"""
+""" % sorted(ON_DEMAND | NEVER)
 
 
 def _loaded(cwd, code, *argv):
@@ -51,14 +54,24 @@ def test_import_meshpoly_loads_no_submodule(tmp_path):
     assert _loaded(tmp_path, code) == (0, set())
 
 
+def test_no_submodule_loads_dataclasses_or_inspect(tmp_path):
+    code = ("import importlib, json, sys\n"
+            f"for m in {SUBMODULES!r}:\n"
+            "    importlib.import_module('meshpoly.' + m)\n"
+            f"print(json.dumps([m for m in {sorted(NEVER)!r}"
+            " if m in sys.modules]), file=sys.stderr)")
+    assert _loaded(tmp_path, code) == (0, set())
+
+
 # what mesh, apply and convert never need
 BEYOND_INPUT = {"verify", "fixtures", "interlace", "harness", "suite"}
 
 
 @pytest.mark.parametrize("argv, rc, absent", [
-    (["mesh", "p.json"], 0, BEYOND_INPUT),
+    (["mesh", "p.json"], 0, BEYOND_INPUT | {"operators"}),
     (["apply", "p.json", "--op", "delta.json"], 0, BEYOND_INPUT),
-    (["convert", "p.json", "--to", "pochhammer"], 0, BEYOND_INPUT),
+    (["convert", "p.json", "--to", "pochhammer"], 0,
+     BEYOND_INPUT | {"operators", "roots"}),
     (["verify", "herpou", "--coeffs", "1,-1"], 0, {"harness", "suite"}),
     (["verify", "dms", "--values", "1,1", "--trials", "2", "--max-degree", "3"],
      0, {"harness", "suite"}),
@@ -79,8 +92,8 @@ def test_each_subcommand_loads_only_what_it_runs(tmp_path, capsys, argv, rc,
         capsys.readouterr()
     code, loaded = _loaded(tmp_path, _PROBE, *argv)
     assert code == rc
-    assert {"cli", "serialize", "poly", "roots"} <= loaded
-    unwanted = loaded & (absent | ON_DEMAND)
+    assert {"cli", "serialize", "poly"} <= loaded
+    unwanted = loaded & (absent | ON_DEMAND | NEVER)
     assert not unwanted, sorted(unwanted)
 
 

@@ -18,7 +18,7 @@ MODULES = ("intpoly.py", "roots.py", "interlace.py", "operators.py",
            "fixtures.py", "poly.py", "verify.py", "harness.py", "serialize.py")
 ALLOWED = {
     ("poly.py", ""),  # NEG_INF, the degree of the zero polynomial
-    ("roots.py", "approximations"),
+    ("roots.py", "_midpoints"),  # approximations for display
 }
 
 

@@ -1,12 +1,17 @@
 """Wire format: rational strings only, no floats anywhere."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 from collections import OrderedDict, namedtuple
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import meshpoly
 from meshpoly import (
     MONOMIAL,
     POCHHAMMER,
@@ -166,3 +171,34 @@ def test_loads_value_dispatch():
     assert A.values == (F(1), F(2))
     with pytest.raises(sz.ParseError):
         sz.loads_value('{"neither": 1}')
+
+
+# canonical wire text of two operators and two sequences
+WIRE = (
+    '{"op":{"coeffs":[{"basis":"monomial","coeffs":["1/1"]},'
+    '{"basis":"monomial","coeffs":["-1/1"]}]}}',
+    '{"op":{"coeffs":[{"basis":"monomial","coeffs":["1/1"]},'
+    '{"basis":"monomial","coeffs":["-1/1"]}],"shifts":["0/1","1/2"]}}',
+    '{"sequence":{"values":["1/1","1/2"]}}',
+    '{"sequence":{"phi":{"basis":"monomial","coeffs":["0/1","1/1"]}}}',
+)
+
+
+def test_operator_and_sequence_round_trip_in_a_fresh_interpreter(tmp_path):
+    # serialize loads operators only to build a value, and recognises
+    # operator and sequence values once that has loaded it
+    code = ("import json, sys\n"
+            "from meshpoly import serialize\n"
+            "loaded = 'meshpoly.operators' in sys.modules\n"
+            "texts = [serialize.dumps(serialize.loads_value(t))"
+            " for t in json.loads(sys.stdin.read())]\n"
+            "print(json.dumps([loaded, texts]))\n")
+    src = str(Path(meshpoly.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    r = subprocess.run([sys.executable, "-c", code], input=json.dumps(WIRE),
+                       cwd=tmp_path, env=env, capture_output=True, text=True,
+                       timeout=60)
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout) == [False, list(WIRE)]
+    assert [sz.dumps(sz.loads_value(t)) for t in WIRE] == list(WIRE)

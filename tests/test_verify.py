@@ -42,6 +42,14 @@ def test_verdict_contract():
         Verdict(claim="c", status=verify.HOLDS, witness={"x": 1})
     w = Verdict(claim="c", status=verify.FAILS, witness={"point": F(1, 2)})
     assert not w.holds
+    with pytest.raises(ValueError, match="unknown verdict status 'maybe'"):
+        Verdict("c", "maybe")
+    # each verdict gets its own details, and positional arguments work
+    u = Verdict("c", verify.SKIPPED)
+    u.details["reason"] = "r"
+    assert Verdict("c", verify.SKIPPED).details == {}
+    assert (u.claim, u.status, u.witness) == ("c", verify.SKIPPED, None)
+    assert repr(u) == "Verdict('c', 'skipped')"
 
 
 # -- mesh monotonicity under operators ------------------------------------

@@ -18,8 +18,8 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from . import intpoly
 from .interlace import ClassSpec, _Frozen

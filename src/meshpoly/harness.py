@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Optional
 
 from . import serialize, verify
 from .fixtures import derive_rng, gen_fixture, rand_fraction
@@ -94,8 +93,8 @@ class CounterexampleCertificate:
 class SearchReport:
     __slots__ = ("config", "records", "certificates")
 
-    def __init__(self, config: SearchConfig, records: Optional[list] = None,
-                 certificates: Optional[list] = None):
+    def __init__(self, config: SearchConfig, records: list | None = None,
+                 certificates: list | None = None):
         self.config = config
         self.records = [] if records is None else records
         self.certificates = [] if certificates is None else certificates

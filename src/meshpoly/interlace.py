@@ -11,9 +11,10 @@ the proof).  Once the roots interlace, the Wronskian has one sign on
 the real line (Hermite-Kakeya-Obreschkoff), so its leading coefficient
 decides it.  Otherwise nonneg_on_reals decides it by Sturm counts: no
 Yun factor of odd multiplicity has a real root.  Only the witnesses
-read an isolation (roots.root_data): the displayed root approximations
-of an interlacing failure, and negativity_point, which tests the sign
-of w between adjacent roots.
+read an isolation (roots.root_data, one isolation of the square-free
+part): the displayed root approximations of an interlacing failure,
+and negativity_point, which tests the sign of w between adjacent
+distinct roots.
 
 proper_position is the paper's characterization of the mesh classes: a
 hyperbolic p has mesh >= alpha exactly when p << p(x - alpha).  It is
@@ -25,7 +26,6 @@ roots (roots._mesh_ok) and Descartes' rule, with no Wronskian.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional
 
 from . import intpoly
 from .poly import Polynomial, as_fraction
@@ -48,7 +48,7 @@ class ProperPositionVerdict:
     __slots__ = ("holds", "interlaces", "wronskian_nonneg", "failure_witness")
 
     def __init__(self, holds: bool, interlaces: bool, wronskian_nonneg: bool,
-                 failure_witness: Optional[dict] = None):
+                 failure_witness: dict | None = None):
         self.holds, self.interlaces = holds, interlaces
         self.wronskian_nonneg = wronskian_nonneg
         self.failure_witness = failure_witness
@@ -89,7 +89,7 @@ class ClassSpec(_Frozen):
 
     __slots__ = ("mesh_bound", "require_nonneg_roots")
 
-    def __init__(self, mesh_bound: Optional[Fraction] = None,
+    def __init__(self, mesh_bound: Fraction | None = None,
                  require_nonneg_roots: bool = False):
         object.__setattr__(self, "mesh_bound", mesh_bound)
         object.__setattr__(self, "require_nonneg_roots", require_nonneg_roots)
@@ -125,6 +125,8 @@ def nonneg_on_reals(w: Polynomial) -> bool:
     Holds exactly when w is identically zero, or has positive leading
     coefficient, even degree, and no real root of odd multiplicity: each
     Yun factor of odd multiplicity has a Sturm count of 0 on the line.
+    The Sturm chain of w that starts Yun's decomposition is the count
+    itself when w is squarefree.
     """
     if w.is_zero:
         return True
@@ -132,27 +134,26 @@ def nonneg_on_reals(w: Polynomial) -> bool:
         return False
     if int(w.degree) % 2 == 1:
         return False
-    return all(intpoly.variation_drop(chain) == 0
-               for chain, mult in intpoly.factor_chains(w.nums) if mult % 2)
+    f = intpoly.primitive(w.nums)
+    chain = intpoly.sturm_chain(f)
+    if len(chain[-1]) == 1:
+        return intpoly.variation_drop(chain) == 0
+    return all(intpoly.variation_drop(intpoly.sturm_chain(g)) == 0
+               for g, mult in intpoly.yun(f, chain) if mult % 2)
 
 
-def negativity_point(w: Polynomial) -> Optional[Fraction]:
+def negativity_point(w: Polynomial) -> Fraction | None:
     """A rational point where w is negative, or None when w >= 0 everywhere."""
     if nonneg_on_reals(w):
         return None
     f = intpoly.primitive(w.nums)
     bound = intpoly.cauchy_bound(f)
     # one probe inside every sign region: beyond the extreme roots, and
-    # strictly between each pair of adjacent distinct roots
+    # between each pair of adjacent distinct roots, where the ends of
+    # the open isolating intervals are no roots
     nodes = root_data(w)
-    probes = [-bound]
-    for left, right in zip(nodes, nodes[1:]):
-        # an exact root of one Yun factor can end its neighbour's
-        # interval: narrow the neighbour off it
-        while left.hi == right.lo and (left.a == left.b or right.a == right.b):
-            (left if right.a == right.b else right).refine()
-        probes.append((left.hi + right.lo) / 2)
-    probes.append(bound)
+    probes = [-bound, *((a.hi + b.lo) / 2 for a, b in zip(nodes, nodes[1:])),
+              bound]
     for x in probes:
         if intpoly.sign_at(f, x) < 0:
             return x

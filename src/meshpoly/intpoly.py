@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional
 
 ZPoly = list  # list[int]
 
@@ -200,7 +199,7 @@ def remainder_sequence(a: ZPoly, b: ZPoly) -> list[ZPoly]:
     return list(remainder_steps(primitive(a), b))
 
 
-def full_index(seq) -> Optional[ZPoly]:
+def full_index(seq) -> ZPoly | None:
     """The last element of the signed remainder sequence seq = s_0, ...,
     s_k (a list or remainder_steps) when |Ind(s_1/s_0)| = deg s_0 -
     deg s_k, else None: exactly when every element has degree one less
@@ -230,7 +229,8 @@ def sturm_chain(f: ZPoly) -> list[ZPoly]:
     The last chain element is proportional to gcd(f, f'), and the
     variation drop from -inf to +inf is the number of distinct real
     roots (roots._mesh_ok reads it).  Every element vanishes at a
-    multiple root, so counts in an interval are taken per Yun factor.
+    multiple root, so counts in an interval are taken on the chain of
+    the square-free part f / gcd(f, f').
     """
     return remainder_sequence(f, deriv(f))
 
@@ -299,7 +299,7 @@ def divexact(a: ZPoly, b: ZPoly) -> ZPoly:
     return trim(q)
 
 
-def yun(f: ZPoly, chain: Optional[list[ZPoly]] = None) -> list[tuple[ZPoly, int]]:
+def yun(f: ZPoly, chain: list[ZPoly] | None = None) -> list[tuple[ZPoly, int]]:
     """Yun's squarefree decomposition: [(g_i, i)] with f ~ prod g_i^i.
 
     Factors are primitive with positive leading coefficient; constant
@@ -331,30 +331,7 @@ def yun(f: ZPoly, chain: Optional[list[ZPoly]] = None) -> list[tuple[ZPoly, int]
     return out
 
 
-def factor_chains(f: ZPoly, chain: Optional[list[ZPoly]] = None
-                  ) -> list[tuple[list[ZPoly], int]]:
-    """(sturm_chain(g), i) for every Yun factor (g, i) of f, so chain[0]
-    is g.  A squarefree f is its own only factor (sign made positive),
-    and the one chain serves both Yun's first step and the count; a
-    caller that has sturm_chain(primitive(f)) passes it as chain.
-
-    Counts are taken per factor: at a multiple root of f every element
-    of f's own chain vanishes, so that chain miscounts around it.
-    """
-    f = primitive(list(f))
-    if len(f) <= 1:
-        return []
-    if chain is None:
-        chain = sturm_chain(f)
-    if f[-1] < 0:
-        # the chain of -f is the chain of f negated
-        f, chain = neg(f), [neg(g) for g in chain]
-    if len(chain[-1]) == 1:
-        return [(chain, 1)]
-    return [(sturm_chain(g), i) for g, i in yun(f, chain)]
-
-
-def _variations_at(seq: list[ZPoly], x: Optional[Fraction],
+def _variations_at(seq: list[ZPoly], x: Fraction | None,
                    direction: int) -> int:
     """Sign variations of seq at the rational x, or at direction * infinity
     when x is None."""
@@ -363,8 +340,8 @@ def _variations_at(seq: list[ZPoly], x: Optional[Fraction],
     return _chain_at(seq, x.numerator, x.denominator)[1]
 
 
-def variation_drop(seq: list[ZPoly], lo: Optional[Fraction] = None,
-                   hi: Optional[Fraction] = None) -> int:
+def variation_drop(seq: list[ZPoly], lo: Fraction | None = None,
+                   hi: Fraction | None = None) -> int:
     """Sign variations of seq at lo minus those at hi, for rationals
     lo < hi; None means -infinity for lo and +infinity for hi.
 
@@ -419,8 +396,8 @@ def simplest_in(a: int, b: int, den: int) -> tuple[int, int]:
 
 class IsolatedRoot:
     """One real root of a squarefree integer polynomial (poly), with its
-    multiplicity in the polynomial it was isolated for (poly is then one
-    of that polynomial's Yun factors).
+    multiplicity in the polynomial it was isolated for (poly is then
+    that polynomial's square-free part, roots._nodes).
 
     Either an exact rational (lo == hi == value) or an open interval
     (lo, hi) with sign(f(lo)) * sign(f(hi)) < 0 containing exactly one
@@ -454,7 +431,7 @@ class IsolatedRoot:
         return Fraction(self.b, self.den)
 
     @property
-    def exact(self) -> Optional[Fraction]:
+    def exact(self) -> Fraction | None:
         return Fraction(self.a, self.den) if self.a == self.b else None
 
     def _set_exact(self, num: int) -> None:
@@ -515,7 +492,7 @@ class IsolatedRoot:
         return 1 if d >= 0 else -1
 
     def try_rational(self, max_probes: int = 24,
-                     den_cap: int = 1 << 16) -> Optional[Fraction]:
+                     den_cap: int = 1 << 16) -> Fraction | None:
         """Probe for an exact rational root by simplest-rational search.
 
         A rational root of a primitive integer polynomial has denominator
@@ -544,8 +521,7 @@ class IsolatedRoot:
         return None
 
 
-def isolate(f: ZPoly,
-            chain: Optional[list[ZPoly]] = None) -> list[IsolatedRoot]:
+def isolate(f: ZPoly, chain: list[ZPoly] | None = None) -> list[IsolatedRoot]:
     """Isolating structures for every real root of squarefree f, sorted,
     each of multiplicity 1.  No rational root is probed for: every node
     is an open interval until a caller narrows it (try_rational).

@@ -31,13 +31,13 @@ These kernels read a polynomial's stored numerators and denominator
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import reduce
-from typing import Iterable, Optional, Sequence
 
 from .poly import (MONOMIAL, POCHHAMMER, Polynomial, _restate, as_fraction,
                    int_form)
-from . import intpoly, roots as _roots
+from . import intpoly
 
 __all__ = [
     "FiniteDifferenceOperator",
@@ -209,8 +209,8 @@ class DiagonalSequence:
 
     __slots__ = ("values", "phi")
 
-    def __init__(self, values: Optional[tuple] = None,
-                 phi: Optional[Polynomial] = None):
+    def __init__(self, values: tuple | None = None,
+                 phi: Polynomial | None = None):
         if (values is None) == (phi is None):
             raise ValueError("give exactly one of values or phi")
         self.values = values
@@ -289,15 +289,18 @@ def sequence_from_poly(phi: Polynomial, length: int) -> DiagonalSequence:
     By Descartes' rule, a real-rooted phi has no positive root exactly when
     no coefficient has the sign opposite to its lead.
     """
+    # imported here, the one reader in operators, so apply loads no roots
+    from . import roots
+
     if phi.is_zero:
         raise ValueError("phi must be nonzero")
     if phi.degree >= 1:
-        if not _roots.is_hyperbolic(phi):
+        if not roots.is_hyperbolic(phi):
             raise ValueError("phi must be hyperbolic")
         f = phi.nums
         if (min(f) < 0) if f[-1] > 0 else (max(f) > 0):
-            bad = [n for n in _roots.root_data(phi) if n.side(0, 1) > 0]
-            near = _roots.approximations(bad[:1], Fraction(1, 10**6))[0]
+            bad = [n for n in roots.root_data(phi) if n.side(0, 1) > 0]
+            near = roots.approximations(bad[:1], Fraction(1, 10**6))[0]
             raise ValueError(
                 f"phi has a root near {near} > 0; all roots must be <= 0")
     return DiagonalSequence.from_values(

@@ -15,9 +15,9 @@ Floating point never enters any computation in this module.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import reduce
-from typing import Iterable, Sequence, Union
 
 from . import intpoly
 
@@ -27,10 +27,8 @@ POCHHAMMER = "pochhammer"
 #: degree assigned to the zero polynomial, so degree inequalities stay valid
 NEG_INF = float("-inf")
 
-RatLike = Union[Fraction, int, str]
 
-
-def as_fraction(value: RatLike) -> Fraction:
+def as_fraction(value: Fraction | int | str) -> Fraction:
     """Coerce ints, 'num/den' strings and Fractions to Fraction.
 
     Floats are rejected on purpose: the library is exact.  So are bools,
@@ -124,7 +122,8 @@ class Polynomial:
 
     __slots__ = ("nums", "den", "basis")
 
-    def __init__(self, coeffs: Iterable[RatLike] = (), basis: str = MONOMIAL):
+    def __init__(self, coeffs: Iterable[Fraction | int | str] = (),
+                 basis: str = MONOMIAL):
         if basis not in (MONOMIAL, POCHHAMMER):
             raise ValueError(f"unknown basis: {basis!r}")
         nums, den = int_form([as_fraction(c) for c in coeffs])
@@ -140,7 +139,7 @@ class Polynomial:
         return Polynomial(())
 
     @staticmethod
-    def constant(c: RatLike) -> "Polynomial":
+    def constant(c: Fraction | int | str) -> "Polynomial":
         return Polynomial((c,))
 
     @staticmethod
@@ -148,7 +147,8 @@ class Polynomial:
         return Polynomial((0, 1))
 
     @staticmethod
-    def from_roots(roots: Sequence[RatLike], lead: RatLike = 1) -> "Polynomial":
+    def from_roots(roots: Sequence[Fraction | int | str],
+                   lead: Fraction | int | str = 1) -> "Polynomial":
         """Monic-up-to-lead product lead * prod (x - r).
 
         An empty root list gives the constant lead.
@@ -267,7 +267,7 @@ class Polynomial:
 
     # -- calculus and shifts ------------------------------------------
 
-    def evaluate(self, x0: RatLike) -> Fraction:
+    def evaluate(self, x0: Fraction | int | str) -> Fraction:
         x0 = as_fraction(x0)
         if not self.nums:
             return Fraction(0)
@@ -285,7 +285,7 @@ class Polynomial:
     def derivative(self) -> "Polynomial":
         return Polynomial._from_ints(intpoly.deriv(self.nums), self.den)
 
-    def shift(self, a: RatLike) -> "Polynomial":
+    def shift(self, a: Fraction | int | str) -> "Polynomial":
         """Return p(x - a): the graph slides right by a for a > 0, read
         as q**n p(x - a) (intpoly.taylor_shift) over q**n for n = deg p
         and q the denominator of a."""

@@ -19,32 +19,33 @@ Two kinds of question, two paths:
   that rules it out ends the decision.  For a real-rooted polynomial
   the absence of negative roots is Descartes' rule of signs
   (_no_negative_root), which is exact there.  Root counts in an
-  interval (count_real_roots) take Sturm counts per Yun factor
-  (intpoly.factor_chains, intpoly.variation_drop).  The verdicts on
-  each distinct polynomial (the largest alpha decided True and the
-  smallest decided False for its mesh, as integer pairs) are kept in a
-  bounded LRU cache of RECORD_CACHE_SIZE records (_records), keyed by
-  the primitive integer representative of the polynomial, so positive
+  interval (count_real_roots) are Sturm counts on the chain of the
+  square-free part (intpoly.variation_drop).  The verdicts on each
+  distinct polynomial (the largest alpha decided True and the smallest
+  decided False for its mesh, as integer pairs) are kept in a bounded
+  LRU cache of RECORD_CACHE_SIZE records (_records), keyed by the
+  primitive integer representative of the polynomial, so positive
   rational multiples and either basis share an entry.
-* Values read an isolation: root_data isolates the roots on each call
-  and gives intpoly.IsolatedRoot nodes, an isolating interval on one of
-  the polynomial's Yun factors with the root's multiplicity, for
-  root_profile's nodes, mesh_numeric, approximations, and in interlace
-  negativity_point and the root approximations of an interlacing
-  failure.  No yes/no answer reads them.  Nothing keeps them, so a
-  caller that refines its nodes in place cannot reach another call's
-  nodes.  Roots are isolated without rational probing; the code that
-  reads exact root values (mesh_numeric, and approximations for
-  display) probes the nodes it gets (IsolatedRoot.try_rational), and
-  mesh_and_roots reads both from one isolation, probed once.
+* Values read an isolation: root_data isolates the distinct roots on
+  each call, once, on the square-free part of the polynomial, and gives
+  intpoly.IsolatedRoot nodes, each an isolating interval with the
+  root's multiplicity, for mesh_numeric, approximations, and in
+  interlace negativity_point and the root approximations of an
+  interlacing failure.  No yes/no answer reads them.  Nothing keeps
+  them, so a caller that refines its nodes in place cannot reach
+  another call's nodes.  Roots are isolated without rational probing;
+  the code that reads exact root values (mesh_numeric, and
+  approximations for display) probes the nodes it gets
+  (IsolatedRoot.try_rational), and mesh_and_roots reads both from one
+  isolation, probed once.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from . import intpoly
 from .poly import Polynomial, as_fraction
@@ -62,64 +63,42 @@ class NonHyperbolicInput(ValueError):
     """Raised when an operation needs a polynomial with only real roots."""
 
 
-def _separate(x: intpoly.IsolatedRoot, y: intpoly.IsolatedRoot) -> None:
-    """Narrow two isolating structures with distinct roots until disjoint.
-
-    Disjoint means the open intervals do not overlap and neither exact
-    value lies inside the other's open interval, so the root order is
-    decided by endpoint comparison.  Ends are compared by integer cross
-    products over the positive denominators.  root_data separates the
-    roots of distinct Yun factors with it.
-    """
-    while True:
-        xa, xb, xd = x.a, x.b, x.den
-        ya, yb, yd = y.a, y.b, y.den
-        if xa == xb:
-            if ya == yb and xa * yd == ya * xd:
-                raise AssertionError("distinct roots expected")
-            y.exclude(xa, xd)
-            return
-        if ya == yb:
-            x.exclude(ya, yd)
-            return
-        if xb * yd <= ya * xd or yb * xd <= xa * yd:
-            return
-        # overlapping genuine intervals: shrink the wider
-        if (xb - xa) * yd >= (yb - ya) * xd:
-            x.refine()
-        else:
-            y.refine()
-
-
 def root_data(p: Polynomial) -> list[intpoly.IsolatedRoot]:
-    """Sorted pairwise-disjoint nodes for the distinct real roots of p,
-    isolated on each call (none of them probed for an exact rational
-    root), so a caller may narrow them in place.  Nodes of one Yun
-    factor share that factor's list as their poly."""
+    """Sorted nodes for the distinct real roots of p, isolated on each
+    call (none of them probed for an exact rational root), so a caller
+    may narrow them in place.  Every node's poly is one list, the
+    square-free part of p (_nodes)."""
     if p.is_zero:
         raise ValueError("zero polynomial has no root data")
-    return _nodes(intpoly.factor_chains(p.nums))
+    return _nodes(intpoly.primitive(p.nums))
 
 
-def _nodes(chains) -> list[intpoly.IsolatedRoot]:
-    """root_data's nodes, isolated on chains = factor_chains(f)."""
-    groups = []
-    for chain, mult in chains:
-        group = intpoly.isolate(chain[0], chain)
-        for n in group:
-            n.multiplicity = mult
-        groups.append(group)
-    # roots of distinct Yun factors are distinct; make their intervals
-    # disjoint (isolate already leaves one factor's intervals disjoint,
-    # and sorted)
-    for k, group in enumerate(groups):
-        later = [b for other in groups[k + 1:] for b in other]
-        for a in group:
-            for b in later:
-                _separate(a, b)
-    nodes = [n for group in groups for n in group]
-    if len(groups) > 1:
-        nodes.sort(key=lambda n: (n.lo, n.hi))
+def _nodes(f: intpoly.ZPoly, chain=None) -> list[intpoly.IsolatedRoot]:
+    """root_data's nodes for the primitive f, from one isolation of the
+    Sturm chain of its square-free part s = f / gcd(f, f'), taken with
+    a positive lead; chain = sturm_chain(f) when the caller has it.  It
+    ends in gcd(f, f'), so a squarefree f is its own s on its own chain.
+
+    By Sturm's theorem the chain of s places every distinct real root
+    of f.  A node's ends are not roots of s, and the Yun factors of f
+    are coprime and squarefree with product s, so exactly one factor
+    changes sign across a node: its index is the node's multiplicity."""
+    if len(f) <= 1:
+        return []
+    if chain is None:
+        chain = intpoly.sturm_chain(f)
+    if len(chain[-1]) == 1:
+        if f[-1] < 0:
+            # the chain of -f is the chain of f negated
+            chain = [intpoly.neg(g) for g in chain]
+        return intpoly.isolate(chain[0], chain)
+    s = intpoly.divexact(f, chain[-1])
+    nodes = intpoly.isolate(s if s[-1] > 0 else intpoly.neg(s))
+    factors = intpoly.yun(f, chain)
+    for n in nodes:
+        n.multiplicity = next(i for h, i in factors
+                              if intpoly._sign_at(h, n.a, n.den)
+                              != intpoly._sign_at(h, n.b, n.den))
     return nodes
 
 
@@ -233,13 +212,11 @@ def _mesh_ok(rec: _Record, alpha, chain=None) -> bool:
 class RootProfile:
     """Certified summary of the real-root structure of a polynomial."""
 
-    __slots__ = ("is_hyperbolic", "all_roots_nonnegative", "nodes")
+    __slots__ = ("is_hyperbolic", "all_roots_nonnegative")
 
-    def __init__(self, is_hyperbolic: bool, all_roots_nonnegative: bool,
-                 nodes: list = None):
+    def __init__(self, is_hyperbolic: bool, all_roots_nonnegative: bool):
         self.is_hyperbolic = is_hyperbolic
         self.all_roots_nonnegative = all_roots_nonnegative
-        self.nodes = nodes  # live IsolatedRoot list, refinable
 
 
 class MeshReport:
@@ -261,39 +238,38 @@ class MeshReport:
 
 
 def root_profile(p: Polynomial) -> RootProfile:
-    """Exact hyperbolicity / sign report for nonzero p, with its nodes.
-
-    The flags are p's record (real-rooted by the index at alpha = 0) and
-    Descartes' rule for the sign of the roots; the nodes come from an
-    isolation (as root_data's).  One Sturm chain of p serves both.
-    """
+    """Exact hyperbolicity / sign report for nonzero p: p's record
+    (real-rooted by the index at alpha = 0) and Descartes' rule for the
+    sign of the roots, with no root isolated."""
     if p.is_zero:
         raise ValueError("zero polynomial has no root profile")
     rec = _record(p)
-    chain = intpoly.sturm_chain(rec.f)
-    real_rooted = _mesh_ok(rec, 0, chain)
-    return RootProfile(
-        is_hyperbolic=real_rooted,
-        all_roots_nonnegative=real_rooted and _no_negative_root(rec.f),
-        nodes=_nodes(intpoly.factor_chains(rec.f, chain)))
+    real_rooted = _mesh_ok(rec, 0)
+    return RootProfile(real_rooted,
+                       real_rooted and _no_negative_root(rec.f))
 
 
 def count_real_roots(p: Polynomial, lo=None, hi=None) -> int:
     """Distinct real roots of p in the half-open interval (lo, hi].
 
     None endpoints mean -infinity / +infinity.  A repeated root counts
-    once.  The Sturm counts of p's Yun factors at lo and hi are added
-    (intpoly.variation_drop), so an endpoint that is a root, repeated
-    or not, is decided exactly.
+    once.  The Sturm counts at lo and hi are taken on the chain of the
+    square-free part s = f / gcd(f, f') of f = p, whose roots are simple
+    (intpoly.variation_drop), so an endpoint that is a root, repeated or
+    not, is decided exactly; f's own chain ends in gcd(f, f') and serves
+    when f is squarefree.
     """
     if p.is_zero:
         raise ValueError("zero polynomial root count is undefined")
     lo = as_fraction(lo) if lo is not None else None
     hi = as_fraction(hi) if hi is not None else None
-    if lo is not None and hi is not None and lo >= hi:
+    if p.degree == 0 or (lo is not None and hi is not None and lo >= hi):
         return 0
-    return sum(intpoly.variation_drop(chain, lo, hi)
-               for chain, _ in intpoly.factor_chains(p.nums))
+    f = intpoly.primitive(p.nums)
+    chain = intpoly.sturm_chain(f)
+    if len(chain[-1]) > 1:
+        chain = intpoly.sturm_chain(intpoly.divexact(f, chain[-1]))
+    return intpoly.variation_drop(chain, lo, hi)
 
 
 def is_hyperbolic(p: Polynomial) -> bool:
@@ -346,7 +322,7 @@ def _mesh(p: Polynomial, tol: Fraction, copies: list = None) -> MeshReport:
     if rec.no == _ZERO:
         return MeshReport(Fraction(0), Fraction(0), Fraction(0))
     # squarefree and real-rooted of degree >= 2: at least two nodes
-    nodes = _nodes(intpoly.factor_chains(rec.f, chain))
+    nodes = _nodes(rec.f, chain)
     for n in nodes:
         n.try_rational()
     if copies is not None:

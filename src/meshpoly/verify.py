@@ -19,7 +19,6 @@ reproducible byte for byte.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional
 
 from . import roots
 from .fixtures import derive_rng, gen_fixture
@@ -55,8 +54,8 @@ SKIPPED = "skipped"
 class Verdict:
     __slots__ = ("claim", "status", "witness", "details")
 
-    def __init__(self, claim: str, status: str, witness: Optional[dict] = None,
-                 details: Optional[dict] = None):
+    def __init__(self, claim: str, status: str, witness: dict | None = None,
+                 details: dict | None = None):
         if status not in (HOLDS, FAILS, INCONCLUSIVE, SKIPPED):
             raise ValueError(f"unknown verdict status {status!r}")
         if (witness is not None) != (status == FAILS):
@@ -299,7 +298,7 @@ def _sign(x: Fraction) -> int:
     return (n > 0) - (n < 0)
 
 
-def _sign_obstruction(values) -> Optional[tuple]:
+def _sign_obstruction(values) -> tuple | None:
     """First (i, j, kind) with a structural obstruction, else None.
 
     kind "mixed": values[i] and values[j] are the nearest nonzero pair
@@ -414,7 +413,7 @@ def geometric_witness(rho, max_degree: int = 4, trials: int = 200,
     spec_plus = ClassSpec.hp_plus_ge(1)
     spec_mesh = ClassSpec.hp_ge(1)
 
-    def test(p: Polynomial, origin: str) -> Optional[Verdict]:
+    def test(p: Polynomial, origin: str) -> Verdict | None:
         image = diagonal_apply(A, p)
         if not image.is_zero and not class_membership(image, spec_mesh):
             return Verdict(claim, FAILS, witness={
@@ -454,7 +453,7 @@ def hyperbolicity_violation(T: FiniteDifferenceOperator, max_degree: int = 4,
         return Verdict(claim, SKIPPED,
                        details={"reason": "needs >= 2 nonzero coefficients"})
 
-    def test(p: Polynomial, origin: str) -> Optional[Verdict]:
+    def test(p: Polynomial, origin: str) -> Verdict | None:
         image = T.apply(p)
         if not image.is_zero and not is_hyperbolic(image):
             return Verdict(claim, FAILS, witness={

@@ -180,6 +180,29 @@ MUTANTS = [
     ("mesh approximations probe the copied nodes again", "roots.py",
      "_midpoints(copies, tol)", "approximations(copies, tol)",
      ["tests/test_cli.py"]),
+    ("multiplicity read from a Yun factor with no sign change", "roots.py",
+     "                              != intpoly._sign_at(h, n.b, n.den))",
+     "                              == intpoly._sign_at(h, n.b, n.den))",
+     ["tests/test_nodes.py"]),
+    ("the square-free part left undivided", "roots.py",
+     "    s = intpoly.divexact(f, chain[-1])", "    s = f",
+     ["tests/test_nodes.py"]),
+    ("isolation steps off a root toward lo", "intpoly.py",
+     "            lo, hi, mid, den = 2 * lo, 2 * hi, mid + hi, 2 * den",
+     "            lo, hi, mid, den = 2 * lo, 2 * hi, mid + lo, 2 * den",
+     ["tests/test_intpoly.py"]),
+    ("isolation splits one past the midpoint", "intpoly.py",
+     "        mid = (lo + hi) // 2", "        mid = (lo + hi) // 2 + 1",
+     ["tests/test_intpoly.py"]),
+    ("isolation carries the left sign to the right half", "intpoly.py",
+     "(mid, hi, den, n - nl, vmid, vhi, smid)",
+     "(mid, hi, den, n - nl, vmid, vhi, slo)", ["tests/test_intpoly.py"]),
+    ("_take drops the point's numerator rescale", "intpoly.py",
+     "            num *= own // g\n", "", ["tests/test_nodes.py"]),
+    ("interlacing decided by the Wronskian having one sign", "interlace.py",
+     "    interlaces = not w1 or intpoly.variation_drop(intpoly.sturm_chain(w1)) == 0",
+     "    interlaces = nonneg_on_reals(wronskian(p, q)) or "
+     "nonneg_on_reals(wronskian(q, p))", ["tests/test_interlace.py"]),
 ]
 
 

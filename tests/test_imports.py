@@ -69,7 +69,7 @@ BEYOND_INPUT = {"verify", "fixtures", "interlace", "harness", "suite"}
 
 @pytest.mark.parametrize("argv, rc, absent", [
     (["mesh", "p.json"], 0, BEYOND_INPUT | {"operators"}),
-    (["apply", "p.json", "--op", "delta.json"], 0, BEYOND_INPUT),
+    (["apply", "p.json", "--op", "delta.json"], 0, BEYOND_INPUT | {"roots"}),
     (["convert", "p.json", "--to", "pochhammer"], 0,
      BEYOND_INPUT | {"operators", "roots"}),
     (["verify", "herpou", "--coeffs", "1,-1"], 0, {"harness", "suite"}),

@@ -36,7 +36,7 @@ ALPHAS = (F(1, 3), F(1, 2), F(1), F(3, 2), F(2))
 def ref_facts(f):
     """(real-rooted, squarefree, no negative root) of the primitive
     nonzero f by Sturm counts per Yun factor."""
-    chains = ip.factor_chains(f)
+    chains = [(ip.sturm_chain(g), m) for g, m in ip.yun(f)]
     real = all(ip.variation_drop(chain) == len(chain[0]) - 1
                for chain, _ in chains)
     nonneg = real and all(
@@ -230,15 +230,17 @@ def test_cold_mesh_numeric_builds_the_chains_once(monkeypatch):
     are isolated on, and a positive verdict of the index implies
     real-rootedness.  A cold mesh_numeric, root_profile or is_hyperbolic
     walks the remainder sequence of f and f' once (as a whole Sturm
-    chain or element by element), and once a record knows of a repeated
-    root, mesh questions on it walk no remainder sequence."""
+    chain or element by element), mesh_numeric isolates once on that
+    chain, root_profile isolates nothing, and once a record knows of a
+    repeated root, mesh questions on it walk no remainder sequence."""
     calls, walks, seqs = [], [], []
-    factor_chains = ip.factor_chains
+    isolate = ip.isolate
     remainder_steps = ip.remainder_steps
 
     def counted(f, chain=None):
         calls.append(f)
-        return factor_chains(f, chain)
+        assert chain is not None
+        return isolate(f, chain)
 
     def counted_steps(a, b):
         # every remainder sequence, whole or read as it comes, is a walk
@@ -250,7 +252,7 @@ def test_cold_mesh_numeric_builds_the_chains_once(monkeypatch):
     def walks_of(p):
         return walks.count(tuple(ip.primitive(p.nums)))
 
-    monkeypatch.setattr(ip, "factor_chains", counted)
+    monkeypatch.setattr(ip, "isolate", counted)
     monkeypatch.setattr(ip, "remainder_steps", counted_steps)
     p = Polynomial.from_roots([-1, 2, 5])
     r = Polynomial.from_roots([-1, 2, 2, 5])
@@ -259,12 +261,12 @@ def test_cold_mesh_numeric_builds_the_chains_once(monkeypatch):
     assert len(calls) == 1 and walks_of(p) == 1
     roots._records.cache_clear()
     assert roots.root_profile(r).is_hyperbolic
-    assert len(calls) == 2 and walks_of(r) == 1
+    assert len(calls) == 1 and walks_of(r) == 1
     roots._records.cache_clear()
     assert class_membership(p, ClassSpec.hp_plus_ge(1)) is False
     assert class_membership(p, ClassSpec.hp_ge(3))
     assert roots.is_hyperbolic(p) and roots.mesh_numeric(p).exact_value == 3
-    assert len(calls) == 3
+    assert len(calls) == 2
     roots._records.cache_clear()
     walks.clear()
     assert roots.is_hyperbolic(p) and walks_of(p) == 1

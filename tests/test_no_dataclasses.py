@@ -15,8 +15,8 @@ import meshpoly
 SRC = Path(meshpoly.__file__).resolve().parent
 
 
-def _dataclasses_imports(tree):
-    """Line of every import of dataclasses, at any depth."""
+def _imports(tree, module="dataclasses"):
+    """Line of every import of the top-level module, at any depth."""
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -25,7 +25,7 @@ def _dataclasses_imports(tree):
             names = [node.module]
         else:
             continue
-        if any(n.split(".")[0] == "dataclasses" for n in names):
+        if any(n.split(".")[0] == module for n in names):
             found.append(node.lineno)
     return sorted(found)
 
@@ -34,7 +34,7 @@ def test_no_dataclasses_in_the_package():
     modules = sorted(SRC.rglob("*.py"))
     assert len(modules) > 10
     offending = [f"{path.relative_to(SRC)}:{line}" for path in modules
-                 for line in _dataclasses_imports(ast.parse(
+                 for line in _imports(ast.parse(
                      path.read_text(encoding="utf-8")))]
     assert not offending, offending
 
@@ -45,4 +45,4 @@ def test_guard_sees_dataclasses_imports():
                      "def f():\n    import dataclasses as dc\n    return dc\n"
                      "from . import dataclasses_like\n"
                      "import dataclasses.x, os\n")
-    assert _dataclasses_imports(tree) == [2, 4, 7]
+    assert _imports(tree) == [2, 4, 7]

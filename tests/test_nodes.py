@@ -11,6 +11,13 @@ comparisons that roots once used to merge two root lists (proper
 position) and to test adjacent gaps (the mesh): proper position and the
 mesh are now decided by counts, and the tests keep these two as part of
 their references (ref_mesh_at_least here, the merge in test_interlace).
+Where two nodes hold distinct roots, both separate them with
+ref_separate, which takes Fraction and integer nodes alike.
+
+root_data isolates once, on the square-free part of the polynomial;
+ref_root_data_by_factor keeps the path it replaced, one isolation per
+Yun factor and a separation across factors, as the reference for the
+roots and multiplicities of the nodes and for the displayed roots.
 """
 
 from fractions import Fraction as F
@@ -22,7 +29,8 @@ from meshpoly import roots
 from meshpoly.fixtures import derive_rng, gen_rooted
 from meshpoly.interlace import ClassSpec
 from meshpoly.poly import Polynomial
-from test_real_roots import ref_count_distinct_in
+from test_real_roots import (ref_count_distinct_in, ref_squarefree_part,
+                             ref_yun)
 
 ALPHAS = (F(1, 2), F(1), F(3, 2), F(2))
 INF = roots.INF
@@ -59,10 +67,6 @@ class RefRoot:
     @property
     def exact(self):
         return self.lo if self.lo == self.hi else None
-
-    @property
-    def width(self):
-        return self.hi - self.lo
 
     def _take(self, point):
         s = ip.sign_at(self.poly, point)
@@ -108,25 +112,36 @@ class RefRoot:
         return None
 
 
+def _exclude(node, x):
+    """node.exclude at the Fraction x, for a RefRoot or an IsolatedRoot."""
+    if isinstance(node, RefRoot):
+        node.exclude(x)
+    else:
+        node.exclude(x.numerator, x.denominator)
+
+
 def ref_separate(a, b):
+    """Narrow two nodes (both RefRoots or both IsolatedRoots) with
+    distinct roots until the open intervals do not overlap and neither
+    exact value lies inside the other's open interval."""
     while True:
         if a.exact is not None and b.exact is not None:
             if a.exact == b.exact:
                 raise AssertionError("distinct roots expected")
             return
         if a.exact is not None:
-            b.exclude(a.exact)
+            _exclude(b, a.exact)
             if not (b.lo < a.exact < b.hi):
                 return
             continue
         if b.exact is not None:
-            a.exclude(b.exact)
+            _exclude(a, b.exact)
             if not (a.lo < b.exact < a.hi):
                 return
             continue
         if a.hi <= b.lo or b.hi <= a.lo:
             return
-        if a.width >= b.width:
+        if a.hi - a.lo >= b.hi - b.lo:
             a.refine()
         else:
             b.refine()
@@ -194,7 +209,7 @@ def ref_common_root(a, b, gcd_cache):
 
 def int_precedes(x, y):
     """Whether x's root lies left of y's; the roots are distinct and the
-    nodes separated, as roots._separate and int_common_root leave them."""
+    nodes separated, as ref_separate and int_common_root leave them."""
     xa, xb, xd = x.a, x.b, x.den
     ya, yb, yd = y.a, y.b, y.den
     if xa == xb and ya == yb:
@@ -237,7 +252,7 @@ def int_common_root(x, y, gcd_cache):
         gcd_cache[key] = ip.gcd(x.poly, y.poly)
     g = gcd_cache[key]
     if len(g) <= 1:
-        roots._separate(x, y)
+        ref_separate(x, y)
         return False
     gchain_key = ("chain", key)
     if gchain_key not in gcd_cache:
@@ -248,7 +263,7 @@ def int_common_root(x, y, gcd_cache):
     if ip._chain_at(chain, *lo)[1] - ip._chain_at(chain, *hi)[1] == 1:
         return True
     # no shared root inside the overlap: the roots differ
-    roots._separate(x, y)
+    ref_separate(x, y)
     return False
 
 
@@ -268,13 +283,12 @@ def ref_nonneg(nodes):
 
 
 def ref_mesh_numeric(f, tol):
-    """mesh_numeric of primitive f on Fraction nodes probed before the
-    separation across Yun factors, as (lower, upper, exact), or None
-    when f is not real-rooted."""
+    """mesh_numeric of primitive f on probed Fraction nodes, as (lower,
+    upper, exact), or None when f is not real-rooted."""
     deg = len(f) - 1
     if deg <= 1:
         return (INF, INF, INF)
-    nodes = ref_root_data(f, False, probe_first=True)
+    nodes = ref_root_data(f, True)
     if sum(n.multiplicity for n in nodes) != deg:
         return None
     if any(n.multiplicity > 1 for n in nodes):
@@ -347,12 +361,33 @@ def ref_mesh_at_least(nodes, alpha):
     return True
 
 
-def ref_root_data(f, probe, probe_first=False):
-    """root_data with Fraction nodes: isolation, separation across Yun
-    factors and the sort, then, with probe, the reference probing of
-    every node, as a caller that reads exact values does.  probe_first
-    probes each node right after isolation instead, before separation:
-    the order of the probing path that root_data once had."""
+def ref_root_data(f, probe):
+    """root_data with Fraction nodes: one isolation of the square-free
+    part s of the primitive f (the reference kernel's, with a positive
+    lead), each node's multiplicity the index of the reference Yun
+    factor that changes sign across it, then, with probe, the reference
+    probing of every node, as a caller that reads exact values does."""
+    s = ref_squarefree_part(f)
+    if len(s) <= 1:
+        return []
+    if s[-1] < 0:
+        s = ip.neg(s)
+    factors = ref_yun(f)
+    nodes = []
+    for iso in ip.isolate(s):
+        node = RefRoot(iso.poly, iso.lo, iso.hi, iso.slo)
+        node.multiplicity, = [m for g, m in factors if ip.sign_at(g, node.lo)
+                              != ip.sign_at(g, node.hi)]
+        nodes.append(node)
+    return probed(nodes, probe)
+
+
+def ref_root_data_by_factor(f, probe_first=False):
+    """root_data as it was before it isolated the square-free part, with
+    Fraction nodes: one isolation per Yun factor, separation across
+    factors and the sort.  probe_first probes each node right after
+    isolation, before separation: the order of the probing path that
+    root_data once had."""
     groups = []
     for factor, mult in ip.yun(f):
         group = []
@@ -370,7 +405,7 @@ def ref_root_data(f, probe, probe_first=False):
                 ref_separate(a, b)
     nodes = [n for group in groups for n in group]
     nodes.sort(key=lambda n: (n.lo, n.hi))
-    return probed(nodes, probe)
+    return nodes
 
 
 def probed(nodes, probe):
@@ -535,31 +570,46 @@ def test_refine_exclude_and_refine_below_match_reference():
     assert rounds > 1000
 
 
-def test_separate_matches_reference_on_translates():
-    """_separate on nodes of unrelated polynomials, exact or not, placed
-    against translates of each other."""
-    corpus = _node_corpus()
-    pairs = 0
-    for t in range(0, len(corpus) - 1, 2):
-        for alpha in ALPHAS:
-            left = probed(roots.root_data(Polynomial(corpus[t])), t % 4 == 0)
-            right = translate_nodes(probed(
-                roots.root_data(Polynomial(corpus[t + 1])), t % 3 == 0), alpha)
-            ref_left = ref_root_data(ip.primitive(corpus[t]), t % 4 == 0)
-            ref_right = ref_translate(
-                ref_root_data(ip.primitive(corpus[t + 1]), t % 3 == 0), alpha)
-            for a, ra in zip(left, ref_left):
-                for b, rb in zip(right, ref_right):
-                    if a.exact is not None and a.exact == b.exact:
-                        continue
-                    if ip.gcd(a.poly, b.poly) != [1]:
-                        continue  # the roots might be equal
-                    roots._separate(a, b)
-                    ref_separate(ra, rb)
-                    assert _state([a, b]) == _state([ra, rb])
-                    assert int_precedes(a, b) == ref_precedes(ra, rb)
-                    pairs += 1
-    assert pairs > 500
+def test_root_data_isolates_once_on_the_square_free_part(monkeypatch):
+    """One isolate call per root_data call, on the square-free part s,
+    also for polynomials with two or more Yun factors.  Every node is an
+    open interval on s, and the nodes hold the roots of the per-factor
+    path (ref_root_data_by_factor), in order and with its
+    multiplicities: a reference node's exact root lies inside the node,
+    or its factor changes sign across the overlap of the two intervals,
+    whose ends are no roots of it."""
+    isolated = []
+    isolate = ip.isolate
+
+    def counting(f, chain=None):
+        isolated.append(f)
+        return isolate(f, chain)
+
+    corpus = [ip.primitive(f) for f in _node_corpus()]
+    refs = [ref_root_data_by_factor(f) for f in corpus]
+    monkeypatch.setattr(ip, "isolate", counting)
+    seen = {"squarefree": 0, "two factors": 0, "three factors or more": 0}
+    for f, ref in zip(corpus, refs):
+        isolated.clear()
+        nodes = roots.root_data(Polynomial(f))
+        assert len(isolated) == 1, f
+        factors = len(ip.yun(f))
+        seen["squarefree" if factors == 1 else "two factors" if factors == 2
+             else "three factors or more"] += 1
+        s = ref_squarefree_part(f)
+        s = ip.neg(s) if s[-1] < 0 else s
+        assert all(n.poly == s and n.exact is None for n in nodes), f
+        assert all(a.hi <= b.lo for a, b in zip(nodes, nodes[1:])), f
+        assert [n.multiplicity for n in nodes] == \
+            [n.multiplicity for n in ref], f
+        for n, r in zip(nodes, ref):
+            if r.exact is not None:
+                assert n.lo < r.exact < n.hi, f
+                continue
+            lo, hi = max(n.lo, r.lo), min(n.hi, r.hi)
+            assert lo < hi, f
+            assert ip.sign_at(r.poly, lo) == -ip.sign_at(r.poly, hi) != 0, f
+    assert min(seen.values()) >= 5, seen
 
 
 def test_isolated_root_constructor_keeps_values():
@@ -571,11 +621,11 @@ def test_isolated_root_constructor_keeps_values():
 
 
 def test_mesh_numeric_matches_probing_before_separation():
-    """mesh_numeric probes the nodes it gets from root_data,
-    so after any separation across Yun factors.  It reads intervals only
-    when every root is simple, that is for one Yun factor, where nothing
-    is separated, so its reports are those of the old order: probe each
-    factor's nodes, then separate."""
+    """mesh_numeric probes the nodes it gets from root_data, against
+    the same on probed Fraction nodes.  It reads intervals only when
+    every root is simple, where the square-free part is the polynomial
+    itself, so its reports are also those of the old order: probe each
+    Yun factor's nodes, then separate."""
     corpus = [ip.primitive(f) for f in _node_corpus()]
     specs = (ClassSpec.hyperbolic(), ClassSpec.hp_ge(1),
              ClassSpec.hp_plus_ge(F(1, 2)))
@@ -601,26 +651,32 @@ def test_mesh_numeric_matches_probing_before_separation():
 
 
 def test_root_approximations_match_probing_before_separation():
-    """root_approximations probes after the separation across Yun
-    factors, where an earlier path probed before it (and then
-    placed 0 against the roots of a real-rooted input).  With one Yun
-    factor of multiplicity 1 nothing is separated, and probing leaves 0
-    outside every open interval, so the floats are the same; otherwise
-    each moves by at most tol."""
+    """root_approximations probes the nodes of the square-free part, as
+    the Fraction reference does, and matches it float for float.  An
+    earlier path isolated each Yun factor and probed before separating
+    them (and then placed 0 against the roots of a real-rooted input).
+    With one Yun factor of multiplicity 1 it isolated the same nodes and
+    probing leaves 0 outside every open interval, so the floats are the
+    same; otherwise each is within tol of that path's."""
     tol = roots.DEFAULT_TOL
     moved = 0
     for f in map(ip.primitive, _node_corpus()):
-        ref = ref_root_data(f, False, probe_first=True)
-        if sum(n.multiplicity for n in ref) == len(f) - 1:
-            ref_nonneg(ref)
+        got = roots.root_approximations(Polynomial(f), tol)
+        new = ref_root_data(f, True)
+        for n in new:
+            n.refine_below(tol)
+        assert got == [float((n.lo + n.hi) / 2) for n in new], f
+        old = ref_root_data_by_factor(f, probe_first=True)
+        if sum(n.multiplicity for n in old) == len(f) - 1:
+            ref_nonneg(old)
         want = []
-        for n in ref:
+        for n in old:
             n.refine_below(tol)
             want.append(float((n.lo + n.hi) / 2))
-        got = roots.root_approximations(Polynomial(f), tol)
         if [m for _, m in ip.yun(f)] == [1]:
             assert got == want, f
         else:
+            assert len(got) == len(want), f
             assert all(abs(g - w) <= tol for g, w in zip(got, want)), f
             moved += got != want
     assert 0 < moved

@@ -2,7 +2,8 @@
 
 The yes/no questions (is_hyperbolic, root_profile's flags,
 count_real_roots, nonneg_on_reals, mesh_at_least and class_membership)
-go by Sturm counts per Yun factor and by one Cauchy index for the mesh;
+go by Sturm counts (on the square-free part, or per Yun factor) and by
+one Cauchy index for the mesh;
 negativity_point reads an isolation (roots.root_data), and its point is
 checked by its sign only.  The references:
 
@@ -300,16 +301,14 @@ def test_root_questions_match_sturm_reference(corpus, monkeypatch):
     and places of the root_data nodes, which also give root_profile's
     flags (ref_profile_flags).
 
-    Each call of the package builds the Yun factors and Sturm chains of
-    its polynomial anew (count_real_roots five times per polynomial
-    here).  They are a pure function of the polynomial, so one build per
-    polynomial serves every call on it: its numerators and, when they
-    are not primitive, its primitive form.  A chain passed in is the
-    polynomial's own Sturm chain, which changes no result, so the cache
-    is keyed by the polynomial alone."""
-    factor_chains = functools.lru_cache(maxsize=2)(ip.factor_chains)
-    monkeypatch.setattr(ip, "factor_chains",
-                        lambda f, chain=None: factor_chains(f))
+    Each call of the package builds the Sturm chains of its polynomial
+    and of its square-free part anew (count_real_roots five times per
+    polynomial here).  A chain is a pure function of its polynomial, so
+    one build serves every call on it; no caller changes a chain it
+    gets."""
+    chain_of = functools.lru_cache(maxsize=4)(
+        lambda f, build=ip.sturm_chain: build(list(f)))
+    monkeypatch.setattr(ip, "sturm_chain", lambda f: chain_of(tuple(f)))
     seen = {"hyperbolic": 0, "not hyperbolic": 0, "nonneg with roots": 0,
             "odd root": 0, "repeated root": 0, "end is root": 0,
             "not squarefree, negative": 0}

@@ -36,7 +36,7 @@ def test_frozen_records_compare_and_hash_by_value(make):
 
 
 @pytest.mark.parametrize("value", [
-    MeshReport(F(1), F(2)), RootProfile(True, False, []),
+    MeshReport(F(1), F(2)), RootProfile(True, False),
     ProperPositionVerdict(False, True, False, {"x": F(1, 2)}),
     ClassSpec(F(1), True),
     RootedFixture(Polynomial.from_roots([0, 2]), (F(0), F(2)), F(1)),

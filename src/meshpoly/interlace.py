@@ -5,16 +5,15 @@ interlace with p leading from the left and the Wronskian p q' - p' q is
 non-negative on the whole real line.  The zero polynomial is in proper
 position to every hyperbolic polynomial on both sides.  Every verdict
 goes by counts, with no root isolated: real-rootedness from the records
-of roots (is_hyperbolic), interlacing from one Sturm count of the
-Wronskian of p and q with their gcd divided out (proper_position has
-the proof).  Once the roots interlace, the Wronskian has one sign on
-the real line (Hermite-Kakeya-Obreschkoff), so its leading coefficient
-decides it.  Otherwise nonneg_on_reals decides it by Sturm counts: no
-Yun factor of odd multiplicity has a real root.  Only the witnesses
-read an isolation (roots.root_data, one isolation of the square-free
-part): the displayed root approximations of an interlacing failure,
-and negativity_point, which tests the sign of w between adjacent
-distinct roots.
+of roots (is_hyperbolic), interlacing from one Cauchy index, as in
+roots._mesh_ok, and then the Wronskian's one sign on the real line
+(Hermite-Kakeya-Obreschkoff) from leading coefficients (proper_position
+has the proofs).  For roots that do not interlace, nonneg_on_reals
+decides W >= 0 by Sturm counts: no Yun factor of odd multiplicity has a
+real root.  Only the witnesses read an isolation (roots.root_data, one
+isolation of the square-free part): the displayed root approximations
+of an interlacing failure, and negativity_point, which tests the sign
+of w between adjacent distinct roots.
 
 proper_position is the paper's characterization of the mesh classes: a
 hyperbolic p has mesh >= alpha exactly when p << p(x - alpha).  It is
@@ -167,39 +166,34 @@ def proper_position(p: Polynomial, q: Polynomial) -> ProperPositionVerdict:
     leading: counted with multiplicity, gamma_1 <= delta_1 <= gamma_2 <=
     delta_2 <= ... for p's roots gamma and q's roots delta, or the same
     with q leading (interlaces is either order); and W = p q' - p' q >= 0
-    on the line, which picks the order.  Interlacing is decided by one
-    count, with no root isolated: with g = gcd(p, q), p1 = p/g and
-    q1 = q/g, the roots of p and q interlace exactly when W1 = p1 q1' -
-    p1' q1 is zero or has no real root (Sturm count 0 from -inf to +inf).
+    on the line, which picks the order.  Let P be the operand of larger
+    degree n (p on a tie), Q the other, D = Q when deg Q = n - 1 and D =
+    lc(P) Q - lc(Q) P when deg Q = n (intpoly.lead_difference).  The
+    roots interlace exactly when D = 0 (as when n = 0) or |Ind(D/P)| =
+    n - deg gcd(P, D), read as roots._mesh_ok reads it.
 
     Proof.  Let N_p(t) be the number of roots of p that are <= t.  The
     roots interlace exactly when N_p - N_q takes its values in {0, 1}
     everywhere (p leading), or in {-1, 0} everywhere (q leading).
     Removing a common root from both multisets leaves every N_p(t) -
-    N_q(t) unchanged, so p and q interlace exactly when the coprime,
-    real-rooted p1 and q1 do, and for these interlacing is strict
-    alternation of simple roots.
-    If they alternate, W1 is zero or has no real root.  W1 = 0 exactly
-    when p1 and q1 are both constant.  Otherwise let p1 have the larger
-    degree n >= 1 (W(q1, p1) = -W1 has the same roots).  p1 has simple
-    roots r_1 < ... < r_n, and q1/p1 = c + sum a_i / (x - r_i) with a_i =
-    q1(r_i) / p1'(r_i).  q1 has one root between adjacent r_i, so
-    q1(r_i) alternates in sign, as p1'(r_i) does, and every a_i is
-    nonzero with one sign.  Then W1 / p1^2 = (q1/p1)' = -sum a_i /
-    (x - r_i)^2 is nonzero off the r_i, and W1(r_i) = -p1'(r_i) q1(r_i)
-    is nonzero.
-    Conversely, let W1 have no real root.  At a multiple root of p1 or
-    q1, W1 vanishes, so both are squarefree.  Between adjacent roots of
-    p1, (q1/p1)' = W1 / p1^2 has one sign, and q1/p1 runs from one
-    infinity to the other, since the poles are simple and q1 does not
-    vanish there: exactly one root of q1 lies between them.  By the same
-    argument for q1/p1's reciprocal, exactly one root of p1 lies between
-    adjacent roots of q1.  So no two roots of one polynomial are
-    adjacent in the merged order: the roots alternate.
+    N_q(t) unchanged, so with g = gcd(P, Q), P and Q interlace exactly
+    when the coprime P1 = P/g and Q1 = Q/g do: when their roots are
+    simple and alternate.  D = 0 exactly when P1 and Q1 are constant.
+    Otherwise |Ind(D/P)| = |Ind(Q1/P1)| and gcd(P, D) = g, and by
+    mesh_at_least's proof, with q/f replaced by Q1/P1, the equation
+    holds exactly when the m = deg P1 roots of P1 are simple and the
+    jumps there, of the signs of the residues Q1(r) / P1'(r), all have
+    one sign, i.e. when Q1 changes sign between adjacent roots of P1,
+    as P1' does.  Q1 has m - 1 or m roots, so that is one root in each
+    gap and at most one outside them: alternation, which conversely
+    makes the roots simple and puts one root of Q1 in each gap.
 
-    Once the roots interlace, W has one sign on the real line
-    (Hermite-Kakeya-Obreschkoff), so its leading coefficient decides it.
-    Otherwise nonneg_on_reals decides it.
+    Once the roots interlace, W has the one sign of its lead on the line
+    (Hermite-Kakeya-Obreschkoff): W(P, Q) = W(P, D) / lc(P) for equal
+    degrees, W(P, D) has lead -lc(P) lc(D) as deg D = n - 1, so
+    sign(lc W(P, Q)) = -sign(lc D), times sign(lc P) when D = Q, W(p, q)
+    = -W(P, Q) when P is q, and W = 0 when D = 0.  W is formed only on a
+    failure, for nonneg_on_reals or negativity_point's witness.
     """
     if p.is_zero and q.is_zero:
         return ProperPositionVerdict(True, True, True)
@@ -219,33 +213,31 @@ def proper_position(p: Polynomial, q: Polynomial) -> ProperPositionVerdict:
         return ProperPositionVerdict(
             False, False, False,
             {"condition": "degree-gap", "degrees": [int(p.degree), int(q.degree)]})
-    g = intpoly.gcd(p.nums, q.nums)
-    p1 = intpoly.divexact(intpoly.primitive(p.nums), g)
-    q1 = intpoly.divexact(intpoly.primitive(q.nums), g)
-    w1 = intpoly.sub(intpoly.mul(p1, intpoly.deriv(q1)),
-                     intpoly.mul(intpoly.deriv(p1), q1))
-    interlaces = not w1 or intpoly.variation_drop(intpoly.sturm_chain(w1)) == 0
-    w = wronskian(p, q)
-    if interlaces:
-        w_ok = w.is_zero or w.leading_coefficient > 0
-    else:
-        w_ok = nonneg_on_reals(w)
-    witness = None
-    if not interlaces:
+    swapped = len(q.nums) > len(p.nums)
+    P, Q = (q, p) if swapped else (p, q)
+    f = intpoly.primitive(P.nums)
+    equal = len(Q.nums) == len(f)
+    d = intpoly.lead_difference(f, Q.nums) if equal else Q.nums
+    if not d:
+        return ProperPositionVerdict(True, True, True)
+    if intpoly.full_index(intpoly.remainder_steps(f, d)) is None:
+        w_ok = nonneg_on_reals(wronskian(p, q))
         tol = Fraction(1, 10**6)
-        witness = {
+        return ProperPositionVerdict(False, False, w_ok, {
             "condition": "interlacing-failed",
             "p_roots_approx": approximations(root_data(p), tol),
             "q_roots_approx": approximations(root_data(q), tol),
-        }
-    elif not w_ok:
-        x0 = negativity_point(w)
-        witness = {
-            "condition": "wronskian-negative",
-            "point": str(x0),
-            "value": str(w.evaluate(x0)),
-        }
-    return ProperPositionVerdict(interlaces and w_ok, interlaces, w_ok, witness)
+        })
+    lead = d[-1] if equal else d[-1] * f[-1]
+    if (lead < 0) != swapped:
+        return ProperPositionVerdict(True, True, True)
+    w = wronskian(p, q)
+    x0 = negativity_point(w)
+    return ProperPositionVerdict(False, True, False, {
+        "condition": "wronskian-negative",
+        "point": str(x0),
+        "value": str(w.evaluate(x0)),
+    })
 
 
 def class_membership(p: Polynomial, spec: ClassSpec) -> bool:

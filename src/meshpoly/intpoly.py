@@ -193,10 +193,19 @@ def remainder_sequence(a: ZPoly, b: ZPoly) -> list[ZPoly]:
     sequence are those of the exact sequence.
 
     Read by sturm_chain (b = a'), gcd and Yun's first step (through the
-    Sturm chain); the Cauchy indices behind roots._mesh_ok read its
-    elements as they come (remainder_steps, full_index).
+    Sturm chain); the Cauchy indices behind roots._mesh_ok and
+    interlace.proper_position read its elements as they come
+    (remainder_steps, full_index).
     """
     return list(remainder_steps(primitive(a), b))
+
+
+def lead_difference(f: ZPoly, g: ZPoly) -> ZPoly:
+    """lc(f) g - lc(g) f, trimmed, for f and g of one degree: the
+    divisor of the Cauchy index over f that decides a mesh bound
+    (roots._mesh_ok) and proper position (interlace.proper_position)."""
+    lf, lg = f[-1], g[-1]
+    return trim([lf * x - lg * y for x, y in zip(g, f)])
 
 
 def full_index(seq) -> ZPoly | None:
@@ -299,13 +308,16 @@ def divexact(a: ZPoly, b: ZPoly) -> ZPoly:
     return trim(q)
 
 
-def yun(f: ZPoly, chain: list[ZPoly] | None = None) -> list[tuple[ZPoly, int]]:
+def yun(f: ZPoly, chain: list[ZPoly] | None = None,
+        s: ZPoly | None = None) -> list[tuple[ZPoly, int]]:
     """Yun's squarefree decomposition: [(g_i, i)] with f ~ prod g_i^i.
 
     Factors are primitive with positive leading coefficient; constant
     factors are dropped, so the list is empty for constant f.  The first
-    step's gcd(f, f') is the last element of f's Sturm chain; a caller
-    that has sturm_chain(f) passes it as chain.
+    step's gcd(f, f') is g = the last element of f's Sturm chain; a
+    caller that has sturm_chain(f) passes it as chain, and f / g as s
+    (g's sign kept: negating it negates f / g and f' / g, which no gcd
+    sees).  At most deg f steps run, one per multiplicity.
     """
     f = primitive(list(f))
     if len(f) <= 1:
@@ -315,13 +327,11 @@ def yun(f: ZPoly, chain: list[ZPoly] | None = None) -> list[tuple[ZPoly, int]]:
     g = chain[-1]
     if len(g) == 1:
         return [(neg(f) if f[-1] < 0 else f, 1)]
-    if g[-1] < 0:
-        g = neg(g)
-    c = divexact(f, g)
+    c = divexact(f, g) if s is None else s
     d = sub(divexact(deriv(f), g), deriv(c))
     out: list[tuple[ZPoly, int]] = []
     i = 1
-    while len(c) > 1:
+    while len(c) > 1 and i < len(f):
         a = gcd(c, d)
         if len(a) > 1:
             out.append((a, i))

@@ -94,7 +94,7 @@ def _nodes(f: intpoly.ZPoly, chain=None) -> list[intpoly.IsolatedRoot]:
         return intpoly.isolate(chain[0], chain)
     s = intpoly.divexact(f, chain[-1])
     nodes = intpoly.isolate(s if s[-1] > 0 else intpoly.neg(s))
-    factors = intpoly.yun(f, chain)
+    factors = intpoly.yun(f, chain, s)
     for n in nodes:
         n.multiplicity = next(i for h, i in factors
                               if intpoly._sign_at(h, n.a, n.den)
@@ -176,11 +176,10 @@ def _mesh_ok(rec: _Record, alpha, chain=None) -> bool:
     d is -n alpha lc(f) lc(q)).  The bounds of rec are compared with
     alpha by integer cross products.
 
-    For alpha > 0, d = lc(f) q - lc(q) f with q = f(x - alpha), formed
-    in one pass over the coefficient pairs of q and f; their x^n terms
-    cancel, and trimming drops that zero.  True also means squarefree
-    (mesh_at_least has the proof).  For alpha = 0,
-    d = f' and seq = sturm_chain(f), which a caller may pass as chain:
+    For alpha > 0, d = lc(f) q - lc(q) f with q = f(x - alpha)
+    (intpoly.lead_difference).  True also means squarefree
+    (mesh_at_least has the proof).  For alpha = 0, d = f' and seq =
+    sturm_chain(f), which a caller may pass as chain:
     Ind(f'/f) counts the distinct real roots (Sturm's theorem), so the
     equation says that f is real-rooted.  A nonconstant gcd(f, f') then
     means a repeated root, mesh exactly 0, and sets rec.no to 0 too.  A
@@ -193,9 +192,7 @@ def _mesh_ok(rec: _Record, alpha, chain=None) -> bool:
     if no is not None and num * no[1] >= no[0] * den:
         return False
     if num:
-        q = intpoly.translate(f, alpha)
-        lf, lq = f[-1], q[-1]
-        d = intpoly.trim([lf * x - lq * y for x, y in zip(q, f)])
+        d = intpoly.lead_difference(f, intpoly.translate(f, alpha))
         last = intpoly.full_index(intpoly.remainder_steps(f, d))
     else:
         last = intpoly.full_index(

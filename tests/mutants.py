@@ -82,13 +82,13 @@ MUTANTS = [
 """, "", ["tests/test_mesh_index.py"]),
     ("the index asked for mesh bound 0 by the shift", "roots.py",
      """    if num:
-        q = intpoly.translate(f, alpha)""",
+        d = intpoly.lead_difference(""",
      """    if num >= 0:
-        q = intpoly.translate(f, alpha)""",
+        d = intpoly.lead_difference(""",
      ["tests/test_mesh_index.py"]),
-    ("the divisor with the two leads swapped", "roots.py",
-     "[lf * x - lq * y for x, y in zip(q, f)]",
-     "[lq * x - lf * y for x, y in zip(q, f)]", ["tests/test_mesh_index.py"]),
+    ("the divisor with the two leads swapped", "intpoly.py",
+     "[lf * x - lg * y for x, y in zip(g, f)]",
+     "[lg * x - lf * y for x, y in zip(g, f)]", ["tests/test_mesh_index.py"]),
     ("a zero yes implies squarefree", "roots.py",
      "    if rec.no == _ZERO:", "    if rec.no == _ZERO and rec.yes != _ZERO:",
      ["tests/test_mesh_index.py"]),
@@ -110,8 +110,18 @@ MUTANTS = [
      "    if num * yes[1] <= yes[0] * den or len(f) <= 2:",
      "    if num * yes[1] < yes[0] * den or len(f) <= 2:",
      ["tests/test_root_cache.py"]),
-    ("proper position without the gcd division", "interlace.py",
-     "    g = intpoly.gcd(p.nums, q.nums)", "    g = [1]",
+    ("proper position's D with the two leads swapped", "intpoly.py",
+     "[lf * x - lg * y for x, y in zip(g, f)]",
+     "[lg * x - lf * y for x, y in zip(g, f)]", ["tests/test_interlace.py"]),
+    ("proper position sends Q, not D, to the index at equal degrees",
+     "interlace.py",
+     "    d = intpoly.lead_difference(f, Q.nums) if equal else Q.nums",
+     "    d = Q.nums", ["tests/test_interlace.py"]),
+    ("the Wronskian sign not negated when P is q", "interlace.py",
+     "    if (lead < 0) != swapped:", "    if lead < 0:",
+     ["tests/test_interlace.py"]),
+    ("the Wronskian sign without lc(P) when D = Q", "interlace.py",
+     "    lead = d[-1] if equal else d[-1] * f[-1]", "    lead = d[-1]",
      ["tests/test_interlace.py"]),
     ("apply shifts each term the wrong way", "operators.py",
      "                P, s.numerator * (V // s.denominator), V)",
@@ -184,6 +194,10 @@ MUTANTS = [
      "                              != intpoly._sign_at(h, n.b, n.den))",
      "                              == intpoly._sign_at(h, n.b, n.den))",
      ["tests/test_nodes.py"]),
+    ("Yun's first gcd given a positive lead, apart from s", "intpoly.py",
+     "    c = divexact(f, g) if s is None else s\n",
+     "    g = neg(g) if g[-1] < 0 else g\n"
+     "    c = divexact(f, g) if s is None else s\n", ["tests/test_nodes.py"]),
     ("the square-free part left undivided", "roots.py",
      "    s = intpoly.divexact(f, chain[-1])", "    s = f",
      ["tests/test_nodes.py"]),
@@ -200,9 +214,9 @@ MUTANTS = [
     ("_take drops the point's numerator rescale", "intpoly.py",
      "            num *= own // g\n", "", ["tests/test_nodes.py"]),
     ("interlacing decided by the Wronskian having one sign", "interlace.py",
-     "    interlaces = not w1 or intpoly.variation_drop(intpoly.sturm_chain(w1)) == 0",
-     "    interlaces = nonneg_on_reals(wronskian(p, q)) or "
-     "nonneg_on_reals(wronskian(q, p))", ["tests/test_interlace.py"]),
+     "    if intpoly.full_index(intpoly.remainder_steps(f, d)) is None:",
+     "    if not (nonneg_on_reals(wronskian(p, q)) or "
+     "nonneg_on_reals(wronskian(q, p))):", ["tests/test_interlace.py"]),
 ]
 
 

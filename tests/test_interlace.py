@@ -1,10 +1,11 @@
 """Class membership, proper position, and the quadratic shortcut.
 
-proper_position decides interlacing by one Sturm count (the Wronskian of
-the two polynomials with their gcd divided out).  Its reference below is
-the procedure it once ran: isolate both root lists, merge them, with
-shared roots certified by a gcd root count, and check the alternation of
-the merged ranks.
+proper_position decides interlacing by one Cauchy index, |Ind(D/P)|,
+for P the operand of larger degree and D the other operand or its lead
+difference with P, and the Wronskian's sign on interlacing pairs from
+the leads of D and P.  Its reference below is the procedure it once
+ran: isolate both root lists, merge them, with shared roots certified
+by a gcd root count, and check the alternation of the merged ranks.
 """
 
 from collections import Counter
@@ -147,10 +148,13 @@ def _pair_corpus(n=1500):
 
 def test_interlacing_wronskian_sign_by_leading_coefficient():
     """Once the roots interlace, proper_position reads the Wronskian's
-    sign from its leading coefficient (Hermite-Kakeya-Obreschkoff); it
-    must equal the Sturm-count decision nonneg_on_reals(W)."""
+    sign from the leads of D and P and from which operand P is
+    (Hermite-Kakeya-Obreschkoff); it must equal the Sturm-count
+    decision nonneg_on_reals(W).  P is the operand of larger degree, p
+    on a tie, and D = 0 exactly when W = 0."""
     seen = {"w >= 0": 0, "w not >= 0": 0, "w = 0": 0, "shared double": 0,
-            "degree gap 1": 0, "not interlacing": 0}
+            "degree gap 1": 0, "not interlacing": 0, "P is q": 0,
+            "equal degrees with D != 0": 0, "negative lc(P)": 0}
     for p, q, kind in _pair_corpus():
         assert is_hyperbolic(p) and is_hyperbolic(q)
         v = proper_position(p, q)
@@ -164,6 +168,11 @@ def test_interlacing_wronskian_sign_by_leading_coefficient():
         seen["w = 0"] += w.is_zero
         seen["degree gap 1"] += abs(p.degree - q.degree) == 1
         seen["shared double"] += kind == 3
+        seen["P is q"] += q.degree == p.degree + 1
+        seen["equal degrees with D != 0"] += \
+            p.degree == q.degree and not w.is_zero
+        P = q if q.degree > p.degree else p
+        seen["negative lc(P)"] += P.leading_coefficient < 0
     assert min(seen.values()) >= 50, seen
 
 
@@ -403,7 +412,7 @@ def test_proper_position_matches_merge_reference_on_wide_corpus():
 ])
 def test_one_signed_wronskian_without_interlacing(p_roots, q_roots):
     """W has one sign on the line, yet the roots do not interlace: the
-    gcd-reduced count must not take W's sign for interlacing."""
+    index must not take W's sign for interlacing."""
     p, q = Polynomial.from_roots(p_roots), Polynomial.from_roots(q_roots)
     for a, b in ((p, q), (q, p)):
         w = wronskian(a, b)

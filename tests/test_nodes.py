@@ -425,7 +425,9 @@ def _linear(r):
 def _node_corpus():
     """Integer polynomials: rational roots with repeats and roots at 0,
     sqrt(2) and sqrt(3) pairs (also repeated), gaps equal to each alpha,
-    and coefficients up to 10**40."""
+    coefficients up to 10**40, and every fourth random one also negated
+    (a negative lead, and with a repeated root a Sturm chain that ends
+    in a negative lead)."""
     out = [
         ip.mul([0, 1], [-2, 0, 1]),                        # 0, +-sqrt 2
         ip.mul(ip.mul([0, 1], [0, 1]), [-1, 1]),           # 0, 0, 1
@@ -460,7 +462,7 @@ def _node_corpus():
             big = 10 ** rng.choice((20, 30, 40))
             f = ip.mul(f, [rng.randint(-big, big), rng.randint(1, big)])
         out.append(f)
-    return out
+    return out + [ip.neg(f) for f in out[7::4]]
 
 
 def _state(nodes):

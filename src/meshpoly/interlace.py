@@ -27,8 +27,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import intpoly
-from .poly import Polynomial, as_fraction
-from .roots import (_mesh_ok, _no_negative_root, _record, approximations,
+from .poly import Polynomial, as_fraction, rational_text
+from .roots import (_mesh_ok, _nonneg, _record, approximations,
                     is_hyperbolic, root_data)
 
 __all__ = [
@@ -168,9 +168,9 @@ def proper_position(p: Polynomial, q: Polynomial) -> ProperPositionVerdict:
     with q leading (interlaces is either order); and W = p q' - p' q >= 0
     on the line, which picks the order.  Let P be the operand of larger
     degree n (p on a tie), Q the other, D = Q when deg Q = n - 1 and D =
-    lc(P) Q - lc(Q) P when deg Q = n (intpoly.lead_difference).  The
-    roots interlace exactly when D = 0 (as when n = 0) or |Ind(D/P)| =
-    n - deg gcd(P, D), read as roots._mesh_ok reads it.
+    lc(P) Q - lc(Q) P when deg Q = n.  The roots interlace exactly when
+    D = 0 (as when n = 0) or |Ind(D/P)| = n - deg gcd(P, D), read as
+    roots._mesh_ok reads it (intpoly.full_index).
 
     Proof.  Let N_p(t) be the number of roots of p that are <= t.  The
     roots interlace exactly when N_p - N_q takes its values in {0, 1}
@@ -215,12 +215,13 @@ def proper_position(p: Polynomial, q: Polynomial) -> ProperPositionVerdict:
             {"condition": "degree-gap", "degrees": [int(p.degree), int(q.degree)]})
     swapped = len(q.nums) > len(p.nums)
     P, Q = (q, p) if swapped else (p, q)
-    f = intpoly.primitive(P.nums)
-    equal = len(Q.nums) == len(f)
-    d = intpoly.lead_difference(f, Q.nums) if equal else Q.nums
+    f, g = intpoly.primitive(P.nums), Q.nums
+    equal = len(g) == len(f)
+    d = intpoly.trim([f[-1] * x - g[-1] * y for x, y in zip(g, f)]) \
+        if equal else g
     if not d:
         return ProperPositionVerdict(True, True, True)
-    if intpoly.full_index(intpoly.remainder_steps(f, d)) is None:
+    if intpoly.full_index(f, d) is None:
         w_ok = nonneg_on_reals(wronskian(p, q))
         tol = Fraction(1, 10**6)
         return ProperPositionVerdict(False, False, w_ok, {
@@ -235,8 +236,8 @@ def proper_position(p: Polynomial, q: Polynomial) -> ProperPositionVerdict:
     x0 = negativity_point(w)
     return ProperPositionVerdict(False, True, False, {
         "condition": "wronskian-negative",
-        "point": str(x0),
-        "value": str(w.evaluate(x0)),
+        "point": rational_text(x0),
+        "value": rational_text(w.evaluate(x0)),
     })
 
 
@@ -260,7 +261,7 @@ def class_membership(p: Polynomial, spec: ClassSpec) -> bool:
         alpha = 0
     if not _mesh_ok(rec, alpha):
         return False
-    return not spec.require_nonneg_roots or _no_negative_root(rec.f)
+    return not spec.require_nonneg_roots or _nonneg(rec)
 
 
 def quadratic_hp1plus(A, B, C) -> bool:

@@ -7,9 +7,12 @@ a non-zero last entry.  Rational inputs are cleared to a primitive
 integer representative first; all the predicates used downstream (signs,
 root locations, divisibility) are invariant under positive scaling.
 A remainder step that drops the degree by one is the pseudo-remainder
-lc(b)**2 (a mod b) in one pass; other steps scale by the least positive
-multiplier that cancels a lead.  Each element is then the one primitive
-polynomial positively proportional to the exact remainder (_sturm_next).
+lc(b)**2 (a mod b) in one pass (_unit_prem); other steps scale by the
+least positive multiplier that cancels a lead.  Each element is then the
+one primitive polynomial positively proportional to the exact remainder
+(_sturm_next).  A Cauchy index that decides an interlacing (full_index)
+forms unit-drop steps only, and stops at the first element that is not
+one.
 """
 
 from __future__ import annotations
@@ -93,13 +96,6 @@ def taylor_shift(f: ZPoly, p: int, q: int) -> ZPoly:
     return k
 
 
-def translate(f: ZPoly, a: Fraction) -> ZPoly:
-    """primitive(q**n * f(x - p/q)) for a = p/q and n = deg f (taylor_shift):
-    the integer representative whose roots are those of f moved right
-    by a."""
-    return primitive(taylor_shift(f, a.numerator, a.denominator))
-
-
 def _sign_at(f: ZPoly, num: int, den: int) -> int:
     """Sign of f at num/den for den > 0, via homogeneous integer Horner:
     den**k * f(num/den), k = deg f, has the sign of f(num/den), so the
@@ -133,26 +129,32 @@ def sign_at_inf(f: ZPoly, direction: int) -> int:
     return s
 
 
+def _unit_prem(a: ZPoly, b: ZPoly) -> ZPoly:
+    """The pseudo-remainder prem(a, b) = lb**2 (a mod b), lb = lc(b), for
+    deg a = n and deg b = n - 1 >= 1, in one pass, as its coefficients
+    of x**0, ..., x**(n-1), untrimmed: with c = lb a_(n-1) - a_n b_(n-2)
+    and b_(-1) = 0, its coefficient of x**i is lb**2 a_i - lb a_n b_(i-1)
+    - c b_i (the last of them, at i = n - 1, is 0)."""
+    lb, an = b[-1], a[-1]
+    c = lb * a[-2] - an * b[-2]
+    l2, la = lb * lb, lb * an
+    return [l2 * x - la * y - c * z for x, y, z in zip(a, [0, *b], b)]
+
+
 def _sturm_next(a: ZPoly, b: ZPoly) -> ZPoly:
     """The primitive integer polynomial positively proportional to
     -(a mod b), unique as such; [] when b divides a.
 
-    When deg a = n and deg b = n - 1 >= 1, the pseudo-remainder is
-    prem(a, b) = lb**2 (a mod b), lb = lc(b), in one pass: with c =
-    lb a_(n-1) - a_n b_(n-2) and b_(-1) = 0, its coefficient of x**i is
-    lb**2 a_i - lb a_n b_(i-1) - c b_i for i < n - 1 (the same form at
-    i = n - 1 is 0).  Otherwise each step cancels the lead c of r by
-    s r - q x^k b, with s = lb / g, q = c / g and g = gcd(c, lb), both
-    negated when s < 0, and pops it.  Either way the last r is a
-    positive multiple of a mod b.
+    A unit degree drop, deg b = deg a - 1 >= 1, is _unit_prem.
+    Otherwise each step cancels the lead c of r by s r - q x^k b, with
+    s = lb / g, q = c / g and g = gcd(c, lb), both negated when s < 0,
+    and pops it.  Either way the last r is a positive multiple of a mod
+    b.
     """
     db = len(b) - 1
     lb = b[-1]
     if len(a) == db + 2 and db:
-        an = a[-1]
-        c = lb * a[-2] - an * b[-2]
-        l2, la = lb * lb, lb * an
-        r = [l2 * x - la * y - c * z for x, y, z in zip(a, [0, *b], b)]
+        r = _unit_prem(a, b)
     else:
         r = list(a)
         while len(r) > db:
@@ -172,19 +174,6 @@ def _sturm_next(a: ZPoly, b: ZPoly) -> ZPoly:
     return [-c // g for c in r]
 
 
-def remainder_steps(a: ZPoly, b: ZPoly):
-    """The elements of remainder_sequence(a, b) for a primitive a, which
-    is yielded as given, one at a time: each remainder is computed only
-    when the one before it has been read, so a reader that stops early
-    divides no further (full_index)."""
-    prev = a
-    yield prev
-    cur = primitive(b)
-    while cur:
-        yield cur
-        prev, cur = cur, _sturm_next(prev, cur)
-
-
 def remainder_sequence(a: ZPoly, b: ZPoly) -> list[ZPoly]:
     """Signed remainder sequence of (a, b) for nonzero a, up to positive
     factors: a, b, -(a mod b), ..., ending in the last nonzero element,
@@ -194,42 +183,46 @@ def remainder_sequence(a: ZPoly, b: ZPoly) -> list[ZPoly]:
 
     Read by sturm_chain (b = a'), gcd and Yun's first step (through the
     Sturm chain); the Cauchy indices behind roots._mesh_ok and
-    interlace.proper_position read its elements as they come
-    (remainder_steps, full_index).
+    interlace.proper_position walk it in full_index.
     """
-    return list(remainder_steps(primitive(a), b))
+    seq = [primitive(a)]
+    cur = primitive(b)
+    while cur:
+        seq.append(cur)
+        cur = _sturm_next(seq[-2], cur)
+    return seq
 
 
-def lead_difference(f: ZPoly, g: ZPoly) -> ZPoly:
-    """lc(f) g - lc(g) f, trimmed, for f and g of one degree: the
-    divisor of the Cauchy index over f that decides a mesh bound
-    (roots._mesh_ok) and proper position (interlace.proper_position)."""
-    lf, lg = f[-1], g[-1]
-    return trim([lf * x - lg * y for x, y in zip(g, f)])
+def full_index(a: ZPoly, b: ZPoly) -> ZPoly | None:
+    """The last element of remainder_sequence(a, b) = s_0, ..., s_k,
+    proportional to gcd(a, b), when |Ind(b/a)| = deg a - deg s_k, else
+    None, for a primitive nonconstant a and a nonzero b of lower degree:
+    exactly when every element has degree one less than the one before
+    it and sign(lc s_(i+1)) / sign(lc s_i) is the same at every step
+    (roots._mesh_ok has the proof).
 
-
-def full_index(seq) -> ZPoly | None:
-    """The last element of the signed remainder sequence seq = s_0, ...,
-    s_k (a list or remainder_steps) when |Ind(s_1/s_0)| = deg s_0 -
-    deg s_k, else None: exactly when every element has degree one less
-    than the one before it and sign(lc s_(i+1)) / sign(lc s_i) is the
-    same at every step (roots._mesh_ok has the proof).  The elements
-    are read in order, and reading stops at the first one that rules
-    the equation out.
+    Only such steps are formed: b is made primitive, and each later
+    element is -_unit_prem(s_(i-1), s_i) made primitive, which is
+    _sturm_next's element when the remainder drops one degree; a zero
+    lead of the remainder shows a larger drop.  The walk returns None at
+    the first element that breaks either condition, and the last element
+    when a remainder is 0 or a constant is reached.
     """
-    it = iter(seq)
-    prev = next(it)
-    agree = None
-    for cur in it:
-        if len(cur) != len(prev) - 1:
+    b = primitive(b)
+    if len(b) != len(a) - 1:
+        return None
+    agree = (a[-1] > 0) == (b[-1] > 0)
+    while len(b) > 1:
+        r = _unit_prem(a, b)
+        r.pop()
+        if not r[-1]:
+            return None if any(r) else b
+        # the next element is -r / g, with the lead sign opposite to r's
+        if ((r[-1] < 0) == (b[-1] > 0)) != agree:
             return None
-        same = (cur[-1] > 0) == (prev[-1] > 0)
-        if agree is None:
-            agree = same
-        elif same != agree:
-            return None
-        prev = cur
-    return prev
+        g = math.gcd(*r)
+        a, b = b, [-c // g for c in r]
+    return b
 
 
 def sturm_chain(f: ZPoly) -> list[ZPoly]:

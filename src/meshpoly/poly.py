@@ -15,6 +15,7 @@ Floating point never enters any computation in this module.
 from __future__ import annotations
 
 import math
+import re
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import reduce
@@ -42,8 +43,55 @@ def as_fraction(value: Fraction | int | str) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, str):
-        return Fraction(value)
+        return _parse_fraction(value)
     raise TypeError(f"not an exact rational: {value!r}")
+
+
+# CPython refuses int <-> str conversion of more decimal digits than
+# sys.get_int_max_str_digits() (4,300 by default); the functions below
+# split a longer number at a power of 10 into parts it converts, and
+# leave the interpreter's limit as it is.
+
+def int_text(n: int) -> str:
+    """str(n), for any number of digits: the same text."""
+    try:
+        return str(n)
+    except ValueError:
+        pass
+    if n < 0:
+        return "-" + int_text(-n)
+    k = n.bit_length() * 3 // 20  # about half the digits
+    hi, lo = divmod(n, 10 ** k)
+    return int_text(hi) + int_text(lo).zfill(k)
+
+
+def _digits_int(s: str) -> int:
+    """int(s) for a string of decimal digits of any length."""
+    try:
+        return int(s)
+    except ValueError:
+        k = len(s) // 2
+        return _digits_int(s[:-k]) * 10 ** k + _digits_int(s[-k:])
+
+
+def _parse_fraction(s: str) -> Fraction:
+    """Fraction(s), also for an integer or 'num/den' whose parts have
+    more digits than Fraction converts."""
+    try:
+        return Fraction(s)
+    except ValueError:
+        m = re.fullmatch(r"\s*([+-]?)(\d+)(?:/(\d+))?\s*", s)
+        if m is None:
+            raise
+    num = _digits_int(m[2])
+    return Fraction(-num if m[1] == "-" else num, _digits_int(m[3] or "1"))
+
+
+def rational_text(x: Fraction) -> str:
+    """str(x), for any number of digits."""
+    if x.denominator == 1:
+        return int_text(x.numerator)
+    return f"{int_text(x.numerator)}/{int_text(x.denominator)}"
 
 
 def _restate(nums: Sequence[int], basis: str) -> list[int]:
@@ -298,7 +346,8 @@ class Polynomial:
     # -- display -------------------------------------------------------
 
     def __repr__(self) -> str:
-        return f"Polynomial({[str(c) for c in self.coeffs]}, basis={self.basis!r})"
+        return (f"Polynomial({[rational_text(c) for c in self.coeffs]}, "
+                f"basis={self.basis!r})")
 
     def __str__(self) -> str:
         coeffs = self.coeffs
@@ -310,10 +359,10 @@ class Polynomial:
             if c == 0:
                 continue
             if i == 0:
-                term = str(abs(c))
+                term = rational_text(abs(c))
             else:
                 mag = abs(c)
-                coef = "" if mag == 1 else f"{mag}*"
+                coef = "" if mag == 1 else f"{rational_text(mag)}*"
                 if self.basis == MONOMIAL:
                     term = f"{coef}x" if i == 1 else f"{coef}x^{i}"
                 else:

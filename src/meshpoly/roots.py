@@ -14,18 +14,18 @@ Two kinds of question, two paths:
   theorem on the chain of f and f', and alpha > 0 decides
   real-rootedness, squarefreeness and the mesh bound at once (see
   mesh_at_least).  The index equation is read from the degrees and
-  lead signs of the sequence's elements as they are computed
-  (intpoly.remainder_steps, intpoly.full_index), and the first element
-  that rules it out ends the decision.  For a real-rooted polynomial
-  the absence of negative roots is Descartes' rule of signs
-  (_no_negative_root), which is exact there.  Root counts in an
-  interval (count_real_roots) are Sturm counts on the chain of the
-  square-free part (intpoly.variation_drop).  The verdicts on each
-  distinct polynomial (the largest alpha decided True and the smallest
-  decided False for its mesh, as integer pairs) are kept in a bounded
-  LRU cache of RECORD_CACHE_SIZE records (_records), keyed by the
-  primitive integer representative of the polynomial, so positive
-  rational multiples and either basis share an entry.
+  lead signs of the sequence's elements as they are formed, by one
+  integer loop (intpoly.full_index), and the first element that rules
+  it out ends the decision.  For a real-rooted polynomial the absence
+  of negative roots is Descartes' rule of signs (_no_negative_root),
+  which is exact there.  Root counts in an interval (count_real_roots)
+  are Sturm counts on the chain of the square-free part
+  (intpoly.variation_drop).  The verdicts on each distinct polynomial
+  (the largest alpha decided True and the smallest decided False for
+  its mesh, as integer pairs, and Descartes' verdict once asked) are
+  kept in a bounded LRU cache of RECORD_CACHE_SIZE records (_records),
+  keyed by the primitive integer representative of the polynomial, so
+  positive rational multiples and either basis share an entry.
 * Values read an isolation: root_data isolates the distinct roots on
   each call, once, on the square-free part of the polynomial, and gives
   intpoly.IsolatedRoot nodes, each an isolating interval with the
@@ -73,11 +73,11 @@ def root_data(p: Polynomial) -> list[intpoly.IsolatedRoot]:
     return _nodes(intpoly.primitive(p.nums))
 
 
-def _nodes(f: intpoly.ZPoly, chain=None) -> list[intpoly.IsolatedRoot]:
+def _nodes(f: intpoly.ZPoly) -> list[intpoly.IsolatedRoot]:
     """root_data's nodes for the primitive f, from one isolation of the
     Sturm chain of its square-free part s = f / gcd(f, f'), taken with
-    a positive lead; chain = sturm_chain(f) when the caller has it.  It
-    ends in gcd(f, f'), so a squarefree f is its own s on its own chain.
+    a positive lead.  sturm_chain(f) ends in gcd(f, f'), so a squarefree
+    f is its own s on its own chain.
 
     By Sturm's theorem the chain of s places every distinct real root
     of f.  A node's ends are not roots of s, and the Yun factors of f
@@ -85,8 +85,7 @@ def _nodes(f: intpoly.ZPoly, chain=None) -> list[intpoly.IsolatedRoot]:
     changes sign across a node: its index is the node's multiplicity."""
     if len(f) <= 1:
         return []
-    if chain is None:
-        chain = intpoly.sturm_chain(f)
+    chain = intpoly.sturm_chain(f)
     if len(chain[-1]) == 1:
         if f[-1] < 0:
             # the chain of -f is the chain of f negated
@@ -128,9 +127,10 @@ class _Record:
 
     mesh(f) >= 0 is real-rootedness (see _mesh_ok): a non-real-rooted f
     has no = 0, and a real-rooted f with a repeated root has mesh exactly
-    0, yes = no = 0."""
+    0, yes = no = 0.  nonneg is _no_negative_root(f) once it has been
+    asked of a real-rooted f (_nonneg), None before."""
 
-    __slots__ = ("f", "yes", "no")
+    __slots__ = ("f", "yes", "no", "nonneg")
 
 
 _ZERO = (0, 1)
@@ -140,7 +140,7 @@ _ZERO = (0, 1)
 def _records(f: tuple) -> _Record:
     """A record of f with nothing decided yet."""
     rec = _Record()
-    rec.f, rec.yes, rec.no = f, (-1, 1), None
+    rec.f, rec.yes, rec.no, rec.nonneg = f, (-1, 1), None, None
     return rec
 
 
@@ -153,7 +153,14 @@ def _record(p: Polynomial) -> _Record:
                     else tuple(intpoly.primitive(f)))
 
 
-def _mesh_ok(rec: _Record, alpha, chain=None) -> bool:
+def _nonneg(rec: _Record) -> bool:
+    """_no_negative_root(rec.f) for a real-rooted rec.f, kept in rec."""
+    if rec.nonneg is None:
+        rec.nonneg = _no_negative_root(rec.f)
+    return rec.nonneg
+
+
+def _mesh_ok(rec: _Record, alpha) -> bool:
     """f is real-rooted with mesh >= alpha, for f = rec.f of degree n and
     an int or Fraction alpha >= 0, by one Cauchy index: |Ind(d/f)| = n -
     deg gcd(f, d), read from seq = remainder_sequence(f, d), which ends
@@ -168,22 +175,23 @@ def _mesh_ok(rec: _Record, alpha, chain=None) -> bool:
     equalities exactly when every drop is one and every pair adds the
     same sign.  A pair with a unit drop is a variation at +inf when its
     leads differ in sign and at -inf when they agree, so it adds +1 or
-    -1 as the sign ratio is +1 or -1.  The elements are read as they are
-    computed (intpoly.remainder_steps, intpoly.full_index), and the
-    first one that breaks either condition ends the decision with
-    False; deg d < n - 1 would end it before any division, but both d
-    below have degree n - 1 (for alpha > 0, the x^(n-1) coefficient of
-    d is -n alpha lc(f) lc(q)).  The bounds of rec are compared with
-    alpha by integer cross products.
+    -1 as the sign ratio is +1 or -1.  The elements are checked as they
+    are formed (intpoly.full_index), and the first one that breaks
+    either condition ends the decision with False; deg d < n - 1 would
+    end it before any division, but both d below have degree n - 1 (for
+    alpha > 0, the x^(n-1) coefficient of d is -n alpha lc(f) lc(q)).
+    The bounds of rec are compared with alpha by integer cross products.
 
-    For alpha > 0, d = lc(f) q - lc(q) f with q = f(x - alpha)
-    (intpoly.lead_difference).  True also means squarefree
-    (mesh_at_least has the proof).  For alpha = 0, d = f' and seq =
-    sturm_chain(f), which a caller may pass as chain:
-    Ind(f'/f) counts the distinct real roots (Sturm's theorem), so the
-    equation says that f is real-rooted.  A nonconstant gcd(f, f') then
-    means a repeated root, mesh exactly 0, and sets rec.no to 0 too.  A
-    new verdict moves rec.yes or rec.no."""
+    For alpha > 0, d = lc(f) q - lc(q) f with q = f(x - alpha).  S =
+    den^n q (intpoly.taylor_shift) has the lead den^n lc(f), so S -
+    den^n f, of degree < n, is den^n d / lc(f): times sign(lc(f)) it is
+    a positive multiple of d, whose sequence it has, element for
+    element.  True also means squarefree (mesh_at_least has the proof).
+    For alpha = 0, d = f' and seq = sturm_chain(f): Ind(f'/f) counts the
+    distinct real roots (Sturm's theorem), so the equation says that f
+    is real-rooted.  A nonconstant gcd(f, f') then means a repeated
+    root, mesh exactly 0, and sets rec.no to 0 too.  A new verdict moves
+    rec.yes or rec.no."""
     f = rec.f
     num, den = alpha.numerator, alpha.denominator
     yes, no = rec.yes, rec.no
@@ -192,11 +200,12 @@ def _mesh_ok(rec: _Record, alpha, chain=None) -> bool:
     if no is not None and num * no[1] >= no[0] * den:
         return False
     if num:
-        d = intpoly.lead_difference(f, intpoly.translate(f, alpha))
-        last = intpoly.full_index(intpoly.remainder_steps(f, d))
+        dn = den ** (len(f) - 1)
+        d = [x - dn * y for x, y in zip(intpoly.taylor_shift(f, num, den), f)]
+        d.pop()
+        last = intpoly.full_index(f, d if f[-1] > 0 else intpoly.neg(d))
     else:
-        last = intpoly.full_index(
-            chain or intpoly.remainder_steps(f, intpoly.deriv(f)))
+        last = intpoly.full_index(f, intpoly.deriv(f))
     if last is None:
         rec.no = (num, den)
         return False
@@ -242,8 +251,7 @@ def root_profile(p: Polynomial) -> RootProfile:
         raise ValueError("zero polynomial has no root profile")
     rec = _record(p)
     real_rooted = _mesh_ok(rec, 0)
-    return RootProfile(real_rooted,
-                       real_rooted and _no_negative_root(rec.f))
+    return RootProfile(real_rooted, real_rooted and _nonneg(rec))
 
 
 def count_real_roots(p: Polynomial, lo=None, hi=None) -> int:
@@ -310,16 +318,12 @@ def _mesh(p: Polynomial, tol: Fraction, copies: list = None) -> MeshReport:
     if p.degree <= 1:
         return MeshReport(INF, INF, INF)
     rec = _record(p)
-    # while alpha = 0 is undecided, the chain that decides it is also the
-    # one the nodes are isolated on
-    chain = (intpoly.sturm_chain(rec.f)
-             if rec.yes[0] < 0 and rec.no != _ZERO else None)
-    if not _mesh_ok(rec, 0, chain):
+    if not _mesh_ok(rec, 0):
         raise NonHyperbolicInput("mesh is defined for real-rooted polynomials only")
     if rec.no == _ZERO:
         return MeshReport(Fraction(0), Fraction(0), Fraction(0))
     # squarefree and real-rooted of degree >= 2: at least two nodes
-    nodes = _nodes(rec.f, chain)
+    nodes = _nodes(rec.f)
     for n in nodes:
         n.try_rational()
     if copies is not None:
@@ -356,8 +360,7 @@ def mesh_at_least(p: Polynomial, alpha) -> bool:
     Otherwise, for alpha > 0, the answer is one Cauchy index, with no
     root isolated and no Sturm chain.  Let f be the primitive integer
     form of p, of degree n >= 2, q = f(x - alpha) up to a positive factor
-    (intpoly.translate: roots r + alpha) and d = lc(f) q - lc(q) f, of
-    degree < n.  Then
+    (roots r + alpha) and d = lc(f) q - lc(q) f, of degree < n.  Then
 
         |Ind(d/f)| = n - deg gcd(f, q)  exactly when f has n distinct
         real roots and every gap between adjacent ones is >= alpha,

@@ -25,7 +25,7 @@ import math
 import sys
 from fractions import Fraction
 
-from .poly import MONOMIAL, POCHHAMMER, Polynomial, as_fraction
+from .poly import MONOMIAL, POCHHAMMER, Polynomial, as_fraction, int_text
 
 __all__ = [
     "ParseError",
@@ -60,9 +60,10 @@ class ParseError(ValueError):
 def rational_to_str(x) -> str:
     """"num/den" of an exact rational (an int, a Fraction or a 'num/den'
     string), in lowest terms with den > 0.  Floats and bools raise
-    TypeError, as in poly.as_fraction: neither is a rational here."""
+    TypeError, as in poly.as_fraction: neither is a rational here.  Any
+    number of digits is written (poly.int_text)."""
     x = as_fraction(x)
-    return f"{x.numerator}/{x.denominator}"
+    return f"{int_text(x.numerator)}/{int_text(x.denominator)}"
 
 
 def rational_from_str(s) -> Fraction:
@@ -74,7 +75,7 @@ def rational_from_str(s) -> Fraction:
     if not isinstance(s, str):
         raise ParseError(f"expected a rational string, got {type(s).__name__}")
     try:
-        return Fraction(s)
+        return as_fraction(s)
     except (ValueError, ZeroDivisionError) as e:
         raise ParseError(f"bad rational {s!r}: {e}") from None
 
@@ -87,7 +88,7 @@ def poly_to_obj(p: Polynomial) -> dict:
     coeffs = []
     for c in p.basis_nums():
         g = math.gcd(c, den)
-        coeffs.append(f"{c // g}/{den // g}")
+        coeffs.append(f"{int_text(c // g)}/{int_text(den // g)}")
     return {"basis": p.basis, "coeffs": coeffs}
 
 

@@ -20,8 +20,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+# fixtures, which loads hashlib, is imported by the checkers that draw
+# fixtures, where they draw them
 from . import roots
-from .fixtures import derive_rng, gen_fixture
 from .interlace import ClassSpec, class_membership, quadratic_hp1plus
 from .operators import (
     DiagonalSequence,
@@ -185,6 +186,8 @@ def symbol_preserver_verdict(Q: Polynomial, i_max: int = 64, trials: int = 0,
     if class_membership(Q, ClassSpec(require_nonneg_roots=True)):
         details = {"symbol_roots": "real-nonnegative", "scope": "characterized"}
         if trials > 0:
+            from .fixtures import derive_rng, gen_fixture
+
             rng = derive_rng(seed, "symbol-preserver", trials)
             T = from_symbol(Q)
             spec = ClassSpec.hp_ge(1)
@@ -377,6 +380,7 @@ def dms_test(A: DiagonalSequence, trials: int = 500, max_degree: int = 6,
             "fixture": fixture, "image": image,
         })
 
+    from .fixtures import derive_rng, gen_fixture
     rng = derive_rng(seed, "dms", trials, max_degree)
     for t in range(trials):
         p = gen_fixture(spec, rng.randint(0, max_degree), rng)
@@ -429,6 +433,7 @@ def geometric_witness(rho, max_degree: int = 4, trials: int = 200,
             verdict = test(p, "targeted")
             if verdict is not None:
                 return verdict
+    from .fixtures import derive_rng, gen_fixture
     rng = derive_rng(seed, "geometric", trials)
     for t in range(trials):
         p = gen_fixture(spec_plus, rng.randint(1, max_degree), rng)
@@ -465,6 +470,7 @@ def hyperbolicity_violation(T: FiniteDifferenceOperator, max_degree: int = 4,
         verdict = test(Polynomial([0] * n + [1]), "monomial")
         if verdict is not None:
             return verdict
+    from .fixtures import derive_rng, gen_fixture
     rng = derive_rng(seed, "hyperbolicity", trials)
     spec = ClassSpec.hyperbolic()
     for t in range(trials):
@@ -511,6 +517,7 @@ def classical_multiplier_probe(A: DiagonalSequence, trials: int = 200,
         if not 0 < r <= 1:
             raise ValueError("rescaling factors must lie in (0, 1]")
     alphas, e = int_form(values)
+    from .fixtures import derive_rng, gen_fixture
     rng = derive_rng(seed, "classical", trials)
     spec0 = ClassSpec.hp_plus_ge(0)
     checked = 0

@@ -39,7 +39,7 @@ MUTANTS = [
                     s, q = -s, -q
 """, "", ["tests/test_intpoly.py"]),
     ("the unit-drop step scales a by |lb|, not lb**2", "intpoly.py",
-     "        l2, la = lb * lb, lb * an", "        l2, la = abs(lb), lb * an",
+     "    l2, la = lb * lb, lb * an", "    l2, la = abs(lb), lb * an",
      ["tests/test_intpoly.py"]),
     ("the unit-drop step swaps b_i and b_(i-1)", "intpoly.py",
      "zip(a, [0, *b], b)", "zip(a, b, [0, *b])", ["tests/test_intpoly.py"]),
@@ -71,24 +71,50 @@ MUTANTS = [
      "    even, odd = f[len(f) % 2::2], f[(len(f) - 1) % 2::2]",
      ["tests/test_mesh_index.py"]),
     ("the Cauchy index ignores the gcd", "intpoly.py",
-     "    return prev\n", "    return prev if len(prev) == 1 else None\n",
+     "            return None if any(r) else b\n", "            return None\n",
      ["tests/test_mesh_index.py"]),
-    ("the early exit accepts a drop of two degrees", "intpoly.py",
-     "        if len(cur) != len(prev) - 1:",
-     "        if len(cur) < len(prev) - 2:", ["tests/test_mesh_index.py"]),
-    ("the early exit ignores the sign relation", "intpoly.py",
-     """        elif same != agree:
+    ("a zero remainder returns the element before the gcd", "intpoly.py",
+     "            return None if any(r) else b\n",
+     "            return None if any(r) else a\n",
+     ["tests/test_mesh_index.py"]),
+    ("the walk accepts a drop of two degrees", "intpoly.py",
+     """        if not r[-1]:
+            return None if any(r) else b
+""", """        trim(r)
+        if not r:
+            return b
+""", ["tests/test_mesh_index.py"]),
+    ("the walk accepts a first divisor of any degree", "intpoly.py",
+     """    if len(b) != len(a) - 1:
+        return None
+""", "", ["tests/test_mesh_index.py"]),
+    ("the walk ignores the sign ratio", "intpoly.py",
+     """        if ((r[-1] < 0) == (b[-1] > 0)) != agree:
             return None
 """, "", ["tests/test_mesh_index.py"]),
     ("the index asked for mesh bound 0 by the shift", "roots.py",
      """    if num:
-        d = intpoly.lead_difference(""",
+        dn = """,
      """    if num >= 0:
-        d = intpoly.lead_difference(""",
+        dn = """,
      ["tests/test_mesh_index.py"]),
-    ("the divisor with the two leads swapped", "intpoly.py",
-     "[lf * x - lg * y for x, y in zip(g, f)]",
-     "[lg * x - lf * y for x, y in zip(g, f)]", ["tests/test_mesh_index.py"]),
+    ("the divisor scales the shift by den^n, not f", "roots.py",
+     "[x - dn * y for x, y in", "[dn * x - y for x, y in",
+     ["tests/test_mesh_index.py"]),
+    ("the divisor without the den^n scale", "roots.py",
+     "        dn = den ** (len(f) - 1)", "        dn = 1",
+     ["tests/test_mesh_index.py"]),
+    ("the divisor without sign(lc f)", "roots.py",
+     "full_index(f, d if f[-1] > 0 else intpoly.neg(d))",
+     "full_index(f, d)", ["tests/test_mesh_index.py"]),
+    ("the Descartes flag read without being set", "roots.py",
+     """    if rec.nonneg is None:
+        rec.nonneg = _no_negative_root(rec.f)
+    return rec.nonneg
+""", "    return rec.nonneg\n", ["tests/test_mesh_index.py"]),
+    ("the Descartes flag not kept", "roots.py",
+     "        rec.nonneg = _no_negative_root(rec.f)\n",
+     "        return _no_negative_root(rec.f)\n", ["tests/test_root_cache.py"]),
     ("a zero yes implies squarefree", "roots.py",
      "    if rec.no == _ZERO:", "    if rec.no == _ZERO and rec.yes != _ZERO:",
      ["tests/test_mesh_index.py"]),
@@ -97,26 +123,28 @@ MUTANTS = [
         rec.no = _ZERO
 """, "", ["tests/test_mesh_index.py"]),
     ("the gcd ignored at alpha = 0", "roots.py",
-     """            chain or intpoly.remainder_steps(f, intpoly.deriv(f)))
-""", """            chain or intpoly.remainder_steps(f, intpoly.deriv(f)))
+     """        last = intpoly.full_index(f, intpoly.deriv(f))
+""", """        last = intpoly.full_index(f, intpoly.deriv(f))
         if last is not None and len(last) > 1:
             last = None
 """, ["tests/test_mesh_index.py"]),
     ("yes starts at 0", "roots.py",
-     "    rec.f, rec.yes, rec.no = f, (-1, 1), None",
-     "    rec.f, rec.yes, rec.no = f, (0, 1), None",
+     "    rec.f, rec.yes, rec.no, rec.nonneg = f, (-1, 1), None, None",
+     "    rec.f, rec.yes, rec.no, rec.nonneg = f, (0, 1), None, None",
      ["tests/test_mesh_index.py"]),
     ("the record's cross product uses < for <=", "roots.py",
      "    if num * yes[1] <= yes[0] * den or len(f) <= 2:",
      "    if num * yes[1] < yes[0] * den or len(f) <= 2:",
      ["tests/test_root_cache.py"]),
-    ("proper position's D with the two leads swapped", "intpoly.py",
-     "[lf * x - lg * y for x, y in zip(g, f)]",
-     "[lg * x - lf * y for x, y in zip(g, f)]", ["tests/test_interlace.py"]),
+    ("proper position's D with the two leads swapped", "interlace.py",
+     "[f[-1] * x - g[-1] * y for x, y in zip(g, f)]",
+     "[g[-1] * x - f[-1] * y for x, y in zip(g, f)]",
+     ["tests/test_interlace.py"]),
     ("proper position sends Q, not D, to the index at equal degrees",
      "interlace.py",
-     "    d = intpoly.lead_difference(f, Q.nums) if equal else Q.nums",
-     "    d = Q.nums", ["tests/test_interlace.py"]),
+     """    d = intpoly.trim([f[-1] * x - g[-1] * y for x, y in zip(g, f)]) \\
+        if equal else g""",
+     "    d = g", ["tests/test_interlace.py"]),
     ("the Wronskian sign not negated when P is q", "interlace.py",
      "    if (lead < 0) != swapped:", "    if lead < 0:",
      ["tests/test_interlace.py"]),
@@ -214,7 +242,7 @@ MUTANTS = [
     ("_take drops the point's numerator rescale", "intpoly.py",
      "            num *= own // g\n", "", ["tests/test_nodes.py"]),
     ("interlacing decided by the Wronskian having one sign", "interlace.py",
-     "    if intpoly.full_index(intpoly.remainder_steps(f, d)) is None:",
+     "    if intpoly.full_index(f, d) is None:",
      "    if not (nonneg_on_reals(wronskian(p, q)) or "
      "nonneg_on_reals(wronskian(q, p))):", ["tests/test_interlace.py"]),
 ]

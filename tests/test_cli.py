@@ -1,9 +1,12 @@
 """Command line behaviour: wire shapes, exit codes, file handling."""
 
+import csv
+import io
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
@@ -11,6 +14,7 @@ import pytest
 import meshpoly
 from meshpoly import cli
 from meshpoly.cli import main
+from meshpoly.poly import Polynomial
 
 POLY_024 = '{"basis": "monomial", "coeffs": ["0/1", "8/1", "-6/1", "1/1"]}'
 
@@ -463,3 +467,30 @@ def test_malformed_certificates_are_input_errors(tmp_path, capsys):
     obj["certificate"]["payload"]["values"] = ["1/1", "2/1"]  # degree 2 fixture
     code, _, err = replay(obj)
     assert code == 2 and "shorter" in err
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("digits", [5000, 50000])
+def test_convert_round_trips_beyond_the_digit_limit(tmp_path, capsys, fmt,
+                                                    digits):
+    """Coefficients with more digits than CPython converts between int
+    and str by default (4,300) go through convert to the other basis and
+    back exactly, and the way back is written in either format."""
+    from meshpoly.serialize import dumps, poly_from_obj
+    big = 10**digits - 7
+    p = Polynomial([F(-big, 3), 0, F(1, big), 1])
+    src, mid = tmp_path / "p.json", tmp_path / "q.json"
+    src.write_text(dumps(p))
+    code, out, _ = run_cli(capsys, "convert", str(src), "--to", "pochhammer")
+    assert code == 0
+    assert poly_from_obj(json.loads(out)) == p
+    mid.write_text(out)
+    code, out, _ = run_cli(capsys, "convert", str(mid), "--to", "monomial",
+                           "--format", fmt)
+    assert code == 0
+    if fmt == "json":
+        obj = json.loads(out)
+    else:
+        rows = dict(csv.reader(io.StringIO(out)))
+        obj = {k: json.loads(v) for k, v in rows.items() if k != "key"}
+    assert obj == json.loads(dumps(p))

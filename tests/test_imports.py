@@ -20,13 +20,15 @@ DELTA = json.dumps({"op": {"coeffs": [{"coeffs": ["1"]}, {"coeffs": ["-1"]}]}})
 
 # standard modules that only an error or the csv format needs
 ON_DEMAND = {"csv", "traceback"}
+# standard modules that only fixtures loads: absent wherever it is
+DRAWN = {"hashlib"}
 # standard modules that no call needs: dataclasses alone costs more to
 # import than most subcommands take to run
 NEVER = {"dataclasses", "inspect"}
 
 # runs `python -m meshpoly ARGS` and reports, as the last line of stderr,
 # the meshpoly submodules the call left in sys.modules, and which of the
-# ON_DEMAND and NEVER modules it loaded
+# ON_DEMAND, DRAWN and NEVER modules it loaded
 _PROBE = """import json, runpy, sys
 try:
     runpy.run_module("meshpoly", run_name="__main__", alter_sys=True)
@@ -35,7 +37,7 @@ finally:
                             if m.startswith("meshpoly."))
                      + [m for m in %r if m in sys.modules]),
           file=sys.stderr)
-""" % sorted(ON_DEMAND | NEVER)
+""" % sorted(ON_DEMAND | DRAWN | NEVER)
 
 
 def _loaded(cwd, code, *argv):
@@ -72,14 +74,19 @@ BEYOND_INPUT = {"verify", "fixtures", "interlace", "harness", "suite"}
     (["apply", "p.json", "--op", "delta.json"], 0, BEYOND_INPUT | {"roots"}),
     (["convert", "p.json", "--to", "pochhammer"], 0,
      BEYOND_INPUT | {"operators", "roots"}),
-    (["verify", "herpou", "--coeffs", "1,-1"], 0, {"harness", "suite"}),
+    (["verify", "herpou", "--coeffs", "1,-1"], 0,
+     {"harness", "suite", "fixtures", "hashlib"}),
     (["verify", "dms", "--values", "1,1", "--trials", "2", "--max-degree", "3"],
      0, {"harness", "suite"}),
     (["verify", "riesz", "p.json", "--lam", "1", "--alpha", "1"], 0,
-     {"harness", "suite"}),
+     {"harness", "suite", "fixtures", "hashlib"}),
     (["search", "remark2", "--trials", "2", "--max-degree", "3",
       "--out", "run.jsonl"], 1, {"suite"}),
     (["replay", "cert.json"], 0, {"suite"}),
+    (["verify", "herpou", "--coeffs", "2,3,1"], 1,
+     {"harness", "suite", "fixtures", "hashlib"}),
+    (["verify", "riesz", "p.json", "--lam", "1", "--derivative"], 0,
+     {"harness", "suite", "fixtures", "hashlib"}),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
 def test_each_subcommand_loads_only_what_it_runs(tmp_path, capsys, argv, rc,
                                                  absent):

@@ -25,11 +25,11 @@ from meshpoly import (
     quadratic_hp1plus,
     wronskian,
 )
-from meshpoly import intpoly as ip
 from meshpoly import roots
 from meshpoly.fixtures import derive_rng
 from test_nodes import int_common_root, int_precedes
-from test_real_roots import ref_nonneg_on_reals, ref_profile_flags
+from test_real_roots import (ref_nonneg_on_reals, ref_profile_flags,
+                             translate)
 
 
 def test_class_spec_labels():
@@ -338,7 +338,7 @@ def _wide_pair_corpus(n=6000):
             return [rng.randint(1, 3), rng.randint(-1, 1), 1]
 
         def sqrt2_at():
-            return ip.translate([-2, 0, 1], point())
+            return translate([-2, 0, 1], point())
 
         kind = t % 8
         rts = [point() for _ in range(rng.randint(0, 4))]

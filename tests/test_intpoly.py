@@ -13,7 +13,7 @@ from test_poly_kernels import ref_shift
 from test_real_roots import (ref_content, ref_count_distinct_in, ref_gcd,
                              ref_primitive, ref_remainder_sequence,
                              ref_squarefree_part, ref_variations_at,
-                             ref_yun)
+                             ref_yun, translate)
 
 
 def test_primitive_of_numerators_clears_denominators():
@@ -322,10 +322,11 @@ def _shift_corpus():
 @pytest.mark.parametrize("alpha", [F(0), F(1), F(-3), F(1, 2), F(-7, 3),
                                    F(22, 7), F(5, 8), F(7, 10**6 + 3)])
 def test_translate_matches_polynomial_shift(alpha):
-    # against the Fraction Taylor shift
+    """The tests' translate, the primitive part of taylor_shift, against
+    the Fraction Taylor shift."""
     for f in _shift_corpus():
         expected = ip.primitive(ref_shift(Polynomial(f), alpha).nums)
-        assert ip.translate(f, alpha) == expected, (f, alpha)
+        assert translate(f, alpha) == expected, (f, alpha)
 
 
 # (p, q) as taylor_shift reads them: p = 0, negative p, and pairs that

@@ -27,6 +27,7 @@ from meshpoly import roots
 from meshpoly.fixtures import derive_rng
 from meshpoly.interlace import ClassSpec, class_membership
 from meshpoly.poly import Polynomial
+from test_real_roots import translate
 
 ALPHAS = (F(1, 3), F(1, 2), F(1), F(3, 2), F(2))
 
@@ -56,7 +57,7 @@ def ref_mesh(f, facts, alpha):
         return True
     if not squarefree:
         return False
-    q = ip.translate(f, alpha)
+    q = translate(f, alpha)
     d = ip.sub([f[-1] * c for c in q], [q[-1] * c for c in f])
     seq = ip.remainder_sequence(f, d)
     return abs(ip.variation_drop(seq)) == len(f) - len(seq[-1])
@@ -187,9 +188,9 @@ def test_index_decides_like_the_sturm_steps(corpus):
         seen["repeated root"] += real and not squarefree
         seen["real, mesh below"] += real and not want
         seen["gap equal, member"] += member and len(
-            ip.gcd(g, ip.translate(g, alpha))) > 1
+            ip.gcd(g, translate(g, alpha))) > 1
         seen["repeated on a progression"] += not squarefree and len(
-            ip.gcd(g, ip.translate(g, alpha))) > 1
+            ip.gcd(g, translate(g, alpha))) > 1
         seen["negative lead"] += member and g[-1] < 0
         seen["nonneg member"] += member and nonneg
         seen["degree <= 1"] += len(g) <= 2
@@ -215,7 +216,7 @@ def test_descartes_matches_sturm_count_at_zero(corpus):
     checked = {True: 0, False: 0}
     for f in corpus:
         g = ip.primitive(f)
-        for h in (g, ip.translate(g, F(1, 3)), ip.translate(g, F(-1, 2))):
+        for h in (g, translate(g, F(1, 3)), translate(g, F(-1, 2))):
             real, _, nonneg = ref_facts(h)
             if real:
                 assert roots._no_negative_root(h) == nonneg, h
@@ -226,114 +227,211 @@ def test_descartes_matches_sturm_count_at_zero(corpus):
 
 
 def test_cold_mesh_numeric_builds_the_chains_once(monkeypatch):
-    """The chain of f that decides alpha = 0 is also the one its roots
-    are isolated on, and a positive verdict of the index implies
-    real-rootedness.  A cold mesh_numeric, root_profile or is_hyperbolic
-    walks the remainder sequence of f and f' once (as a whole Sturm
-    chain or element by element), mesh_numeric isolates once on that
-    chain, root_profile isolates nothing, and once a record knows of a
-    repeated root, mesh questions on it walk no remainder sequence."""
-    calls, walks, seqs = [], [], []
-    isolate = ip.isolate
-    remainder_steps = ip.remainder_steps
+    """The index that decides alpha = 0 is one walk of f and f'
+    (full_index), which forms no chain, and the nodes are isolated on
+    one Sturm chain of f (roots._nodes).  A cold mesh_numeric makes one
+    walk and one chain, and isolates once on that chain; a cold
+    root_profile or is_hyperbolic walks once and builds no chain; once a
+    record knows of a repeated root, mesh questions on it walk nothing
+    and build no chain."""
+    calls, walks, chains, seqs = [], [], [], []
+    isolate, full_index, sturm_chain = ip.isolate, ip.full_index, \
+        ip.sturm_chain
 
     def counted(f, chain=None):
         calls.append(f)
         assert chain is not None
         return isolate(f, chain)
 
-    def counted_steps(a, b):
-        # every remainder sequence, whole or read as it comes, is a walk
+    def counted_index(a, b):
+        # every Cauchy index is one walk
         seqs.append(a)
-        if b == ip.deriv(a):
+        if list(b) == ip.deriv(a):
             walks.append(tuple(ip.primitive(a)))
-        return remainder_steps(a, b)
+        return full_index(a, b)
+
+    def counted_chain(f):
+        chains.append(tuple(ip.primitive(f)))
+        return sturm_chain(f)
 
     def walks_of(p):
         return walks.count(tuple(ip.primitive(p.nums)))
 
+    def chains_of(p):
+        return chains.count(tuple(ip.primitive(p.nums)))
+
     monkeypatch.setattr(ip, "isolate", counted)
-    monkeypatch.setattr(ip, "remainder_steps", counted_steps)
+    monkeypatch.setattr(ip, "full_index", counted_index)
+    monkeypatch.setattr(ip, "sturm_chain", counted_chain)
     p = Polynomial.from_roots([-1, 2, 5])
     r = Polynomial.from_roots([-1, 2, 2, 5])
     roots._records.cache_clear()
     assert roots.mesh_numeric(p).exact_value == 3
-    assert len(calls) == 1 and walks_of(p) == 1
+    # one walk and one chain
+    assert len(calls) == 1 and walks_of(p) == 1 and chains_of(p) == 1
     roots._records.cache_clear()
     assert roots.root_profile(r).is_hyperbolic
-    assert len(calls) == 1 and walks_of(r) == 1
+    assert len(calls) == 1 and walks_of(r) == 1 and chains_of(r) == 0
     roots._records.cache_clear()
     assert class_membership(p, ClassSpec.hp_plus_ge(1)) is False
     assert class_membership(p, ClassSpec.hp_ge(3))
     assert roots.is_hyperbolic(p) and roots.mesh_numeric(p).exact_value == 3
-    assert len(calls) == 2
+    assert len(calls) == 2 and walks_of(p) == 1 and chains_of(p) == 2
     roots._records.cache_clear()
     walks.clear()
     assert roots.is_hyperbolic(p) and walks_of(p) == 1
     assert roots.is_hyperbolic(r) and walks_of(r) == 1
-    built = len(seqs)
+    built = len(seqs), len(chains)
     assert roots.mesh_at_least(r, F(1, 1000)) is False
     assert roots.mesh_numeric(r).exact_value == 0
-    assert len(seqs) == built
+    assert (len(seqs), len(chains)) == built
 
 
 INDEX_ALPHAS = (F(0), F(1, 2), F(3, 7), F(1), F(2), F(5))
 
 
+def _lead_difference(f, g):
+    """lc(f) g - lc(g) f, trimmed."""
+    return ip.trim([f[-1] * x - g[-1] * y for x, y in zip(g, f)])
+
+
 def _index_pairs(f):
     """(alpha, d) for the d that roots._mesh_ok asks of f at each alpha
-    in INDEX_ALPHAS, and (None, f''): f'' drops two degrees at once,
-    which no d of _mesh_ok does (its x^(n-1) coefficient is -n alpha
-    lc(f) lc(q), and f' has degree n - 1)."""
+    in INDEX_ALPHAS, up to a positive factor, and (None, f''): f''
+    drops two degrees at once, which no d of _mesh_ok does (its x^(n-1)
+    coefficient is -n alpha lc(f) lc(q), and f' has degree n - 1)."""
     for alpha in INDEX_ALPHAS:
-        if alpha:
-            q = ip.translate(f, alpha)
-            yield alpha, ip.sub([f[-1] * c for c in q], [q[-1] * c for c in f])
-        else:
-            yield alpha, ip.deriv(f)
+        yield alpha, (_lead_difference(f, translate(f, alpha)) if alpha
+                      else ip.deriv(f))
     yield None, ip.deriv(ip.deriv(f))
 
 
-def test_full_index_matches_variation_drop(corpus):
-    """intpoly.full_index, read element by element from remainder_steps,
-    against the whole equation |variation_drop(seq)| = deg f - deg s_k
-    on seq = remainder_sequence(f, d), for 14,000 (f, d) pairs: the d
-    of _index_pairs.  The verdict and the last element agree, a whole
-    list gives the same answer, no element is read past the end of seq,
-    and deg d < deg f - 1 ends the walk at d, before any division."""
+def _first_break(seq):
+    """The index of the first element of the remainder sequence seq that
+    does not drop the degree by one, or whose lead sign relative to the
+    one before differs from the first pair's; None when none does."""
+    agree = (seq[0][-1] > 0) == (seq[1][-1] > 0)
+    for i in range(1, len(seq)):
+        a, b = seq[i - 1], seq[i]
+        if len(b) != len(a) - 1 or ((a[-1] > 0) == (b[-1] > 0)) != agree:
+            return i
+    return None
+
+
+# (a, b) beside the corpus: b with content > 1 and negative leads; a
+# drop of two after a unit drop (x^3 + x + 1 = x (x^2 + 1) + 1); a gcd
+# of degree 2 at alpha = 0; equal-degree proper-position pairs
+EXTRA_PAIRS = [
+    ([1, 1, 0, 1], [1, 0, 1]), ([1, 1, 0, 1], [-6, 0, -6]),
+    ([-1, -1, 0, -1], [3, 0, 3]), ([0, -6, 0, 1], [-12, 0, 6]),
+    ([-2, 0, 1], [0, 10]), ([2, 0, -1], [0, -10]),
+    ([1, 0, -2, 0, 1], [0, -4, 0, 4]), ([0, 0, 1, -2, 1], [0, 2, -6, 4]),
+    ([-6, 11, -6, 1], _lead_difference([-6, 11, -6, 1], [-24, 26, -9, 1])),
+    ([6, 11, 6, 1], _lead_difference([6, 11, 6, 1], [-24, 26, -9, 1])),
+    ([-6, 11, -6, 1], _lead_difference([-6, 11, -6, 1], [12, -14, 3, 2])),
+]
+
+
+def test_full_index_matches_variation_drop(corpus, monkeypatch):
+    """intpoly.full_index(a, b) against remainder_sequence(a, b) = seq:
+    the equation |variation_drop(seq)| = deg a - deg s_k, and s_k as the
+    last element, on about 30,000 pairs: the d of _index_pairs for
+    2,000 corpus polynomials f, the same d times -6 (content > 1, the
+    other sign), equal-degree pairs as proper_position forms them
+    (lc(f) q - lc(q) f for q = f + c f', which interlaces a real-rooted
+    f, and for the corpus polynomial q after f, when it has f's
+    degree), (x f + 1, f), whose second remainder drops two degrees,
+    and EXTRA_PAIRS.  The walk forms the elements of seq up to
+    the first that breaks a unit drop or the sign ratio (_first_break),
+    and none after it: one remainder per element from s_2 on, none when
+    s_1 breaks."""
     seen = {"true, gcd constant": 0, "true, gcd nonconstant": 0,
-            "true, negative lead": 0, "false at d": 0,
+            "true, negative lead": 0, "false at b": 0,
             "false by the lead signs": 0, "false after a division": 0,
-            "repeated root at 0": 0, "not real-rooted at 0": 0}
-    for f in corpus[:2000]:
-        f = ip.primitive(f)
+            "drop of two after a unit drop": 0, "content > 1": 0,
+            "repeated root at 0": 0, "not real-rooted at 0": 0,
+            "equal degrees, true": 0, "equal degrees, false": 0}
+    formed = []
+    unit_prem = ip._unit_prem
+
+    def counted(a, b):
+        formed.append(a)
+        return unit_prem(a, b)
+
+    monkeypatch.setattr(ip, "_unit_prem", counted)
+    pairs = []
+    fs = [ip.primitive(f) for f in corpus[:2000]]
+    for f, nxt in zip(fs, fs[1:]):
+        if len(f) < 2:
+            continue
         for alpha, d in _index_pairs(f):
-            seq = ip.remainder_sequence(f, d)
-            want = abs(ip.variation_drop(seq)) == len(f) - len(seq[-1])
-            read = []
-
-            def steps():
-                for g in ip.remainder_steps(f, d):
-                    read.append(g)
-                    yield g
-
-            last = ip.full_index(steps())
-            assert (last is not None) == want, (f, alpha)
-            assert ip.full_index(seq) == last, (f, alpha)
-            assert read == seq[:len(read)], (f, alpha)
-            if want:
-                assert last == seq[-1] and read == seq, (f, alpha)
-                seen["true, gcd constant"] += len(last) == 1
-                seen["true, gcd nonconstant"] += len(last) > 1
-                seen["true, negative lead"] += f[-1] < 0
-                seen["repeated root at 0"] += alpha == 0 and len(last) > 1
-                continue
-            if len(d) < len(f) - 1:
-                assert len(read) == 2, (f, alpha)
-                seen["false at d"] += 1
-            else:
-                seen["false after a division"] += len(read) > 2
-            seen["false by the lead signs"] += all(
-                len(b) == len(a) - 1 for a, b in zip(seq, seq[1:]))
-            seen["not real-rooted at 0"] += alpha == 0
+            pairs += [(f, d, alpha), (f, [-6 * c for c in d], alpha)]
+        for c in (1, -2):
+            q = ip.sub(f, [-c * x for x in ip.deriv(f)])
+            pairs.append((f, _lead_difference(f, q), "equal"))
+        if len(nxt) == len(f):
+            pairs.append((f, _lead_difference(f, nxt), "equal"))
+        if len(f) > 2:
+            pairs.append((ip.primitive([1, *f]), f, "x f + 1"))
+    pairs += [(a, b, "extra") for a, b in EXTRA_PAIRS]
+    for f, d, kind in pairs:
+        if not d:
+            continue
+        seq = ip.remainder_sequence(f, d)
+        want = abs(ip.variation_drop(seq)) == len(f) - len(seq[-1])
+        brk = _first_break(seq)
+        assert want == (brk is None), (f, d)
+        formed.clear()
+        last = ip.full_index(f, d)
+        assert (last is not None) == want, (f, d)
+        if want:
+            assert last == seq[-1], (f, d)
+            assert len(formed) == len(seq) - 2 + (len(last) > 1), (f, d)
+            seen["true, gcd constant"] += len(last) == 1
+            seen["true, gcd nonconstant"] += len(last) > 1
+            seen["true, negative lead"] += f[-1] < 0
+            seen["repeated root at 0"] += kind == 0 and len(last) > 1
+        else:
+            assert len(formed) == brk - 1, (f, d)
+            seen["false at b"] += brk == 1
+            seen["false after a division"] += brk > 2
+            seen["false by the lead signs"] += len(seq[brk]) == \
+                len(seq[brk - 1]) - 1
+            seen["drop of two after a unit drop"] += brk > 1 and \
+                len(seq[brk]) < len(seq[brk - 1]) - 1
+            seen["not real-rooted at 0"] += kind == 0
+        seen["content > 1"] += ip.content(d) > 1
+        if kind == "equal":
+            seen["equal degrees, true" if want
+                 else "equal degrees, false"] += 1
     assert min(seen.values()) >= 200, seen
+
+
+def test_mesh_ok_divisor_is_the_lead_difference(corpus, monkeypatch):
+    """The divisor _mesh_ok forms from one Taylor shift is, made
+    primitive, the one of lc(f) q - lc(q) f for q = f(x - alpha), so the
+    walk is over that sequence element for element; at alpha = 0 it is
+    f'."""
+    asked = []
+    full_index = ip.full_index
+
+    def recorded(a, b):
+        asked.append((a, b))
+        return full_index(a, b)
+
+    monkeypatch.setattr(ip, "full_index", recorded)
+    negative = 0
+    for f in corpus[:1500]:
+        f = ip.primitive(f)
+        if len(f) <= 2:
+            continue
+        for alpha in INDEX_ALPHAS:
+            asked.clear()
+            roots._mesh_ok(roots._records.__wrapped__(tuple(f)), alpha)
+            (a, b), = asked
+            want = _lead_difference(f, translate(f, alpha)) if alpha \
+                else ip.deriv(f)
+            assert list(a) == f and ip.primitive(b) == ip.primitive(want), \
+                (f, alpha)
+            negative += f[-1] < 0
+    assert negative >= 500

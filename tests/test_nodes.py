@@ -30,7 +30,7 @@ from meshpoly.fixtures import derive_rng, gen_rooted
 from meshpoly.interlace import ClassSpec
 from meshpoly.poly import Polynomial
 from test_real_roots import (ref_count_distinct_in, ref_squarefree_part,
-                             ref_yun)
+                             ref_yun, translate)
 
 ALPHAS = (F(1, 2), F(1), F(3, 2), F(2))
 INF = roots.INF
@@ -314,7 +314,7 @@ def ref_translate(nodes, alpha):
     shifted = {}
     for n in nodes:
         if id(n.poly) not in shifted:
-            shifted[id(n.poly)] = ip.translate(n.poly, alpha)
+            shifted[id(n.poly)] = translate(n.poly, alpha)
         m = RefRoot(shifted[id(n.poly)], n.lo + alpha, n.hi + alpha, n.slo)
         m.multiplicity = n.multiplicity
         out.append(m)
@@ -332,7 +332,7 @@ def translate_nodes(nodes, alpha):
     for n in nodes:
         fid = id(n.poly)
         if fid not in shifted_factors:
-            shifted_factors[fid] = ip.translate(n.poly, alpha)
+            shifted_factors[fid] = translate(n.poly, alpha)
         move = p * n.den
         out.append(ip.IsolatedRoot.from_ints(
             shifted_factors[fid], n.a * q + move, n.b * q + move,
@@ -433,7 +433,7 @@ def _node_corpus():
         ip.mul(ip.mul([0, 1], [0, 1]), [-1, 1]),           # 0, 0, 1
         ip.mul([-2, 0, 1], [-3, 0, 1]),                    # +-sqrt 2, +-sqrt 3
         ip.mul([-2, 0, 1], [-2, 0, 1]),                    # repeated pair
-        ip.mul([-2, 0, 1], ip.translate([-2, 0, 1], F(1))),  # gap 1 exactly
+        ip.mul([-2, 0, 1], translate([-2, 0, 1], F(1))),  # gap 1 exactly
         ip.mul([-(10**20 + 1), 10**20], [-(10**20 - 1), 10**20]),
         ip.mul([10**40 - 7, -(10**13), 3 * 10**26], [-5, 2]),
     ]
@@ -510,7 +510,7 @@ def test_nonneg_from_nodes_matches_reference():
     hits_at_zero = 0
     for f in _node_corpus():
         for shift in (F(0), F(-1, 2), F(1)):
-            g = ip.translate(f, shift)
+            g = translate(f, shift)
             for probe in (False, True):
                 new = probed(roots.root_data(Polynomial(g)), probe)
                 ref = ref_root_data(ip.primitive(g), probe)

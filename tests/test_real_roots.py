@@ -99,6 +99,14 @@ def ref_remainder_sequence(a, b):
     return seq
 
 
+def translate(f, alpha):
+    """The primitive integer polynomial whose roots are those of f moved
+    right by alpha = p/q: the primitive part of q**n f(x - p/q), n = deg
+    f (test_intpoly checks it against the Fraction Taylor shift)."""
+    return ip.primitive(ip.taylor_shift(f, alpha.numerator,
+                                        alpha.denominator))
+
+
 def ref_sturm_chain(f):
     return ref_remainder_sequence(f, ip.deriv(f))
 
@@ -366,7 +374,7 @@ def _mesh_corpus(n=1200):
     x^2 + 1, negative leads, and degree <= 1."""
     out = [Polynomial([5]), Polynomial([F(-7, 2)]), Polynomial([3, -2]),
            Polynomial([0, F(1, 3)]),
-           Polynomial(ip.mul(SQRT2, ip.translate(SQRT2, F(3)))),
+           Polynomial(ip.mul(SQRT2, translate(SQRT2, F(3)))),
            Polynomial(ip.mul([1, 0, 1], [1, 0, 1]))]
     for t in range(n):
         rng = derive_rng(7, "mesh-corpus", t)
@@ -375,11 +383,11 @@ def _mesh_corpus(n=1200):
         f = [rng.choice((-3, -1, 1, 2))]
         if t % 6 == 0 and deg >= 4:
             s = F(rng.randint(-4, 4), 2)
-            f = ip.mul(f, ip.mul(ip.translate(SQRT2, s),
-                                 ip.translate(SQRT2, s + alpha)))
+            f = ip.mul(f, ip.mul(translate(SQRT2, s),
+                                 translate(SQRT2, s + alpha)))
             deg -= 4
         elif t % 6 == 3:
-            f = ip.mul(f, ip.translate(SQRT2, F(rng.randint(-4, 4), 2)))
+            f = ip.mul(f, translate(SQRT2, F(rng.randint(-4, 4), 2)))
             deg -= 2
         if t % 10 == 9 and deg >= 2:
             f = ip.mul(f, [1, 0, 1])
@@ -454,7 +462,7 @@ def test_mesh_decisions_match_gap_reference(corpus, mesh_corpus):
                 (want and plus), (p, alpha)
             seen["member" if want else "not member"] += 1
             seen["gap equal"] += want and len(
-                ref_gcd(f, ip.translate(f, alpha))) > 1
+                ref_gcd(f, translate(f, alpha))) > 1
     assert min(seen.values()) >= 100, seen
 
 
@@ -486,9 +494,8 @@ def test_record_answers_implied_bounds(monkeypatch):
     def no_sequence(a, b):
         raise AssertionError("bound not implied by the record")
 
-    # every remainder sequence, whole or read as it comes, is walked by
-    # remainder_steps
-    monkeypatch.setattr(ip, "remainder_steps", no_sequence)
+    # every Cauchy index of a mesh decision is walked by full_index
+    monkeypatch.setattr(ip, "full_index", no_sequence)
     for alpha, want in ((0, True), (F(1, 2), True), (1, True),
                         (F(3, 2), False), (2, False)):
         assert roots.mesh_at_least(p, alpha) == want

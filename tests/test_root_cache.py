@@ -97,6 +97,33 @@ def test_cache_is_bounded():
     assert roots._records.cache_info().misses == size + 11
 
 
+def test_warm_hp_plus_decisions_ask_descartes_once(monkeypatch):
+    """A record keeps Descartes' verdict once it is asked: warm HP+
+    decisions at any bound, and root_profile, ask _no_negative_root at
+    most once per record."""
+    asked = []
+    no_negative_root = roots._no_negative_root
+
+    def counted(f):
+        asked.append(tuple(f))
+        return no_negative_root(f)
+
+    monkeypatch.setattr(roots, "_no_negative_root", counted)
+    polys = [Polynomial.from_roots(rts, lead=lead) for rts, lead in (
+        ([0, 1, 3], 1), ([0, 1, 3], -2), ([-1, 2, 5], 1), ([1, 1, 4], 3),
+        ([F(1, 2), 2, 4, 7], -1))] + [Polynomial([1, 0, 1])]
+    roots._records.cache_clear()
+    verdicts = set()
+    for _ in range(3):
+        for p in polys:
+            for alpha in (0, F(1, 2), 1, 2, 3):
+                verdicts.add(class_membership(p, ClassSpec.hp_plus_ge(alpha)))
+            roots.root_profile(p)
+            roots.root_profile(p * 3)
+    assert verdicts == {True, False}
+    assert len(asked) == len(set(asked)) == 5
+
+
 BIG = 10**40
 # (numerator, denominator) pairs with a positive denominator, as records
 # keep them: negative, zero and 10^40-sized parts, some unreduced
@@ -128,7 +155,7 @@ def test_record_bounds_match_fraction_comparisons(monkeypatch):
     def undecided(a, b):
         raise _Undecided
 
-    monkeypatch.setattr(ip, "remainder_steps", undecided)
+    monkeypatch.setattr(ip, "full_index", undecided)
     decided = 0
     for yes in PAIRS:
         for no in [None, *PAIRS]:

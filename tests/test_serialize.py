@@ -202,3 +202,31 @@ def test_operator_and_sequence_round_trip_in_a_fresh_interpreter(tmp_path):
     assert r.returncode == 0, r.stderr
     assert json.loads(r.stdout) == [False, list(WIRE)]
     assert [sz.dumps(sz.loads_value(t)) for t in WIRE] == list(WIRE)
+
+
+def test_integers_beyond_the_digit_limit():
+    """int_text writes, and as_fraction and rational_from_str read, any
+    number of digits, past the 4,300 that CPython converts between int
+    and str by default, and leave that limit as it is; below it the
+    text is str's."""
+    from meshpoly.poly import int_text
+    limit = sys.get_int_max_str_digits()
+    for k in (1, 4299, 4300, 4301, 5000, 12345, 50000):
+        sevens = 7 * (10**k - 1) // 9
+        for n, text in ((sevens, "7" * k), (-sevens, "-" + "7" * k),
+                        (10**k + 3, "1" + "0" * (k - 1) + "3"),
+                        (-10**k, "-1" + "0" * k)):
+            assert int_text(n) == text, k
+            assert as_fraction(text) == n
+            assert as_fraction(f" {text}/{'9' * k} ") == F(n, 10**k - 1)
+            assert sz.rational_from_str(f"{text}/3") == F(n, 3)
+            assert sz.rational_to_str(n) == f"{text}/1"
+    rng = random.Random(5)
+    for _ in range(2000):
+        n = rng.randint(-10**rng.randint(1, 4000), 10**4000)
+        assert int_text(n) == str(n)
+    for bad in ("1" * 5000 + "x", "1/" + "2" * 5000 + "/3", "1/0",
+                "0/" + "0" * 5000):
+        with pytest.raises(sz.ParseError):
+            sz.rational_from_str(bad)
+    assert sys.get_int_max_str_digits() == limit

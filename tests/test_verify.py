@@ -301,8 +301,9 @@ def test_classical_image_matches_fraction_reference(monkeypatch):
     """Every trial's monomial image, caught where the probe asks
     is_hyperbolic of it (answered True, so no trial stops the probe),
     against ref_monomial_image of the trial's fixture."""
+    from meshpoly import fixtures as fx
     fixtures, images = [], {}
-    draw = verify.gen_fixture
+    draw = fx.gen_fixture
 
     def gen_fixture(*args, **kwargs):
         fixtures.append(draw(*args, **kwargs))
@@ -312,7 +313,8 @@ def test_classical_image_matches_fraction_reference(monkeypatch):
         images[len(fixtures) - 1] = image
         return True
 
-    monkeypatch.setattr(verify, "gen_fixture", gen_fixture)
+    # the checkers import gen_fixture from fixtures where they draw
+    monkeypatch.setattr(fx, "gen_fixture", gen_fixture)
     monkeypatch.setattr(verify, "is_hyperbolic", is_hyperbolic)
     tables = [DiagonalSequence.from_values(v) for v in _classical_tables(10)]
     tables += [DiagonalSequence.from_rule(Polynomial([1, 1])),

@@ -15,11 +15,13 @@ import argparse
 import io
 import json
 import sys
+from fractions import Fraction
 
 # roots, operators, verify, harness and suite are imported by the
 # subcommands that run them
 from . import serialize
-from .poly import MONOMIAL, POCHHAMMER, Polynomial, as_fraction
+from .poly import (MONOMIAL, POCHHAMMER, Polynomial, as_fraction,
+                   rational_text)
 
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
@@ -64,7 +66,7 @@ def _emit(payload, args) -> None:
     """Write the machine-readable artifact to --out (or stdout for json)."""
     fmt = getattr(args, "format", "json")
     if fmt == "json":
-        text = json.dumps(serialize.to_jsonable(payload), sort_keys=True, indent=1)
+        text = serialize.dumps_indented(payload)
     else:
         text = _csv_of(payload)
     out = getattr(args, "out", None)
@@ -116,6 +118,8 @@ def _note(*parts) -> None:
 def _print_verdict(v) -> None:
     _note(f"{v.claim}: {v.status}")
     for key, val in v.details.items():
+        if isinstance(val, (int, Fraction)) and not isinstance(val, bool):
+            val = rational_text(val)  # str, for any number of digits
         _note(f"  {key}: {val}")
     if v.witness is not None:
         _note("  witness:")

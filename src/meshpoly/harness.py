@@ -10,7 +10,6 @@ input needed to replay it from scratch.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 
 from . import serialize, verify
@@ -72,7 +71,7 @@ class CounterexampleCertificate:
             }})
 
     def to_json(self) -> str:
-        return json.dumps(self.to_obj(), sort_keys=True, indent=1)
+        return serialize.dumps_indented(self.to_obj())
 
     @staticmethod
     def from_obj(obj) -> "CounterexampleCertificate":

@@ -110,7 +110,7 @@ class ClassSpec(_Frozen):
         if self.mesh_bound is None:
             return "HP+" if self.require_nonneg_roots else "HP"
         base = "HP+" if self.require_nonneg_roots else "HP"
-        return f"{base}>={self.mesh_bound}"
+        return f"{base}>={rational_text(self.mesh_bound)}"
 
 
 def wronskian(p: Polynomial, q: Polynomial) -> Polynomial:

@@ -36,7 +36,7 @@ from fractions import Fraction
 from functools import reduce
 
 from .poly import (MONOMIAL, POCHHAMMER, Polynomial, _restate, as_fraction,
-                   int_form)
+                   int_form, rational_text)
 from . import intpoly
 
 __all__ = [
@@ -145,7 +145,7 @@ class FiniteDifferenceOperator:
         return hash(self.terms)
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{q}@{s}" for s, q in self.terms)
+        inner = ", ".join(f"{q}@{rational_text(s)}" for s, q in self.terms)
         return f"FiniteDifferenceOperator({inner})"
 
 
@@ -240,7 +240,8 @@ class DiagonalSequence:
     def __repr__(self) -> str:
         if self.phi is not None:
             return f"DiagonalSequence(phi={self.phi})"
-        return f"DiagonalSequence(values={[str(v) for v in self.values]})"
+        values = [rational_text(v) for v in self.values]
+        return f"DiagonalSequence(values={values})"
 
 
 def diagonal_apply(A: DiagonalSequence, p: Polynomial) -> Polynomial:

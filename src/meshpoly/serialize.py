@@ -1,10 +1,19 @@
 """Exact JSON round-tripping for polynomials, operators and sequences.
 
 Rationals travel as "num/den" strings with the denominator always
-written out, so values survive any JSON implementation unchanged.
+written out, so values survive any JSON implementation unchanged, and
+with any number of digits (poly.int_text past the interpreter's limit).
 Floats are rejected in both directions: a float in a record would make
-replay platform-dependent.  Serialized output is compact with sorted
-keys, which is what makes repeated runs byte-identical.
+replay platform-dependent.
+
+One converter, to_jsonable, turns any library value into plain JSON
+types in one pass.  It decides the types records hold by type(value)
+first, and only subclasses and library records (operators, sequences,
+verdicts) by isinstance; floats are refused there.  Two module-level
+encoders write the result with sorted keys, which is what makes
+repeated runs byte-identical: compact for JSONL records (dumps), and
+indented by one space for certificates and the command line's payloads
+(dumps_indented).
 
 Wire shapes:
 
@@ -39,6 +48,7 @@ __all__ = [
     "sequence_from_obj",
     "to_jsonable",
     "dumps",
+    "dumps_indented",
     "loads_value",
     "SEARCH_KINDS",
 ]
@@ -63,7 +73,14 @@ def rational_to_str(x) -> str:
     TypeError, as in poly.as_fraction: neither is a rational here.  Any
     number of digits is written (poly.int_text)."""
     x = as_fraction(x)
-    return f"{int_text(x.numerator)}/{int_text(x.denominator)}"
+    return _ratio_text(x.numerator, x.denominator)
+
+
+def _ratio_text(num: int, den: int) -> str:
+    try:
+        return f"{num}/{den}"
+    except ValueError:  # past the interpreter's int/str digit limit
+        return f"{int_text(num)}/{int_text(den)}"
 
 
 def rational_from_str(s) -> Fraction:
@@ -88,7 +105,7 @@ def poly_to_obj(p: Polynomial) -> dict:
     coeffs = []
     for c in p.basis_nums():
         g = math.gcd(c, den)
-        coeffs.append(f"{int_text(c // g)}/{int_text(den // g)}")
+        coeffs.append(_ratio_text(c // g, den // g))
     return {"basis": p.basis, "coeffs": coeffs}
 
 
@@ -154,18 +171,31 @@ def sequence_from_obj(obj):
 
 
 def to_jsonable(value):
-    """Recursive conversion to plain JSON types with exact rationals.
+    """value as plain JSON types, with every rational exact.
 
-    Floats are refused: anything worth recording is exact, and the one
-    infinity in the library (the mesh of degree <= 1 polynomials) must
-    be mapped to a string by the caller before it reaches a record.
-    The Fraction test comes after every other library type: isinstance
-    against Fraction returns at once for a Fraction, but runs the ABC
-    machinery of numbers.Rational for anything else.  An operator, a
-    sequence or a Verdict exists only once operators or verify is
-    loaded, and this module loads neither: they are found in sys.modules.
+    The types records hold (None, bool, int, str, dict, list, tuple,
+    Polynomial and Fraction) are decided by type(value), one identity
+    test each.  Everything else goes through isinstance, and through
+    the same conversions: subclasses serialize as their base type, and
+    an operator, a sequence or a Verdict as its wire shape.  Those three
+    exist only once operators or verify is loaded, and this module loads
+    neither, so they are found in sys.modules.  Floats are refused:
+    anything worth recording is exact, and the one infinity in the
+    library (the mesh of degree <= 1 polynomials) must be mapped to a
+    string by the caller before it reaches a record.
     """
-    if value is None or isinstance(value, (bool, int, str)):
+    kind = type(value)
+    if kind is str or kind is int or kind is bool or value is None:
+        return value
+    if kind is dict:
+        return {str(k): to_jsonable(v) for k, v in value.items()}
+    if kind is list or kind is tuple:
+        return [to_jsonable(v) for v in value]
+    if kind is Polynomial:
+        return poly_to_obj(value)
+    if kind is Fraction:
+        return _ratio_text(value.numerator, value.denominator)
+    if isinstance(value, (bool, int, str)):
         return value
     if isinstance(value, float):
         raise TypeError("refusing to serialize a float; records are exact")
@@ -185,14 +215,29 @@ def to_jsonable(value):
         return {"claim": value.claim, "status": value.status,
                 "witness": to_jsonable(value.witness),
                 "details": to_jsonable(value.details)}
+    # after every library type: isinstance against Fraction runs the ABC
+    # machinery of numbers.Rational for anything that is not one
     if isinstance(value, Fraction):
-        return rational_to_str(value)
+        return _ratio_text(value.numerator, value.denominator)
     raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+# shared by every call; no cycle check, since to_jsonable builds each
+# container afresh (a cyclic value recurses there and never gets here)
+_COMPACT = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                            check_circular=False)
+_INDENTED = json.JSONEncoder(sort_keys=True, indent=1, check_circular=False)
 
 
 def dumps(value) -> str:
     """Compact, key-sorted JSON of any library value."""
-    return json.dumps(to_jsonable(value), sort_keys=True, separators=(",", ":"))
+    return _COMPACT.encode(to_jsonable(value))
+
+
+def dumps_indented(value) -> str:
+    """Key-sorted JSON of any library value, one space per indent level:
+    certificates and the command line's payloads."""
+    return _INDENTED.encode(to_jsonable(value))
 
 
 def loads_value(text: str):

@@ -31,7 +31,7 @@ from .operators import (
     from_symbol,
     pochhammer_cofactor,
 )
-from .poly import POCHHAMMER, Polynomial, as_fraction, int_form
+from .poly import POCHHAMMER, Polynomial, as_fraction, int_form, rational_text
 from .roots import DEFAULT_TOL, count_real_roots, is_hyperbolic, mesh_numeric
 
 __all__ = [
@@ -104,8 +104,8 @@ def check_mesh_monotone(T, p: Polynomial, alpha=None, variant: str = "difference
         if p.is_zero:
             return Verdict(claim, SKIPPED, details={"reason": "zero input"})
         if not class_membership(p, ClassSpec.hp_ge(alpha)):
-            return Verdict(claim, SKIPPED,
-                           details={"reason": f"input outside HP>={alpha}"})
+            reason = f"input outside HP>={rational_text(alpha)}"
+            return Verdict(claim, SKIPPED, details={"reason": reason})
         image = T.apply(p)
     elif variant == "derivative":
         claim = "mesh-monotone-derivative"

@@ -200,6 +200,23 @@ MUTANTS = [
     ("poly_to_obj without its gcd reduction", "serialize.py",
      "        g = math.gcd(c, den)\n", "        g = 1\n",
      ["tests/test_serialize.py"]),
+    ("rationals written without the digit-limit fallback", "serialize.py",
+     """    try:
+        return f"{num}/{den}"
+    except ValueError:  # past the interpreter's int/str digit limit
+        return f"{int_text(num)}/{int_text(den)}"
+""", """    return f"{num}/{den}"
+""", ["tests/test_serialize.py"]),
+    ("the Fraction branch writes the numerator over 1", "serialize.py",
+     """    if kind is Fraction:
+        return _ratio_text(value.numerator, value.denominator)
+""", """    if kind is Fraction:
+        return _ratio_text(value.numerator, 1)
+""", ["tests/test_serialize.py"]),
+    ("the exact-type tier returns a tuple unconverted", "serialize.py",
+     "    if kind is list or kind is tuple:\n",
+     "    if kind is tuple:\n        return value\n    if kind is list:\n",
+     ["tests/test_serialize.py"]),
     ("the classical image with its values shifted by one index", "verify.py",
      "zip(alphas, p.nums)", "zip(alphas[1:], p.nums)",
      ["tests/test_verify.py"]),

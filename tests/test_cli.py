@@ -212,6 +212,32 @@ def test_verify_riesz_skip_is_exit_3(capsys, tmp_path):
     assert json.loads(out)["status"] == "skipped"
 
 
+def test_verify_riesz_skip_beyond_the_digit_limit(capsys, tmp_path):
+    """An alpha of more digits than CPython converts between int and str
+    (4,300) is a valid class bound: the premise fails, as for alpha 3,
+    and the reason writes alpha whole."""
+    p = tmp_path / "p.json"
+    p.write_text(POLY_024)
+    alpha = "1" + "0" * 4999
+    code, out, err = run_cli(capsys, "verify", "riesz", str(p),
+                             "--lam", "2", "--alpha", alpha)
+    assert code == 3
+    reason = f"input outside HP>={alpha}"
+    assert json.loads(out)["details"] == {"reason": reason}
+    assert f"  reason: {reason}" in err.splitlines()
+
+
+def test_verdict_details_beyond_the_digit_limit(capsys):
+    from meshpoly.verify import INCONCLUSIVE, Verdict
+    big, text = 10**5000 + 1, "1" + "0" * 4999 + "1"
+    cli._print_verdict(Verdict("c", INCONCLUSIVE, details={
+        "a": F(big, 3), "n": -big, "small": F(1, 2), "flag": True,
+        "list": [F(1, 2)]}))
+    assert capsys.readouterr().err.splitlines() == [
+        "c: inconclusive", f"  a: {text}/3", f"  n: -{text}",
+        "  small: 1/2", "  flag: True", "  list: [Fraction(1, 2)]"]
+
+
 def test_bad_json_is_exit_2(tmp_path, capsys):
     f = tmp_path / "broken.json"
     f.write_text("{nope")

@@ -1,6 +1,7 @@
 """Wire format: rational strings only, no floats anywhere."""
 
 import json
+import math
 import os
 import random
 import subprocess
@@ -22,7 +23,7 @@ from meshpoly import (
     make_standard,
 )
 from meshpoly import serialize as sz
-from meshpoly.poly import as_fraction
+from meshpoly.poly import as_fraction, int_text
 
 
 def test_rational_strings():
@@ -143,10 +144,22 @@ def test_sequence_wire_shape():
 
 
 def test_to_jsonable_rejects_floats():
-    with pytest.raises(TypeError):
-        sz.to_jsonable(0.5)
-    with pytest.raises(TypeError):
-        sz.to_jsonable({"a": [1, 2.0]})
+    # at any depth, also inside a Verdict and as a float subclass, from
+    # every entry point
+    from meshpoly.verify import FAILS, Verdict
+
+    class Real(float):
+        pass
+
+    for value in (0.5, float("inf"), Real(1), [0.5], (1, 2.0),
+                  {"a": [1, {"b": 2.0}]}, {"a": ({"b": [F(1), Real(2)]},)},
+                  [Polynomial([1]), [None, [-0.0]]]):
+        for wrapped in (value, [value], {"k": value},
+                        Verdict("c", FAILS, witness={"w": value}),
+                        Verdict("c", "holds", details={"d": [value]})):
+            for convert in (sz.to_jsonable, sz.dumps, sz.dumps_indented):
+                with pytest.raises(TypeError):
+                    convert(wrapped)
 
 
 def test_dumps_is_canonical():
@@ -230,3 +243,167 @@ def test_integers_beyond_the_digit_limit():
         with pytest.raises(sz.ParseError):
             sz.rational_from_str(bad)
     assert sys.get_int_max_str_digits() == limit
+
+
+def test_labels_and_reprs_beyond_the_digit_limit():
+    """Class labels, operator and sequence reprs and the mesh-monotone
+    skip reason write exact values of any size; below the limit the
+    text is str's."""
+    from meshpoly.interlace import ClassSpec
+    from meshpoly.verify import check_mesh_monotone
+    p = Polynomial.from_roots([0, 2, 4])
+    for k in (1, 4300, 5000):
+        n = 10**k + 1
+        digits = "1" + "0" * (k - 1) + "1"
+        for x, text in ((F(n), digits), (F(-3, n), f"-3/{digits}")):
+            assert ClassSpec.hp_plus_ge(x).label == f"HP+>={text}"
+            assert ClassSpec.hp_ge(x).label == f"HP>={text}"
+            assert repr(DiagonalSequence.from_values([x, 1])) \
+                == f"DiagonalSequence(values=['{text}', '1'])"
+        T = make_standard("riesz", lam=2, alpha=n)
+        assert repr(T) == f"FiniteDifferenceOperator(1@0, -2@{digits})"
+        v = check_mesh_monotone(T, p, alpha=n)
+        assert v.details == {"reason": f"input outside HP>={digits}"}
+    assert repr(make_standard("riesz", lam=F(1, 3), alpha=F(3, 2))) \
+        == "FiniteDifferenceOperator(1@0, -1/3@3/2)"
+
+
+def ref_rational_to_str(x):
+    x = as_fraction(x)
+    return f"{int_text(x.numerator)}/{int_text(x.denominator)}"
+
+
+def ref_poly_obj(p):
+    den = p.den
+    coeffs = []
+    for c in p.basis_nums():
+        g = math.gcd(c, den)
+        coeffs.append(f"{int_text(c // g)}/{int_text(den // g)}")
+    return {"basis": p.basis, "coeffs": coeffs}
+
+
+def ref_to_jsonable(value):
+    """to_jsonable as it was before it decided by type(value): one
+    isinstance chain, every number written through int_text."""
+    from meshpoly.verify import Verdict
+    if value is None or isinstance(value, (bool, int, str)):
+        return value
+    if isinstance(value, float):
+        raise TypeError("refusing to serialize a float; records are exact")
+    if isinstance(value, dict):
+        return {str(k): ref_to_jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [ref_to_jsonable(v) for v in value]
+    if isinstance(value, Polynomial):
+        return ref_poly_obj(value)
+    if isinstance(value, FiniteDifferenceOperator):
+        if value.integer_shifts:
+            return {"op": {"coeffs": [ref_poly_obj(q) for q in value.coeffs]}}
+        return {"op": {"shifts": [ref_rational_to_str(s) for s, _ in value.terms],
+                       "coeffs": [ref_poly_obj(q) for _, q in value.terms]}}
+    if isinstance(value, DiagonalSequence):
+        if value.values is not None:
+            return {"sequence": {"values": [ref_rational_to_str(v)
+                                            for v in value.values]}}
+        return {"sequence": {"phi": ref_poly_obj(value.phi)}}
+    if isinstance(value, Verdict):
+        return {"claim": value.claim, "status": value.status,
+                "witness": ref_to_jsonable(value.witness),
+                "details": ref_to_jsonable(value.details)}
+    if isinstance(value, F):
+        return ref_rational_to_str(value)
+    raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def ref_dumps(value):
+    return json.dumps(ref_to_jsonable(value), sort_keys=True,
+                      separators=(",", ":"))
+
+
+def ref_dumps_indented(value):
+    return json.dumps(ref_to_jsonable(value), sort_keys=True, indent=1)
+
+
+def ref_jsonl(report):
+    lines = [ref_dumps({"record": r}) for r in report.records]
+    lines.append(ref_dumps({"summary": report.summary,
+                            "config": report.config.echo()}))
+    return "\n".join(lines) + "\n"
+
+
+def ref_certificate_json(c):
+    return ref_dumps_indented({"certificate": {
+        "kind": c.kind, "conjecture": c.conjecture, "trial": c.trial,
+        "payload": c.payload, "config": c.config}})
+
+
+def test_campaign_output_matches_isinstance_reference():
+    """Records and certificates of all five kinds, written through the
+    type(value) dispatch and the shared encoders, are the reference's
+    bytes."""
+    from meshpoly.harness import SearchConfig, run_search
+    certified = 0
+    for seed in (1, 5, 7, 11):
+        for kind in sz.SEARCH_KINDS:
+            cfg = SearchConfig(kind, seed=seed, trials=60, max_degree=5,
+                               rho=F(1, 2 + seed % 3))
+            report = run_search(cfg)
+            assert report.jsonl() == ref_jsonl(report), (kind, seed)
+            for r in report.records:
+                assert sz.to_jsonable(r) == ref_to_jsonable(r)
+            for c in report.certificates:
+                assert c.to_obj() == ref_to_jsonable(c.to_obj())
+                assert c.to_json() == ref_certificate_json(c), (kind, seed)
+                certified += 1
+    assert certified >= 12
+
+
+def test_edge_values_match_isinstance_reference():
+    from meshpoly.verify import FAILS, Verdict
+    big = 10**5000 + 7
+
+    class Half(F):
+        pass
+
+    class Name(str):
+        pass
+
+    class Count(int):
+        pass
+
+    class Poly(Polynomial):
+        __slots__ = ()
+
+    Pair = namedtuple("Pair", "a b")
+    T = make_standard("riesz", lam=F(big, 3), alpha=F(1, 2))
+    A = DiagonalSequence.from_values([big, F(-1, big), 0])
+    B = DiagonalSequence.from_rule(Polynomial([F(1, big), 0, 1]))
+    inner = Verdict("inner", FAILS, witness={"op": T, "seq": (A, B)},
+                    details={1: F(big), "n": [True, False, 0, 1]})
+    values = [
+        [True, False, 1, 0, None], (True, [False, (1,)]),
+        F(big), F(-big, 3), F(3, big), F(-7), F(0), Half(1, 2), Half(big),
+        Polynomial([big, F(1, big), -1]), Polynomial(),
+        Polynomial([F(1, 3), 2], POCHHAMMER), Poly([1, F(-5, 2)]),
+        {1: "a", 2: F(1, 2), "3": (F(3), [Half(1, 3)])},
+        {(1, 2): [F(1, 2)], True: None, None: 0},
+        OrderedDict(b=Half(1, 2), a=Pair(F(2), True)),
+        Pair(F(big), Pair(Polynomial([1, 1]), ())),
+        Name("x"), Count(5), {"k": Name("v"), "c": [Count(-3)]},
+        T, make_standard("delta"), from_symbol(Polynomial([1, F(1, 2), 1])),
+        A, B, inner,
+        Verdict("outer", "holds", details={"inner": inner, "seqs": [A, B],
+                                          "ops": (T,), "big": F(big, 7)}),
+        [[[[F(1, 2)]]], {"a": {"b": {"c": (Polynomial([F(-1, 9)]),)}}}],
+        "", [], {}, (),
+    ]
+    for i, v in enumerate(values):  # repr(v) may exceed the digit limit
+        assert sz.to_jsonable(v) == ref_to_jsonable(v), i
+        assert type(sz.to_jsonable(v)) is type(ref_to_jsonable(v)), i
+        assert sz.dumps(v) == ref_dumps(v), i
+        assert sz.dumps_indented(v) == ref_dumps_indented(v), i
+    # an int past the digit limit is a JSON number that str cannot
+    # write: both refuse it the same way
+    for convert in (sz.dumps, ref_dumps):
+        with pytest.raises(ValueError):
+            convert({"n": big})

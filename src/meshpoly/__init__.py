@@ -15,12 +15,10 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "poly": ("MONOMIAL", "POCHHAMMER", "Polynomial", "as_fraction",
-             "stirling_first", "stirling_second"),
+    "poly": ("MONOMIAL", "POCHHAMMER", "Polynomial", "as_fraction"),
     "roots": ("INF", "MeshReport", "NonHyperbolicInput", "RootProfile",
-              "count_real_roots", "is_hyperbolic", "mesh_and_roots",
-              "mesh_at_least", "mesh_numeric", "root_approximations",
-              "root_profile"),
+              "count_real_roots", "is_hyperbolic", "mesh_at_least",
+              "mesh_numeric", "root_approximations", "root_profile"),
     "interlace": ("ClassSpec", "ProperPositionVerdict", "class_membership",
                   "negativity_point", "nonneg_on_reals", "proper_position",
                   "quadratic_hp1plus", "wronskian"),

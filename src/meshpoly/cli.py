@@ -128,18 +128,21 @@ def _print_verdict(v) -> None:
 
 
 def cmd_mesh(args) -> int:
-    from .roots import mesh_and_roots
+    from .roots import mesh_numeric, root_approximations
 
     p = _load_poly(args.poly)
-    rep, approx = mesh_and_roots(p, as_fraction(args.tol))
+    tol = as_fraction(args.tol)
+    rep = mesh_numeric(p, tol)
     if rep.is_infinite:
         _note("mesh: +inf (degree <= 1)")
         payload = {"mesh": {"infinite": True}}
     else:
         if rep.exact_value is not None:
-            _note(f"mesh: {rep.exact_value} (exact)")
+            _note(f"mesh: {rational_text(rep.exact_value)} (exact)")
         else:
-            _note(f"mesh in [{rep.mesh_lower}, {rep.mesh_upper}]")
+            _note(f"mesh in [{rational_text(rep.mesh_lower)}, "
+                  f"{rational_text(rep.mesh_upper)}]")
+        approx = root_approximations(p, tol)
         _note("roots ~", ", ".join(f"{r:.6g}" for r in approx))
         payload = {"mesh": {
             "infinite": False,

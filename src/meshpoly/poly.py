@@ -139,25 +139,6 @@ def _canonical(nums: Sequence[int], den: int) -> tuple[tuple[int, ...], int]:
     return tuple(c // g for c in nums[:n]), den // g
 
 
-def _stirling(n: int, k: int, basis: str) -> int:
-    # entry k of the unit vector e_n restated in basis
-    if n < 0 or k < 0:
-        raise ValueError("Stirling indices must be non-negative")
-    return _restate([0] * n + [1], basis)[k] if k <= n else 0
-
-
-def stirling_first(n: int, k: int) -> int:
-    """Signed Stirling number of the first kind s(n, k): the coefficient
-    of x^k in (x)_n."""
-    return _stirling(n, k, MONOMIAL)
-
-
-def stirling_second(n: int, k: int) -> int:
-    """Stirling number of the second kind S(n, k): the coefficient of
-    (x)_k in x^n."""
-    return _stirling(n, k, POCHHAMMER)
-
-
 class Polynomial:
     """Immutable exact polynomial tagged with the basis its coefficients
     read in.

@@ -34,10 +34,9 @@ Two kinds of question, two paths:
   interlacing failure.  No yes/no answer reads them.  Nothing keeps
   them, so a caller that refines its nodes in place cannot reach
   another call's nodes.  Roots are isolated without rational probing;
-  the code that reads exact root values (mesh_numeric, and
-  approximations for display) probes the nodes it gets
-  (IsolatedRoot.try_rational), and mesh_and_roots reads both from one
-  isolation, probed once.
+  the code that reads exact root values probes the nodes it gets
+  (IsolatedRoot.try_rational): mesh_numeric, and approximations, the
+  one function that turns nodes into display floats.
 """
 
 from __future__ import annotations
@@ -292,25 +291,7 @@ def mesh_numeric(p: Polynomial, tol: Fraction = DEFAULT_TOL) -> MeshReport:
     (the common case for constructed fixtures), math.inf for degree <= 1,
     and None when the mesh is only enclosed between the reported bounds.
     """
-    return _mesh(p, as_fraction(tol))
-
-
-def mesh_and_roots(p: Polynomial, tol: Fraction = DEFAULT_TOL
-                   ) -> tuple[MeshReport, list[float]]:
-    """mesh_numeric(p, tol) and root_approximations(p, tol) from one
-    isolation: the approximations start from copies of the nodes taken
-    right after their one rational probe, before the enclosure narrows
-    them, where root_approximations' own probe leaves its nodes."""
-    tol, copies = as_fraction(tol), []
-    rep = _mesh(p, tol, copies)
-    # no copies: nothing was isolated (degree <= 1, or a repeated root)
-    return rep, (_midpoints(copies, tol) if copies
-                 else root_approximations(p, tol))
-
-
-def _mesh(p: Polynomial, tol: Fraction, copies: list = None) -> MeshReport:
-    """mesh_numeric(p, tol); a copies list gets a copy of each node
-    right after its rational probe."""
+    tol = as_fraction(tol)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     if p.is_zero:
@@ -326,10 +307,6 @@ def _mesh(p: Polynomial, tol: Fraction, copies: list = None) -> MeshReport:
     nodes = _nodes(rec.f)
     for n in nodes:
         n.try_rational()
-    if copies is not None:
-        copies += [intpoly.IsolatedRoot.from_ints(n.poly, n.a, n.b, n.den,
-                                                  n.slo, n.multiplicity)
-                   for n in nodes]
     if all(n.exact is not None for n in nodes):
         vals = sorted(n.exact for n in nodes)
         m = min(b - a for a, b in zip(vals, vals[1:]))
@@ -433,19 +410,17 @@ def mesh_at_least(p: Polynomial, alpha) -> bool:
 def approximations(nodes: Sequence[intpoly.IsolatedRoot],
                    tol: Fraction) -> list[float]:
     """Float midpoints of the nodes, for display only: each node is
-    probed for an exact rational root, then refined to width <= tol."""
-    for n in nodes:
-        n.try_rational()
-    return _midpoints(nodes, tol)
-
-
-def _midpoints(nodes: Sequence[intpoly.IsolatedRoot],
-               tol: Fraction) -> list[float]:
-    """Float midpoints of the nodes, refined in place to width <= tol."""
+    probed for an exact rational root, then refined in place to width
+    <= tol.  A midpoint past the float range is -inf or +inf, as
+    float() reads a decimal string that large."""
     out = []
     for n in nodes:
+        n.try_rational()
         n.refine_below(tol.numerator, tol.denominator)
-        out.append(float(Fraction(n.a + n.b, 2 * n.den)))
+        try:
+            out.append(float(Fraction(n.a + n.b, 2 * n.den)))
+        except OverflowError:
+            out.append(INF if n.a + n.b > 0 else -INF)
     return out
 
 

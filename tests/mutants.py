@@ -227,14 +227,17 @@ MUTANTS = [
     ("the least gap keeps a non-positive bound", "fixtures.py",
      "bound is not None and bound.numerator > 0 else 0",
      "bound is not None else 0", ["tests/test_fixtures.py"]),
-    ("mesh approximations read the nodes the enclosure narrows", "roots.py",
-     """        copies += [intpoly.IsolatedRoot.from_ints(n.poly, n.a, n.b, n.den,
-                                                  n.slo, n.multiplicity)
-                   for n in nodes]
-""", "        copies += nodes\n", ["tests/test_cli.py"]),
-    ("mesh approximations probe the copied nodes again", "roots.py",
-     "_midpoints(copies, tol)", "approximations(copies, tol)",
+    ("approximations refine their nodes before probing them", "roots.py",
+     """        n.try_rational()
+        n.refine_below(tol.numerator, tol.denominator)
+""", """        n.refine_below(tol.numerator, tol.denominator)
+        n.try_rational()
+""", ["tests/test_cli.py"]),
+    ("approximations without the overflow fallback", "roots.py",
+     "        except OverflowError:", "        except ZeroDivisionError:",
      ["tests/test_cli.py"]),
+    ("the overflow fallback drops the sign", "roots.py",
+     "INF if n.a + n.b > 0 else -INF", "INF", ["tests/test_cli.py"]),
     ("multiplicity read from a Yun factor with no sign change", "roots.py",
      "                              != intpoly._sign_at(h, n.b, n.den))",
      "                              == intpoly._sign_at(h, n.b, n.den))",

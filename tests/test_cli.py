@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import meshpoly
-from meshpoly import cli
+from meshpoly import cli, serialize
 from meshpoly.cli import main
 from meshpoly.poly import Polynomial
 
@@ -64,46 +64,63 @@ def test_mesh_csv_out_file(tmp_path, capsys):
     assert "mesh" in dest.read_text()
 
 
-# stdout of `meshpoly mesh` for (coefficients, flags), as the version
-# that isolated each input twice (once for the mesh, once for the root
-# approximations) wrote it.  At --tol 1/10 approximations taken from the
-# nodes the mesh enclosure narrowed would differ; for 7919x^2 - 2, whose
-# rational probe stops after 24 probes, so would nodes probed twice.
-MESH_STDOUT = [
+# stdout and stderr of `meshpoly mesh` for (coefficients, flags), as
+# they were written when the mesh and the root approximations read one
+# isolation.  At --tol 1/10 approximations taken from the nodes the mesh
+# enclosure narrowed would differ; for 7919x^2 - 2, whose rational probe
+# stops after 24 probes, so would nodes probed twice.
+MESH_OUTPUT = [
     (["-2", "0", "1"], [],  # x^2 - 2
      '{\n "mesh": {\n  "exact": null,\n  "infinite": false,\n'
      '  "lower": "3037000499/1073741824",\n  "roots_decimal": [\n'
      '   "-1.41421356",\n   "1.41421356"\n  ],\n'
-     '  "upper": "759250125/268435456"\n }\n}\n'),
+     '  "upper": "759250125/268435456"\n }\n}\n',
+     "mesh in [3037000499/1073741824, 759250125/268435456]\n"
+     "roots ~ -1.41421, 1.41421\n"),
     (["-2", "0", "1"], ["--tol", "1/10"],  # x^2 - 2
      '{\n "mesh": {\n  "exact": null,\n  "infinite": false,\n'
      '  "lower": "45/16",\n  "roots_decimal": [\n   "-1.40625",\n'
-     '   "1.40625"\n  ],\n  "upper": "23/8"\n }\n}\n'),
+     '   "1.40625"\n  ],\n  "upper": "23/8"\n }\n}\n',
+     "mesh in [45/16, 23/8]\nroots ~ -1.40625, 1.40625\n"),
     (["1", "-3", "0", "1"], [],  # x^3 - 3x + 1
      '{\n "mesh": {\n  "exact": null,\n  "infinite": false,\n'
      '  "lower": "2544322585/2147483648",\n  "roots_decimal": [\n'
      '   "-1.87938524",\n   "0.347296356",\n   "1.53208889"\n  ],\n'
-     '  "upper": "2544322587/2147483648"\n }\n}\n'),
+     '  "upper": "2544322587/2147483648"\n }\n}\n',
+     "mesh in [2544322585/2147483648, 2544322587/2147483648]\n"
+     "roots ~ -1.87939, 0.347296, 1.53209\n"),
     (["1", "-3", "0", "1"], ["--tol", "1/10"],  # x^3 - 3x + 1
      '{\n "mesh": {\n  "exact": null,\n  "infinite": false,\n'
      '  "lower": "37/32",\n  "roots_decimal": [\n   "-1.90625",\n'
-     '   "0.34375",\n   "1.53125"\n  ],\n  "upper": "39/32"\n }\n}\n'),
+     '   "0.34375",\n   "1.53125"\n  ],\n  "upper": "39/32"\n }\n}\n',
+     "mesh in [37/32, 39/32]\nroots ~ -1.90625, 0.34375, 1.53125\n"),
     (["2", "-3", "0", "1"], [],  # (x - 1)^2 (x + 2)
      '{\n "mesh": {\n  "exact": "0/1",\n  "infinite": false,\n'
      '  "lower": "0/1",\n  "roots_decimal": [\n   "-2",\n   "1"\n  ],\n'
-     '  "upper": "0/1"\n }\n}\n'),
+     '  "upper": "0/1"\n }\n}\n',
+     "mesh: 0 (exact)\nroots ~ -2, 1\n"),
     (["-2", "0", "7919"], [],  # 7919x^2 - 2
      '{\n "mesh": {\n  "exact": null,\n  "infinite": false,\n'
      '  "lower": "50133556518841/1577315966386176",\n'
      '  "roots_decimal": [\n   "-0.0158920466",\n   "0.0158920466"\n'
-     '  ],\n  "upper": "200534230438835/6309263865544704"\n }\n}\n'),
+     '  ],\n  "upper": "200534230438835/6309263865544704"\n }\n}\n',
+     "mesh in [50133556518841/1577315966386176, "
+     "200534230438835/6309263865544704]\nroots ~ -0.015892, 0.015892\n"),
+    (["0", "8", "-6", "1"], ["--format", "csv"],  # x (x - 2) (x - 4)
+     'key,value\r\nmesh,"{""exact"": ""2/1"", ""infinite"": false, '
+     '""lower"": ""2/1"", ""roots_decimal"": [""0"", ""2"", ""4""], '
+     '""upper"": ""2/1""}"\r\n',
+     "mesh: 2 (exact)\nroots ~ 0, 2, 4\n"),
+    (["3", "2"], [],  # 2x + 3
+     '{\n "mesh": {\n  "infinite": true\n }\n}\n',
+     "mesh: +inf (degree <= 1)\n"),
 ]
 
 
-@pytest.mark.parametrize("coeffs, flags, stdout", MESH_STDOUT,
-                         ids=[",".join(c + f) for c, f, _ in MESH_STDOUT])
+@pytest.mark.parametrize("coeffs, flags, stdout, stderr", MESH_OUTPUT,
+                         ids=[",".join(c + f) for c, f, _, _ in MESH_OUTPUT])
 def test_mesh_stdout_bytes_and_one_isolation(tmp_path, capsys, monkeypatch,
-                                             coeffs, flags, stdout):
+                                             coeffs, flags, stdout, stderr):
     from meshpoly import intpoly
 
     isolated = []
@@ -116,10 +133,56 @@ def test_mesh_stdout_bytes_and_one_isolation(tmp_path, capsys, monkeypatch,
     monkeypatch.setattr(intpoly, "isolate", counting)
     f = tmp_path / "p.json"
     f.write_text(json.dumps({"coeffs": coeffs}))
-    code, out, _ = run_cli(capsys, "mesh", str(f), *flags)
-    assert (code, out) == (0, stdout)
-    # one isolation, on the square-free part, also for (x - 1)^2 (x + 2)
-    assert len(isolated) == 1
+    assert run_cli(capsys, "mesh", str(f), *flags) == (0, stdout, stderr)
+    # one isolation per question, at most: one for the mesh and one for
+    # the display, each on a square-free part, also for (x - 1)^2 (x + 2)
+    assert len(isolated) <= 2
+    assert all(len(intpoly.sturm_chain(g)[-1]) == 1 for g in isolated)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_mesh_of_roots_past_the_float_range(tmp_path, capsys, fmt, sign):
+    """x (x - sign 10^399): the exact bounds stay exact, and the root past
+    the float range is displayed as inf, with its sign."""
+    big = 10 ** 399
+    f = tmp_path / "p.json"
+    f.write_text(json.dumps({"coeffs": ["0", str(-sign * big), "1"]}))
+    code, out, err = run_cli(capsys, "mesh", str(f), "--format", fmt)
+    assert code == 0
+    if fmt == "csv":
+        (_, row), = list(csv.reader(io.StringIO(out)))[1:]
+        mesh = json.loads(row)
+    else:
+        mesh = json.loads(out)["mesh"]
+    assert serialize.rational_from_str(mesh["lower"]) <= big \
+        <= serialize.rational_from_str(mesh["upper"])
+    assert mesh["roots_decimal"] == (["0", "inf"] if sign > 0
+                                     else ["-inf", "0"])
+    assert err.splitlines()[-1] == ("roots ~ 0, inf" if sign > 0
+                                    else "roots ~ -inf, 0")
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_mesh_notes_past_the_digit_limit(tmp_path, capsys, monkeypatch, exact):
+    """The stderr mesh line writes a mesh of more than 4,300 digits in
+    full."""
+    from meshpoly import roots
+
+    big = F(10 ** 5000 + 1, 3)
+    rep = (roots.MeshReport(big, big, big) if exact
+           else roots.MeshReport(big, big + 1, None))
+    monkeypatch.setattr(roots, "mesh_numeric", lambda p, tol: rep)
+    monkeypatch.setattr(roots, "root_approximations", lambda p, tol: [0.0])
+    f = tmp_path / "p.json"
+    f.write_text(POLY_024)
+    code, out, err = run_cli(capsys, "mesh", str(f))
+    assert code == 0
+    num = "1" + "0" * 4999 + "1"
+    assert err.splitlines()[0] == (
+        f"mesh: {num}/3 (exact)" if exact
+        else f"mesh in [{num}/3, {'1' + '0' * 4999 + '4'}/3]")
+    assert json.loads(out)["mesh"]["lower"] == f"{num}/3"
 
 
 def test_apply_operator(tmp_path, capsys):

@@ -21,8 +21,6 @@ from meshpoly import (
     make_standard,
     pochhammer_cofactor,
     sequence_from_poly,
-    stirling_first,
-    stirling_second,
     symbol,
 )
 from meshpoly import intpoly
@@ -194,13 +192,6 @@ def test_brenti_map():
 def test_bullet_product():
     r = bullet_product(Polynomial.falling_factorial(2), Polynomial.falling_factorial(2), 2)
     assert r.monomial_coeffs() == (F(0), F(-2), F(2))  # 2 (x)_2
-
-
-def test_stirling_numbers():
-    assert stirling_first(4, 2) == 11
-    assert stirling_second(4, 2) == 7
-    assert stirling_first(3, 3) == stirling_second(3, 3) == 1
-    assert stirling_second(5, 1) == 1
 
 
 def test_fresh_import_releases_the_previous_polynomial_class():

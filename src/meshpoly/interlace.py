@@ -8,12 +8,13 @@ goes by counts, with no root isolated: real-rootedness from the records
 of roots (is_hyperbolic), interlacing from one Cauchy index, as in
 roots._mesh_ok, and then the Wronskian's one sign on the real line
 (Hermite-Kakeya-Obreschkoff) from leading coefficients (proper_position
-has the proofs).  For roots that do not interlace, nonneg_on_reals
-decides W >= 0 by Sturm counts: no Yun factor of odd multiplicity has a
-real root.  Only the witnesses read an isolation (roots.root_data, one
-isolation of the square-free part): the displayed root approximations
-of an interlacing failure, and negativity_point, which tests the sign
-of w between adjacent distinct roots.
+has the proofs).  For roots that do not interlace, W >= 0 has one
+decider, negativity_point (nonneg_on_reals asks that it find no
+point): one probe in each region where W has one sign, between
+adjacent distinct roots of one isolation (roots.root_data, on the
+square-free part) and beyond the extreme ones.  Besides it, only the
+displayed root approximations of an interlacing failure read an
+isolation.
 
 proper_position is the paper's characterization of the mesh classes: a
 hyperbolic p has mesh >= alpha exactly when p << p(x - alpha).  It is
@@ -119,44 +120,34 @@ def wronskian(p: Polynomial, q: Polynomial) -> Polynomial:
 
 
 def nonneg_on_reals(w: Polynomial) -> bool:
-    """Exact check that w(x) >= 0 for every real x.
-
-    Holds exactly when w is identically zero, or has positive leading
-    coefficient, even degree, and no real root of odd multiplicity: each
-    Yun factor of odd multiplicity has a Sturm count of 0 on the line.
-    The Sturm chain of w that starts Yun's decomposition is the count
-    itself when w is squarefree.
-    """
-    if w.is_zero:
-        return True
-    if w.leading_coefficient < 0:
-        return False
-    if int(w.degree) % 2 == 1:
-        return False
-    f = intpoly.primitive(w.nums)
-    chain = intpoly.sturm_chain(f)
-    if len(chain[-1]) == 1:
-        return intpoly.variation_drop(chain) == 0
-    return all(intpoly.variation_drop(intpoly.sturm_chain(g)) == 0
-               for g, mult in intpoly.yun(f, chain) if mult % 2)
+    """Exact check that w(x) >= 0 for every real x: negativity_point
+    finds no point where w is negative."""
+    return negativity_point(w) is None
 
 
 def negativity_point(w: Polynomial) -> Fraction | None:
-    """A rational point where w is negative, or None when w >= 0 everywhere."""
-    if nonneg_on_reals(w):
+    """A rational point where w is negative, or None when w >= 0 on the
+    whole line; the one decider of w >= 0.
+
+    w has one sign on each open region between adjacent distinct real
+    roots and beyond the extreme ones, so one probe in each decides it.
+    The probes, tried in this order, are -B, then the midpoint between
+    the open isolating intervals of each pair of adjacent nodes of one
+    isolation (root_data), whose ends are no roots, then B, for B =
+    cauchy_bound(w); the first negative one is returned.  A negative
+    value at -B (a negative lead with even degree, or a positive one
+    with odd degree) needs no isolation."""
+    if w.is_zero:
         return None
     f = intpoly.primitive(w.nums)
     bound = intpoly.cauchy_bound(f)
-    # one probe inside every sign region: beyond the extreme roots, and
-    # between each pair of adjacent distinct roots, where the ends of
-    # the open isolating intervals are no roots
+    if intpoly.sign_at(f, -bound) < 0:
+        return -bound
     nodes = root_data(w)
-    probes = [-bound, *((a.hi + b.lo) / 2 for a, b in zip(nodes, nodes[1:])),
-              bound]
-    for x in probes:
+    for x in (*((a.hi + b.lo) / 2 for a, b in zip(nodes, nodes[1:])), bound):
         if intpoly.sign_at(f, x) < 0:
             return x
-    raise AssertionError("negative value exists but was not located")
+    return None
 
 
 def proper_position(p: Polynomial, q: Polynomial) -> ProperPositionVerdict:

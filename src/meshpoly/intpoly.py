@@ -1,6 +1,6 @@
 """Dense integer-coefficient polynomial kernel.
 
-Everything root-related (Sturm chains, Yun decomposition, isolation)
+Everything root-related (Sturm chains, the square-free part, isolation)
 runs on plain int coefficient lists for speed: a polynomial is a list of
 ints, ascending by degree, normalized so the list is empty (zero) or has
 a non-zero last entry.  Rational inputs are cleared to a primitive
@@ -181,9 +181,9 @@ def remainder_sequence(a: ZPoly, b: ZPoly) -> list[ZPoly]:
     a positive factor changes no sign, so sign variations of this
     sequence are those of the exact sequence.
 
-    Read by sturm_chain (b = a'), gcd and Yun's first step (through the
-    Sturm chain); the Cauchy indices behind roots._mesh_ok and
-    interlace.proper_position walk it in full_index.
+    Read by sturm_chain (b = a') and gcd.  The Cauchy indices behind
+    roots._mesh_ok and interlace.proper_position do not walk it:
+    full_index forms their unit-drop remainders itself.
     """
     seq = [primitive(a)]
     cur = primitive(b)
@@ -232,9 +232,28 @@ def sturm_chain(f: ZPoly) -> list[ZPoly]:
     variation drop from -inf to +inf is the number of distinct real
     roots (roots._mesh_ok reads it).  Every element vanishes at a
     multiple root, so counts in an interval are taken on the chain of
-    the square-free part f / gcd(f, f').
+    the square-free part f / gcd(f, f') (squarefree_chain).
     """
     return remainder_sequence(f, deriv(f))
+
+
+def squarefree_chain(f: ZPoly) -> list[ZPoly]:
+    """The Sturm chain of the square-free part s = f / gcd(f, f') of a
+    nonzero f, s primitive with a positive lead: f's own chain, negated when its
+    lead is negative, when gcd(f, f') is constant.  The one place where
+    the square-free part is formed.
+
+    s has the distinct real roots of f, each simple, so variation_drop
+    over this chain counts them in any interval, ends that are roots
+    included, where f's own chain vanishes whole at a multiple root.
+    The chain of -s is the chain of s negated, with the same variations.
+    """
+    chain = sturm_chain(f)
+    if len(chain[-1]) > 1:
+        chain = sturm_chain(divexact(chain[0], chain[-1]))
+    if chain[0][-1] < 0:
+        chain = [neg(g) for g in chain]
+    return chain
 
 
 def _variations(signs) -> int:
@@ -301,39 +320,6 @@ def divexact(a: ZPoly, b: ZPoly) -> ZPoly:
     return trim(q)
 
 
-def yun(f: ZPoly, chain: list[ZPoly] | None = None,
-        s: ZPoly | None = None) -> list[tuple[ZPoly, int]]:
-    """Yun's squarefree decomposition: [(g_i, i)] with f ~ prod g_i^i.
-
-    Factors are primitive with positive leading coefficient; constant
-    factors are dropped, so the list is empty for constant f.  The first
-    step's gcd(f, f') is g = the last element of f's Sturm chain; a
-    caller that has sturm_chain(f) passes it as chain, and f / g as s
-    (g's sign kept: negating it negates f / g and f' / g, which no gcd
-    sees).  At most deg f steps run, one per multiplicity.
-    """
-    f = primitive(list(f))
-    if len(f) <= 1:
-        return []
-    if chain is None:
-        chain = sturm_chain(f)
-    g = chain[-1]
-    if len(g) == 1:
-        return [(neg(f) if f[-1] < 0 else f, 1)]
-    c = divexact(f, g) if s is None else s
-    d = sub(divexact(deriv(f), g), deriv(c))
-    out: list[tuple[ZPoly, int]] = []
-    i = 1
-    while len(c) > 1 and i < len(f):
-        a = gcd(c, d)
-        if len(a) > 1:
-            out.append((a, i))
-        c = divexact(c, a)
-        d = sub(divexact(d, a), deriv(c))
-        i += 1
-    return out
-
-
 def _variations_at(seq: list[ZPoly], x: Fraction | None,
                    direction: int) -> int:
     """Sign variations of seq at the rational x, or at direction * infinity
@@ -398,9 +384,8 @@ def simplest_in(a: int, b: int, den: int) -> tuple[int, int]:
 
 
 class IsolatedRoot:
-    """One real root of a squarefree integer polynomial (poly), with its
-    multiplicity in the polynomial it was isolated for (poly is then
-    that polynomial's square-free part, roots._nodes).
+    """One real root of a squarefree integer polynomial (poly), which is
+    the square-free part of the polynomial it was isolated for (isolate).
 
     Either an exact rational (lo == hi == value) or an open interval
     (lo, hi) with sign(f(lo)) * sign(f(hi)) < 0 containing exactly one
@@ -414,15 +399,14 @@ class IsolatedRoot:
     with den > 0, and need not be reduced.
     """
 
-    __slots__ = ("poly", "a", "b", "den", "slo", "multiplicity")
+    __slots__ = ("poly", "a", "b", "den", "slo")
 
     @classmethod
-    def from_ints(cls, poly: ZPoly, a: int, b: int, den: int, slo: int,
-                  multiplicity: int = 1) -> "IsolatedRoot":
+    def from_ints(cls, poly: ZPoly, a: int, b: int, den: int,
+                  slo: int) -> "IsolatedRoot":
         """The node (a/den, b/den) with f's sign slo at a/den, unchecked."""
         node = cls.__new__(cls)
         node.poly, node.a, node.b, node.den, node.slo = poly, a, b, den, slo
-        node.multiplicity = multiplicity
         return node
 
     @property
@@ -524,10 +508,13 @@ class IsolatedRoot:
         return None
 
 
-def isolate(f: ZPoly, chain: list[ZPoly] | None = None) -> list[IsolatedRoot]:
-    """Isolating structures for every real root of squarefree f, sorted,
-    each of multiplicity 1.  No rational root is probed for: every node
-    is an open interval until a caller narrows it (try_rational).
+def isolate(f: ZPoly) -> list[IsolatedRoot]:
+    """Isolating structures for the distinct real roots of a nonzero f,
+    sorted, on squarefree_chain(f): every node's poly is one list, the
+    square-free part of f, primitive with a positive lead, and each
+    node holds one root, simple there.  No rational root is probed for:
+    every node is an open interval until a caller narrows it
+    (try_rational).
 
     Sturm bisection of (-B, B], B = cauchy_bound(f): an interval holding
     more than one root is split at its midpoint, or, when that is a root,
@@ -537,11 +524,9 @@ def isolate(f: ZPoly, chain: list[ZPoly] | None = None) -> list[IsolatedRoot]:
     positive denominator of their interval, which doubles with each
     halving; each point's chain signs are evaluated once, and the
     variation count and sign of f at an interval's ends are carried to
-    its halves.  Each leaf keeps its integer ends.  A caller that has
-    sturm_chain(f) passes it as chain.
+    its halves.  Each leaf keeps its integer ends.
     """
-    if chain is None:
-        chain = sturm_chain(f)
+    chain = squarefree_chain(f)
     f = chain[0]
     if len(f) <= 1:
         return []

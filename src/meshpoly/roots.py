@@ -20,23 +20,26 @@ Two kinds of question, two paths:
   of negative roots is Descartes' rule of signs (_no_negative_root),
   which is exact there.  Root counts in an interval (count_real_roots)
   are Sturm counts on the chain of the square-free part
-  (intpoly.variation_drop).  The verdicts on each distinct polynomial
-  (the largest alpha decided True and the smallest decided False for
-  its mesh, as integer pairs, and Descartes' verdict once asked) are
-  kept in a bounded LRU cache of RECORD_CACHE_SIZE records (_records),
-  keyed by the primitive integer representative of the polynomial, so
-  positive rational multiples and either basis share an entry.
-* Values read an isolation: root_data isolates the distinct roots on
-  each call, once, on the square-free part of the polynomial, and gives
-  intpoly.IsolatedRoot nodes, each an isolating interval with the
-  root's multiplicity, for mesh_numeric, approximations, and in
-  interlace negativity_point and the root approximations of an
-  interlacing failure.  No yes/no answer reads them.  Nothing keeps
-  them, so a caller that refines its nodes in place cannot reach
-  another call's nodes.  Roots are isolated without rational probing;
-  the code that reads exact root values probes the nodes it gets
-  (IsolatedRoot.try_rational): mesh_numeric, and approximations, the
-  one function that turns nodes into display floats.
+  (intpoly.squarefree_chain, intpoly.variation_drop).  The verdicts on
+  each distinct polynomial (the largest alpha decided True and the
+  smallest decided False for its mesh, as integer pairs, and Descartes'
+  verdict once asked) are kept in a bounded LRU cache of
+  RECORD_CACHE_SIZE records (_records), keyed by the primitive integer
+  representative of the polynomial, so positive rational multiples and
+  either basis share an entry.
+* Values read an isolation: intpoly.isolate isolates the distinct
+  roots once, on the chain of the square-free part, the same chain
+  that counts them, and gives intpoly.IsolatedRoot nodes, each an
+  isolating interval of one root.  mesh_numeric isolates a record's
+  polynomial; root_data isolates on each call for approximations, and
+  in interlace for negativity_point, the one decider of w >= 0, and
+  the root approximations of an interlacing failure.  No other yes/no
+  answer reads them.  Nothing keeps them, so a caller that refines its
+  nodes in place cannot reach another call's nodes.  Roots are isolated
+  without rational probing; the code that reads exact root values
+  probes the nodes it gets (IsolatedRoot.try_rational): mesh_numeric,
+  and approximations, the one function that turns nodes into display
+  floats.
 """
 
 from __future__ import annotations
@@ -66,38 +69,10 @@ def root_data(p: Polynomial) -> list[intpoly.IsolatedRoot]:
     """Sorted nodes for the distinct real roots of p, isolated on each
     call (none of them probed for an exact rational root), so a caller
     may narrow them in place.  Every node's poly is one list, the
-    square-free part of p (_nodes)."""
+    square-free part of p with a positive lead (intpoly.isolate)."""
     if p.is_zero:
         raise ValueError("zero polynomial has no root data")
-    return _nodes(intpoly.primitive(p.nums))
-
-
-def _nodes(f: intpoly.ZPoly) -> list[intpoly.IsolatedRoot]:
-    """root_data's nodes for the primitive f, from one isolation of the
-    Sturm chain of its square-free part s = f / gcd(f, f'), taken with
-    a positive lead.  sturm_chain(f) ends in gcd(f, f'), so a squarefree
-    f is its own s on its own chain.
-
-    By Sturm's theorem the chain of s places every distinct real root
-    of f.  A node's ends are not roots of s, and the Yun factors of f
-    are coprime and squarefree with product s, so exactly one factor
-    changes sign across a node: its index is the node's multiplicity."""
-    if len(f) <= 1:
-        return []
-    chain = intpoly.sturm_chain(f)
-    if len(chain[-1]) == 1:
-        if f[-1] < 0:
-            # the chain of -f is the chain of f negated
-            chain = [intpoly.neg(g) for g in chain]
-        return intpoly.isolate(chain[0], chain)
-    s = intpoly.divexact(f, chain[-1])
-    nodes = intpoly.isolate(s if s[-1] > 0 else intpoly.neg(s))
-    factors = intpoly.yun(f, chain, s)
-    for n in nodes:
-        n.multiplicity = next(i for h, i in factors
-                              if intpoly._sign_at(h, n.a, n.den)
-                              != intpoly._sign_at(h, n.b, n.den))
-    return nodes
+    return intpoly.isolate(p.nums)
 
 
 def _no_negative_root(f: intpoly.ZPoly) -> bool:
@@ -258,10 +233,9 @@ def count_real_roots(p: Polynomial, lo=None, hi=None) -> int:
 
     None endpoints mean -infinity / +infinity.  A repeated root counts
     once.  The Sturm counts at lo and hi are taken on the chain of the
-    square-free part s = f / gcd(f, f') of f = p, whose roots are simple
-    (intpoly.variation_drop), so an endpoint that is a root, repeated or
-    not, is decided exactly; f's own chain ends in gcd(f, f') and serves
-    when f is squarefree.
+    square-free part of p (intpoly.squarefree_chain), whose roots are
+    simple, so an endpoint that is a root, repeated or not, is decided
+    exactly (intpoly.variation_drop).
     """
     if p.is_zero:
         raise ValueError("zero polynomial root count is undefined")
@@ -269,11 +243,7 @@ def count_real_roots(p: Polynomial, lo=None, hi=None) -> int:
     hi = as_fraction(hi) if hi is not None else None
     if p.degree == 0 or (lo is not None and hi is not None and lo >= hi):
         return 0
-    f = intpoly.primitive(p.nums)
-    chain = intpoly.sturm_chain(f)
-    if len(chain[-1]) > 1:
-        chain = intpoly.sturm_chain(intpoly.divexact(f, chain[-1]))
-    return intpoly.variation_drop(chain, lo, hi)
+    return intpoly.variation_drop(intpoly.squarefree_chain(p.nums), lo, hi)
 
 
 def is_hyperbolic(p: Polynomial) -> bool:
@@ -304,7 +274,7 @@ def mesh_numeric(p: Polynomial, tol: Fraction = DEFAULT_TOL) -> MeshReport:
     if rec.no == _ZERO:
         return MeshReport(Fraction(0), Fraction(0), Fraction(0))
     # squarefree and real-rooted of degree >= 2: at least two nodes
-    nodes = _nodes(rec.f)
+    nodes = intpoly.isolate(rec.f)
     for n in nodes:
         n.try_rational()
     if all(n.exact is not None for n in nodes):

@@ -238,17 +238,21 @@ MUTANTS = [
      ["tests/test_cli.py"]),
     ("the overflow fallback drops the sign", "roots.py",
      "INF if n.a + n.b > 0 else -INF", "INF", ["tests/test_cli.py"]),
-    ("multiplicity read from a Yun factor with no sign change", "roots.py",
-     "                              != intpoly._sign_at(h, n.b, n.den))",
-     "                              == intpoly._sign_at(h, n.b, n.den))",
-     ["tests/test_nodes.py"]),
-    ("Yun's first gcd given a positive lead, apart from s", "intpoly.py",
-     "    c = divexact(f, g) if s is None else s\n",
-     "    g = neg(g) if g[-1] < 0 else g\n"
-     "    c = divexact(f, g) if s is None else s\n", ["tests/test_nodes.py"]),
-    ("the square-free part left undivided", "roots.py",
-     "    s = intpoly.divexact(f, chain[-1])", "    s = f",
-     ["tests/test_nodes.py"]),
+    ("the square-free part left undivided", "intpoly.py",
+     "        chain = sturm_chain(divexact(chain[0], chain[-1]))",
+     "        chain = sturm_chain(chain[0])", ["tests/test_nodes.py"]),
+    ("the square-free part keeps a negative lead", "intpoly.py",
+     "    if chain[0][-1] < 0:", "    if False:",
+     ["tests/test_intpoly.py"]),
+    ("isolation on the chain of f itself", "intpoly.py",
+     "    chain = squarefree_chain(f)\n    f = chain[0]",
+     "    chain = sturm_chain(f)\n    f = chain[0]", ["tests/test_intpoly.py"]),
+    ("root counts on the chain of f itself", "roots.py",
+     "intpoly.squarefree_chain(p.nums)", "intpoly.sturm_chain(p.nums)",
+     ["tests/test_real_roots.py"]),
+    ("negativity_point without its -B probe", "interlace.py",
+     "    if intpoly.sign_at(f, -bound) < 0:\n        return -bound\n", "",
+     ["tests/test_real_roots.py"]),
     ("isolation steps off a root toward lo", "intpoly.py",
      "            lo, hi, mid, den = 2 * lo, 2 * hi, mid + hi, 2 * den",
      "            lo, hi, mid, den = 2 * lo, 2 * hi, mid + lo, 2 * den",

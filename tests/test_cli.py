@@ -126,18 +126,22 @@ def test_mesh_stdout_bytes_and_one_isolation(tmp_path, capsys, monkeypatch,
     isolated = []
     isolate = intpoly.isolate
 
-    def counting(f, chain=None):
-        isolated.append(f)
-        return isolate(f, chain)
+    def counting(f):
+        nodes = isolate(f)
+        isolated.append({tuple(n.poly) for n in nodes})
+        return nodes
 
     monkeypatch.setattr(intpoly, "isolate", counting)
     f = tmp_path / "p.json"
     f.write_text(json.dumps({"coeffs": coeffs}))
     assert run_cli(capsys, "mesh", str(f), *flags) == (0, stdout, stderr)
     # one isolation per question, at most: one for the mesh and one for
-    # the display, each on a square-free part, also for (x - 1)^2 (x + 2)
+    # the display, each with its nodes on one square-free part, also for
+    # (x - 1)^2 (x + 2)
     assert len(isolated) <= 2
-    assert all(len(intpoly.sturm_chain(g)[-1]) == 1 for g in isolated)
+    assert all(len(polys) == 1 for polys in isolated)
+    assert all(len(intpoly.sturm_chain(list(g))[-1]) == 1
+               for polys in isolated for g in polys)
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])

@@ -25,11 +25,12 @@ from meshpoly import (
     quadratic_hp1plus,
     wronskian,
 )
+from meshpoly import intpoly as ip
 from meshpoly import roots
 from meshpoly.fixtures import derive_rng
 from test_nodes import int_common_root, int_precedes
-from test_real_roots import (ref_nonneg_on_reals, ref_profile_flags,
-                             translate)
+from test_real_roots import (ref_multiplicities, ref_nonneg_on_reals,
+                             ref_profile_flags, translate)
 
 
 def test_class_spec_labels():
@@ -178,9 +179,10 @@ def test_interlacing_wronskian_sign_by_leading_coefficient():
 
 # -- proper position against the merge of two root lists -----------------
 
-def ref_merge_order(nodes_p, nodes_q):
-    """Global rank for every node; equal roots across the two lists
-    share a rank."""
+def ref_merge_order(nodes_p, mults_p, nodes_q, mults_q):
+    """Global rank for every node, repeated by its multiplicity (mults_p
+    and mults_q, from ref_multiplicities); equal roots across the two
+    lists share a rank."""
     gcd_cache = {}
     partner = {}
     for a in nodes_p:
@@ -204,8 +206,8 @@ def ref_merge_order(nodes_p, nodes_q):
             rank += 1
         ranks[id(n)] = rank
         prev = n
-    gamma = [ranks[id(n)] for n in nodes_p for _ in range(n.multiplicity)]
-    delta = [ranks[id(n)] for n in nodes_q for _ in range(n.multiplicity)]
+    gamma = [ranks[id(n)] for n, m in zip(nodes_p, mults_p) for _ in range(m)]
+    delta = [ranks[id(n)] for n, m in zip(nodes_q, mults_q) for _ in range(m)]
     return gamma, delta
 
 
@@ -230,27 +232,32 @@ def ref_interlaces(gamma, delta):
 def ref_proper_position(p, q):
     """(holds, interlaces, wronskian_nonneg, witness) by the merge of the
     root_data nodes of p and q, hyperbolicity by the nodes'
-    multiplicities.  An interlacing-failed witness also carries each
+    multiplicities (ref_multiplicities).  An interlacing-failed witness also carries each
     node's exact root (or None) after the display probing, under
     "p_exact" and "q_exact"."""
     if p.is_zero and q.is_zero:
         return True, True, True, None
     if p.is_zero or q.is_zero:
         other = q if p.is_zero else p
-        if ref_profile_flags(roots.root_data(other), other.degree)[0]:
+        nodes = roots.root_data(other)
+        mults = ref_multiplicities(ip.primitive(other.nums), nodes)
+        if ref_profile_flags(nodes, mults, other.degree)[0]:
             return True, True, True, None
         return False, True, True, {"condition": "non-hyperbolic-operand",
                                    "operand": "q" if p.is_zero else "p"}
-    nodes = {}
+    nodes, mults = {}, {}
     for name, operand in (("p", p), ("q", q)):
         nodes[name] = roots.root_data(operand)
-        if not ref_profile_flags(nodes[name], operand.degree)[0]:
+        mults[name] = ref_multiplicities(ip.primitive(operand.nums),
+                                         nodes[name])
+        if not ref_profile_flags(nodes[name], mults[name], operand.degree)[0]:
             return False, False, False, {"condition": "non-hyperbolic-operand",
                                          "operand": name}
     if abs(p.degree - q.degree) > 1:
         return False, False, False, {"condition": "degree-gap",
                                      "degrees": [p.degree, q.degree]}
-    interlaces = ref_interlaces(*ref_merge_order(nodes["p"], nodes["q"]))
+    interlaces = ref_interlaces(*ref_merge_order(nodes["p"], mults["p"],
+                                                 nodes["q"], mults["q"]))
     w = wronskian(p, q)
     if interlaces:
         w_ok = w.is_zero or w.leading_coefficient > 0

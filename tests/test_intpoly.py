@@ -10,10 +10,11 @@ from meshpoly.fixtures import derive_rng
 from meshpoly.poly import Polynomial
 from test_nodes import RefRoot, probed, ref_simplest_in
 from test_poly_kernels import ref_shift
-from test_real_roots import (ref_content, ref_count_distinct_in, ref_gcd,
+from test_real_roots import (_linear_power, ref_content,
+                             ref_count_distinct_in, ref_gcd,
                              ref_primitive, ref_remainder_sequence,
-                             ref_squarefree_part, ref_variations_at,
-                             ref_yun, translate)
+                             ref_squarefree_part, ref_sturm_chain,
+                             ref_variations_at, ref_yun, translate)
 
 
 def test_primitive_of_numerators_clears_denominators():
@@ -51,12 +52,20 @@ def test_sturm_chain_and_counting():
 
 
 def test_squarefree_and_yun():
+    """squarefree_chain is the Sturm chain of the square-free part with
+    a positive lead; the multiplicities are the reference Yun's."""
     f = [-2, 0, 1]
     f2 = ip.mul(f, f)
     assert ref_squarefree_part(f2) == f
-    assert ip.yun(f2) == [(f, 2)]
+    assert ref_yun(f2) == [(f, 2)]
+    assert ip.squarefree_chain(f2) == ip.squarefree_chain(ip.neg(f2)) == \
+        ip.sturm_chain(f)
     g = ip.mul([0, 1], ip.mul([0, 1], [-1, 1]))  # x^2 (x - 1)
-    assert ip.yun(g) == [([-1, 1], 1), ([0, 1], 2)]
+    assert ref_yun(g) == [([-1, 1], 1), ([0, 1], 2)]
+    assert ip.squarefree_chain(g)[0] == [0, -1, 1]
+    assert ip.squarefree_chain(ip.neg(g)) == ip.sturm_chain([0, -1, 1])
+    # squarefree with a negative lead: its own chain, negated
+    assert ip.squarefree_chain([2, 0, -1]) == ip.sturm_chain(f)
 
 
 def test_isolate_irrational_pair():
@@ -197,12 +206,15 @@ def _node(f, lo, hi, slo):
 
 
 def _reference_isolate(f, probe, stats=None):
-    """Plain Sturm bisection in Fractions: the whole chain is evaluated at
-    both ends of every split, and each leaf evaluates f at its ends.
-    stats["moved"] collects the midpoints that were roots."""
+    """Plain Sturm bisection in Fractions of the squarefree f, taken
+    primitive with a positive lead, as isolate takes it: the whole chain
+    is evaluated at both ends of every split, and each leaf evaluates f
+    at its ends.  stats["moved"] collects the midpoints that were roots."""
     f = ip.primitive(list(f))
     if len(f) <= 1:
         return []
+    if f[-1] < 0:
+        f = ip.neg(f)
     chain = ip.sturm_chain(f)
     bound = ip.cauchy_bound(f)
     out = []
@@ -290,12 +302,67 @@ def test_isolate_interval_ends_are_never_roots():
     exact_after_probe = 0
     for f in _isolation_corpus():
         for node in ip.isolate(f):
+            # the nodes of a negative-lead f are those of -f
+            assert node.poly == (f if f[-1] > 0 else ip.neg(f))
             assert node.lo < node.hi
-            assert ip.sign_at(f, node.lo) == node.slo != 0
-            assert ip.sign_at(f, node.hi) == -node.slo
+            assert ip.sign_at(node.poly, node.lo) == node.slo != 0
+            assert ip.sign_at(node.poly, node.hi) == -node.slo
         exact_after_probe += sum(n.try_rational() is not None
                                  for n in ip.isolate(f))
     assert exact_after_probe > 0
+
+
+def test_isolate_forms_the_square_free_part():
+    """isolate of polynomials that are not squarefree: rational roots of
+    multiplicity 1 to 4 (at least one repeated), some beside the pair
+    +-sqrt(k) once or twice, some with a negative lead.  Every node is
+    an open interval on the square-free part s, primitive with a
+    positive lead, with sign(s(lo)) = slo = -sign(s(hi)) != 0, and it
+    refines and probes to its own root, in order.  On the chain of f
+    itself the nodes would carry f, which keeps its sign across a root
+    of even multiplicity."""
+    seen = {"even": 0, "odd > 1": 0, "negative lead": 0, "irrational": 0,
+            "irrational repeated": 0}
+    for t in range(240):
+        rng = derive_rng(7, "isolate-repeated", t)
+        rts = sorted({F(rng.randint(-12, 12), rng.choice((1, 2, 3)))
+                      for _ in range(rng.randint(1, 4))})
+        mults = [rng.randint(1, 4) for _ in rts]
+        mults[rng.randrange(len(rts))] = rng.randint(2, 4)
+        f = [rng.choice((-3, -1, 1, 2))]
+        for r, m in zip(rts, mults):
+            f = ip.mul(f, _linear_power(r, m))
+        want = [(float(r), r) for r in rts]
+        k = rng.choice((0, 2, 3))
+        if k:
+            quad = [-k, 0, 1]
+            for _ in range(rng.randint(1, 2)):
+                f = ip.mul(f, quad)
+            want += [(-math.sqrt(k), None), (math.sqrt(k), None)]
+            seen["irrational"] += 1
+            seen["irrational repeated"] += len(f) - 1 > sum(mults) + 2
+        want.sort()
+        seen["even"] += any(m % 2 == 0 for m in mults)
+        seen["odd > 1"] += any(m % 2 and m > 1 for m in mults)
+        seen["negative lead"] += f[-1] < 0
+        s = ref_squarefree_part(f)
+        s = ip.neg(s) if s[-1] < 0 else s
+        nodes = ip.isolate(f)
+        assert len(nodes) == len(want), f
+        for node, (x, r) in zip(nodes, want):
+            assert node.poly == s and node.lo < node.hi, f
+            assert ip.sign_at(s, node.lo) == node.slo == \
+                -ip.sign_at(s, node.hi) != 0, f
+            if r is not None:
+                assert node.lo < r < node.hi, f
+                assert node.try_rational() == r and node.exact == r, f
+                continue
+            assert node.try_rational() is None, f
+            node.refine_below(1, 10**9)
+            assert ip.sign_at(quad, node.lo) == -ip.sign_at(quad, node.hi), f
+            assert ip.sign_at(s, node.lo) == node.slo != 0, f
+            assert abs(float(node.lo) - x) < 1e-8, f
+    assert min(seen.values()) >= 30, seen
 
 
 def test_variations_at_matches_signs():
@@ -395,8 +462,8 @@ def _kernel_pair(t):
 
 def test_remainder_kernel_matches_full_lead_reference():
     """remainder_sequence, gcd, content and primitive on 30,100 seeded
-    pairs, sturm_chain on the pairs (a, a') and yun on the a with a
-    squared factor, against the full-lead reference kernel of
+    pairs, sturm_chain on the pairs (a, a') and squarefree_chain on the a
+    with a squared factor, against the full-lead reference kernel of
     test_real_roots, list for list.  Besides the kinds of (a, b), the
     kinds of the steps of each sequence are counted, so that both paths
     of _sturm_next are covered: a unit degree drop (the one-pass
@@ -427,7 +494,9 @@ def test_remainder_kernel_matches_full_lead_reference():
             # b = a', so ref is test_real_roots.ref_sturm_chain(a)
             assert ip.sturm_chain(a) == ref, a
         elif t % 7 == 5:
-            assert ip.yun(a) == ref_yun(a), a
+            s = ref_squarefree_part(a)
+            s = [-c for c in s] if s and s[-1] < 0 else s
+            assert ip.squarefree_chain(a) == ref_sturm_chain(s), a
         for i in range(1, len(ref)):
             drop = len(ref[i - 1]) - len(ref[i])
             if drop == 1 and len(ref[i]) > 1:

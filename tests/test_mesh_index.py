@@ -10,7 +10,8 @@ The reference here is the decision they replace: Sturm counts per Yun
 factor for real-rootedness and for roots in (-inf, 0], then
 squarefreeness, then the index, asked only of a squarefree real-rooted
 polynomial.  It runs on intpoly's kernel, which tests/test_intpoly.py
-checks against an independent one.
+checks against an independent one, and on the Yun factors of that
+independent kernel (test_real_roots.ref_yun).
 
 The corpus puts the index where the Sturm steps used to stop it:
 repeated roots on and off alpha-progressions, such as (x - s)(x - s -
@@ -27,7 +28,7 @@ from meshpoly import roots
 from meshpoly.fixtures import derive_rng
 from meshpoly.interlace import ClassSpec, class_membership
 from meshpoly.poly import Polynomial
-from test_real_roots import translate
+from test_real_roots import ref_yun, translate
 
 ALPHAS = (F(1, 3), F(1, 2), F(1), F(3, 2), F(2))
 
@@ -37,7 +38,7 @@ ALPHAS = (F(1, 3), F(1, 2), F(1), F(3, 2), F(2))
 def ref_facts(f):
     """(real-rooted, squarefree, no negative root) of the primitive
     nonzero f by Sturm counts per Yun factor."""
-    chains = [(ip.sturm_chain(g), m) for g, m in ip.yun(f)]
+    chains = [(ip.sturm_chain(g), m) for g, m in ref_yun(f)]
     real = all(ip.variation_drop(chain) == len(chain[0]) - 1
                for chain, _ in chains)
     nonneg = real and all(
@@ -229,8 +230,9 @@ def test_descartes_matches_sturm_count_at_zero(corpus):
 def test_cold_mesh_numeric_builds_the_chains_once(monkeypatch):
     """The index that decides alpha = 0 is one walk of f and f'
     (full_index), which forms no chain, and the nodes are isolated on
-    one Sturm chain of f (roots._nodes).  A cold mesh_numeric makes one
-    walk and one chain, and isolates once on that chain; a cold
+    one Sturm chain of f (intpoly.isolate, on squarefree_chain, for a
+    squarefree f).  A cold mesh_numeric makes one walk and one chain,
+    and isolates once, building that chain itself; a cold
     root_profile or is_hyperbolic walks once and builds no chain; once a
     record knows of a repeated root, mesh questions on it walk nothing
     and build no chain."""
@@ -238,10 +240,12 @@ def test_cold_mesh_numeric_builds_the_chains_once(monkeypatch):
     isolate, full_index, sturm_chain = ip.isolate, ip.full_index, \
         ip.sturm_chain
 
-    def counted(f, chain=None):
+    def counted(f):
         calls.append(f)
-        assert chain is not None
-        return isolate(f, chain)
+        built = len(chains)
+        nodes = isolate(f)
+        assert len(chains) == built + 1
+        return nodes
 
     def counted_index(a, b):
         # every Cauchy index is one walk

@@ -18,6 +18,8 @@ root_data isolates once, on the square-free part of the polynomial;
 ref_root_data_by_factor keeps the path it replaced, one isolation per
 Yun factor and a separation across factors, as the reference for the
 roots and multiplicities of the nodes and for the displayed roots.
+IsolatedRoots carry no multiplicity: the references take it from the
+reference Yun factors (test_real_roots.ref_yun, ref_multiplicities).
 """
 
 from fractions import Fraction as F
@@ -29,8 +31,8 @@ from meshpoly import roots
 from meshpoly.fixtures import derive_rng, gen_rooted
 from meshpoly.interlace import ClassSpec
 from meshpoly.poly import Polynomial
-from test_real_roots import (ref_count_distinct_in, ref_squarefree_part,
-                             ref_yun, translate)
+from test_real_roots import (ref_count_distinct_in, ref_multiplicities,
+                             ref_squarefree_part, ref_yun, translate)
 
 ALPHAS = (F(1, 2), F(1), F(3, 2), F(2))
 INF = roots.INF
@@ -336,22 +338,23 @@ def translate_nodes(nodes, alpha):
         move = p * n.den
         out.append(ip.IsolatedRoot.from_ints(
             shifted_factors[fid], n.a * q + move, n.b * q + move,
-            n.den * q, n.slo, n.multiplicity))
+            n.den * q, n.slo))
     return out
 
 
-def ref_mesh_at_least(nodes, alpha):
+def ref_mesh_at_least(nodes, mults, alpha):
     """The adjacent-gap decision of mesh(p) >= alpha, the procedure that
     roots.mesh_at_least once ran, for real-rooted nonzero p given by its
-    root_data nodes: each root is placed against the translate by alpha
-    of the root before it, equality certified by a gcd root count
-    (int_common_root), order by separated endpoints (int_precedes).
+    root_data nodes and their multiplicities (ref_multiplicities): each
+    root is placed against the translate by alpha of the root before
+    it, equality certified by a gcd root count (int_common_root), order
+    by separated endpoints (int_precedes).
     The nodes may have been narrowed by an earlier call; they are
     narrowed further in place."""
     alpha = F(alpha)
     if alpha <= 0:
         return True
-    if any(n.multiplicity > 1 for n in nodes):
+    if any(m > 1 for m in mults):
         return False
     gcd_cache = {}
     for shifted, nxt in zip(translate_nodes(nodes[:-1], alpha), nodes[1:]):
@@ -365,19 +368,19 @@ def ref_root_data(f, probe):
     """root_data with Fraction nodes: one isolation of the square-free
     part s of the primitive f (the reference kernel's, with a positive
     lead), each node's multiplicity the index of the reference Yun
-    factor that changes sign across it, then, with probe, the reference
-    probing of every node, as a caller that reads exact values does."""
+    factor that changes sign across it (ref_multiplicities), then, with
+    probe, the reference probing of every node, as a caller that reads
+    exact values does."""
     s = ref_squarefree_part(f)
     if len(s) <= 1:
         return []
     if s[-1] < 0:
         s = ip.neg(s)
-    factors = ref_yun(f)
+    isolated = ip.isolate(s)
     nodes = []
-    for iso in ip.isolate(s):
+    for iso, m in zip(isolated, ref_multiplicities(f, isolated)):
         node = RefRoot(iso.poly, iso.lo, iso.hi, iso.slo)
-        node.multiplicity, = [m for g, m in factors if ip.sign_at(g, node.lo)
-                              != ip.sign_at(g, node.hi)]
+        node.multiplicity = m
         nodes.append(node)
     return probed(nodes, probe)
 
@@ -389,7 +392,7 @@ def ref_root_data_by_factor(f, probe_first=False):
     isolation, before separation: the order of the probing path that
     root_data once had."""
     groups = []
-    for factor, mult in ip.yun(f):
+    for factor, mult in ref_yun(f):
         group = []
         for iso in ip.isolate(factor):
             node = RefRoot(iso.poly, iso.lo, iso.hi, iso.slo)
@@ -466,8 +469,8 @@ def _node_corpus():
 
 
 def _state(nodes):
-    """(lo, hi, slo, multiplicity) of IsolatedRoots or RefRoots."""
-    return [(n.lo, n.hi, n.slo, n.multiplicity) for n in nodes]
+    """(lo, hi, slo) of IsolatedRoots or RefRoots."""
+    return [(n.lo, n.hi, n.slo) for n in nodes]
 
 
 @pytest.mark.parametrize("probe", [False, True])
@@ -481,6 +484,8 @@ def test_root_data_and_gap_pass_match_reference(probe):
         new = probed(roots.root_data(Polynomial(f)), probe)
         ref = ref_root_data(ip.primitive(f), probe)
         assert _state(new) == _state(ref), f
+        assert ref_multiplicities(f, new) == \
+            [n.multiplicity for n in ref], f
         seen["big"] += max(map(abs, f)) > 10**35
         for alpha in ALPHAS:
             new_moved = translate_nodes(new[:-1], alpha)
@@ -514,6 +519,8 @@ def test_nonneg_from_nodes_matches_reference():
             for probe in (False, True):
                 new = probed(roots.root_data(Polynomial(g)), probe)
                 ref = ref_root_data(ip.primitive(g), probe)
+                assert ref_multiplicities(g, new) == \
+                    [n.multiplicity for n in ref]
                 assert all(n.side(0, 1) >= 0 for n in new) == ref_nonneg(ref)
                 assert _state(new) == _state(ref)
                 hits_at_zero += any(n.exact == 0 for n in new)
@@ -537,7 +544,7 @@ def test_refine_exclude_and_refine_below_match_reference():
     rounds = 0
     for t, f in enumerate(_node_corpus()):
         rng = derive_rng(7, "node-ops", t)
-        for factor, _ in ip.yun(f):
+        for factor, _ in ref_yun(f):
             for iso in ip.isolate(factor):
                 ref = RefRoot(iso.poly, iso.lo, iso.hi, iso.slo)
                 for _ in range(12):
@@ -583,9 +590,9 @@ def test_root_data_isolates_once_on_the_square_free_part(monkeypatch):
     isolated = []
     isolate = ip.isolate
 
-    def counting(f, chain=None):
+    def counting(f):
         isolated.append(f)
-        return isolate(f, chain)
+        return isolate(f)
 
     corpus = [ip.primitive(f) for f in _node_corpus()]
     refs = [ref_root_data_by_factor(f) for f in corpus]
@@ -595,14 +602,14 @@ def test_root_data_isolates_once_on_the_square_free_part(monkeypatch):
         isolated.clear()
         nodes = roots.root_data(Polynomial(f))
         assert len(isolated) == 1, f
-        factors = len(ip.yun(f))
+        factors = len(ref_yun(f))
         seen["squarefree" if factors == 1 else "two factors" if factors == 2
              else "three factors or more"] += 1
         s = ref_squarefree_part(f)
         s = ip.neg(s) if s[-1] < 0 else s
         assert all(n.poly == s and n.exact is None for n in nodes), f
         assert all(a.hi <= b.lo for a, b in zip(nodes, nodes[1:])), f
-        assert [n.multiplicity for n in nodes] == \
+        assert ref_multiplicities(f, nodes) == \
             [n.multiplicity for n in ref], f
         for n, r in zip(nodes, ref):
             if r.exact is not None:
@@ -615,11 +622,14 @@ def test_root_data_isolates_once_on_the_square_free_part(monkeypatch):
 
 
 def test_isolated_root_constructor_keeps_values():
+    """A node keeps its polynomial, ends and sign, and nothing else: a
+    root's multiplicity is no slot of it."""
     node = ip.IsolatedRoot.from_ints([-2, 0, 1], 5, 6, 4, -1)
     assert (node.lo, node.hi, node.slo) == (F(5, 4), F(3, 2), -1)
-    assert node.multiplicity == 1 and node.exact is None
-    exact = ip.IsolatedRoot.from_ints([-1, 2], 2, 2, 4, 0, 3)
-    assert exact.exact == F(1, 2) and exact.multiplicity == 3
+    assert node.poly == [-2, 0, 1] and node.exact is None
+    exact = ip.IsolatedRoot.from_ints([-1, 2], 2, 2, 4, 0)
+    assert exact.exact == F(1, 2) and exact.slo == 0
+    assert not hasattr(exact, "multiplicity")
 
 
 def test_mesh_numeric_matches_probing_before_separation():
@@ -675,7 +685,7 @@ def test_root_approximations_match_probing_before_separation():
         for n in old:
             n.refine_below(tol)
             want.append(float((n.lo + n.hi) / 2))
-        if [m for _, m in ip.yun(f)] == [1]:
+        if [m for _, m in ref_yun(f)] == [1]:
             assert got == want, f
         else:
             assert len(got) == len(want), f

@@ -1,10 +1,10 @@
 """Real-root questions against three independent references.
 
 The yes/no questions (is_hyperbolic, root_profile's flags,
-count_real_roots, nonneg_on_reals, mesh_at_least and class_membership)
-go by Sturm counts (on the square-free part, or per Yun factor) and by
-one Cauchy index for the mesh;
-negativity_point reads an isolation (roots.root_data), and its point is
+count_real_roots, mesh_at_least and class_membership) go by Sturm
+counts on the square-free part and by one Cauchy index for the mesh;
+nonneg_on_reals is negativity_point finding no point, and that reads an
+isolation of the square-free part (roots.root_data); its point is
 checked by its sign only.  The references:
 
 * the Sturm-count procedure below: a Sturm chain of the squarefree part
@@ -14,7 +14,9 @@ checked by its sign only.  The references:
   divisor at every step, a Python gcd loop for the content, and a
   textbook Yun decomposition), not on intpoly's.  Other test modules
   import these references as their Sturm-count oracle;
-* the multiplicities and places of the root_data nodes;
+* the places of the root_data nodes, and their multiplicities, which
+  the nodes do not carry, from the reference Yun factors
+  (ref_multiplicities);
 * the adjacent-gap test on root_data nodes, test_nodes.ref_mesh_at_least,
   for the mesh.  Each test isolates a corpus polynomial once and reuses
   its nodes, which stay sound however far they are narrowed.
@@ -138,6 +140,24 @@ def ref_yun(f):
         c = ip.divexact(c, a)
         d = ip.sub(ip.divexact(d, a), ip.deriv(c))
         i += 1
+    return out
+
+
+def ref_multiplicities(f, nodes):
+    """The multiplicity in the nonzero f of each node's root: the index
+    of the one reference Yun factor of f (ref_yun) that vanishes at the
+    node's exact root, or changes sign across its open interval, whose
+    ends are no roots of f.  IsolatedRoots carry no multiplicity; the
+    tests read it from here."""
+    factors = ref_yun(f)
+    out = []
+    for n in nodes:
+        if n.exact is not None:
+            m, = [m for g, m in factors if ip.sign_at(g, n.exact) == 0]
+        else:
+            m, = [m for g, m in factors
+                  if ip.sign_at(g, n.lo) == -ip.sign_at(g, n.hi) != 0]
+        out.append(m)
     return out
 
 
@@ -288,12 +308,13 @@ def corpus():
             for p, rts in _corpus()]
 
 
-def ref_profile_flags(nodes, degree):
+def ref_profile_flags(nodes, mults, degree):
     """root_profile's flags as an earlier version read them from the
-    root_data nodes of a nonzero polynomial of the given degree:
-    real-rooted when the multiplicities sum to the degree, all roots
-    nonnegative when, besides, no root lies left of 0."""
-    hyp = sum(n.multiplicity for n in nodes) == degree
+    root_data nodes of a nonzero polynomial of the given degree, and
+    their multiplicities (ref_multiplicities): real-rooted when the
+    multiplicities sum to the degree, all roots nonnegative when,
+    besides, no root lies left of 0."""
+    hyp = sum(mults) == degree
     return hyp, hyp and all(n.side(0, 1) >= 0 for n in nodes)
 
 
@@ -326,13 +347,14 @@ def test_root_questions_match_sturm_reference(corpus, monkeypatch):
     assert any(max(map(abs, ip.primitive(p.nums))) > 10**30 for p, *_ in corpus)
     assert any(p.leading_coefficient < 0 for p, *_ in corpus)
     for t, (p, rts, count, hyp) in enumerate(corpus):
+        f = ip.primitive(p.nums)
         nodes = roots.root_data(p) if p.degree else []
-        mults = [n.multiplicity for n in nodes]
+        mults = ref_multiplicities(f, nodes)
         assert roots.is_hyperbolic(p) == hyp == (sum(mults) == p.degree), p
         seen["hyperbolic" if hyp else "not hyperbolic"] += 1
         prof = roots.root_profile(p)
         flags = (prof.is_hyperbolic, prof.all_roots_nonnegative)
-        assert flags == ref_profile_flags(nodes, p.degree), p
+        assert flags == ref_profile_flags(nodes, mults, p.degree), p
         if hyp:
             profiles["all roots nonneg" if flags[1]
                      else "a negative root"] += 1
@@ -345,7 +367,6 @@ def test_root_questions_match_sturm_reference(corpus, monkeypatch):
             if p.degree and (lo is None or hi is None or lo < hi):
                 assert got == _node_count(nodes, lo, hi), (p, lo, hi)
             seen["end is root"] += lo in rts or hi in rts
-        f = ip.primitive(p.nums)
         squarefree = ref_squarefree_part(f) == f
         seen["repeated root"] += not squarefree and count() > 0
         nonneg = ref_nonneg_on_reals(p)
@@ -448,6 +469,7 @@ def test_mesh_decisions_match_gap_reference(corpus, mesh_corpus):
         # one isolation serves every alpha: the gap test narrows the
         # nodes in place, and narrowed nodes stay sound
         nodes = roots.root_data(p) if hyp else None
+        mults = ref_multiplicities(f, nodes) if hyp else None
         for alpha in MESH_ALPHAS:
             if not hyp:
                 assert not class_membership(p, ClassSpec.hp_ge(alpha))
@@ -455,7 +477,7 @@ def test_mesh_decisions_match_gap_reference(corpus, mesh_corpus):
                     with pytest.raises(roots.NonHyperbolicInput):
                         roots.mesh_at_least(p, alpha)
                 continue
-            want = ref_mesh_at_least(nodes, alpha)
+            want = ref_mesh_at_least(nodes, mults, alpha)
             assert roots.mesh_at_least(p, alpha) == want, (p, alpha)
             assert class_membership(p, ClassSpec.hp_ge(alpha)) == want
             assert class_membership(p, ClassSpec.hp_plus_ge(alpha)) == \

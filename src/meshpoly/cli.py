@@ -99,13 +99,12 @@ def _csv_of(payload) -> str:
     return buf.getvalue().rstrip("\n")
 
 
-def _verdict_exit(verdicts) -> int:
+def _verdict_exit(v) -> int:
     from .verify import FAILS, HOLDS
 
-    statuses = {v.status for v in verdicts}
-    if FAILS in statuses:
+    if v.status == FAILS:
         return EXIT_COUNTEREXAMPLE
-    if statuses - {HOLDS}:
+    if v.status != HOLDS:
         return EXIT_INCONCLUSIVE
     return EXIT_OK
 
@@ -209,7 +208,7 @@ def cmd_verify_herpou(args) -> int:
                                         seed=args.seed)
     _print_verdict(v)
     _emit(v, args)
-    return _verdict_exit([v])
+    return _verdict_exit(v)
 
 
 def cmd_verify_dms(args) -> int:
@@ -231,7 +230,7 @@ def cmd_verify_dms(args) -> int:
                         seed=args.seed)
     _print_verdict(v)
     _emit(v, args)
-    return _verdict_exit([v])
+    return _verdict_exit(v)
 
 
 def cmd_verify_riesz(args) -> int:
@@ -252,7 +251,7 @@ def cmd_verify_riesz(args) -> int:
                                        tol=as_fraction(args.tol))
     _print_verdict(v)
     _emit(v, args)
-    return _verdict_exit([v])
+    return _verdict_exit(v)
 
 
 def cmd_search(args) -> int:

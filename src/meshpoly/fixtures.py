@@ -18,7 +18,6 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from collections.abc import Sequence
 from fractions import Fraction
 
 from . import intpoly
@@ -46,13 +45,12 @@ def derive_rng(master_seed: int, *indices) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
-def rand_fraction(rng: random.Random, lo, hi,
-                  denominators: Sequence[int] = _DENOMS) -> Fraction:
+def rand_fraction(rng: random.Random, lo, hi) -> Fraction:
     """Uniform-ish rational in [lo, hi] with a small denominator.
 
     int and Fraction ends are read as they are (both carry numerator and
     denominator); only other ends, 'num/den' strings, are coerced."""
-    return Fraction(*_draw(rng, _rational(lo), _rational(hi), denominators))
+    return Fraction(*_draw(rng, _rational(lo), _rational(hi)))
 
 
 def _rational(value):
@@ -60,11 +58,10 @@ def _rational(value):
     return value if type(value) is int else as_fraction(value)
 
 
-def _draw(rng: random.Random, lo, hi,
-          denominators: Sequence[int] = _DENOMS) -> tuple[int, int]:
+def _draw(rng: random.Random, lo, hi) -> tuple[int, int]:
     """rand_fraction's draw for int or Fraction ends, as an unreduced
     (num, den): lo itself when no num/den with den drawn lies in [lo, hi]."""
-    den = rng.choice(denominators)
+    den = rng.choice(_DENOMS)
     a = -(-lo.numerator * den // lo.denominator)  # ceil(lo*den)
     b = hi.numerator * den // hi.denominator      # floor(hi*den)
     if a > b:

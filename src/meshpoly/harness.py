@@ -258,8 +258,7 @@ def _search_nice(cfg: SearchConfig, report: SearchReport) -> None:
 
 
 def _search_remark2(cfg: SearchConfig, report: SearchReport) -> None:
-    v = verify.geometric_witness(cfg.rho, max_degree=min(4, cfg.max_degree),
-                                 trials=cfg.trials, seed=cfg.seed)
+    v = verify.geometric_witness(cfg.rho)
     report.records.append({"trial": 0, "rho": as_fraction(cfg.rho),
                            "status": v.status,
                            "consistent": v.status != verify.FAILS})

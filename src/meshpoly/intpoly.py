@@ -22,6 +22,11 @@ from fractions import Fraction
 
 ZPoly = list  # list[int]
 
+# IsolatedRoot.try_rational's limits: probes per call, and the largest
+# denominator it looks for
+_MAX_PROBES = 24
+_DEN_CAP = 1 << 16
+
 
 def trim(f: ZPoly) -> ZPoly:
     while f and f[-1] == 0:
@@ -31,16 +36,6 @@ def trim(f: ZPoly) -> ZPoly:
 
 def neg(f: ZPoly) -> ZPoly:
     return [-c for c in f]
-
-
-def sub(f: ZPoly, g: ZPoly) -> ZPoly:
-    n = max(len(f), len(g))
-    out = [0] * n
-    for i, c in enumerate(f):
-        out[i] = c
-    for i, c in enumerate(g):
-        out[i] -= c
-    return trim(out)
 
 
 def mul(f: ZPoly, g: ZPoly) -> ZPoly:
@@ -478,14 +473,13 @@ class IsolatedRoot:
         # the point is outside (lo, hi), and the root strictly inside
         return 1 if d >= 0 else -1
 
-    def try_rational(self, max_probes: int = 24,
-                     den_cap: int = 1 << 16) -> Fraction | None:
+    def try_rational(self) -> Fraction | None:
         """Probe for an exact rational root by simplest-rational search.
 
         A rational root of a primitive integer polynomial has denominator
         dividing the leading coefficient, and the simplest rational in an
         interval has the smallest denominator of any rational inside it, so
-        once that denominator exceeds min(|lc|, den_cap) no rational root
+        once that denominator exceeds min(|lc|, _DEN_CAP) no rational root
         can be present and probing stops.  Misses are harmless: the root is
         then treated as irrational and only interval bounds are used.
         Even probes are at the simplest rational (unless it is an end),
@@ -493,8 +487,8 @@ class IsolatedRoot:
         """
         if self.a == self.b:
             return self.lo
-        cap = min(abs(self.poly[-1]), den_cap)
-        for k in range(max_probes):
+        cap = min(abs(self.poly[-1]), _DEN_CAP)
+        for k in range(_MAX_PROBES):
             a, b, own = self.a, self.b, self.den
             num, den = a + b, 2 * own
             if not k % 2:

@@ -13,7 +13,7 @@ import time
 from fractions import Fraction
 
 from . import verify
-from .fixtures import derive_rng, gen_fixture, gen_rooted, rand_fraction
+from .fixtures import derive_rng, gen_fixture, rand_fraction
 from .harness import SearchConfig, replay_certificate, run_search
 from .interlace import ClassSpec, class_membership, proper_position, quadratic_hp1plus
 from .operators import (
@@ -295,8 +295,7 @@ def criterion_9(seed: int = 7, scale: float = 1.0) -> CriterionResult:
 
 def criterion_10(seed: int = 7, scale: float = 1.0) -> CriterionResult:
     """Geometric decay at rho=1/2 is refuted by a low-degree fixture."""
-    v = verify.geometric_witness(Fraction(1, 2), max_degree=4,
-                                 trials=_count(200, scale), seed=seed)
+    v = verify.geometric_witness(Fraction(1, 2))
     if v.status != verify.FAILS:
         return CriterionResult(10, "geometric-refutation", False,
                                f"status {v.status}")

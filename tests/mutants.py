@@ -220,6 +220,9 @@ MUTANTS = [
     ("the classical image with its values shifted by one index", "verify.py",
      "zip(alphas, p.nums)", "zip(alphas[1:], p.nums)",
      ["tests/test_verify.py"]),
+    ("the geometric table repeats rho for rho squared", "verify.py",
+     "[rho ** i for i in range(3)]", "[1, rho, rho]",
+     ["tests/test_verify.py"]),
     ("as_fraction lets bool through its int test", "poly.py",
      "    if isinstance(value, int) and not isinstance(value, bool):\n",
      "    if isinstance(value, int):\n",

@@ -103,6 +103,30 @@ def test_tampered_certificate_fails_replay():
     assert not out["checks"]["image_matches"]
 
 
+def test_nice_discrete_certificate_replays():
+    # the discrete side of a nice certificate: a dms_test witness,
+    # replayed through the certificate's wire form
+    from meshpoly import DiagonalSequence, dms_test
+
+    values = [1, -1, 1]
+    v = dms_test(DiagonalSequence.from_values(values), trials=0, max_degree=2)
+    assert v.status == "fails"
+    obj = CounterexampleCertificate(
+        "nice", "monotone-classical-equivalence", 0,
+        {"values": v.witness["values"], "failed_side": v.claim,
+         "condition": v.witness["condition"],
+         "fixture": v.witness["fixture"], "image": v.witness["image"],
+         "dms_status": v.status, "classical_status": "holds"}, {}).to_obj()
+    out = replay_certificate(obj)
+    assert out["reproduced"]
+    assert out["checks"] == {"image_matches": True, "fixture_in_class": True,
+                             "image_escapes": True}
+    obj["certificate"]["payload"]["image"]["coeffs"][0] = "99/1"
+    out = replay_certificate(obj)
+    assert not out["reproduced"]
+    assert not out["checks"]["image_matches"]
+
+
 def test_replay_decides_a_large_m_gate_without_its_image(monkeypatch):
     # m is read from outside input: the gate reads only the cofactor, so
     # no operator is applied to anything of degree m or more

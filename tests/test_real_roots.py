@@ -32,6 +32,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction as F
+from itertools import zip_longest
 from pathlib import Path
 
 import pytest
@@ -122,6 +123,14 @@ def ref_gcd(a, b):
     return [-c for c in g] if g and g[-1] < 0 else g
 
 
+def ref_sub(f, g):
+    """f - g as a normalized int list: no trailing zero."""
+    out = [a - b for a, b in zip_longest(f, g, fillvalue=0)]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
 def ref_yun(f):
     """Yun's squarefree decomposition [(g_i, i)], f ~ prod g_i^i, from
     gcd(f, f'); factors primitive with positive lead, constants dropped."""
@@ -130,7 +139,7 @@ def ref_yun(f):
         return []
     g = ref_gcd(f, ip.deriv(f))
     c = ip.divexact(f, g)
-    d = ip.sub(ip.divexact(ip.deriv(f), g), ip.deriv(c))
+    d = ref_sub(ip.divexact(ip.deriv(f), g), ip.deriv(c))
     out = []
     i = 1
     while len(c) > 1:
@@ -138,7 +147,7 @@ def ref_yun(f):
         if len(a) > 1:
             out.append((a, i))
         c = ip.divexact(c, a)
-        d = ip.sub(ip.divexact(d, a), ip.deriv(c))
+        d = ref_sub(ip.divexact(d, a), ip.deriv(c))
         i += 1
     return out
 

@@ -29,7 +29,7 @@ from meshpoly import (
     symbol_preserver_verdict,
     verify,
 )
-from meshpoly.fixtures import derive_rng, rand_fraction
+from meshpoly.fixtures import derive_rng, gen_fixture, rand_fraction
 from meshpoly.roots import count_real_roots
 
 
@@ -351,6 +351,74 @@ def test_geometric_witness_found_below_one():
     img = diagonal_apply(rho_table, fx)
     assert img == v.witness["image"]
     assert not class_membership(img, ClassSpec.hp_ge(1))
+
+
+def ref_geometric_witness(rho, max_degree=4, trials=200, seed=0):
+    """The earlier sampled search: five targeted two-root fixtures
+    (x - theta)(x - theta - 1), then seeded random HP+>=1 fixtures."""
+    claim = "geometric-sequence-preserves-class"
+    A = DiagonalSequence.from_values(
+        [rho ** i for i in range(max(max_degree, 2) + 1)])
+    plus, mesh1 = ClassSpec.hp_plus_ge(1), ClassSpec.hp_ge(1)
+
+    def test(p, origin):
+        image = diagonal_apply(A, p)
+        if not image.is_zero and not class_membership(image, mesh1):
+            return Verdict(claim, verify.FAILS, witness={
+                "condition": "image-left-mesh-1-class", "rho": rho,
+                "fixture": p, "image": image,
+                "image_in_nonneg_class": class_membership(image, plus),
+            }, details={"origin": origin})
+        return None
+
+    for theta in (1, 2, F(1, 2), 3, F(3, 2)):
+        p = Polynomial.from_roots([theta, theta + 1])
+        if class_membership(p, plus):
+            v = test(p, "targeted")
+            if v is not None:
+                return v
+    rng = derive_rng(seed, "geometric", trials)
+    for _ in range(trials):
+        v = test(gen_fixture(plus, rng.randint(1, max_degree), rng), "random")
+        if v is not None:
+            return v
+    return Verdict(claim, verify.INCONCLUSIVE,
+                   details={"trials": trials, "max_degree": max_degree})
+
+
+def _geometric_rhos():
+    """Distinct rho in (0, 1): every k/den for small den, and for larger
+    den the ends 1/den and (den - 1)/den and seeded draws between."""
+    rng = derive_rng(0, "geometric-rhos")
+    rhos = {F(k, den) for den in (2, 3, 7, 16) for k in range(1, den)}
+    for den in (97, 1000, 10 ** 6, 10 ** 12):
+        rhos |= {F(1, den), F(den - 1, den)}
+        rhos |= {F(rng.randint(1, den - 1), den) for _ in range(75)}
+    return sorted(rhos)
+
+
+def test_geometric_witness_matches_the_sampled_search():
+    rhos = _geometric_rhos()
+    assert len(rhos) >= 300 and all(0 < r < 1 for r in rhos)
+    for rho in rhos:
+        v = geometric_witness(rho)
+        ref = ref_geometric_witness(rho)
+        assert (v.status, v.details) == (ref.status, ref.details), rho
+        assert serialize.dumps(v.witness) == serialize.dumps(ref.witness), rho
+
+
+def test_geometric_image_mesh_closed_form():
+    for rho in _geometric_rhos():
+        image = geometric_witness(rho).witness["image"]
+        c, b, a = image.monomial_coeffs()
+        assert (c, b, a) == (2, -(rho * rho + 2 * rho), rho * rho), rho
+        # squared gap of the two roots by Vieta: (r1 + r2)^2 - 4 r1 r2
+        mesh2 = (b / a) ** 2 - 4 * c / a
+        closed = (rho * rho + 4 * rho - 4) / (rho * rho)
+        assert mesh2 == closed, rho
+        assert is_hyperbolic(image) == (closed >= 0), rho
+        if closed >= 0:
+            assert closed < 1 and not mesh_at_least(image, 1), rho
 
 
 def test_geometric_witness_trivial_at_one():

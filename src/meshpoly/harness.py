@@ -211,18 +211,16 @@ def _search_nice(cfg: SearchConfig, report: SearchReport) -> None:
             A = DiagonalSequence.from_values(values)
             dms = verify.dms_test(A, trials=inner, max_degree=cfg.max_degree,
                                   seed=rng.randint(0, _RNG_SPAN))
-            # pure classical side: no rescaling trace, that embeds the
-            # discrete image family and would blur the two directions
             classical = verify.classical_multiplier_probe(
                 A, trials=inner, max_degree=cfg.max_degree,
-                seed=rng.randint(0, _RNG_SPAN), rescaling=())
+                seed=rng.randint(0, _RNG_SPAN))
             # a random increasing candidate is usually neither kind of
             # preserver; only a disagreement challenges the equivalence,
             # and the sampled side is escalated before it counts
             if dms.status == verify.FAILS and classical.status == verify.HOLDS:
                 classical = verify.classical_multiplier_probe(
                     A, trials=10 * inner, max_degree=cfg.max_degree,
-                    seed=rng.randint(0, _RNG_SPAN), rescaling=())
+                    seed=rng.randint(0, _RNG_SPAN))
             elif classical.status == verify.FAILS and dms.status == verify.HOLDS:
                 dms = verify.dms_test(A, trials=10 * inner,
                                       max_degree=cfg.max_degree,

@@ -220,6 +220,18 @@ MUTANTS = [
     ("the classical image with its values shifted by one index", "verify.py",
      "zip(alphas, p.nums)", "zip(alphas[1:], p.nums)",
      ["tests/test_verify.py"]),
+    ("the decreasing-pair witness always takes a = 1", "verify.py",
+     "    a = Fraction(1) if D + E < 0 else -E / (2 * D)\n",
+     "    a = Fraction(1)\n", ["tests/test_verify.py"]),
+    ("an infinite-mesh input admits any image degree", "verify.py",
+     "        if image.degree <= 1:\n", "        if True:\n",
+     ["tests/test_verify.py"]),
+    ("the witness searches exit 3 without a certificate", "cli.py",
+     "    return EXIT_COUNTEREXAMPLE if report.certificates else EXIT_OK\n",
+     """    if report.certificates:
+        return EXIT_COUNTEREXAMPLE
+    return EXIT_INCONCLUSIVE if args.kind in ("remark2", "lemma1") else EXIT_OK
+""", ["tests/test_cli.py"]),
     ("the geometric table repeats rho for rho squared", "verify.py",
      "[rho ** i for i in range(3)]", "[1, rho, rho]",
      ["tests/test_verify.py"]),

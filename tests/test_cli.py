@@ -384,6 +384,32 @@ def test_search_clean_run_exit_zero(tmp_path, capsys):
     assert out_path.exists()
 
 
+def test_search_identity_remark2_exit_zero(capsys):
+    """rho = 1 is the identity, which holds: a search that writes no
+    certificate exits 0, whatever its kind."""
+    code, out, err = run_cli(capsys, "search", "remark2", "--rho", "1")
+    assert code == 0
+    record = json.loads(out.splitlines()[0])["record"]
+    assert record == {"consistent": True, "rho": "1/1", "status": "holds",
+                      "trial": 0}
+    assert "0 certificates" in err
+
+
+@pytest.mark.parametrize("max_degree", [2, 3, 6])
+def test_search_lemma1_always_certifies(capsys, tmp_path, max_degree):
+    """The two-point sum maps x^2, tried at every max degree, to
+    2x^2 - 2x + 1, which has no real root: lemma1 always exits 1."""
+    out_path = tmp_path / "l1.jsonl"
+    code, _, _ = run_cli(capsys, "search", "lemma1", "--trials", "0",
+                         "--max-degree", str(max_degree), "--out",
+                         str(out_path))
+    assert code == 1
+    payloads = [json.loads(f.read_text())["certificate"]["payload"]
+                for f in sorted(tmp_path.glob("l1.jsonl.cert*.json"))]
+    two_point = [q for q in payloads if q["operator_name"] == "two-point-sum"]
+    assert [q["image"]["coeffs"] for q in two_point] == [["1/1", "-2/1", "2/1"]]
+
+
 def test_search_deterministic_output(tmp_path, capsys):
     a = tmp_path / "a.jsonl"
     b = tmp_path / "b.jsonl"

@@ -9,6 +9,7 @@ import pytest
 from meshpoly import (
     ClassSpec,
     DiagonalSequence,
+    FiniteDifferenceOperator,
     Polynomial,
     Verdict,
     check_altn,
@@ -88,6 +89,32 @@ def test_mesh_monotone_detects_decrease():
             break
     assert hit is not None
     assert hit.witness["condition"] in ("image-not-hyperbolic", "image-mesh-decreased")
+
+
+def test_mesh_monotone_failure_witnesses():
+    """Each failure condition of the difference variant, with its exact
+    witness: an image without real roots, a finite-mesh image of an input
+    of infinite mesh, and an image whose mesh fell below the input's."""
+    x = Polynomial.x()
+    v = check_mesh_monotone(FiniteDifferenceOperator.from_coeffs([1, 0, 0, 1]),
+                            Polynomial.from_roots([0, 1]), alpha=1)
+    assert v.status == verify.FAILS
+    assert v.witness == {"condition": "image-not-hyperbolic",
+                         "input": Polynomial.from_roots([0, 1]),
+                         "image": Polynomial([12, -8, 2]), "baseline": 1}
+    v = check_mesh_monotone(FiniteDifferenceOperator.from_coeffs([x * x]), x,
+                            alpha=1)
+    assert v.status == verify.FAILS
+    assert v.witness == {"condition": "finite-mesh-image-of-degree<=1-input",
+                         "input": x, "image": Polynomial([0, 0, 0, 1])}
+    v = check_mesh_monotone(FiniteDifferenceOperator.from_coeffs([1, 1]),
+                            Polynomial.from_roots([0, 2]), alpha=2)
+    assert v.status == verify.FAILS
+    # 2x^2 - 6x + 3 has mesh sqrt(3) < 2
+    assert v.witness == {"condition": "image-mesh-decreased",
+                         "input": Polynomial.from_roots([0, 2]),
+                         "image": Polynomial([3, -6, 2]), "baseline": 2,
+                         "baseline_exact": True}
 
 
 # -- symbol scan -----------------------------------------------------------
@@ -227,6 +254,35 @@ def test_monotonicity_witness_nonzero_start():
         assert v.status == verify.FAILS
 
 
+def _decreasing_triples():
+    """(a_m, a_(m+1), a_(m+2), m) with a_m > a_(m+1) and a_(m+2) > 0: an
+    integer grid of signed pairs, then seeded signed rationals."""
+    for m in (0, 1, 2):
+        for a0 in range(-4, 5):
+            for a1 in range(-4, a0):
+                for a2 in (F(1, 3), 1, 2, 5):
+                    yield a0, a1, a2, m
+    rng = derive_rng(11, "decreasing-triples")
+    for _ in range(1012):
+        a1 = rand_fraction(rng, -5, 5)
+        a0 = a1 + rand_fraction(rng, F(1, 64), 6)
+        yield a0, a1, rand_fraction(rng, F(1, 64), 6), rng.randint(0, 2)
+
+
+def test_monotonicity_witness_refutes_every_signed_decreasing_pair():
+    """The chosen a violates the quadratic criterion whatever the signs,
+    so the witness is certified, never reported inconclusive."""
+    triples = list(_decreasing_triples())
+    assert len(triples) >= 1400
+    assert any(a0 < 0 for a0, *_ in triples)
+    assert any(a1 < 0 < a0 for a0, a1, *_ in triples)
+    for a0, a1, a2, m in triples:
+        v = monotonicity_witness(a0, a1, a2, m=m)
+        assert v.status == verify.FAILS, (a0, a1, a2, m)
+        assert v.witness["a"] > 0
+        assert not class_membership(v.witness["image"], ClassSpec.hp_ge(1))
+
+
 # -- diagonal sequence testing ----------------------------------------------
 
 
@@ -324,8 +380,7 @@ def test_classical_image_matches_fraction_reference(monkeypatch):
     for s, A in enumerate(tables):
         fixtures.clear()
         images.clear()
-        v = classical_multiplier_probe(A, trials=500, max_degree=6, seed=s,
-                                       rescaling=())
+        v = classical_multiplier_probe(A, trials=500, max_degree=6, seed=s)
         assert v.status == verify.HOLDS
         assert len(fixtures) == 500
         assert v.details["nonzero_images"] == len(images)
@@ -337,6 +392,83 @@ def test_classical_image_matches_fraction_reference(monkeypatch):
             else:
                 assert (images[t].nums, images[t].den, images[t].basis) \
                     == (ref.nums, ref.den, ref.basis), (s, t)
+
+
+def ref_traced_probe(A, trials=200, max_degree=6, seed=0,
+                     rescaling=(F(1), F(1, 2), F(1, 10))):
+    """The classical probe as it was with its rescaled trace: beside each
+    monomial image, sum_i gamma_i alpha_i x(x - rho)...(x - (i-1) rho)
+    checked against HP+>=rho for every rescaling factor rho.  Returns
+    (status, witness, nonzero_images)."""
+    values = A.prefix(min(max_degree, len(A.values) - 1) + 1)
+    if verify._sign_obstruction(values) is not None:
+        return verify.SKIPPED, None, None
+    rng = derive_rng(seed, "classical", trials)
+    checked = 0
+    for t in range(trials):
+        p = gen_fixture(ClassSpec.hp_plus_ge(0),
+                        rng.randint(0, len(values) - 1), rng)
+        image = ref_monomial_image(values, p)
+        if not image.is_zero:
+            if not is_hyperbolic(image):
+                return verify.FAILS, {
+                    "condition": "monomial-image-not-hyperbolic",
+                    "trial": t, "fixture": p, "image": image}, None
+            checked += 1
+        for r in rescaling:
+            traced = Polynomial.zero()
+            factor = Polynomial.constant(1)
+            for i, c in enumerate(image.monomial_coeffs()):
+                traced = traced + c * factor
+                factor = factor * Polynomial.from_roots([i * r])
+            if traced.is_zero:
+                continue
+            if not class_membership(traced, ClassSpec.hp_plus_ge(r)):
+                return verify.FAILS, {
+                    "condition": "rescaled-image-left-class", "trial": t,
+                    "rho": r, "fixture": p, "image": traced}, None
+    return verify.HOLDS, None, checked
+
+
+def _probe_tables(n):
+    """n one-signed tables of length 2..7: increasing, geometric or
+    arithmetic runs with zeros at either end."""
+    rng = derive_rng(3, "probe-tables")
+    for t in range(n):
+        length = rng.randint(2, 7)
+        head = rng.randint(0, 2) if t % 3 else 0
+        tail = rng.randint(0, 2) if t % 4 else 0
+        body = max(1, length - head - tail)
+        c = rand_fraction(rng, F(1, 8), 3)
+        if t % 3 == 0:
+            run = [c]
+            for _ in range(body - 1):
+                run.append(run[-1] + rand_fraction(rng, 0, 3))
+        elif t % 3 == 1:
+            r = rand_fraction(rng, F(1, 4), 4)
+            run = [c * r ** i for i in range(body)]
+        else:
+            d = rand_fraction(rng, 0, 2)
+            run = [c + d * i for i in range(body)]
+        sign = 1 if t % 5 else -1
+        yield [F(0)] * head + [sign * v for v in run] + [F(0)] * tail
+
+
+def test_classical_probe_matches_the_traced_probe():
+    """Dropping the rescaled trace changes no verdict: a hyperbolic
+    monomial image has no negative root, and the Brenti map then puts
+    every traced image in HP+>=rho."""
+    tables = list(_probe_tables(300))
+    statuses = Counter()
+    for s, values in enumerate(tables):
+        A = DiagonalSequence.from_values(values)
+        v = classical_multiplier_probe(A, trials=40, seed=s)
+        ref = ref_traced_probe(A, trials=40, seed=s)
+        assert (v.status, v.witness,
+                v.details.get("nonzero_images")) == ref, (s, values)
+        statuses[v.status] += 1
+    assert sum(0 in values for values in tables) >= 100
+    assert statuses[verify.FAILS] >= 50 and statuses[verify.HOLDS] >= 50
 
 
 # -- geometric sequences -----------------------------------------------------
@@ -442,6 +574,19 @@ def test_hyperbolicity_violation_delta():
     img = v.witness["image"]
     assert img == make_standard("delta").apply(v.witness["input"])
     assert not is_hyperbolic(img)
+
+
+def test_hyperbolicity_violation_random_pass():
+    """Past the monomials, seeded clustered-root fixtures are tried."""
+    v = hyperbolicity_violation(make_standard("w_lambda", lam=1),
+                                max_degree=2, trials=200, seed=3)
+    assert v.status == verify.FAILS
+    assert v.details == {"origin": "random"}
+    assert v.witness["input"] == Polynomial([F(2, 9), F(2, 3), F(1, 2)])
+    assert not is_hyperbolic(v.witness["image"])
+    v = hyperbolicity_violation(make_standard("delta"), max_degree=2)
+    assert v.status == verify.INCONCLUSIVE
+    assert v.details == {"trials": 100, "max_degree": 2}
 
 
 def test_hyperbolicity_violation_skips_monomial_operator():
